@@ -17,7 +17,7 @@ from repro.checker.sync import FieldSyncOracle
 from repro.compiler import compile_device
 from repro.core import deploy
 from repro.devices.fdc import FDC, FDCLogic
-from repro.interp import Machine
+from repro.interp import BACKENDS, Machine
 from repro.ipt import Decoder, IPTTracer
 from repro.spec import build_spec, spec_from_json, spec_to_json
 from repro.workloads.profiles import PROFILES
@@ -29,7 +29,7 @@ def bench_compile_fdc(benchmark):
     assert program.block_count() > 40
 
 
-@pytest.mark.parametrize("backend", ["compiled", "reference", "bytecode"])
+@pytest.mark.parametrize("backend", BACKENDS)
 def bench_trace_and_decode(benchmark, backend):
     prof = PROFILES["fdc"]
 
@@ -93,8 +93,7 @@ def _fdc_sequences():
     return _FDC_SEQUENCES
 
 
-@pytest.mark.parametrize("backend",
-                         ["compiled", "reference", "bytecode"])
+@pytest.mark.parametrize("backend", BACKENDS)
 def bench_checker_per_round(benchmark, backend):
     """The online cost guest I/O pays: the check_io rounds of one full
     read_lba command (22 rounds, ~1100 ES blocks walked)."""
@@ -137,8 +136,7 @@ def bench_checker_batched(benchmark, batch):
     assert benchmark(one_command)
 
 
-@pytest.mark.parametrize("backend",
-                         ["compiled", "reference", "bytecode"])
+@pytest.mark.parametrize("backend", BACKENDS)
 def bench_device_round_uncached(benchmark, backend):
     """Raw device-side cost of the same command, for comparison."""
     prepare_seq, command_seq, _ = _fdc_sequences()

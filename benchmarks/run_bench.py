@@ -3,10 +3,10 @@
 
 Writes ``BENCH_micro.json`` (repo root by default): the median/mean/
 stddev of every benchmark in ``benchmarks/bench_micro.py`` — each row
-tagged with its execution backend — plus the compiled-over-reference
-and bytecode-over-compiled speedups for each backend-parametrized
-group.  This file is the perf trajectory — regenerate it whenever the
-hot paths change and commit the result alongside the change.
+tagged with its execution backend — plus the bytecode-over-reference
+speedup for each backend-parametrized group.  This file is the perf
+trajectory — regenerate it whenever the hot paths change and commit
+the result alongside the change.
 
 Full (non ``--quick``) runs force warm-up on, floor the round count at
 ``MIN_ROUNDS``, and disable GC during the timed rounds: the
@@ -19,7 +19,8 @@ Also drives ``python -m repro bench-fleet`` to produce
 security-isolation numbers — unless ``--no-fleet`` is given, and
 ``python -m repro bench-telemetry`` to produce ``BENCH_telemetry.json``
 — the telemetry-off vs telemetry-on overhead of the enforcement
-pipeline on the compiled backend — unless ``--no-telemetry`` is given.
+pipeline on the default (bytecode) backend — unless ``--no-telemetry``
+is given.
 
 Usage::
 
@@ -174,10 +175,8 @@ def summarize(raw: dict) -> dict:
         },
         "unit": "seconds",
         "benchmarks": benches,
-        "speedups_compiled_over_reference": ratios("reference",
-                                                   "compiled"),
-        "speedups_bytecode_over_compiled": ratios("compiled",
-                                                  "bytecode"),
+        "speedups_bytecode_over_reference": ratios("reference",
+                                                   "bytecode"),
         "speedups_batched_over_per_round": batched_speedups,
     }
 
@@ -220,11 +219,8 @@ def main() -> None:
         handle.write("\n")
     print_table(summary)
     for group, ratio in sorted(
-            summary["speedups_compiled_over_reference"].items()):
-        print(f"{group}: compiled is {ratio}x faster than reference")
-    for group, ratio in sorted(
-            summary["speedups_bytecode_over_compiled"].items()):
-        print(f"{group}: bytecode is {ratio}x faster than compiled")
+            summary["speedups_bytecode_over_reference"].items()):
+        print(f"{group}: bytecode is {ratio}x faster than reference")
     for size, ratio in sorted(
             summary["speedups_batched_over_per_round"].items(),
             key=lambda kv: int(kv[0])):

@@ -8,13 +8,12 @@ from repro.checker.bounds import (
     BoundTable, BoundViolation, BufferBound, ScalarBound, audit_reports,
     scan,
 )
-from repro.checker.compile import CompiledSpec, compiled_spec_for
 from repro.checker.degrade import (
     DEFAULT_DEGRADATION, INFRA_EXCEPTIONS, DegradationConfig,
     DegradationPolicy, gap_report, retrain_reason, run_with_policy,
 )
 from repro.checker.escheck import (
-    BACKENDS, CHECK_BLOCK_COST, CHECK_STMT_COST, ESChecker,
+    BACKENDS, CHECK_BLOCK_COST, CHECK_STMT_COST, DEFAULT_BACKEND, ESChecker,
 )
 from repro.checker.response import (
     Alert, AlertLevel, AlertManager, Checkpoint, DeviceQuarantine,
@@ -28,10 +27,10 @@ from repro.checker.sync import (
 __all__ = [
     "ALL_STRATEGIES", "Action", "Anomaly", "CheckReport", "Mode",
     "Strategy", "decide_action",
-    "BACKENDS", "CHECK_BLOCK_COST", "CHECK_STMT_COST",
+    "BACKENDS", "CHECK_BLOCK_COST", "CHECK_STMT_COST", "DEFAULT_BACKEND",
     "BoundTable", "BoundViolation", "BufferBound", "ScalarBound",
     "audit_reports", "scan",
-    "CompiledSpec", "ESChecker", "compiled_spec_for",
+    "ESChecker",
     "DEFAULT_DEGRADATION", "INFRA_EXCEPTIONS", "DegradationConfig",
     "DegradationPolicy", "gap_report", "retrain_reason",
     "run_with_policy",

@@ -1,11 +1,11 @@
-"""Flat bytecode backend for execution specifications (the third
+"""Flat bytecode backend for execution specifications (the default
 ES-Checker backend).
 
-The closure backend (:mod:`repro.checker.compile`) removed per-node
-``isinstance`` dispatch but still walks a chain of nested closures per
-block, with the walk counters living as attributes on the per-round
-:class:`_WalkContext`.  This module lowers the **whole spec** once into
-a single flat array-encoded bytecode:
+The reference :class:`~repro.checker.escheck._Walker` re-dispatches on
+IR node types for every DSOD statement of every I/O round and re-derives
+every check table through ``self.spec.*`` lookups per site per round.
+This module lowers the **whole spec** once into a single flat
+array-encoded bytecode:
 
 * ``code`` — one int opcode stream covering every trained routine, with
   all jump targets resolved to dense global block indices at lowering
@@ -32,12 +32,12 @@ function of them and needs no spec object.
 
 Strategy toggles stay runtime-dynamic (read from the walk context at
 round entry), so one artifact serves every strategy configuration — the
-ablation benches rely on that, exactly as with the closure backend.
+ablation benches rely on that.
 
 Semantics replicate the reference walker bit-for-bit: every anomaly
 kind, message, counter increment and stop flavour.
-``tests/checker/test_backend_diff.py`` holds all three backends to that
-across the five device models and the CVE corpus.
+``tests/checker/test_backend_diff.py`` holds both backends to that
+across the seven device models and the CVE corpus.
 """
 
 from __future__ import annotations
@@ -51,7 +51,7 @@ from repro.errors import CheckerError, DeviceFault
 from repro.checker.anomalies import (
     Action, CheckReport, Strategy, decide_action,
 )
-from repro.checker.compile import _WalkStop, _flag
+from repro.checker.escheck import _WalkStop, _flag
 from repro.interp.ops import _floordiv, _mod, binop_fn
 from repro.ir import (
     Assign, BinOp, Branch, BufLen, BufLoad, BufStore, Call, Const, Expr,
@@ -330,8 +330,8 @@ class _SpecLowerer:
             self.lower_expr(expr.operand, func)
             self.emit(C_UNOP, _UNSYMS.index(expr.op))
         else:
-            # Mirrors the closure backend's run_unknown: a CheckerError
-            # when (never) evaluated; lowering keeps it site-precise.
+            # Mirrors the reference walker: a CheckerError when (never)
+            # evaluated; lowering keeps it site-precise.
             self.emit(C_SYNC, self.ref(
                 f"__cannot_evaluate__{type(expr).__name__}"))
 
@@ -545,8 +545,7 @@ class BytecodeSpec:
         return wb
 
     def run(self, w, handler: str, args: Tuple[int, ...]) -> Optional[int]:
-        """One I/O round's walk; counters flush even on early stops
-        (mirrors :meth:`CompiledSpec.run`)."""
+        """One I/O round's walk; counters flush even on early stops."""
         try:
             pc0, np, nl = self._entry[handler]
             if len(args) == np:
@@ -1500,7 +1499,7 @@ def lower_spec(spec: ExecutionSpec) -> BytecodeSpec:
 
 def bytecode_spec_for(spec: ExecutionSpec) -> BytecodeSpec:
     """Lower + assemble once per spec object, shared by every checker
-    deployed on it — mirrors :func:`compiled_spec_for`."""
+    deployed on it."""
     cached = getattr(spec, "_bytecode_backend", None)
     if cached is None:
         cached = lower_spec(spec).assemble()

@@ -24,7 +24,9 @@ from dataclasses import dataclass, field
 from typing import Dict, FrozenSet, List, Optional, Set, Tuple
 
 from repro.errors import CheckerError, DeviceFault, SpecError
-from repro.interp.machine import eval_binop, eval_unop
+from repro.interp.machine import (
+    BACKENDS, DEFAULT_BACKEND, eval_binop, eval_unop,
+)
 from repro.ir import (
     Assign, BinOp, Branch, BufLen, BufLoad, BufStore, Call, Const, Expr,
     Goto, ICall, Intrinsic, Local, Param, Return, StateMemory, StateRef,
@@ -35,9 +37,6 @@ from repro.checker.anomalies import (
     decide_action,
 )
 from repro.checker.degrade import DEFAULT_DEGRADATION, DegradationConfig
-from repro.checker.compile import (
-    _WalkContext, _WalkStop, compiled_spec_for,
-)
 from repro.checker.sync import NullSyncOracle, SyncOracle
 from repro.spec.escfg import ESBlock, ESFunction, ExecutionSpec
 
@@ -49,7 +48,54 @@ from repro.spec.escfg import ESBlock, ESFunction, ExecutionSpec
 CHECK_BLOCK_COST = 0.5
 CHECK_STMT_COST = 0.5
 
-BACKENDS = ("compiled", "reference", "bytecode")
+
+class _WalkStop(Exception):
+    """Internal: the walk cannot or need not continue."""
+
+    def __init__(self, incomplete: bool = False):
+        self.incomplete = incomplete
+
+
+class _WalkContext:
+    """Per-round mutable state the bytecode backend's generated walk
+    frames read and reconcile (the reference walker keeps its own)."""
+
+    __slots__ = ("checker", "report", "state", "oracle", "strategies",
+                 "param_on", "ijump_on", "cond_on", "current_address",
+                 "current_cmd", "blocks", "dsod", "pchecks", "ichecks",
+                 "cchecks")
+
+    def __init__(self, checker, report, state, oracle):
+        self.checker = checker
+        self.report = report
+        self.state = state
+        self.oracle = oracle
+        self.strategies = checker.strategies
+        self.param_on = Strategy.PARAMETER in checker.strategies
+        self.ijump_on = Strategy.INDIRECT_JUMP in checker.strategies
+        self.cond_on = Strategy.CONDITIONAL_JUMP in checker.strategies
+        self.current_address = 0
+        self.current_cmd: Optional[int] = None
+        self.blocks = 0
+        self.dsod = 0
+        # Check-site executions per enabled strategy; flushed into the
+        # report with the walk counters (mirrors the reference walker's
+        # direct report increments).
+        self.pchecks = 0
+        self.ichecks = 0
+        self.cchecks = 0
+
+
+def _flag(w: _WalkContext, strategy: Strategy, kind: str, message: str,
+          address: int) -> bool:
+    """Record an anomaly if its strategy is enabled (mirrors
+    ``ESChecker._flag``)."""
+    if strategy not in w.strategies:
+        return False
+    w.report.anomalies.append(Anomaly(
+        strategy=strategy, kind=kind, message=message,
+        block_address=address, io_key=w.report.io_key))
+    return True
 
 
 @dataclass
@@ -65,7 +111,7 @@ class ESChecker:
     def __init__(self, spec: ExecutionSpec, mode: Mode = Mode.ENHANCEMENT,
                  strategies: FrozenSet[Strategy] = ALL_STRATEGIES,
                  max_walk_blocks: int = 500_000,
-                 backend: str = "compiled",
+                 backend: str = DEFAULT_BACKEND,
                  degradation: Optional[DegradationConfig] = None,
                  recorder=None):
         if backend not in BACKENDS:
@@ -77,8 +123,6 @@ class ESChecker:
         self.strategies = frozenset(strategies)
         self.max_walk_blocks = max_walk_blocks
         self.backend = backend
-        self._compiled = (compiled_spec_for(spec)
-                          if backend == "compiled" else None)
         if backend == "bytecode":
             from repro.checker.bytecode import bytecode_spec_for
             self._bytecode = bytecode_spec_for(spec)
@@ -167,10 +211,6 @@ class ESChecker:
             walker = _WalkContext(self, report, scratch, oracle)
             run = lambda: self._bytecode.run(         # noqa: E731
                 walker, handler, args)
-        elif self._compiled is not None:
-            walker = _WalkContext(self, report, scratch, oracle)
-            run = lambda: self._compiled.run(         # noqa: E731
-                walker, self._compiled.funcs[handler], args)
         else:
             walker = _Walker(self, report, scratch, oracle)
             run = lambda: walker.run(                 # noqa: E731
@@ -212,7 +252,7 @@ class ESChecker:
         On the bytecode backend all rounds share one generated frame
         entry: the strategy toggles, shadow buffer, sync oracle and
         the spec-specialized dispatch tables are set up once per
-        batch.  The other backends have no batched frame and fall
+        batch.  The reference backend has no batched frame and falls
         back to per-round checking, which keeps parity trivially.
         """
         if self._bytecode is None:

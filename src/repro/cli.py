@@ -24,7 +24,7 @@
     python -m repro policy show   [--file policy.json] [--tenant T]
     python -m repro policy apply  --file policy.json --cache DIR
     python -m repro policy reload --file policy.json [--tenants 4]
-    python -m repro migrate [--backends reference,compiled,bytecode] \
+    python -m repro migrate [--backends reference,bytecode] \
                             [--out MIGRATION.json]
 """
 
@@ -33,6 +33,8 @@ from __future__ import annotations
 import argparse
 import sys
 from typing import List, Optional
+
+from repro.interp.machine import BACKENDS, DEFAULT_BACKEND
 
 
 def _cmd_devices(args: argparse.Namespace) -> int:
@@ -160,7 +162,7 @@ def _cmd_corpus(args: argparse.Namespace) -> int:
         poc_detected, sweep_corpus,
     )
 
-    backends = [b.strip() for b in args.backends.split(",") if b.strip()]
+    backends = args.backends
     mixes = args.benign_mix or ["virtio-net+virtio-blk"]
     pocs = generate_corpus(seed=args.seed)
     summary = corpus_summary(pocs)
@@ -796,7 +798,7 @@ def _cmd_migrate(args: argparse.Namespace) -> int:
         migration_provenance, run_migration_certification,
     )
 
-    backends = [b.strip() for b in args.backends.split(",") if b.strip()]
+    backends = args.backends
     certs = []
     for backend in backends:
         cert = run_migration_certification(
@@ -837,6 +839,16 @@ def _cmd_tables(args: argparse.Namespace) -> int:
     return 0
 
 
+def _backend_list(text: str) -> List[str]:
+    """``--backends`` value: a comma-separated subset of BACKENDS."""
+    names = [b.strip() for b in text.split(",") if b.strip()]
+    if not names or not set(names) <= set(BACKENDS):
+        raise argparse.ArgumentTypeError(
+            f"{text!r} is not a comma-separated list drawn from "
+            f"{','.join(BACKENDS)}")
+    return names
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="repro", description="SEDSpec reproduction toolkit")
@@ -851,8 +863,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--qemu-version", default="99.0.0")
     p.add_argument("--seed", type=int, default=7)
     p.add_argument("--repeats", type=int, default=2)
-    p.add_argument("--backend", choices=("compiled", "reference", "bytecode"),
-                   default="compiled",
+    p.add_argument("--backend", choices=BACKENDS,
+                   default=DEFAULT_BACKEND,
                    help="execution backend for the training device")
     p.add_argument("--out", help="write the spec JSON here")
     p.set_defaults(fn=_cmd_train)
@@ -876,8 +888,8 @@ def build_parser() -> argparse.ArgumentParser:
                    help="with --family: corpus generation seed")
     p.add_argument("--protect", action="store_true",
                    help="deploy SEDSpec (protection mode) first")
-    p.add_argument("--backend", choices=("compiled", "reference", "bytecode"),
-                   default="compiled",
+    p.add_argument("--backend", choices=BACKENDS,
+                   default=DEFAULT_BACKEND,
                    help="execution backend for device and checker")
     p.set_defaults(fn=_cmd_exploit)
 
@@ -886,7 +898,8 @@ def build_parser() -> argparse.ArgumentParser:
                        "certify detection / zero benign false positives")
     p.add_argument("--seed", type=int, default=11,
                    help="corpus generation seed")
-    p.add_argument("--backends", default="reference,compiled,bytecode",
+    p.add_argument("--backends", type=_backend_list,
+                   default=",".join(BACKENDS),
                    help="comma-separated checker backends to sweep")
     p.add_argument("--benign-mix", action="append", default=None,
                    metavar="DEVICES",
@@ -916,8 +929,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--qemu-version", default="99.0.0")
     p.add_argument("--mode", choices=("protection", "enhancement"),
                    default="protection")
-    p.add_argument("--backend", choices=("compiled", "reference", "bytecode"),
-                   default="compiled")
+    p.add_argument("--backend", choices=BACKENDS, default=DEFAULT_BACKEND)
     p.add_argument("--batch-rounds", type=int, default=0,
                    help="credit-batch size: strict-key I/O rounds "
                         "execute on credit and are vetted in one "
@@ -987,8 +999,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--tenants", type=int, default=8)
     p.add_argument("--batches", type=int, default=4)
     p.add_argument("--ops", type=int, default=4)
-    p.add_argument("--backend", choices=("compiled", "reference", "bytecode"),
-                   default="compiled")
+    p.add_argument("--backend", choices=BACKENDS, default=DEFAULT_BACKEND)
     p.add_argument("--inline", action="store_true",
                    help="in-process worker pool (no multiprocessing)")
     p.add_argument("--spec-cache", default=None,
@@ -1014,8 +1025,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--device", default="fdc")
     p.add_argument("--rounds", type=int, default=200,
                    help="checked I/O rounds to drive (at least)")
-    p.add_argument("--backend", choices=("compiled", "reference", "bytecode"),
-                   default="compiled")
+    p.add_argument("--backend", choices=BACKENDS, default=DEFAULT_BACKEND)
     p.add_argument("--qemu-version", default="99.0.0")
     p.add_argument("--mode", choices=("protection", "enhancement"),
                    default="enhancement")
@@ -1060,8 +1070,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="measure telemetry-on vs -off pipeline overhead; writes "
              "BENCH_telemetry.json")
     p.add_argument("--device", default="fdc")
-    p.add_argument("--backend", choices=("compiled", "reference", "bytecode"),
-                   default="compiled")
+    p.add_argument("--backend", choices=BACKENDS, default=DEFAULT_BACKEND)
     p.add_argument("--qemu-version", default="99.0.0")
     p.add_argument("--seed", type=int, default=7)
     p.add_argument("--quick", action="store_true",
@@ -1107,8 +1116,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--cve", action="append", default=[],
                     help="CVE to difference against (default: the "
                          "device's seeded CVE)")
-    sp.add_argument("--backend", choices=("compiled", "reference", "bytecode"),
-                    default="compiled")
+    sp.add_argument("--backend", choices=BACKENDS, default=DEFAULT_BACKEND)
     sp.add_argument("--no-activate", action="store_true",
                     help="publish without activating (staged rollout: "
                          "a later hot reload names the digest)")
@@ -1148,8 +1156,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--batches", type=int, default=4)
     sp.add_argument("--ops", type=int, default=4)
     sp.add_argument("--workers", type=int, default=2)
-    sp.add_argument("--backend", choices=("compiled", "reference", "bytecode"),
-                    default="compiled")
+    sp.add_argument("--backend", choices=BACKENDS, default=DEFAULT_BACKEND)
     sp.add_argument("--cache", default=None,
                     help="spec cache dir (default: temp dir)")
     sp.add_argument("--seed", type=int, default=23)
@@ -1202,7 +1209,8 @@ def build_parser() -> argparse.ArgumentParser:
         "migrate", help="certify live tenant migration: byte-identical "
                         "verdicts and zero lost/duplicated ops vs a "
                         "never-migrated baseline, per backend")
-    p.add_argument("--backends", default="reference,compiled,bytecode",
+    p.add_argument("--backends", type=_backend_list,
+                   default=",".join(BACKENDS),
                    help="comma-separated checker backends to certify")
     p.add_argument("--devices", default="fdc")
     p.add_argument("--tenants", type=int, default=4)

@@ -16,7 +16,7 @@ from typing import Callable, Optional, Tuple
 from repro.analysis import ObservationLogger, analyze_taint, select_parameters
 from repro.analysis.params import ParamSelection
 from repro.cfg import ITCCFG, build_itc_cfg
-from repro.checker import ALL_STRATEGIES, Mode
+from repro.checker import ALL_STRATEGIES, DEFAULT_BACKEND, Mode
 from repro.devices.base import Device
 from repro.ipt import Decoder, IPTTracer
 from repro.spec import ExecutionSpec, build_spec
@@ -71,7 +71,7 @@ def build_execution_spec(make_vm: MakeVM, workload: Workload,
 def deploy(vm: GuestVM, device: Device, spec: ExecutionSpec,
            mode: Mode = Mode.ENHANCEMENT,
            strategies=ALL_STRATEGIES,
-           backend: str = "compiled",
+           backend: str = DEFAULT_BACKEND,
            recorder=None,
            batch_rounds: int = 0) -> Attachment:
     """Phase ③: put the ES-Checker in front of the device.

@@ -19,7 +19,7 @@ from typing import Callable, Dict, Optional, Tuple, Type
 
 from repro.compiler import DeviceLogic, compile_device
 from repro.errors import DeviceFault, WorkloadError
-from repro.interp import Machine
+from repro.interp import DEFAULT_BACKEND, Machine
 from repro.ir import Program, StateMemory
 
 
@@ -51,7 +51,7 @@ class CveGate:
 #: (logic class, sorted const overrides) -> frozen Program.  A frozen
 #: program is immutable and every Machine owns its own StateMemory, so
 #: devices built at the same version can share one compile (and with it
-#: the per-program compiled/bytecode backend artifacts cached on it).
+#: the per-program bytecode backend artifact cached on it).
 _PROGRAM_CACHE: Dict[Tuple[type, Tuple[Tuple[str, int], ...]],
                      Program] = {}
 
@@ -81,7 +81,7 @@ class Device:
     EXTERN_COSTS: Dict[str, int] = {}
 
     def __init__(self, qemu_version: str = "99.0.0",
-                 max_steps: int = 200_000, backend: str = "compiled"):
+                 max_steps: int = 200_000, backend: str = DEFAULT_BACKEND):
         self.qemu_version = qemu_version
         overrides = {gate.const: int(gate.active_in(qemu_version))
                      for gate in self.CVES}

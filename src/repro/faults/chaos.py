@@ -29,6 +29,7 @@ from typing import Dict, List, Optional, Tuple
 from repro.faults.plan import (
     FaultInjector, FaultPlan, FaultSpec, corrupt_cache_dir, plan_to_json,
 )
+from repro.interp.machine import DEFAULT_BACKEND
 
 #: Devices hosting the five seeded CVEs (one detectable CVE per device).
 DEFAULT_DEVICES = ("fdc", "sdhci", "scsi", "ehci", "pcnet")
@@ -311,7 +312,7 @@ class LadderOutcome:
         return not self.quarantined
 
 
-def run_ladder_scenario(device: str = "fdc", backend: str = "compiled",
+def run_ladder_scenario(device: str = "fdc", backend: str = DEFAULT_BACKEND,
                         healthy_batches: int = 2,
                         faulty_batches: int = 3,
                         ops_per_batch: int = 4,

@@ -26,6 +26,7 @@ from repro.fleet.loadgen import (
 )
 from repro.fleet.registry import SpecRegistry
 from repro.fleet.supervisor import FleetConfig, FleetResult, FleetSupervisor
+from repro.interp.machine import DEFAULT_BACKEND
 
 DEFAULT_WORKER_COUNTS = (1, 2, 4, 8)
 DEFAULT_DEVICES = ("fdc", "sdhci", "scsi", "ehci")
@@ -60,7 +61,7 @@ def run_fleet_bench(worker_counts: Sequence[int] = DEFAULT_WORKER_COUNTS,
                     devices: Sequence[str] = DEFAULT_DEVICES,
                     tenants: int = 8, batches: int = 4, ops: int = 4,
                     inject_cves: Sequence[str] = DEFAULT_INJECT,
-                    backend: str = "compiled", inline: bool = False,
+                    backend: str = DEFAULT_BACKEND, inline: bool = False,
                     cache_dir: Optional[str] = None,
                     seed: int = 7,
                     migration: Optional[Dict[str, object]] = None,
@@ -236,7 +237,7 @@ def _stats_parity(inline_stats, pool_stats) -> Dict[str, object]:
 def run_lifecycle_smoke(devices: Sequence[str] = LIFECYCLE_DEVICES,
                         tenants: int = 6, attacked: int = 5,
                         batches: int = 4, ops: int = 4, workers: int = 2,
-                        backend: str = "compiled",
+                        backend: str = DEFAULT_BACKEND,
                         cache_dir: Optional[str] = None,
                         seed: int = 23) -> Dict[str, object]:
     """End-to-end spec lifecycle: train → promote → hot-reload → attack.

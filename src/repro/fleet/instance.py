@@ -25,8 +25,8 @@ from dataclasses import dataclass
 from typing import List, Optional
 
 from repro.checker import (
-    CheckReport, DEFAULT_DEGRADATION, DegradationConfig, DegradationPolicy,
-    Mode, gap_report,
+    CheckReport, DEFAULT_BACKEND, DEFAULT_DEGRADATION, DegradationConfig,
+    DegradationPolicy, Mode, gap_report,
 )
 from repro.core import deploy
 from repro.errors import DecodeError, DeviceFault, InfraError, TraceError
@@ -65,7 +65,7 @@ class GuardedInstance:
 
     def __init__(self, tenant: str, device_name: str, qemu_version: str,
                  spec, mode: Mode = Mode.PROTECTION,
-                 backend: str = "compiled",
+                 backend: str = DEFAULT_BACKEND,
                  degradation: Optional[DegradationConfig] = None,
                  injector=None, batch_rounds: int = 0):
         from repro.workloads.profiles import profile

@@ -18,6 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field, replace
 from typing import Dict, List, Optional, Sequence, Tuple
 
+from repro.interp.machine import DEFAULT_BACKEND
 from repro.policy.model import canonical_json, policy_digest
 
 
@@ -145,7 +146,7 @@ def run_migration_certification(devices: Sequence[str] = ("fdc",),
                                 tenants: int = 4,
                                 batches_per_tenant: int = 4,
                                 ops_per_batch: int = 6,
-                                backend: str = "compiled",
+                                backend: str = DEFAULT_BACKEND,
                                 inject_fraction: float = 0.5,
                                 migrate_after_batch: int = 1,
                                 workers: int = 2,

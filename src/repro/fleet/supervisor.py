@@ -8,10 +8,11 @@ The supervisor owns the enforcement service's control plane:
   worker; dispatch is credit-based, so a slow worker never accumulates an
   unbounded queue;
 * **fault tolerance** — a dead worker process is respawned (bounded by
-  ``max_worker_respawns``) with a *fresh* inbox, and every batch it had
-  not acknowledged is requeued (crash ops tombstoned), so nothing is
-  silently dropped; once the respawn budget is spent the worker's
-  remaining requests are counted ``lost`` rather than hidden;
+  ``max_worker_respawns``) with a *fresh* inbox and result channel, and
+  every batch it had not acknowledged is requeued (crash ops
+  tombstoned), so nothing is silently dropped; once the respawn budget
+  is spent the worker's remaining requests are counted ``lost`` rather
+  than hidden;
 * **quarantine bookkeeping** — SEDSpec detections recorded per tenant
   with their :class:`CheckReport`s while other tenants keep being served.
 
@@ -27,14 +28,14 @@ from __future__ import annotations
 import math
 import multiprocessing
 import os
-import queue as queue_mod
 import time
 from collections import deque
 from dataclasses import dataclass, field, replace
+from multiprocessing.connection import wait
 from typing import Deque, Dict, List, Optional, Sequence, Tuple
 
-from repro.checker import CheckReport, DEFAULT_DEGRADATION, \
-    DegradationConfig, Mode
+from repro.checker import CheckReport, DEFAULT_BACKEND, \
+    DEFAULT_DEGRADATION, DegradationConfig, Mode
 from repro.errors import FleetError
 from repro.policy.model import PolicySet
 from repro.fleet.loadgen import FAULT_OP_KINDS, RequestBatch, TenantPlan
@@ -53,7 +54,7 @@ class FleetConfig:
     inline: bool = False            # in-process fallback (tests, 1-cpu)
     queue_depth: int = 4            # outstanding batches per worker
     mode: Mode = Mode.PROTECTION
-    backend: str = "compiled"
+    backend: str = DEFAULT_BACKEND
     #: credit-batch size per instance: strict-key rounds execute on
     #: credit and are vetted in one batched checker invocation per
     #: flush (0 preserves the per-round discipline bit-for-bit)
@@ -275,6 +276,9 @@ class _WorkerHandle:
         self.worker_id = worker_id
         self.process: Optional[multiprocessing.process.BaseProcess] = None
         self.inbox = None
+        #: receiving end of this worker's own result pipe; ``None`` once
+        #: end-of-file shows everything the process sent has been read
+        self.outbox = None
         self.outstanding: Dict[int, RequestBatch] = {}
         self.dispatched_at: Dict[int, float] = {}   # seq -> monotonic ts
         self.respawns = 0
@@ -282,6 +286,30 @@ class _WorkerHandle:
         #: backoff deadline: respawn is due but not started (jitter-free
         #: exponential delay); no dispatch happens while this is set
         self.respawn_at: Optional[float] = None
+
+
+def _receive(handle: _WorkerHandle):
+    """The next message on *handle*'s ready result channel, or ``None``
+    at end-of-file: the worker exited and everything it sent has been
+    read (a message cut short by its death is dropped; its batch is
+    still outstanding and gets requeued), so the channel is closed."""
+    try:
+        return handle.outbox.recv()
+    except (EOFError, OSError):
+        handle.outbox.close()
+        handle.outbox = None
+        return None
+
+
+def _poll(handle: _WorkerHandle, timeout: float):
+    """The next message on *handle*'s result channel within *timeout*
+    seconds, or ``None``."""
+    if handle.outbox is None:
+        time.sleep(timeout)
+        return None
+    if not handle.outbox.poll(timeout):
+        return None
+    return _receive(handle)
 
 
 class FleetSupervisor:
@@ -509,21 +537,28 @@ class FleetSupervisor:
                                str(handle.worker_id))
         return 0.05 * spec.arg if spec is not None else 0.0
 
-    def _spawn(self, ctx, handle: _WorkerHandle, outbox) -> None:
+    def _spawn(self, ctx, handle: _WorkerHandle) -> None:
+        """Start (or restart) *handle*'s process with a fresh inbox and
+        a fresh result pipe of its own.  A worker that dies mid-send
+        can only ever damage its own channel, never its peers'."""
         config = self.config
         handle.inbox = ctx.Queue()
+        handle.outbox, results = ctx.Pipe(duplex=False)
         handle.process = ctx.Process(
             target=worker_main,
             args=(handle.worker_id, self.registry.cache_dir,
                   config.mode, config.backend,
                   config.max_instance_respawns,
-                  handle.inbox, outbox, config.fault_plan,
+                  handle.inbox, results, config.fault_plan,
                   config.degradation or DEFAULT_DEGRADATION,
                   config.circuit_threshold, config.circuit_cooldown,
                   self._slow_start(handle), self._policy_digest,
                   config.batch_rounds),
             daemon=True)
         handle.process.start()
+        # Only the worker keeps the sending end, so its exit reads as
+        # end-of-file once everything it sent has been received.
+        results.close()
 
     def _run_pool(self, pending: Dict[int, Deque[RequestBatch]]
                   ) -> Tuple[List[BatchResult], int, int]:
@@ -532,10 +567,9 @@ class FleetSupervisor:
                 "worker processes share specs via the disk cache; "
                 "set FleetConfig.cache_dir (or use inline=True)")
         ctx = self._context()
-        outbox = ctx.Queue()
         handles = {w: _WorkerHandle(w) for w in pending}
         for handle in handles.values():
-            self._spawn(ctx, handle, outbox)
+            self._spawn(ctx, handle)
         results: List[BatchResult] = []
         done: set = set()
         lost = 0
@@ -545,14 +579,12 @@ class FleetSupervisor:
             while any(not h.dead and (pending[w] or h.outstanding)
                       for w, h in handles.items()):
                 self._dispatch(handles, pending)
-                if self._collect(outbox, handles, results, done,
-                                 timeout=0.05):
+                if self._collect(handles, results, done, timeout=0.05):
                     last_progress = time.monotonic()
                 self._watchdog(handles)
-                if self._revive(ctx, handles, outbox):
+                if self._revive(ctx, handles):
                     last_progress = time.monotonic()
-                died = self._reap(ctx, outbox, handles, pending, results,
-                                  done)
+                died = self._reap(handles, pending, results, done)
                 if died:
                     respawns += died[0]
                     lost += died[1]
@@ -601,8 +633,7 @@ class FleetSupervisor:
                 handle.process.terminate()
                 self._watchdog_kills += 1
 
-    def _revive(self, ctx, handles: Dict[int, _WorkerHandle],
-                outbox) -> int:
+    def _revive(self, ctx, handles: Dict[int, _WorkerHandle]) -> int:
         """Start respawns whose backoff deadline has passed."""
         revived = 0
         now = self._clock()
@@ -610,33 +641,38 @@ class FleetSupervisor:
             if handle.respawn_at is None or now < handle.respawn_at:
                 continue
             handle.respawn_at = None
-            self._spawn(ctx, handle, outbox)
+            self._spawn(ctx, handle)
             revived += 1
         return revived
 
-    def _collect(self, outbox, handles: Dict[int, _WorkerHandle],
+    def _collect(self, handles: Dict[int, _WorkerHandle],
                  results: List[BatchResult], done: set,
-                 timeout: Optional[float] = None) -> bool:
-        """Drain the shared outbox; returns True if anything arrived.
+                 timeout: float) -> bool:
+        """Drain every worker's result channel, waiting up to *timeout*
+        for the first message; returns True if anything arrived.
 
-        *done* holds every batch seq already counted.  A result can
-        arrive twice for one seq: the outbox is shared, so a dying
-        worker's result may still be buffered in the queue pipe when
-        ``_reap``'s drain times out, after which the batch is requeued
-        and re-executed by the respawned worker.  First result wins;
-        the late duplicate is dropped (and counted) so latency stats and
-        completion counts see each request exactly once."""
+        *done* holds every batch seq already counted.  First result
+        wins: a second result for a counted seq is dropped (and
+        counted) so latency stats and completion counts see each
+        request exactly once."""
         got = False
         while True:
-            try:
-                message = outbox.get(timeout=timeout if not got else 0)
-            except queue_mod.Empty:
+            channels = {h.outbox: h for h in handles.values()
+                        if h.outbox is not None}
+            ready = wait(list(channels), 0 if got else timeout)
+            if not ready:
                 return got
-            got = True
-            if message[0] == "result":
-                _, worker_id, result = message
-                handles[worker_id].outstanding.pop(result.seq, None)
-                handles[worker_id].dispatched_at.pop(result.seq, None)
+            for channel in ready:
+                handle = channels[channel]
+                message = _receive(handle)
+                if message is None:
+                    continue
+                got = True
+                if message[0] != "result":
+                    continue
+                result = message[2]
+                handle.outstanding.pop(result.seq, None)
+                handle.dispatched_at.pop(result.seq, None)
                 if result.seq in done:
                     self._duplicates += 1
                     continue
@@ -646,7 +682,7 @@ class FleetSupervisor:
                 if start is not None:
                     self._queue_waits.append(self._clock() - start)
 
-    def _reap(self, ctx, outbox, handles: Dict[int, _WorkerHandle],
+    def _reap(self, handles: Dict[int, _WorkerHandle],
               pending: Dict[int, Deque[RequestBatch]],
               results: List[BatchResult], done: set) -> Tuple[int, int]:
         """Respawn dead workers, requeue their unacknowledged batches.
@@ -668,8 +704,10 @@ class FleetSupervisor:
                 continue
             if not handle.outstanding and not pending[worker_id]:
                 continue
-            # Late results may have been posted before death.
-            self._collect(outbox, handles, results, done, timeout=0.05)
+            # Results sent before death: the dead worker's channel
+            # reads to its end-of-file without waiting.
+            self._collect({worker_id: handle}, results, done,
+                          timeout=0.05)
             requeue = [b for _, b in sorted(handle.outstanding.items())]
             for i, b in enumerate(requeue):
                 if any(op.kind in FAULT_OP_KINDS and op.seed >= 0
@@ -687,9 +725,10 @@ class FleetSupervisor:
             handle.respawns += 1
             respawned += 1
             pending[worker_id].extendleft(reversed(requeue))
-            # A fresh inbox (anything buffered for the dead process is
-            # covered by the requeue and must not double-deliver) after a
-            # deterministic, jitter-free exponential backoff.
+            # A fresh inbox and result channel (anything buffered for
+            # the dead process is covered by the requeue and must not
+            # double-deliver) after a deterministic, jitter-free
+            # exponential backoff.
             delay = min(self.config.backoff_cap,
                         self.config.backoff_base
                         * (2 ** (handle.respawns - 1)))
@@ -709,6 +748,9 @@ class FleetSupervisor:
             if handle.process.is_alive():
                 handle.process.terminate()
                 handle.process.join(timeout=5)
+            if handle.outbox is not None:
+                handle.outbox.close()
+                handle.outbox = None
 
     # -- aggregation ---------------------------------------------------------
 
@@ -887,7 +929,6 @@ class FleetSession:
                     "worker processes share specs via the disk cache; "
                     "set FleetConfig.cache_dir (or use inline=True)")
             self._ctx = supervisor._context()
-            self._outbox = self._ctx.Queue()
             self._handles: Dict[int, _WorkerHandle] = {}
 
     # -- placement ----------------------------------------------------------
@@ -949,7 +990,7 @@ class FleetSession:
         handle = self._handles.get(worker_id)
         if handle is None:
             handle = self._handles[worker_id] = _WorkerHandle(worker_id)
-            supervisor._spawn(self._ctx, handle, self._outbox)
+            supervisor._spawn(self._ctx, handle)
         if handle.dead:
             self._lost += len(batch.ops)
             return None
@@ -958,24 +999,21 @@ class FleetSession:
         handle.inbox.put(("batch", batch))
         last_progress = time.monotonic()
         while True:
-            try:
-                message = self._outbox.get(timeout=0.05)
-            except queue_mod.Empty:
-                message = None
-            if message is not None and message[0] == "result":
-                last_progress = time.monotonic()
-                _, from_id, result = message
-                owner = self._handles[from_id]
-                owner.outstanding.pop(result.seq, None)
-                owner.dispatched_at.pop(result.seq, None)
-                if result.seq != batch.seq or result.seq in self._done:
-                    # A late re-delivery from a worker that died after
-                    # posting (the requeue race _collect documents), or
-                    # a result for a batch already written off as lost.
-                    self._duplicates += 1
-                    continue
-                self._done.add(result.seq)
-                return result
+            message = _poll(handle, 0.05)
+            if message is not None:
+                if message[0] == "result":
+                    last_progress = time.monotonic()
+                    result = message[2]
+                    handle.outstanding.pop(result.seq, None)
+                    handle.dispatched_at.pop(result.seq, None)
+                    if result.seq != batch.seq or result.seq in self._done:
+                        # A result for a batch already counted or
+                        # already written off as lost.
+                        self._duplicates += 1
+                        continue
+                    self._done.add(result.seq)
+                    return result
+                continue
             # Watchdog: one outstanding batch, so any over-age dispatch
             # means this lane is hung and only a kill gets it moving.
             timeout = self.config.watchdog_timeout
@@ -987,6 +1025,8 @@ class FleetSession:
                 self._watchdog_kills += 1
             if handle.process is not None \
                     and not handle.process.is_alive():
+                if handle.outbox is not None:
+                    continue    # read what it sent, up to end-of-file
                 requeue = [b for _, b
                            in sorted(handle.outstanding.items())]
                 for i, b in enumerate(requeue):
@@ -1006,7 +1046,7 @@ class FleetSession:
                             self.config.backoff_base
                             * (2 ** (handle.respawns - 1)))
                 time.sleep(delay)
-                supervisor._spawn(self._ctx, handle, self._outbox)
+                supervisor._spawn(self._ctx, handle)
                 for b in requeue:
                     handle.outstanding[b.seq] = b
                     handle.dispatched_at[b.seq] = supervisor._clock()
@@ -1078,7 +1118,7 @@ class FleetSession:
             if handle is None:
                 handle = self._handles[worker_id] = \
                     _WorkerHandle(worker_id)
-                self.supervisor._spawn(self._ctx, handle, self._outbox)
+                self.supervisor._spawn(self._ctx, handle)
             if handle.dead:
                 raise FleetError(
                     f"cannot restore {tenant!r}: worker {worker_id} "
@@ -1102,18 +1142,15 @@ class FleetSession:
         return envelope
 
     def _await_reply(self, kind: str, worker_id: int):
-        """Wait for a control-RPC reply on the shared outbox.  Stray
-        ``result`` messages (late re-deliveries from a worker that died
-        after posting, the race ``_collect`` documents) are dropped and
-        counted, exactly as in ``_submit_pool``."""
+        """Wait for a control-RPC reply on the worker's result channel.
+        Stray ``result`` messages are dropped and counted, exactly as
+        in ``_submit_pool``."""
+        handle = self._handles[worker_id]
         deadline = time.monotonic() + self.config.stall_timeout
         while True:
-            try:
-                message = self._outbox.get(timeout=0.05)
-            except queue_mod.Empty:
-                message = None
+            message = _poll(handle, 0.05)
             if message is not None:
-                if message[0] == kind and message[1] == worker_id:
+                if message[0] == kind:
                     return message[2]
                 if message[0] == "result":
                     self._duplicates += 1

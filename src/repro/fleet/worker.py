@@ -25,8 +25,8 @@ import time
 from dataclasses import dataclass, field, replace
 from typing import Dict, Optional, Tuple
 
-from repro.checker import CheckReport, DEFAULT_DEGRADATION, \
-    DegradationConfig, Mode, retrain_reason
+from repro.checker import CheckReport, DEFAULT_BACKEND, \
+    DEFAULT_DEGRADATION, DegradationConfig, Mode, retrain_reason
 from repro.fleet.checkpoint import checkpoint_instance, restore_instance, \
     seal, verify
 from repro.fleet.instance import GuardedInstance
@@ -144,7 +144,7 @@ class FleetWorker:
     worker_id: int
     registry: SpecRegistry
     mode: Mode = Mode.PROTECTION
-    backend: str = "compiled"
+    backend: str = DEFAULT_BACKEND
     #: credit-batch size for every hosted instance (0 = per-round vets)
     batch_rounds: int = 0
     max_instance_respawns: int = 1
@@ -511,10 +511,12 @@ def worker_main(worker_id: int, cache_dir: Optional[str], mode: Mode,
                 policy_digest: str = "",
                 batch_rounds: int = 0) -> None:
     """Multiprocessing entry: drain ("batch", RequestBatch) messages
-    until ("stop",).  Specs — and the fleet's configured policy set,
-    named by *policy_digest* — are loaded from the shared disk cache.
-    ("checkpoint", tenant) answers with the tenant's sealed migration
-    envelope; ("restore", envelope) installs a migrated tenant."""
+    from the *inbox* queue until ("stop",), answering on *outbox*, the
+    sending end of this worker's own result pipe.  Specs — and the
+    fleet's configured policy set, named by *policy_digest* — are
+    loaded from the shared disk cache.  ("checkpoint", tenant) answers
+    with the tenant's sealed migration envelope; ("restore", envelope)
+    installs a migrated tenant."""
     if slow_start > 0:
         # worker.slow_start arm: the respawned process takes its time
         # coming up; dispatched batches just wait in the inbox.
@@ -530,18 +532,18 @@ def worker_main(worker_id: int, cache_dir: Optional[str], mode: Mode,
                          circuit_threshold=circuit_threshold,
                          circuit_cooldown=circuit_cooldown,
                          policies=policies)
-    outbox.put(("ready", worker_id))
+    outbox.send(("ready", worker_id))
     while True:
         message = inbox.get()
         if message[0] == "stop":
             break
         if message[0] == "checkpoint":
-            outbox.put(("checkpoint", worker_id,
-                        worker.checkpoint_tenant(message[1])))
+            outbox.send(("checkpoint", worker_id,
+                         worker.checkpoint_tenant(message[1])))
             continue
         if message[0] == "restore":
             worker.restore_tenant(message[1])
-            outbox.put(("restored", worker_id, message[1]["tenant"]))
+            outbox.send(("restored", worker_id, message[1]["tenant"]))
             continue
         batch: RequestBatch = message[1]
         if batch_wants_crash(batch):
@@ -553,4 +555,4 @@ def worker_main(worker_id: int, cache_dir: Optional[str], mode: Mode,
             # watchdog can get this worker's lane moving again.
             while True:
                 time.sleep(3600)
-        outbox.put(("result", worker_id, worker.run_batch(batch)))
+        outbox.send(("result", worker_id, worker.run_batch(batch)))

@@ -26,6 +26,7 @@ from repro.gateway.arrivals import ArrivalSpec
 from repro.gateway.engine import (
     Gateway, GatewayConfig, GatewayResult, RebalanceAction,
 )
+from repro.interp.machine import DEFAULT_BACKEND
 from repro.workloads.benchtools import ARRIVAL_PATTERNS
 
 #: Light two-device mix for the scaling sweep: keeps a 4k-tenant,
@@ -82,7 +83,7 @@ def run_gateway_bench(
         inject_fraction: float = 0.008,
         rate_per_sec: float = 150.0, horizon_s: float = 0.02,
         slo_ms: float = 2.0, coalesce_max: int = 8,
-        backend: str = "compiled",
+        backend: str = DEFAULT_BACKEND,
         cache_dir: Optional[str] = None,
         seed: int = 7, quick: bool = False) -> Dict[str, object]:
     """The whole gateway section; see the module docstring."""

@@ -51,6 +51,7 @@ from repro.gateway.admission import (
 )
 from repro.gateway.arrivals import ArrivalSpec, TenantStream, build_streams
 from repro.gateway.ring import DEFAULT_VNODES, HashRing, moved_tenants
+from repro.interp.machine import DEFAULT_BACKEND
 from repro.policy.model import PolicySet
 from repro.telemetry.metrics import (
     DEFAULT_CYCLE_BUCKETS, TelemetrySnapshot, merge_snapshots,
@@ -107,7 +108,7 @@ class GatewayConfig:
     arrival: ArrivalSpec = field(default_factory=ArrivalSpec)
     # fleet plumbing, forwarded to every shard supervisor
     inline: bool = True
-    backend: str = "compiled"
+    backend: str = DEFAULT_BACKEND
     #: credit-batch size per guarded instance: a coalesced lane's ops
     #: ride one credit batch *and* their rounds are vetted in batched
     #: checker invocations (0 keeps per-round vets)

@@ -1,10 +1,9 @@
-"""Flat bytecode backend for device programs (the third interpreter
+"""Flat bytecode backend for device programs (the default interpreter
 backend).
 
-The closure backend (:mod:`repro.interp.compile`) already removed the
-per-node ``isinstance`` dispatch, but its shape is still a tree of nested
-Python frames: one closure call per statement, per operand chain, per
-block.  This module lowers each function once more, into a *flat*
+The reference tree walker in :mod:`repro.interp.machine` re-dispatches
+on IR node types for every statement, operand and terminator of every
+round.  This module lowers each function once into a *flat*
 array-encoded bytecode:
 
 * ``code``  — a flat ``int`` opcode stream (expressions in stack form,
@@ -25,15 +24,15 @@ int stream is the canonical, serializable artifact
 content-addressed registry); the assembled frame is a deterministic
 function of it.
 
-Semantics replicate the closure backend bit-for-bit: cycle/step
+Semantics replicate the reference walker bit-for-bit: cycle/step
 accounting (costs charged *before* evaluation), flag updates, fault
 kinds and messages, and return-value coercion.  The differential suite
-(``tests/interp/test_compile.py``) holds all three backends to that.
+(``tests/interp/test_compile.py``) holds both backends to that.
 Every function is assembled twice — a fast runner (counters in locals,
 reconciled on exit) and a traced runner that emits the sink event
 stream inline (``on_block``/``on_branch``/``on_tip``/... in the exact
-order the closure backend's traced bodies produce them), so traced
-rounds stay in the dispatch-loop frame too.
+order the reference walker produces them), so traced rounds stay in the
+dispatch-loop frame too.
 """
 
 from __future__ import annotations
@@ -186,8 +185,7 @@ class _FuncLowerer:
             self.emit(OP_BUFLEN, expr.length)
         elif isinstance(expr, BinOp):
             if isinstance(expr.left, Const) and isinstance(expr.right, Const):
-                # Constant folding, matching the closure compiler: div0
-                # must stay a runtime fault.
+                # Constant folding: div0 must stay a runtime fault.
                 from repro.interp.ops import binop_fn
                 try:
                     folded = binop_fn(expr.op)(expr.left.value,
@@ -287,8 +285,8 @@ class _FuncLowerer:
             self.emit(OP_SWITCH, self.ref(_encode_switch(table, default,
                                                          msg)))
         elif isinstance(term, Call):
-            # Resolve at lowering, like the closure compiler: a missing
-            # callee is a compile-time error.
+            # Resolve at lowering: a missing callee is a lowering-time
+            # error.
             self.program.function(term.func)
             self.emit(OP_TICK, 4)
             for arg in term.args:
@@ -490,15 +488,15 @@ def _assemble_function(bfunc: BytecodeFunction, program: Program,
     The fast frame keeps cycle/step counts as local deltas and
     reconciles them with the machine on *every* exit path (return,
     nested call, extern, and any raise), so fault-time accounting is
-    bit-identical to the closure backend's.
+    bit-identical to the reference walker's.
 
     The traced frame (``traced=True``) instead updates ``m.cycles`` /
     ``m.steps`` directly — the counters must be current at every sink
-    call — and emits the sink events inline, replicating the closure
-    backend's traced bodies event-for-event: ``on_block`` after the
-    watchdog check, ``on_tip`` before a wild-jump fault, ``on_return``
-    after the return value is evaluated, store events carrying the
-    re-read stored value, and so on.
+    call — and emits the sink events inline, replicating the reference
+    walker event-for-event: ``on_block`` after the watchdog check,
+    ``on_tip`` before a wild-jump fault, ``on_return`` after the return
+    value is evaluated, store events carrying the re-read stored value,
+    and so on.
     """
     code, pool = bfunc.code, bfunc.pool
     consts: Dict[str, Any] = {
@@ -1012,7 +1010,7 @@ def lower_program(program: Program) -> BytecodeProgram:
 
 def bytecode_program_for(program: Program) -> BytecodeProgram:
     """Lower + assemble once per program; the artifact is shared by every
-    machine, mirroring :func:`compiled_program_for`."""
+    machine."""
     cached = getattr(program, "_bytecode_backend", None)
     if cached is None:
         cached = lower_program(program).assemble(program)

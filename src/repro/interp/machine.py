@@ -5,19 +5,15 @@ dispatches extern calls into host helpers, notifies trace sinks, counts
 cycles for the performance model, and maintains the flag register whose
 overflow bit the parameter check strategy reads.
 
-Two execution backends share this front door:
+Two execution backends share this front door (:data:`BACKENDS`):
 
-* ``backend="compiled"`` (default) — each block is lowered once into a
-  pre-dispatched closure chain (:mod:`repro.interp.compile`); the
-  per-round loop runs direct calls with zero ``isinstance`` tests, and
-  sink fan-out is elided entirely while no sinks are attached;
+* ``backend="bytecode"`` (default) — functions lowered to a flat
+  array-encoded bytecode and assembled into single dispatch-loop frames
+  (:mod:`repro.interp.bytecode`).  Every function gets a fast runner and
+  a traced runner that emits the sink event stream inline, so rounds
+  with trace sinks attached stay in the dispatch-loop frame too;
 * ``backend="reference"`` — the original tree walker, kept as the oracle
-  the differential test suite compares the compiled backend against;
-* ``backend="bytecode"`` — functions lowered to a flat array-encoded
-  bytecode and assembled into single dispatch-loop frames
-  (:mod:`repro.interp.bytecode`); the fastest backend.  When trace
-  sinks are attached it borrows the compiled backend's traced block
-  bodies for the round, so sink event streams stay identical.
+  the differential test suites compare the bytecode backend against.
 
 A watchdog (``max_steps``) converts runaway loops — the CVE-2016-7909
 failure mode — into a :class:`DeviceFault`, the analogue of a hung QEMU
@@ -43,7 +39,10 @@ from repro.interp.sinks import TraceSink
 
 ExternFn = Callable[..., Optional[int]]
 
-BACKENDS = ("compiled", "reference", "bytecode")
+#: Every execution backend ``Machine`` and ``ESChecker`` accept, and the
+#: one used wherever a caller does not choose.
+BACKENDS = ("reference", "bytecode")
+DEFAULT_BACKEND = "bytecode"
 
 
 @dataclass
@@ -68,7 +67,7 @@ class Machine:
                  state: Optional[StateMemory] = None,
                  max_steps: int = 200_000,
                  max_depth: int = 64,
-                 backend: str = "compiled"):
+                 backend: str = DEFAULT_BACKEND):
         if not program.frozen:
             raise InterpError("program must be frozen before execution")
         if backend not in BACKENDS:
@@ -89,19 +88,10 @@ class Machine:
         self._telemetry = None
         self._telemetry_cache = None
         self._fault_hook = None
-        if backend == "compiled":
-            from repro.interp.compile import compiled_program_for
-            self._compiled = compiled_program_for(program)
-            self._bytecode = None
-        elif backend == "bytecode":
-            # Traced rounds run the bytecode artifact's traced runners
-            # (sink events emitted inline); the closure artifact is not
-            # needed at all.
+        if backend == "bytecode":
             from repro.interp.bytecode import bytecode_program_for
             self._bytecode = bytecode_program_for(program)
-            self._compiled = None
         else:
-            self._compiled = None
             self._bytecode = None
 
     # -- configuration -----------------------------------------------------
@@ -145,7 +135,7 @@ class Machine:
         — before any sink opens the round — and may raise an
         infrastructure exception (transient step fault, stall past
         deadline).  Keeping the hook at round granularity leaves the
-        compiled per-block hot loop untouched.
+        per-block hot loop untouched.
         """
         self._fault_hook = hook
 
@@ -199,42 +189,10 @@ class Machine:
                     return self._bytecode.traced_runners[func.name](
                         self, args)
                 return self._bytecode.runners[func.name](self, args)
-            if self._compiled is not None:
-                return self._exec_blocks_compiled(
-                    self._compiled.funcs[func.name],
-                    dict(zip(func.params, args)))
             return self._exec_blocks(
                 _Frame(func, params=dict(zip(func.params, args))))
         finally:
             self._depth -= 1
-
-    def _exec_blocks_compiled(self, cfunc,
-                              params: Dict[str, int]) -> Optional[int]:
-        """Compiled-backend driver: direct calls, no isinstance dispatch.
-
-        Sink presence is re-checked per block so sinks attached or removed
-        between rounds (tracers, harvest sinks) always see a full round.
-        """
-        env: Dict[str, int] = {}
-        blocks = cfunc.blocks
-        label = cfunc.entry
-        max_steps = self.max_steps
-        while True:
-            cblock = blocks[label]
-            self.steps += 1
-            if self.steps > max_steps:
-                raise DeviceFault(
-                    f"watchdog: {max_steps} blocks without completing "
-                    f"the I/O round (infinite loop?)",
-                    device=self.program.name, kind="watchdog")
-            if self._sinks:
-                for sink in self._sinks:
-                    sink.on_block(cblock.func, cblock.block)
-                label = cblock.traced(self, env, params)
-            else:
-                label = cblock.fast(self, env, params)
-            if label is None:
-                return env.get("__retval__")
 
     def _exec_blocks(self, frame: _Frame) -> Optional[int]:
         label = frame.func.entry

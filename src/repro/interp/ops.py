@@ -2,12 +2,12 @@
 
 One module owns the exact integer semantics of every IR operator so the
 reference interpreter, the ES-Checker's shadow walk, the constant folder,
-and the closure compilers all agree bit-for-bit: division and modulo by
+and the bytecode lowerings all agree bit-for-bit: division and modulo by
 zero raise :class:`DeviceFault` (the device crashes, exactly like the C
 it models), shift counts are masked to 6 bits (x86 ``shl/shr`` on 64-bit
 operands), and comparisons/logicals return 0/1 ints.
 
-The tables map operator spellings to plain functions, so a compiler can
+The tables map operator spellings to plain functions, so a lowering can
 pre-resolve the operator once instead of re-running an if-chain per
 evaluation.
 """
@@ -78,18 +78,11 @@ UNOP_FUNCS: Dict[str, Callable[[int], int]] = {
 
 
 def binop_fn(op: str) -> Callable[[int, int], int]:
-    """Resolve *op* once (compile time) instead of per evaluation."""
+    """Resolve *op* once (at lowering time) instead of per evaluation."""
     try:
         return BINOP_FUNCS[op]
     except KeyError:
         raise InterpError(f"unknown operator {op!r}") from None
-
-
-def unop_fn(op: str) -> Callable[[int], int]:
-    try:
-        return UNOP_FUNCS[op]
-    except KeyError:
-        raise InterpError(f"unknown unary operator {op!r}") from None
 
 
 def eval_binop(op: str, a: int, b: int) -> int:

@@ -99,14 +99,14 @@ class CommandAccessTable:
 
     def known_commands(self) -> FrozenSet[int]:
         """All commands any training run decided on (frozen for the
-        compiled checker backend's per-site tables)."""
+        bytecode checker's per-site tables)."""
         return frozenset(self.table)
 
     def commands_allowing(self, address: int) -> FrozenSet[int]:
         """Inverted row: the commands under which *address* is reachable.
 
-        This is the compiled backend's per-block access row — resolved
-        once at spec-compile time so the per-round gate is a single
+        This is the bytecode checker's per-block access row — resolved
+        once at lowering time so the per-round gate is a single
         ``cmd in row`` test instead of two dict lookups per block.
         """
         return frozenset(cmd for cmd, addrs in self.table.items()
@@ -197,11 +197,11 @@ class ExecutionSpec:
         return self.switch_targets.get(address, set())
 
     def frozen_icall_targets(self, address: int) -> FrozenSet[int]:
-        """Immutable per-site legit-target row (compiled-backend table)."""
+        """Immutable per-site legit-target row (bytecode checker table)."""
         return frozenset(self.icall_targets.get(address, ()))
 
     def frozen_switch_targets(self, address: int) -> FrozenSet[int]:
-        """Immutable per-site legit-arm row (compiled-backend table)."""
+        """Immutable per-site legit-arm row (bytecode checker table)."""
         return frozenset(self.switch_targets.get(address, ()))
 
     # -- lifecycle support ----------------------------------------------------

@@ -31,6 +31,7 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.errors import SpecError
+from repro.interp.machine import DEFAULT_BACKEND
 from repro.spec.escfg import ExecutionSpec
 from repro.spec.merge import coverage_gain, merge_all
 
@@ -140,7 +141,7 @@ class RetrainQueue:
 
 def candidate_from_records(device: str, qemu_version: str,
                            records: Sequence[RetrainRecord],
-                           backend: str = "compiled") -> ExecutionSpec:
+                           backend: str = DEFAULT_BACKEND) -> ExecutionSpec:
     """Replay queued rounds as a training workload; returns the spec.
 
     Only benign-shaped rounds are replayed: exploit records are refused
@@ -194,7 +195,7 @@ class PromotionConfig:
     #: CVE PoCs both specs must be differenced against; () means the
     #: device's seeded CVE
     cves: Tuple[str, ...] = ()
-    backend: str = "compiled"
+    backend: str = DEFAULT_BACKEND
     #: activate on promotion (registry.get serves it immediately).  A
     #: staged rollout sets this False: the generation is published but
     #: the fleet keeps its current spec until a hot reload names the new

@@ -219,6 +219,10 @@ def copy_block(block: ESBlock) -> ESBlock:
 # -- whole specification --------------------------------------------------------------
 
 def spec_to_json(spec: ExecutionSpec) -> str:
+    """The canonical serialized form: keys sorted, so the text (and the
+    content address ``spec_digest`` takes of it) depends only on what
+    the spec contains, not on the insertion order training left in its
+    dicts (which follows set iteration, and so the process hash seed)."""
     functions = {}
     for name, es_func in spec.functions.items():
         functions[name] = {
@@ -251,7 +255,7 @@ def spec_to_json(spec: ExecutionSpec) -> str:
         "sync_locals": {k: sorted(v) for k, v in spec.sync_locals.items()},
         "stats": spec.stats,
     }
-    return json.dumps(payload)
+    return json.dumps(payload, sort_keys=True)
 
 
 def spec_from_json(text: str) -> ExecutionSpec:

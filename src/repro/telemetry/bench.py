@@ -27,9 +27,11 @@ import statistics
 import time
 from typing import Tuple
 
+from repro.interp.machine import DEFAULT_BACKEND
+
 
 def capture_sequence(device: str = "fdc", qemu_version: str = "99.0.0",
-                     backend: str = "compiled", ops: int = 24,
+                     backend: str = DEFAULT_BACKEND, ops: int = 24,
                      seed: int = 7) -> Tuple[tuple, tuple]:
     """Record the (io_key, args) rounds of device bring-up plus *ops*
     benign driver operations, via a spy on ``vm._io``.  Driver
@@ -97,7 +99,7 @@ def _machine_record_ns(recorder, name: str, rounds: int = 200_000) -> float:
     return (clock() - start) / rounds
 
 
-def measure_overhead(device: str = "fdc", backend: str = "compiled",
+def measure_overhead(device: str = "fdc", backend: str = DEFAULT_BACKEND,
                      qemu_version: str = "99.0.0", passes: int = 8,
                      reps: int = 3, ops: int = 24, seed: int = 7,
                      amplify: int = 8, spec=None) -> dict:

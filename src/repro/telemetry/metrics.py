@@ -34,7 +34,7 @@ class TelemetryError(ReproError):
 MetricKey = Tuple[str, Tuple[Tuple[str, str], ...]]
 
 #: Default span boundaries in nanoseconds: 250ns .. 1s, roughly 1-2.5-5
-#: per decade — wide enough for a compiled checker round (~tens of us)
+#: per decade — wide enough for a bytecode checker round (~tens of us)
 #: and a reference-backend round (~hundreds of us) to land mid-range.
 DEFAULT_NS_BUCKETS: Tuple[int, ...] = (
     250, 500, 1_000, 2_500, 5_000, 10_000, 25_000, 50_000, 100_000,

@@ -12,7 +12,7 @@ import random
 from dataclasses import dataclass
 from typing import Dict, List, Tuple
 
-from repro.checker import Mode
+from repro.checker import DEFAULT_BACKEND, Mode
 from repro.telemetry.metrics import TelemetrySnapshot
 from repro.telemetry.registry import TelemetryRegistry
 
@@ -32,7 +32,7 @@ class StatsRun:
 
 
 def run_stats(device: str = "fdc", rounds: int = 200,
-              backend: str = "compiled", qemu_version: str = "99.0.0",
+              backend: str = DEFAULT_BACKEND, qemu_version: str = "99.0.0",
               mode: Mode = Mode.ENHANCEMENT, seed: int = 7,
               chaos_seed: int = None) -> StatsRun:
     """Run an instrumented benign workload of ~*rounds* checked rounds.

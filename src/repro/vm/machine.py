@@ -16,8 +16,8 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
 from repro.checker import (
-    ALL_STRATEGIES, Action, CheckReport, ESChecker, ExternHarvestSink,
-    FieldSyncOracle, Mode, QueueSyncOracle, Strategy,
+    ALL_STRATEGIES, DEFAULT_BACKEND, Action, CheckReport, ESChecker,
+    ExternHarvestSink, FieldSyncOracle, Mode, QueueSyncOracle, Strategy,
 )
 from repro.devices.backends import GuestMemory, IRQLine
 from repro.devices.base import Device
@@ -149,7 +149,7 @@ class GuestVM:
     def attach_sedspec(self, device_name: str, spec: ExecutionSpec,
                        mode: Mode = Mode.ENHANCEMENT,
                        strategies=ALL_STRATEGIES,
-                       backend: str = "compiled",
+                       backend: str = DEFAULT_BACKEND,
                        recorder=None,
                        batch_rounds: int = 0) -> Attachment:
         """Deploy an execution specification in front of a device.

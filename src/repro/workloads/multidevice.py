@@ -25,6 +25,7 @@ from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from repro.devices.base import create_device
 from repro.errors import WorkloadError
+from repro.interp.machine import DEFAULT_BACKEND
 from repro.ipt.packets import Fup, Packet, Tip, TipPgd, TipPge, iter_rounds
 from repro.vm.machine import GuestVM
 from repro.workloads.profiles import (
@@ -140,7 +141,7 @@ class CompositeProfile(DeviceProfile):
         self.parts = parts
 
     def make_vm(self, qemu_version: str = "99.0.0",
-                backend: str = "compiled"):
+                backend: str = DEFAULT_BACKEND):
         vm = GuestVM()
         primary = None
         for part in self.parts:

@@ -19,6 +19,7 @@ from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Tuple
 
 from repro.devices.base import Device, create_device
+from repro.interp.machine import DEFAULT_BACKEND
 from repro.vm.machine import GuestVM
 from repro.vm.drivers.ehci import EHCIDriver
 from repro.vm.drivers.fdc import FDCDriver
@@ -60,7 +61,7 @@ class DeviceProfile:
     bus: str = "pmio"
 
     def make_vm(self, qemu_version: str = "99.0.0",
-                backend: str = "compiled") -> Tuple[GuestVM, Device]:
+                backend: str = DEFAULT_BACKEND) -> Tuple[GuestVM, Device]:
         vm = GuestVM()
         device = create_device(self.name, qemu_version=qemu_version,
                                backend=backend)
@@ -595,7 +596,7 @@ def profile(name: str) -> DeviceProfile:
 
 def train_device_spec(name: str, qemu_version: str = "99.0.0",
                       seed: int = 7, repeats: int = 2,
-                      backend: str = "compiled"):
+                      backend: str = DEFAULT_BACKEND):
     """Convenience: run the full pipeline for one device profile."""
     from repro.core import build_execution_spec
 

@@ -1,21 +1,21 @@
-"""Differential tests: the compiled and bytecode ES-Checker backends
-vs the reference spec walker.
+"""Differential tests: the bytecode ES-Checker backend vs the
+reference spec walker.
 
-The fast checkers' contract mirrors the compiled Machine's: bit-exact
-observables.  Every ``CheckReport`` (action, anomaly list, walk
-counters, incompleteness, final shadow state), the checker's cycle
+The bytecode checker's contract mirrors the bytecode Machine's:
+bit-exact observables.  Every ``CheckReport`` (action, anomaly list,
+walk counters, incompleteness, final shadow state), the checker's cycle
 accounting, and the shadow device state must be identical whichever
-backend walked the spec — across all five device profiles under benign
+backend walked the spec — across all seven device profiles under benign
 workloads, and across every seeded CVE PoC.  In particular, every
-detection the reference walker fires must still fire on the fast
-backends.  The reference walker remains the semantic oracle for both.
+detection the reference walker fires must still fire on the bytecode
+backend.  The reference walker remains the semantic oracle.
 """
 
 import random
 
 import pytest
 
-from repro.checker import Mode
+from repro.checker import BACKENDS, Mode
 from repro.core import deploy
 from repro.exploits.pocs import EXPLOITS, run_exploit
 from repro.vm.machine import SEDSpecHalt
@@ -23,8 +23,7 @@ from repro.workloads.profiles import PROFILES, train_device_spec
 
 ALL_DEVICES = ("fdc", "ehci", "pcnet", "sdhci", "scsi",
                "virtio-net", "virtio-blk")
-BACKENDS = ("reference", "compiled", "bytecode")
-FAST_BACKENDS = ("compiled", "bytecode")
+# BACKENDS lists the reference oracle first.
 
 
 @pytest.fixture(scope="module")
@@ -42,16 +41,16 @@ def _spec(cache, device, qemu_version="99.0.0"):
     return cache[key]
 
 
-def _assert_checkers_identical(ref, com):
+def _assert_checkers_identical(ref, bc):
     """Full observable equality between two checker deployments."""
-    assert len(ref.history) == len(com.history)
-    for ref_report, com_report in zip(ref.history, com.history):
+    assert len(ref.history) == len(bc.history)
+    for ref_report, bc_report in zip(ref.history, bc.history):
         # dataclass equality covers io_key, action, anomalies,
         # blocks_walked, dsod_stmts_executed and incomplete
-        assert ref_report == com_report
-        assert ref_report.final_state == com_report.final_state
-    assert ref.cycles == com.cycles
-    assert ref.device_state.dump() == com.device_state.dump()
+        assert ref_report == bc_report
+        assert ref_report.final_state == bc_report.final_state
+    assert ref.cycles == bc.cycles
+    assert ref.device_state.dump() == bc.device_state.dump()
 
 
 @pytest.mark.parametrize("name", ALL_DEVICES)
@@ -73,20 +72,19 @@ class TestProfileDifferential:
                 op(vm, driver, rng)
             attachments.append((attachment, device))
         ref_att, ref_dev = attachments[0]
-        for com_att, com_dev in attachments[1:]:
-            _assert_checkers_identical(ref_att.checker, com_att.checker)
-            assert ref_att.checked_rounds == com_att.checked_rounds
-            assert ref_att.warnings == com_att.warnings
-            assert ref_att.halts == com_att.halts
-            assert bytes(ref_dev.state.data) == bytes(com_dev.state.data)
+        for bc_att, bc_dev in attachments[1:]:
+            _assert_checkers_identical(ref_att.checker, bc_att.checker)
+            assert ref_att.checked_rounds == bc_att.checked_rounds
+            assert ref_att.warnings == bc_att.warnings
+            assert ref_att.halts == bc_att.halts
+            assert bytes(ref_dev.state.data) == bytes(bc_dev.state.data)
 
     def test_rounds_were_actually_checked(self, name, spec_cache):
         """Guard against the differential passing vacuously."""
         spec = _spec(spec_cache, name)
         prof = PROFILES[name]
         vm, device = prof.make_vm()
-        attachment = deploy(vm, device, spec, mode=Mode.ENHANCEMENT,
-                            backend="compiled")
+        attachment = deploy(vm, device, spec, mode=Mode.ENHANCEMENT)
         driver = prof.make_driver(vm)
         prof.prepare(vm, driver)
         assert attachment.checked_rounds > 0
@@ -108,18 +106,17 @@ class TestExploitDifferential:
     def test_outcome_and_reports_identical(self, exploit, spec_cache):
         spec = _spec(spec_cache, exploit.device, exploit.qemu_version)
         ref_out, ref_att, ref_dev = self._run(exploit, spec, "reference")
-        for backend in FAST_BACKENDS:
-            com_out, com_att, com_dev = self._run(exploit, spec, backend)
-            assert ref_out == com_out
-            _assert_checkers_identical(ref_att.checker, com_att.checker)
-            assert ref_att.halts == com_att.halts
-            assert ref_dev.halted == com_dev.halted
+        bc_out, bc_att, bc_dev = self._run(exploit, spec, "bytecode")
+        assert ref_out == bc_out
+        _assert_checkers_identical(ref_att.checker, bc_att.checker)
+        assert ref_att.halts == bc_att.halts
+        assert ref_dev.halted == bc_dev.halted
 
-    @pytest.mark.parametrize("backend", FAST_BACKENDS)
+    @pytest.mark.parametrize("backend", ["bytecode"])
     def test_detection_still_fires_fast(self, exploit, backend,
                                         spec_cache):
         """The point of the whole exercise: no CVE goes undetected just
-        because a fast backend walked the spec."""
+        because the fast backend walked the spec."""
         spec = _spec(spec_cache, exploit.device, exploit.qemu_version)
         outcome, attachment, _ = self._run(exploit, spec, backend)
         if exploit.expected_miss:

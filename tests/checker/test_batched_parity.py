@@ -10,15 +10,15 @@ accounting, history, and committed shadow device state.
 
 The suite certifies that contract over every device profile (composite
 multi-device guests included), every seeded CVE PoC, and the generated
-synthetic vulnerability corpus, on all three backends: no detection may
-be lost and no new false positive introduced by batching.
+synthetic vulnerability corpus, on both backends: no detection may be
+lost and no new false positive introduced by batching.
 """
 
 import random
 
 import pytest
 
-from repro.checker import ESChecker, Mode
+from repro.checker import BACKENDS, ESChecker, Mode
 from repro.errors import DeviceFault
 from repro.exploits.corpus import generate_corpus, trained_spec
 from repro.exploits.pocs import EXPLOITS
@@ -27,7 +27,6 @@ from repro.workloads.profiles import profile, split_device
 ALL_DEVICES = ("fdc", "ehci", "pcnet", "sdhci", "scsi",
                "virtio-net", "virtio-blk")
 COMPOSITES = ("virtio-net+virtio-blk", "fdc+sdhci")
-BACKENDS = ("reference", "compiled", "bytecode")
 BATCH_SIZES = (1, 3, 8)
 CORPUS = generate_corpus()
 

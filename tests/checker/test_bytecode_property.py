@@ -23,7 +23,7 @@ one walks the program space around them.
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 from repro.analysis import ObservationLogger, select_parameters
-from repro.checker import ESChecker
+from repro.checker import BACKENDS, ESChecker
 from repro.checker.sync import ExternHarvestSink, QueueSyncOracle
 from repro.compiler import DeviceLogic, arr, compile_device, fld
 from repro.interp import Machine
@@ -140,22 +140,16 @@ class TestInterpreterParity:
     def test_fast_machines_match_reference(self, logic, script):
         cls, source = logic
         program = compile_device(cls, source=source)
-        machines = {name: _bind_peek(Machine(program, backend=name))
-                    for name in ("reference", "compiled", "bytecode")}
+        ref = _bind_peek(Machine(program, backend="reference"))
+        fast = _bind_peek(Machine(program, backend="bytecode"))
         for value in script:
-            results = {name: m.run_entry("pmio:write:0", (value,))
-                       for name, m in machines.items()}
-            reads = {name: m.run_entry("pmio:read:0", ())
-                     for name, m in machines.items()}
-            for name in ("compiled", "bytecode"):
-                assert results[name] == results["reference"]
-                assert reads[name] == reads["reference"]
-        ref = machines["reference"]
-        for name in ("compiled", "bytecode"):
-            fast = machines[name]
-            assert bytes(fast.state.data) == bytes(ref.state.data)
-            assert fast.cycles == ref.cycles
-            assert fast.steps == ref.steps
+            assert (fast.run_entry("pmio:write:0", (value,))
+                    == ref.run_entry("pmio:write:0", (value,)))
+            assert (fast.run_entry("pmio:read:0", ())
+                    == ref.run_entry("pmio:read:0", ()))
+        assert bytes(fast.state.data) == bytes(ref.state.data)
+        assert fast.cycles == ref.cycles
+        assert fast.steps == ref.steps
 
 
 class TestCheckerParity:
@@ -178,7 +172,7 @@ class TestCheckerParity:
         spec = build_spec(program, logger.log, selection)
 
         checkers = {}
-        for name in ("reference", "compiled", "bytecode"):
+        for name in BACKENDS:
             seed = Machine(program)
             checker = ESChecker(spec, backend=name)
             checker.boot_sync(seed.state)
@@ -215,12 +209,9 @@ class TestCheckerParity:
             reports = {name: checker.check_io(key, args,
                                               oracle=per_checker[name])
                        for name, checker in checkers.items()}
-            for name in ("compiled", "bytecode"):
-                assert reports[name] == reports["reference"], (key, args)
-                assert (reports[name].final_state
-                        == reports["reference"].final_state)
-        ref = checkers["reference"]
-        for name in ("compiled", "bytecode"):
-            assert checkers[name].cycles == ref.cycles
-            assert (checkers[name].device_state.dump()
-                    == ref.device_state.dump())
+            assert reports["bytecode"] == reports["reference"], (key, args)
+            assert (reports["bytecode"].final_state
+                    == reports["reference"].final_state)
+        ref, fast = checkers["reference"], checkers["bytecode"]
+        assert fast.cycles == ref.cycles
+        assert fast.device_state.dump() == ref.device_state.dump()

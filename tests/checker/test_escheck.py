@@ -11,7 +11,7 @@ from repro.checker import (
     Action, ESChecker, Mode, Strategy,
 )
 from repro.compiler import compile_device
-from repro.errors import DeviceFault
+from repro.errors import CheckerError, DeviceFault
 from repro.interp import Machine
 from repro.spec import build_spec
 
@@ -245,3 +245,14 @@ class TestStrategyToggles:
         checker.check_io("pmio:write:1", (1,))
         checker.check_io("pmio:read:1", ())
         assert len(checker.history) == 2
+
+
+class TestBackendSelection:
+    def test_bytecode_is_the_default(self):
+        assert ESChecker(build_toy_spec()).backend == "bytecode"
+
+    def test_unknown_backend_rejected(self):
+        spec = build_toy_spec()
+        for name in ("jit", "compiled"):
+            with pytest.raises(CheckerError, match="unknown backend"):
+                ESChecker(spec, backend=name)

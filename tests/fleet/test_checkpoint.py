@@ -54,7 +54,7 @@ def _outcome_obj(outcome):
 def _instance(registry, device, qemu_version="99.0.0"):
     return GuardedInstance("t0", device, qemu_version,
                            _spec_for(registry, device, qemu_version),
-                           mode=Mode.PROTECTION, backend="compiled")
+                           mode=Mode.PROTECTION)
 
 
 class TestRoundTrip:

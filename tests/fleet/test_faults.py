@@ -2,7 +2,6 @@
 backoff, enqueue-timestamp preservation, the per-tenant circuit breaker,
 and inline-vs-pool determinism under a shared FaultPlan."""
 
-import queue
 from collections import deque
 
 import pytest
@@ -88,8 +87,7 @@ class TestReapBackoff:
         return sup
 
     def reap(self, sup, handle, pending):
-        return sup._reap(None, queue.Queue(), {0: handle}, pending,
-                         [], set())
+        return sup._reap({0: handle}, pending, [], set())
 
     def test_death_schedules_a_backoff_not_an_instant_spawn(
             self, registry):
@@ -142,10 +140,10 @@ class TestReapBackoff:
 
         # _revive starts the spawn exactly when the deadline passes.
         spawned = []
-        sup._spawn = lambda ctx, h, outbox: spawned.append(h.worker_id)
-        assert sup._revive(None, {0: handle}, None) == 0
+        sup._spawn = lambda ctx, h: spawned.append(h.worker_id)
+        assert sup._revive(None, {0: handle}) == 0
         sup._clock.now += 0.10
-        assert sup._revive(None, {0: handle}, None) == 1
+        assert sup._revive(None, {0: handle}) == 1
         assert spawned == [0] and handle.respawn_at is None
 
     def test_budget_exhaustion_counts_everything_lost(self, registry):

@@ -1,7 +1,7 @@
 """Fleet service: load generation, supervisor semantics, fault
 tolerance, quarantine isolation, and throughput scaling."""
 
-import queue
+import multiprocessing
 
 import pytest
 
@@ -155,44 +155,49 @@ class TestSupervisorInline:
 
 
 class TestResultDedup:
-    """Regression tests for the requeue race: a dying worker's result can
-    still be buffered in the shared outbox when its batch is requeued,
-    so the respawned worker produces a second result for the same seq.
-    Before the ``done``-set fix the supervisor counted both, inflating
-    latency samples and completion counts."""
+    """First result wins: once a batch seq is counted, a second result
+    for it is dropped (and counted as a duplicate), so latency stats
+    and completion counts see each request exactly once."""
 
     def _result(self, seq, worker_id, cycles=100):
         return BatchResult("t0", "fdc", seq, worker_id, submitted=3,
                            completed=3, cycles=cycles, io_rounds=9,
                            op_cycles=(cycles, cycles, cycles))
 
+    def _channel(self, handle, *messages):
+        """Give *handle* a result channel holding *messages*, then
+        close the sending end the way a worker's exit does."""
+        handle.outbox, sender = multiprocessing.Pipe(duplex=False)
+        for message in messages:
+            sender.send(message)
+        sender.close()
+
     def test_late_duplicate_result_is_dropped_first_wins(self, registry):
         supervisor = fdc_supervisor(registry, inline=False)
-        outbox = queue.Queue()
-        handles = {0: _WorkerHandle(0), 1: _WorkerHandle(1)}
-        # Worker 0 served seq 5 but died before the supervisor saw it;
-        # the batch was requeued to worker 1, which served it again.
-        outbox.put(("result", 0, self._result(5, 0, cycles=100)))
-        outbox.put(("result", 1, self._result(5, 1, cycles=999)))
+        handle = _WorkerHandle(0)
         results, done = [], set()
-        supervisor._collect(outbox, handles, results, done,
-                            timeout=0.01)
-        assert [r.seq for r in results] == [5]
-        assert results[0].worker_id == 0  # first result wins
+        # The worker served seq 5 and died; its channel is read to
+        # end-of-file before anything is requeued...
+        self._channel(handle, ("result", 0, self._result(5, 0, 100)))
+        supervisor._collect({0: handle}, results, done, timeout=0.01)
+        assert handle.outbox is None
+        # ...so a second result for seq 5 from the respawned process
+        # is a duplicate.
+        self._channel(handle, ("result", 0, self._result(5, 0, 999)))
+        supervisor._collect({0: handle}, results, done, timeout=0.01)
+        assert [r.cycles for r in results] == [100]  # first result wins
         assert done == {5}
         assert supervisor._duplicates == 1
 
     def test_duplicate_drop_still_clears_outstanding(self, registry):
         supervisor = fdc_supervisor(registry, inline=False)
-        outbox = queue.Queue()
         handle = _WorkerHandle(1)
         batch = RequestBatch("t0", "fdc", "99.0.0", 5,
                              (OpRequest("common"),))
         handle.outstanding[5] = batch
-        outbox.put(("result", 1, self._result(5, 1)))
+        self._channel(handle, ("result", 1, self._result(5, 1)))
         results, done = [], {5}   # seq already counted earlier
-        supervisor._collect(outbox, handles={1: handle}, results=results,
-                            done=done, timeout=0.01)
+        supervisor._collect({1: handle}, results, done, timeout=0.01)
         # The duplicate is dropped from the stats but still acknowledges
         # the outstanding batch, or _reap would requeue it a third time.
         assert results == []
@@ -248,17 +253,36 @@ class TestSupervisorPool:
     """The real multiprocessing pool, kept small: spec loads come from
     the module registry's disk cache, so workers never retrain."""
 
-    def test_pool_drains_and_respawns_after_crash(self, registry):
+    def _crash_last_batch(self):
         plans, schedule = build_load(["fdc"], 2, 2, 2, seed=4)
         batch = schedule[-1]
         schedule[-1] = RequestBatch(
             batch.tenant, batch.device, batch.qemu_version, batch.seq,
             (OpRequest("crash"),) + batch.ops[1:])
+        return plans, schedule
+
+    def test_pool_drains_and_respawns_after_crash(self, registry):
+        plans, schedule = self._crash_last_batch()
         supervisor = fdc_supervisor(registry, inline=False)
         result = supervisor.run(schedule, plans)
         assert result.stats.lost == 0
         assert result.stats.completed == result.stats.requests
         assert result.stats.worker_respawns == 1
+
+    def test_crash_never_blocks_a_peer_lane(self, registry):
+        """A worker that dies mid-send must not stall its peers: each
+        worker answers on its own result channel, so a crash can never
+        leave a write lock held or a torn message in a channel another
+        worker needs.  Repeated because an unlucky crash lands in
+        roughly one run in ten; a stalled peer shows as lost ops once
+        the short watchdog has spent the respawn budget."""
+        plans, schedule = self._crash_last_batch()
+        for attempt in range(40):
+            supervisor = fdc_supervisor(registry, inline=False,
+                                        watchdog_timeout=3.0)
+            stats = supervisor.run(list(schedule), plans).stats
+            assert (stats.lost, stats.worker_respawns) == (0, 1), attempt
+            assert stats.completed == stats.requests, attempt
 
     def test_pool_detects_and_quarantines(self, registry):
         plans, schedule = build_load(

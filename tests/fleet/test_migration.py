@@ -35,7 +35,7 @@ class TestSessionMigration:
     def test_inline_certification(self):
         cert = run_migration_certification(
             devices=("fdc",), tenants=3, batches_per_tenant=3,
-            ops_per_batch=4, backend="compiled", inject_fraction=0.5,
+            ops_per_batch=4, inject_fraction=0.5,
             seed=11)
         assert cert.ok, cert.describe()
         assert cert.migrations == 3
@@ -47,7 +47,7 @@ class TestSessionMigration:
         # indistinguishable from one that never moved.
         cert = run_migration_certification(
             devices=("fdc",), tenants=2, batches_per_tenant=4,
-            ops_per_batch=3, backend="compiled", inject_fraction=0.5,
+            ops_per_batch=3, inject_fraction=0.5,
             migrate_after_batch=0, seed=13)
         assert cert.ok, cert.describe()
 
@@ -63,7 +63,7 @@ class TestSessionMigration:
                 FleetConfig(workers=1, inline=True))
             return supervisor.run(schedule, plans)
 
-        cert = certify(serve(0.5), serve(0.0), backend="compiled")
+        cert = certify(serve(0.5), serve(0.0), backend="bytecode")
         assert not cert.ok
         assert cert.mismatched or cert.missing
 

@@ -1,12 +1,12 @@
-"""Differential tests: the compiled and bytecode Machine backends vs
-the reference tree-walker.
+"""Differential tests: the bytecode Machine backend vs the reference
+tree-walker.
 
-The fast backends' contract is bit-exactness — same final state bytes,
-same cycle/step accounting, same sink event stream (order included),
-same faults with the same kinds and messages.  Every test here runs
-the identical workload on one machine per backend and demands
-identical observables, on the toy device and on all five real device
-models.  The reference walker is the oracle for both fast backends.
+The bytecode backend's contract is bit-exactness — same final state
+bytes, same cycle/step accounting, same sink event stream (order
+included), same faults with the same kinds and messages.  Every test
+here runs the identical workload on one machine per backend and demands
+identical observables, on the toy device and on five real device
+models.  The reference walker is the oracle.
 """
 
 import random
@@ -15,9 +15,8 @@ import pytest
 
 from repro.compiler import compile_device
 from repro.devices.base import create_device
-from repro.errors import DeviceFault
-from repro.interp import Machine, TraceSink, compiled_program_for
-from repro.interp.compile import CompiledProgram
+from repro.errors import DeviceFault, InterpError
+from repro.interp import BACKENDS, Machine, TraceSink
 from repro.ir import StateMemory
 from repro.vm.machine import GuestVM
 from repro.workloads.profiles import PROFILES
@@ -25,7 +24,8 @@ from repro.workloads.profiles import PROFILES
 from tests.toydev import ToyLogic
 
 ALL_DEVICES = ("fdc", "ehci", "pcnet", "sdhci", "scsi")
-BACKENDS = ("reference", "compiled", "bytecode")
+# BACKENDS lists the reference oracle first: index 0 is what every
+# other machine is compared against.
 
 
 class EventRecorder(TraceSink):
@@ -105,12 +105,12 @@ class TestToyDifferential:
         for key, args in TOY_SCRIPT:
             results = [m.run_entry(key, args) for m, _ in machines]
             assert all(r == results[0] for r in results[1:])
-        for com, com_rec in machines[1:]:
-            assert bytes(ref.state.data) == bytes(com.state.data)
-            assert ref.cycles == com.cycles
-            assert ref.steps == com.steps
+        for bc, bc_rec in machines[1:]:
+            assert bytes(ref.state.data) == bytes(bc.state.data)
+            assert ref.cycles == bc.cycles
+            assert ref.steps == bc.steps
             if traced:
-                assert ref_rec.events == com_rec.events
+                assert ref_rec.events == bc_rec.events
 
     def test_vulnerable_build_corruption_identical(self):
         """Near-OOB writes corrupt the same neighbour on both backends,
@@ -126,9 +126,9 @@ class TestToyDifferential:
                 except DeviceFault as fault:
                     outcomes.append((fault.kind, str(fault)))
             assert all(o == outcomes[0] for o in outcomes[1:])
-            for com in machines[1:]:
-                assert bytes(ref.state.data) == bytes(com.state.data)
-                assert ref.cycles == com.cycles
+            for bc in machines[1:]:
+                assert bytes(ref.state.data) == bytes(bc.state.data)
+                assert ref.cycles == bc.cycles
             if outcomes[0] is not None:
                 break
         else:
@@ -185,11 +185,11 @@ class TestRealDeviceDifferential:
             for op in prof.common_ops:
                 op(vm, driver, rng)
         _, ref_dev, ref_rec = pair[0]
-        for _, com_dev, com_rec in pair[1:]:
-            assert bytes(ref_dev.state.data) == bytes(com_dev.state.data)
-            assert ref_dev.machine.cycles == com_dev.machine.cycles
-            assert ref_dev.machine.steps == com_dev.machine.steps
-            assert ref_rec.events == com_rec.events
+        for _, bc_dev, bc_rec in pair[1:]:
+            assert bytes(ref_dev.state.data) == bytes(bc_dev.state.data)
+            assert ref_dev.machine.cycles == bc_dev.machine.cycles
+            assert ref_dev.machine.steps == bc_dev.machine.steps
+            assert ref_rec.events == bc_rec.events
 
     def test_rare_ops_identical(self, name):
         prof, pair = _vm_pair(name)
@@ -200,28 +200,20 @@ class TestRealDeviceDifferential:
             for op in prof.rare_ops:
                 op(vm, driver, rng)
         _, ref_dev, _ = pair[0]
-        for _, com_dev, _ in pair[1:]:
-            assert bytes(ref_dev.state.data) == bytes(com_dev.state.data)
-            assert ref_dev.machine.cycles == com_dev.machine.cycles
+        for _, bc_dev, _ in pair[1:]:
+            assert bytes(ref_dev.state.data) == bytes(bc_dev.state.data)
+            assert ref_dev.machine.cycles == bc_dev.machine.cycles
 
 
-class TestCompiledArtifactSharing:
-    def test_compiled_program_cached_per_program(self):
-        program = compile_device(ToyLogic)
-        first = compiled_program_for(program)
-        assert compiled_program_for(program) is first
-        assert isinstance(first, CompiledProgram)
-
-    def test_machines_share_the_artifact(self):
-        program = compile_device(ToyLogic)
-        a = Machine(program)
-        b = Machine(program, state=StateMemory(program.layout))
-        assert a._compiled is b._compiled
+class TestBackendSelection:
+    def test_bytecode_is_the_default(self):
+        assert Machine(compile_device(ToyLogic)).backend == "bytecode"
 
     def test_unknown_backend_rejected(self):
         program = compile_device(ToyLogic)
-        with pytest.raises(Exception, match="backend"):
-            Machine(program, backend="jit")
+        for name in ("jit", "compiled"):
+            with pytest.raises(InterpError, match="unknown backend"):
+                Machine(program, backend=name)
 
 
 class TestBytecodeArtifactSharing:

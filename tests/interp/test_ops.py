@@ -3,20 +3,29 @@
 One module owns the integer semantics of every IR operator; these tests
 pin those semantics directly AND through each lowering that consumes the
 tables — the reference ``eval_binop``/``eval_unop`` entry points, the
-device-side closure compiler, and the checker-side closure compiler — so
-no backend can drift from another.
+device-side bytecode lowering, and the checker-side bytecode lowering —
+so no backend can drift from another.  The two lowerings are exercised
+end to end: a one-block IR program on ``Machine(backend="bytecode")``
+and a one-block execution spec on the bytecode ES-Checker, each
+returning the expression under test.  *Compiled* below means run
+through one of those two lowerings.
 """
+
+from functools import lru_cache
 
 import pytest
 from hypothesis import given, strategies as st
 
-from repro.checker.compile import _compile_expr as checker_compile_expr
+from repro.checker import CheckReport, ESChecker, NullSyncOracle
+from repro.checker.escheck import _WalkContext
 from repro.errors import DeviceFault, InterpError
-from repro.interp.compile import compile_expr as device_compile_expr
+from repro.interp import Machine
 from repro.interp.ops import (
-    BINOP_FUNCS, UNOP_FUNCS, binop_fn, eval_binop, eval_unop, unop_fn,
+    BINOP_FUNCS, UNOP_FUNCS, binop_fn, eval_binop, eval_unop,
 )
+from repro.ir import BasicBlock, Function, Program, Return, StateLayout
 from repro.ir.expr import BINOPS, UNOPS, BinOp, Const, Param, UnOp
+from repro.spec.escfg import ESBlock, ESFunction, ExecutionSpec
 
 #: ground truth for each operator at sample operands
 CASES = {
@@ -46,25 +55,54 @@ UNOP_CASES = {
 }
 
 
-def _run_device_compiled(op, a, b):
-    fn = device_compile_expr(BinOp(op, Param("a"), Param("b")),
-                             "test", _FakeProgram())
-    return fn(None, {}, {"a": a, "b": b})
+def _device_lowering(expr, params):
+    """Device side: a one-block IR program returning *expr*, on the
+    bytecode Machine.  Returns ``run(*args)``."""
+    func = Function("f", params)
+    func.add_block(BasicBlock("entry", terminator=Return(expr)))
+    program = Program("ops", StateLayout("OpsCtrl"))
+    program.add_function(func)
+    machine = Machine(program.freeze(), backend="bytecode")
+    return lambda *args: machine.run_function("f", args)
 
 
-def _run_checker_compiled(op, a, b):
-    fn = checker_compile_expr(BinOp(op, Param("a"), Param("b")),
-                              _FakeSpec(), 0)
-    return fn(None, {}, {"a": a, "b": b})
+def _checker_lowering(expr, params):
+    """Checker side: a one-block execution spec returning *expr*, on
+    the bytecode ES-Checker.  Returns ``run(*args)``."""
+    block = ESBlock(address=0x1000, func="f", label="entry",
+                    nbtd=Return(expr), kind="ret", is_entry=True,
+                    is_exit=True)
+    spec = ExecutionSpec(
+        device="ops", functions={"f": ESFunction("f", "entry", params,
+                                                 {"entry": block})},
+        entry_handlers={"k": "f"}, layout=StateLayout("OpsCtrl"))
+    checker = ESChecker(spec, backend="bytecode")
+
+    def run(*args):
+        walk = _WalkContext(checker, CheckReport(io_key="k"),
+                            checker.device_state.clone(), NullSyncOracle())
+        return checker._bytecode.run(walk, "f", args)
+    return run
 
 
-class _FakeProgram:
-    """compile_expr only touches the program for state accesses."""
-    layout = None
+@lru_cache(maxsize=None)
+def _device_binop(op):
+    return _device_lowering(BinOp(op, Param("a"), Param("b")), ("a", "b"))
 
 
-class _FakeSpec:
-    layout = None
+@lru_cache(maxsize=None)
+def _checker_binop(op):
+    return _checker_lowering(BinOp(op, Param("a"), Param("b")), ("a", "b"))
+
+
+@lru_cache(maxsize=None)
+def _device_unop(op):
+    return _device_lowering(UnOp(op, Param("a")), ("a",))
+
+
+@lru_cache(maxsize=None)
+def _checker_unop(op):
+    return _checker_lowering(UnOp(op, Param("a")), ("a",))
 
 
 class TestTableCompleteness:
@@ -83,8 +121,6 @@ class TestTableCompleteness:
     def test_unknown_unop_raises(self):
         with pytest.raises(InterpError, match="unknown unary"):
             eval_unop("!", 1)
-        with pytest.raises(InterpError, match="unknown unary"):
-            unop_fn("!")
 
 
 @pytest.mark.parametrize("op", sorted(BINOPS))
@@ -95,17 +131,17 @@ class TestEveryBinop:
 
     def test_device_compiled(self, op):
         for (a, b), expected in CASES[op]:
-            assert _run_device_compiled(op, a, b) == expected
+            assert _device_binop(op)(a, b) == expected
 
     def test_checker_compiled(self, op):
         for (a, b), expected in CASES[op]:
-            assert _run_checker_compiled(op, a, b) == expected
+            assert _checker_binop(op)(a, b) == expected
 
     def test_const_folding_matches_runtime(self, op):
         for (a, b), expected in CASES[op]:
-            folded = device_compile_expr(
-                BinOp(op, Const(a), Const(b)), "test", _FakeProgram())
-            assert folded(None, {}, {}) == expected
+            folded = BinOp(op, Const(a), Const(b))
+            assert _device_lowering(folded, ())() == expected
+            assert _checker_lowering(folded, ())() == expected
 
 
 @pytest.mark.parametrize("op", sorted(UNOPS))
@@ -116,15 +152,11 @@ class TestEveryUnop:
 
     def test_device_compiled(self, op):
         for a, expected in UNOP_CASES[op]:
-            fn = device_compile_expr(UnOp(op, Param("a")),
-                                     "test", _FakeProgram())
-            assert fn(None, {}, {"a": a}) == expected
+            assert _device_unop(op)(a) == expected
 
     def test_checker_compiled(self, op):
         for a, expected in UNOP_CASES[op]:
-            fn = checker_compile_expr(UnOp(op, Param("a")),
-                                      _FakeSpec(), 0)
-            assert fn(None, {}, {"a": a}) == expected
+            assert _checker_unop(op)(a) == expected
 
 
 class TestDivisionByZero:
@@ -136,21 +168,20 @@ class TestDivisionByZero:
 
     @pytest.mark.parametrize("op", ["//", "%"])
     def test_compiled_faults_at_runtime(self, op):
-        fn = device_compile_expr(BinOp(op, Param("a"), Param("b")),
-                                 "test", _FakeProgram())
-        with pytest.raises(DeviceFault) as exc:
-            fn(None, {}, {"a": 1, "b": 0})
-        assert exc.value.kind == "div0"
+        for run in (_device_binop(op), _checker_binop(op)):
+            with pytest.raises(DeviceFault) as exc:
+                run(1, 0)
+            assert exc.value.kind == "div0"
 
     @pytest.mark.parametrize("op", ["//", "%"])
     def test_const_div0_folds_to_runtime_fault(self, op):
         """Constant folding must not turn a runtime crash into a
-        compile-time one."""
-        fn = device_compile_expr(BinOp(op, Const(1), Const(0)),
-                                 "test", _FakeProgram())
-        with pytest.raises(DeviceFault) as exc:
-            fn(None, {}, {})
-        assert exc.value.kind == "div0"
+        lowering-time one: both lowerings succeed, the run faults."""
+        expr = BinOp(op, Const(1), Const(0))
+        for run in (_device_lowering(expr, ()), _checker_lowering(expr, ())):
+            with pytest.raises(DeviceFault) as exc:
+                run()
+            assert exc.value.kind == "div0"
 
 
 class TestCrossBackendAgreement:
@@ -162,19 +193,16 @@ class TestCrossBackendAgreement:
             reference = eval_binop(op, a, b)
         except DeviceFault:
             with pytest.raises(DeviceFault):
-                _run_device_compiled(op, a, b)
+                _device_binop(op)(a, b)
             with pytest.raises(DeviceFault):
-                _run_checker_compiled(op, a, b)
+                _checker_binop(op)(a, b)
             return
-        assert _run_device_compiled(op, a, b) == reference
-        assert _run_checker_compiled(op, a, b) == reference
+        assert _device_binop(op)(a, b) == reference
+        assert _checker_binop(op)(a, b) == reference
 
     @given(st.sampled_from(sorted(UNOPS)),
            st.integers(-(2 ** 40), 2 ** 40))
     def test_unop_lowerings_agree(self, op, a):
         reference = eval_unop(op, a)
-        fn = device_compile_expr(UnOp(op, Param("a")),
-                                 "test", _FakeProgram())
-        cfn = checker_compile_expr(UnOp(op, Param("a")), _FakeSpec(), 0)
-        assert fn(None, {}, {"a": a}) == reference
-        assert cfn(None, {}, {"a": a}) == reference
+        assert _device_unop(op)(a) == reference
+        assert _checker_unop(op)(a) == reference

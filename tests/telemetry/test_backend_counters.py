@@ -1,4 +1,4 @@
-"""Differential telemetry: the compiled and reference backends must
+"""Differential telemetry: the bytecode and reference backends must
 produce byte-identical *semantic* counters for the same workload.
 
 Timing histograms may of course differ between backends; everything a
@@ -95,23 +95,23 @@ def run_attacked(spec, backend):
 
 class TestBackendCounterParity:
     def test_benign_workload_counters_identical(self, benign_spec):
-        compiled = semantic_counters(run_benign(benign_spec, "compiled"))
+        bytecode = semantic_counters(run_benign(benign_spec, "bytecode"))
         reference = semantic_counters(run_benign(benign_spec,
                                                  "reference"))
-        assert compiled == reference
+        assert bytecode == reference
         # And the workload actually exercised the pipeline.
-        assert compiled["rounds"] >= ROUNDS
-        assert sum(compiled["checks"].values()) > 0
-        assert compiled["io_rounds"] > 0
-        assert compiled["blocks"] > 0
+        assert bytecode["rounds"] >= ROUNDS
+        assert sum(bytecode["checks"].values()) > 0
+        assert bytecode["io_rounds"] > 0
+        assert bytecode["blocks"] > 0
 
     def test_violation_counters_identical_under_attack(self,
                                                        vulnerable_spec):
-        compiled = semantic_counters(
-            run_attacked(vulnerable_spec, "compiled"))
+        bytecode = semantic_counters(
+            run_attacked(vulnerable_spec, "bytecode"))
         reference = semantic_counters(
             run_attacked(vulnerable_spec, "reference"))
-        assert compiled == reference
+        assert bytecode == reference
         # The attack must be visible — otherwise parity is vacuous.
-        assert sum(compiled["anomaly_strategies"].values()) > 0
-        assert compiled["actions"].get("warn", 0) > 0
+        assert sum(bytecode["anomaly_strategies"].values()) > 0
+        assert bytecode["actions"].get("warn", 0) > 0

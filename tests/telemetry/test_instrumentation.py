@@ -21,7 +21,7 @@ from repro.workloads.profiles import PROFILES, train_device_spec
 
 from tests.toydev import ToyLogic
 
-LABELS = {"device": "FDCtrl", "backend": "compiled"}
+LABELS = {"device": "FDCtrl", "backend": "bytecode"}
 
 
 def fake_report(action=Action.ALLOW, p=2, i=1, c=0, anomalies=(),
@@ -41,7 +41,7 @@ def fdc_spec():
 class TestCheckerStaging:
     def test_rounds_stage_until_snapshot_flushes(self):
         rec = Recorder("r")
-        bundle = CheckerTelemetry(rec, "FDCtrl", "compiled")
+        bundle = CheckerTelemetry(rec, "FDCtrl", "bytecode")
         for _ in range(3):
             bundle.record_round(fake_report(), 500)
         # Nothing folded yet: the hot path only touches staged slots.
@@ -60,7 +60,7 @@ class TestCheckerStaging:
 
     def test_non_allow_rounds_split_the_action_counters(self):
         rec = Recorder("r")
-        bundle = CheckerTelemetry(rec, "FDCtrl", "compiled")
+        bundle = CheckerTelemetry(rec, "FDCtrl", "bytecode")
         anomaly = SimpleNamespace(strategy=Strategy.PARAMETER,
                                   kind="out-of-range")
         bundle.record_round(fake_report(), 500)
@@ -78,7 +78,7 @@ class TestCheckerStaging:
 
     def test_sample_buffers_drain_without_a_snapshot(self):
         rec = Recorder("r")
-        bundle = CheckerTelemetry(rec, "FDCtrl", "compiled")
+        bundle = CheckerTelemetry(rec, "FDCtrl", "bytecode")
         for _ in range(_DRAIN_EVERY):
             bundle.record_round(fake_report(), 500)
         # The histogram was drained to keep the buffer bounded...
@@ -90,7 +90,7 @@ class TestCheckerStaging:
 
     def test_ns_per_check_skips_zero_check_rounds(self):
         rec = Recorder("r")
-        bundle = CheckerTelemetry(rec, "FDCtrl", "compiled")
+        bundle = CheckerTelemetry(rec, "FDCtrl", "bytecode")
         bundle.record_round(fake_report(p=0, i=0, c=0), 500)
         bundle.record_round(fake_report(p=4, i=0, c=0), 400)
         snap = rec.snapshot()

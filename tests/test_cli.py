@@ -69,6 +69,17 @@ class TestCli:
         with pytest.raises(SystemExit):
             main(["frobnicate"])
 
+    @pytest.mark.parametrize("argv", [
+        ["exploit", "--cve", "CVE-2021-3409", "--backend", "compiled"],
+        ["corpus", "--backends", "reference,compiled"],
+        ["migrate", "--backends", ","],
+    ])
+    def test_unknown_backend_is_a_usage_error(self, argv, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        assert "reference" in capsys.readouterr().err
+
 
 class TestServe:
     def test_serve_inline_benign(self, capsys):

@@ -7,6 +7,7 @@ path gated by a compile-time constant, and extern calls.
 """
 
 from repro.compiler import DeviceLogic, arr, fld, ptr, reg
+from repro.interp import DEFAULT_BACKEND
 
 
 class ToyLogic(DeviceLogic):
@@ -85,7 +86,7 @@ class ToyLogic(DeviceLogic):
         return value
 
 
-def make_toy_machine(vuln=False, extern_cost=None, backend="compiled"):
+def make_toy_machine(vuln=False, extern_cost=None, backend=DEFAULT_BACKEND):
     """The canonical ToyLogic machine: compiled with or without the
     vulnerable push path, ``host_log`` bound to a no-op, and the IRQ
     function pointer seeded.  Formerly copy-pasted (with slight drift)
