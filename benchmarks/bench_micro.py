@@ -104,7 +104,6 @@ def bench_checker_per_round(benchmark, backend):
     oracle = FieldSyncOracle(prepared_state)
 
     def one_command():
-        checker.history.clear()
         ok = True
         for key, args in command_seq:
             ok &= checker.check_io(key, args, oracle=oracle).ok
@@ -125,7 +124,6 @@ def bench_checker_batched(benchmark, batch):
     oracle = FieldSyncOracle(prepared_state)
 
     def one_command():
-        checker.history.clear()
         ok = True
         for i in range(0, len(command_seq), batch):
             for report in checker.check_batch(command_seq[i:i + batch],

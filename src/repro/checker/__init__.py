@@ -20,8 +20,8 @@ from repro.checker.response import (
     ResponsePolicy, RollbackManager, classify,
 )
 from repro.checker.sync import (
-    ExternHarvestSink, FieldSyncOracle, MappingSyncOracle, NullSyncOracle,
-    QueueSyncOracle, SyncOracle,
+    FieldSyncOracle, MappingSyncOracle, NullSyncOracle, QueueSyncOracle,
+    SyncOracle,
 )
 
 __all__ = [
@@ -36,6 +36,6 @@ __all__ = [
     "run_with_policy",
     "Alert", "AlertLevel", "AlertManager", "Checkpoint",
     "DeviceQuarantine", "ResponsePolicy", "RollbackManager", "classify",
-    "ExternHarvestSink", "FieldSyncOracle", "MappingSyncOracle",
-    "NullSyncOracle", "QueueSyncOracle", "SyncOracle",
+    "FieldSyncOracle", "MappingSyncOracle", "NullSyncOracle",
+    "QueueSyncOracle", "SyncOracle",
 ]

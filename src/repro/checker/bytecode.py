@@ -66,7 +66,9 @@ BYTECODE_FORMAT = 1
 _S2 = struct.Struct("<H")
 _S4 = struct.Struct("<I")
 _S8 = struct.Struct("<Q")
-BATCH_FORMAT = 1
+#: bumped with every ``_ctx`` layout change: older ``bd-*`` artifacts are
+#: rejected and re-specialized, never unpacked into the wrong slots
+BATCH_FORMAT = 2
 
 #: read sentinels for the generated frame
 _MISS = object()     # I/O parameter never provided
@@ -1248,7 +1250,7 @@ def _assemble_spec(bspec: BytecodeSpec, batched: bool = False) -> Callable:
         out.w("_sdata = w.state.memory.data")
         out.w("_res = w.oracle.resolve")
         out.w("(_plans, _policy, _mode, _unknown, _make_src,")
-        out.w(" _hist_append, _reports_append, _tel, _clk,")
+        out.w(" _reports_append, _tel, _clk,")
         out.w(" _cbc, _csc) = _ctx")
         out.w("_plans_get = _plans.get")
         out.w("_committed = _bytes(_sdata)")
@@ -1316,7 +1318,6 @@ def _assemble_spec(bspec: BytecodeSpec, batched: bool = False) -> Callable:
         out.w("_act = _ALLOW if not _anoms else _decide(_anoms, _mode)")
         out.w("_report.action = _act")
         out.w("_cyc += int(_blk * _cbc + _dsd * _csc)")
-        out.w("_hist_append(_report)")
         out.w("if _act is _ALLOW and not _report.incomplete:")
         out.indent += 1
         out.w("_committed = _bytes(_sdata)")

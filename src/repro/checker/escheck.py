@@ -131,8 +131,6 @@ class ESChecker:
         self.device_state = spec.make_device_state()
         self._batch_plans: Optional[Dict[str, Tuple[int, int, int]]] = None
         self.cycles = 0
-        #: anomaly history across the session (for FPR accounting)
-        self.history: List[CheckReport] = []
         # Telemetry is opt-in per checker: no recorder, no cost beyond
         # one None test per round (see repro.telemetry.recorder).
         self._telemetry = None
@@ -246,8 +244,8 @@ class ESChecker:
         list, or a generator streaming straight out of the trace
         decoder.  The returned reports are byte-identical to running
         :meth:`check_io` once per round in the same order: same
-        anomalies, counters, actions, history entries, committed
-        shadow state, and per-round final states.
+        anomalies, counters, actions, committed shadow state, and
+        per-round final states.
 
         On the bytecode backend all rounds share one generated frame
         entry: the strategy toggles, shadow buffer, sync oracle and
@@ -327,7 +325,7 @@ class ESChecker:
         # reloads land at op boundaries, never inside a batch.
         policy_val = self.degradation.policy.value
         ctx = (self._batch_plans_for(), policy_val, self.mode,
-               unknown, make_src, self.history.append, reports.append,
+               unknown, make_src, reports.append,
                telemetry, self._clock,
                CHECK_BLOCK_COST, CHECK_STMT_COST)
         self.cycles += walk_batch(walker, rounds, ctx)
@@ -342,7 +340,6 @@ class ESChecker:
         report.action = decide_action(report.anomalies, self.mode)
         self.cycles += int(report.blocks_walked * CHECK_BLOCK_COST
                            + report.dsod_stmts_executed * CHECK_STMT_COST)
-        self.history.append(report)
 
     def enabled(self, strategy: Strategy) -> bool:
         return strategy in self.strategies

@@ -3,21 +3,19 @@
 Two kinds of sync variables appear in a specification:
 
 * ``field:NAME``           — a control-structure field outside the device
-  state; resolved from the live structure just before the I/O executes;
+  state; resolved from the structure as it stood when the round started;
 * ``extern:FUNC:LOCAL``    — the result of a host-helper call; resolved by
-  *speculation*: the device is run against a snapshot of its control
-  structure and the extern results are harvested in order, so the real
-  device still only executes after every check has passed (a strengthening
-  of the paper's interleaved scheme, documented in DESIGN.md).
+  *co-execution*: the device runs the round first, its machine queues the
+  extern results in ``Machine.harvest``, and the checker then validates
+  the round on them, so a violation halts the VM after the round
+  (DESIGN.md §4, "Two checking disciplines").
 """
 
 from __future__ import annotations
 
-from collections import deque
 from typing import Deque, Dict, Optional, Tuple
 
 from repro.errors import CheckerError
-from repro.interp.sinks import TraceSink
 from repro.ir import StateMemory
 
 
@@ -80,19 +78,6 @@ class FieldSyncOracle(SyncOracle):
         return super().resolve(name)
 
 
-class ExternHarvestSink(TraceSink):
-    """Trace sink that queues extern results during a speculative run."""
-
-    def __init__(self) -> None:
-        self.queues: Dict[str, Deque[int]] = {}
-
-    def on_extern(self, caller: str, func: str, dest, args: Tuple[int, ...],
-                  result: int) -> None:
-        if dest is not None:
-            key = f"extern:{caller}:{dest}"
-            self.queues.setdefault(key, deque()).append(result)
-
-
 class QueueSyncOracle(SyncOracle):
     """Pops harvested extern results in order; falls back for fields."""
 
@@ -107,8 +92,8 @@ class QueueSyncOracle(SyncOracle):
             if queue:
                 return queue.popleft()
             raise CheckerError(
-                f"speculation produced no value for {name!r} (checker and "
-                f"device paths diverged)")
+                f"co-execution produced no value for {name!r} (checker "
+                f"and device paths diverged)")
         if self._fallback is not None:
             return self._fallback.resolve(name)
         return super().resolve(name)

@@ -132,25 +132,6 @@ class Device:
     def io_keys(self) -> Tuple[str, ...]:
         return tuple(self.program.entry_handlers)
 
-    # -- helpers for speculation (sync oracle) -----------------------------------
-
-    def speculative_machine(self) -> Machine:
-        """A machine sharing the program but running on a state snapshot,
-        with side-effecting externs neutered — used by the sync oracle."""
-        spec_machine = Machine(self.program, state=self.snapshot(),
-                               max_steps=self.machine.max_steps,
-                               backend=self.machine.backend)
-        self._bind_externs_for(spec_machine, speculative=True)
-        return spec_machine
-
-    def _bind_externs_for(self, machine: Machine,
-                          speculative: bool = False) -> None:
-        """Default: copy the live machine's externs; devices whose externs
-        have host side effects override this to neuter them."""
-        for name, fn in self.machine._externs.items():   # noqa: SLF001
-            cost = self.machine._extern_cost[name]        # noqa: SLF001
-            machine.bind_extern(name, fn, cost=cost)
-
 
 Factory = Callable[..., Device]
 

@@ -39,6 +39,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+from collections import deque
 from typing import Any, Callable, Dict, List, Optional, Tuple
 
 from repro.errors import DeviceFault, InterpError
@@ -496,7 +497,8 @@ def _assemble_function(bfunc: BytecodeFunction, program: Program,
     walker event-for-event: ``on_block`` after the watchdog check,
     ``on_tip`` before a wild-jump fault, ``on_return`` after the return
     value is evaluated, store events carrying the re-read stored value,
-    and so on.
+    and so on.  Both frames append destination-bearing extern results
+    to ``m.harvest`` (read once per frame) when co-execution has set it.
     """
     code, pool = bfunc.code, bfunc.pool
     consts: Dict[str, Any] = {
@@ -523,6 +525,7 @@ def _assemble_function(bfunc: BytecodeFunction, program: Program,
     stack: List[_StackEntry] = []
     device = program.name
     local_names: set = set()
+    harvests = False    # any extern result to queue into m.harvest
 
     def push(expr: str) -> None:
         stack.append(_StackEntry(expr))
@@ -758,6 +761,15 @@ def _assemble_function(bfunc: BytecodeFunction, program: Program,
                       f"{tup}, {t})")
             if dest >= 0:
                 name = pool[dest]
+                harvests = True
+                q = asm.temp()
+                asm.w("if _hv is not None:")
+                asm.indent += 1
+                key = f"extern:{bfunc.name}:{name}"
+                asm.w(f"{q} = _hv.get({key!r})")
+                asm.w(f"if {q} is None: {q} = _hv[{key!r}] = _deque()")
+                asm.w(f"{q}.append({t})")
+                asm.indent -= 1
                 local_names.add(name)
                 asm.w(f"{_mangle_local(name)} = {t}")
             pc += 3
@@ -924,6 +936,8 @@ def _assemble_function(bfunc: BytecodeFunction, program: Program,
         out.w("_state = m.state; _data = _state.data; _flags = m.flags")
         out.w("_ext = m._externs; _ecost = m._extern_cost")
         out.w("_lim = m.max_steps - m.steps")
+    if harvests:
+        out.w("_hv = m.harvest")
     out.w("_pc = 0")
     out.w("try:")
     out.indent += 1
@@ -959,6 +973,7 @@ def _assemble_function(bfunc: BytecodeFunction, program: Program,
                       for addr, fname in program.addr_to_func.items()}
     from bisect import bisect_left
     consts["_bisect"] = bisect_left
+    consts["_deque"] = deque
 
     def _die(msg: str) -> int:
         raise InterpError(msg)

@@ -22,8 +22,9 @@ worker being reaped.
 
 from __future__ import annotations
 
+from collections import deque
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import Callable, Deque, Dict, List, Optional, Tuple
 
 from repro.errors import DeviceFault, InterpError
 from repro.ir import (
@@ -82,6 +83,9 @@ class Machine:
         self.cycles = 0
         self.steps = 0
         self._sinks: List[TraceSink] = []
+        #: co-execution's extern results, ``extern:<caller>:<dest>`` ->
+        #: values in call order (not a sink: the fast runner fills it too)
+        self.harvest: Optional[Dict[str, Deque[int]]] = None
         self._externs: Dict[str, ExternFn] = {}
         self._extern_cost: Dict[str, int] = {}
         self._depth = 0
@@ -247,6 +251,10 @@ class Machine:
                 sink.on_extern(frame.func.name, stmt.func, stmt.dest,
                                tuple(args), value)
             if stmt.dest is not None:
+                if self.harvest is not None:
+                    self.harvest.setdefault(
+                        f"extern:{frame.func.name}:{stmt.dest}",
+                        deque()).append(value)
                 frame.env[stmt.dest] = value
         elif isinstance(stmt, Intrinsic):
             values = tuple(self._eval(frame, a) for a in stmt.args)

@@ -56,7 +56,7 @@ class TraceSink:
 
     def on_extern(self, caller: str, func: str, dest: Optional[str],
                   args: Tuple[int, ...], result: int) -> None:
-        """An extern host helper ran (the sync oracle harvests these)."""
+        """An extern host helper ran."""
 
     def on_state_store(self, field: str, value: int,
                        overflowed: bool) -> None:

@@ -45,7 +45,7 @@ def substitute_expr(expr: Expr, func_name: str,
     Locals backed by extern-call results stay plain locals: the spec
     constructor materializes one ``local = sync(extern:func:name)``
     assignment at the extern call's *definition* site instead (see
-    ``build_spec``), so the walk pops exactly one speculated value per
+    ``build_spec``), so the walk pops exactly one harvested value per
     device read.  Rewriting every *use* into its own sync var — the
     obvious alternative — desynchronizes the harvest FIFO as soon as a
     handler branches on the same extern byte twice (virtio descriptor
@@ -233,7 +233,7 @@ def build_spec(program: Program, log: DeviceStateChangeLog,
                     target = stmt.defined_local()
                     if target in slice_.sync_locals:
                         # Data-dependency recovery (V-D): bind the
-                        # speculated extern result once, where the
+                        # harvested extern result once, where the
                         # device performs the read, so the sync
                         # oracle's FIFO stays aligned however many
                         # downstream sites use the local.
@@ -325,7 +325,7 @@ def handler_needs_sync(spec: ExecutionSpec, io_key: str) -> bool:
 def used_sync_vars(spec: ExecutionSpec) -> Set[str]:
     """Sync variables actually referenced by the final spec.
 
-    The runtime attachment only pays for speculation when an
+    The runtime attachment only co-executes a handler when an
     ``extern:...`` sync var can actually be demanded by a walk.
     """
     names: Set[str] = set()

@@ -13,11 +13,11 @@ device's interpreted work, then SEDSpec's checking work if attached.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from typing import Deque, Dict, List, Optional, Tuple
 
 from repro.checker import (
     ALL_STRATEGIES, DEFAULT_BACKEND, Action, CheckReport, ESChecker,
-    ExternHarvestSink, FieldSyncOracle, Mode, QueueSyncOracle, Strategy,
+    FieldSyncOracle, Mode, QueueSyncOracle, Strategy,
 )
 from repro.devices.backends import GuestMemory, IRQLine
 from repro.devices.base import Device
@@ -47,7 +47,7 @@ class Attachment:
     * *strict* — no sync points reachable: the checker fully simulates the
       round before the device touches the request;
     * *co-execution* — the walk needs extern-call results (DMA payloads,
-      media bytes): the device executes with a harvest sink and the
+      media bytes): the device executes first, harvesting them, and the
       checker validates immediately after, halting the VM post-hoc if
       violated.  This is the paper's interleaved sync-point scheme.
     """
@@ -293,26 +293,27 @@ class GuestVM:
 
     def _co_execute(self, attachment: Attachment, device: Device,
                     key: str, args: Tuple[int, ...]) -> Optional[int]:
-        """Sync-point discipline: the device executes with a harvest sink;
-        the checker validates immediately after on the harvested values
+        """Sync-point discipline: the device executes with its machine's
+        harvest set (not a sink, so the fast runner keeps the round); the
+        checker validates immediately after on the harvested values
         (Section V-D's interleaving).  A device fault mid-round is fed to
         the checker, which classifies it on the harvested prefix — this is
         how the CVE-2016-7909 infinite loop is flagged."""
-        harvest = ExternHarvestSink()
-        device.machine.add_sink(harvest)
+        harvest: Dict[str, Deque[int]] = {}
         # Field sync values must reflect the state *the round started
         # from*, exactly as the strict discipline sees them.
         pre_state = device.snapshot()
         fault: Optional[DeviceFault] = None
         result: Optional[int] = None
+        device.machine.harvest = harvest
         try:
             result = self._run_device(device, key, args)
         except DeviceFault as exc:
             fault = exc
         finally:
-            device.machine.remove_sink(harvest)
+            device.machine.harvest = None
         oracle = QueueSyncOracle(
-            harvest.queues, fallback=FieldSyncOracle(pre_state))
+            harvest, fallback=FieldSyncOracle(pre_state))
         report = self._vet(attachment, key, args, oracle)
         self._maybe_resync(attachment, device, report)
         if fault is not None:

@@ -41,14 +41,35 @@ def _spec(cache, device, qemu_version="99.0.0"):
     return cache[key]
 
 
-def _assert_checkers_identical(ref, bc):
+def _recorded(attachment):
+    """Record every report the deployed checker returns, with its final
+    state read at return time (the checker itself keeps none)."""
+    checker = attachment.checker
+    check_io, check_batch = checker.check_io, checker.check_batch
+    log = []
+
+    def recording_check_io(key, args=(), oracle=None):
+        report = check_io(key, args, oracle=oracle)
+        log.append((report, report.final_state))
+        return report
+
+    def recording_check_batch(rounds, oracle=None):
+        reports = check_batch(rounds, oracle=oracle)
+        log.extend((report, report.final_state) for report in reports)
+        return reports
+
+    checker.check_io = recording_check_io
+    checker.check_batch = recording_check_batch
+    attachment.reports = log
+    return attachment
+
+
+def _assert_checkers_identical(ref_att, bc_att):
     """Full observable equality between two checker deployments."""
-    assert len(ref.history) == len(bc.history)
-    for ref_report, bc_report in zip(ref.history, bc.history):
-        # dataclass equality covers io_key, action, anomalies,
-        # blocks_walked, dsod_stmts_executed and incomplete
-        assert ref_report == bc_report
-        assert ref_report.final_state == bc_report.final_state
+    # dataclass equality covers io_key, action, anomalies,
+    # blocks_walked, dsod_stmts_executed and incomplete
+    assert ref_att.reports == bc_att.reports
+    ref, bc = ref_att.checker, bc_att.checker
     assert ref.cycles == bc.cycles
     assert ref.device_state.dump() == bc.device_state.dump()
 
@@ -63,8 +84,9 @@ class TestProfileDifferential:
         attachments = []
         for backend in BACKENDS:
             vm, device = prof.make_vm()
-            attachment = deploy(vm, device, spec,
-                                mode=Mode.ENHANCEMENT, backend=backend)
+            attachment = _recorded(deploy(vm, device, spec,
+                                          mode=Mode.ENHANCEMENT,
+                                          backend=backend))
             driver = prof.make_driver(vm)
             prof.prepare(vm, driver)
             rng = random.Random(2024)
@@ -73,7 +95,7 @@ class TestProfileDifferential:
             attachments.append((attachment, device))
         ref_att, ref_dev = attachments[0]
         for bc_att, bc_dev in attachments[1:]:
-            _assert_checkers_identical(ref_att.checker, bc_att.checker)
+            _assert_checkers_identical(ref_att, bc_att)
             assert ref_att.checked_rounds == bc_att.checked_rounds
             assert ref_att.warnings == bc_att.warnings
             assert ref_att.halts == bc_att.halts
@@ -98,8 +120,9 @@ class TestExploitDifferential:
     def _run(self, exploit, spec, backend):
         prof = PROFILES[exploit.device]
         vm, device = prof.make_vm(exploit.qemu_version)
-        attachment = deploy(vm, device, spec, mode=Mode.PROTECTION,
-                            backend=backend)
+        attachment = _recorded(deploy(vm, device, spec,
+                                      mode=Mode.PROTECTION,
+                                      backend=backend))
         outcome = run_exploit(vm, device, exploit)
         return outcome, attachment, device
 
@@ -108,7 +131,7 @@ class TestExploitDifferential:
         ref_out, ref_att, ref_dev = self._run(exploit, spec, "reference")
         bc_out, bc_att, bc_dev = self._run(exploit, spec, "bytecode")
         assert ref_out == bc_out
-        _assert_checkers_identical(ref_att.checker, bc_att.checker)
+        _assert_checkers_identical(ref_att, bc_att)
         assert ref_att.halts == bc_att.halts
         assert ref_dev.halted == bc_dev.halted
 

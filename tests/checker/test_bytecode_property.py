@@ -12,9 +12,11 @@ grammar (stores, nested conditionals, masked buffer writes) — then:
   a workload *with injected faults* (out-of-range parameter values,
   untrained I/O keys) through a reference-backend and a
   bytecode-backend ``ESChecker``, and requires the two CheckReport
-  histories to be dataclass-identical — same anomalies in the same
+  streams to be dataclass-identical — same anomalies in the same
   order, same walk counters, same final shadow state, same cycle
-  accounting.
+  accounting.  Extern sync values come from a co-execution harvest
+  that the fast runner, the traced runner and the reference walker
+  must produce identically.
 
 The fixed-device differential suites pin the five real profiles; this
 one walks the program space around them.
@@ -24,9 +26,9 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 
 from repro.analysis import ObservationLogger, select_parameters
 from repro.checker import BACKENDS, ESChecker
-from repro.checker.sync import ExternHarvestSink, QueueSyncOracle
+from repro.checker.sync import QueueSyncOracle
 from repro.compiler import DeviceLogic, arr, compile_device, fld
-from repro.interp import Machine
+from repro.interp import Machine, TraceSink
 from repro.spec import build_spec
 
 WIDTHS = ("u8", "u16", "i32")
@@ -178,17 +180,22 @@ class TestCheckerParity:
             checker.boot_sync(seed.state)
             checkers[name] = checker
 
-        # Each probe is first run on a live device machine with a
-        # harvest sink — exactly the runtime's co-execution scheme — so
-        # checkers resolve extern sync vars from the same FIFO the
-        # device produced.  Every checker gets its own copy of the
-        # harvest (resolving pops).
-        device = _bind_peek(Machine(program))
-        harvest = device.add_sink(ExternHarvestSink())
+        # Each probe is first run on live device machines with the
+        # harvest set — exactly the runtime's co-execution scheme — on
+        # the fast runner, the traced runner (a no-op sink attached) and
+        # the reference walker; all three must harvest the same FIFO.
+        # Checkers then resolve extern sync vars from that FIFO, each
+        # from its own copy (resolving pops).
+        devices = {
+            "fast": _bind_peek(Machine(program)),
+            "traced": _bind_peek(Machine(program)),
+            "reference": _bind_peek(Machine(program, backend="reference")),
+        }
+        devices["traced"].add_sink(TraceSink())
 
-        def oracles():
+        def oracles(harvest):
             import copy
-            return {name: QueueSyncOracle(copy.deepcopy(harvest.queues))
+            return {name: QueueSyncOracle(copy.deepcopy(harvest))
                     for name in checkers}
 
         # Benign replay, then the injected faults: values far outside
@@ -200,12 +207,18 @@ class TestCheckerParity:
         probes += [("pmio:write:0", (v,)) for v in faults]
         probes += [("pmio:write:7", (1,))]
         for key, args in probes:
-            harvest.queues.clear()
-            try:
-                device.run_entry(key, args)
-            except Exception:
-                pass        # unknown key / device fault: empty harvest
-            per_checker = oracles()
+            harvests = {}
+            for path, device in devices.items():
+                device.harvest = harvests[path] = {}
+                try:
+                    device.run_entry(key, args)
+                except Exception:
+                    pass    # unknown key / device fault: partial harvest
+                finally:
+                    device.harvest = None
+            assert harvests["fast"] == harvests["reference"], (key, args)
+            assert harvests["traced"] == harvests["reference"], (key, args)
+            per_checker = oracles(harvests["reference"])
             reports = {name: checker.check_io(key, args,
                                               oracle=per_checker[name])
                        for name, checker in checkers.items()}

@@ -4,11 +4,14 @@ Each check strategy is exercised both ways: benign traffic passes, the
 matching attack trips it.
 """
 
+import gc
+import weakref
+
 import pytest
 
 from repro.analysis import ObservationLogger, select_parameters
 from repro.checker import (
-    Action, ESChecker, Mode, Strategy,
+    BACKENDS, Action, ESChecker, Mode, Strategy,
 )
 from repro.compiler import compile_device
 from repro.errors import CheckerError, DeviceFault
@@ -234,17 +237,26 @@ class TestStrategyToggles:
         spec = build_toy_spec(vuln=True)
         _, checker = checked_machine(
             spec, vuln=True, strategies=frozenset({Strategy.CONDITIONAL_JUMP}))
-        for i in range(9):
-            report = checker.check_io("pmio:write:1", (i,))
+        reports = [checker.check_io("pmio:write:1", (i,)) for i in range(9)]
         assert all(a.strategy is not Strategy.PARAMETER
-                   for r in checker.history for a in r.anomalies)
+                   for r in reports for a in r.anomalies)
 
-    def test_history_accumulates(self):
+
+class TestReportRetention:
+    """The checker keeps no report: however many rounds it checks, only
+    the reports its caller keeps stay alive."""
+
+    @pytest.mark.parametrize("backend", BACKENDS)
+    def test_dropped_reports_are_collected(self, backend):
         spec = build_toy_spec()
-        _, checker = checked_machine(spec)
-        checker.check_io("pmio:write:1", (1,))
-        checker.check_io("pmio:read:1", ())
-        assert len(checker.history) == 2
+        _, checker = checked_machine(spec, backend=backend)
+        rounds = BENIGN + [("pmio:write:7", (1,))]    # + an unknown key
+        refs = [weakref.ref(checker.check_io(key, args))
+                for key, args in rounds]
+        refs += [weakref.ref(r) for r in checker.check_batch(rounds)]
+        assert len(refs) == 2 * len(rounds)
+        gc.collect()
+        assert [ref() for ref in refs] == [None] * len(refs)
 
 
 class TestBackendSelection:

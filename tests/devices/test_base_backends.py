@@ -49,12 +49,6 @@ class TestDeviceLifecycle:
         with pytest.raises(DeviceFault, match="halted"):
             fdc.handle_io("pmio:read:4", ())
 
-    def test_speculative_machine_isolated(self):
-        fdc = FDC()
-        spec_machine = fdc.speculative_machine()
-        spec_machine.state.write_field("msr", 0x11)
-        assert fdc.state.read_field("msr") != 0x11
-
     def test_io_keys(self):
         assert "pmio:write:5" in FDC().io_keys()
 

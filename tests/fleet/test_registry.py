@@ -243,6 +243,32 @@ class TestBatchDispatchArtifacts:
         assert fresh._walk_batch is None
         assert fresh_registry.stats.corrupt_rejected == 1
 
+    def test_older_batch_format_respecialized(self, tmp_path):
+        """An artifact stored for an older generated-frame ``_ctx``
+        layout is rejected even under a valid envelope digest, so its
+        frame is re-specialized instead of unpacking the batch context
+        into the wrong slots."""
+        from repro.checker.bytecode import BATCH_FORMAT
+
+        registry = SpecRegistry(cache_dir=str(tmp_path))
+        bspec = self._bspec()
+        registry.store_batch_dispatch(bspec)
+        path = registry.batch_dispatch_path(bspec.digest())
+        with open(path) as handle:
+            envelope = json.load(handle)
+        envelope["payload"]["format"] = BATCH_FORMAT - 1
+        envelope["sha256"] = registry_mod._payload_digest(
+            envelope["payload"])
+        with open(path, "w") as handle:
+            json.dump(envelope, handle)
+        fresh_registry = SpecRegistry(cache_dir=str(tmp_path))
+        fresh = self._bspec()
+        assert fresh_registry.load_batch_dispatch(fresh) is False
+        assert fresh._walk_batch is None
+        assert fresh_registry.stats.corrupt_rejected == 1
+        assert (fresh.batch_walk()._bytecode_source
+                == bspec.batch_walk()._bytecode_source)
+
     def test_other_generations_artifact_misses(self, tmp_path):
         """An artifact keyed by another spec generation's bytecode is
         simply not found under this one's digest."""
