@@ -4,18 +4,26 @@ anomaly response (the paper's Section VIII future work, implemented).
 
 Two "sites" train execution specifications on different workload slices;
 the merged specification covers the union (the paper's remedy for false
-positives).  A ResponsePolicy then handles a live exploit: rollback to a
-pre-attack checkpoint and device quarantine, instead of killing the VM.
+positives).  The merged spec is published and activated in a fleet
+registry, and a live exploit against one tenant is answered the way the
+fleet answers every detection: only the attacked tenant is quarantined
+while its neighbour on the same worker keeps being served, and
+installing a sealed pre-attack checkpoint rolls the tenant back into
+service — instead of killing the VM.
 """
 
+import itertools
 import random
 
-from repro.checker import AlertLevel, Mode, ResponsePolicy
-from repro.core import build_execution_spec, deploy
-from repro.exploits import exploit_by_cve
+from repro.core import build_execution_spec
+from repro.fleet import (
+    FleetConfig, FleetSupervisor, OpRequest, RequestBatch, SpecRegistry,
+)
+from repro.fleet.loadgen import sample_benign_op
 from repro.spec import coverage_gain, merge_specs
-from repro.vm.machine import SEDSpecHalt
 from repro.workloads.profiles import PROFILES
+
+DEVICE, VERSION = "sdhci", "5.2.0"      # CVE-2021-3409 vulnerable
 
 
 def train_site(profile, ops_subset):
@@ -28,11 +36,11 @@ def train_site(profile, ops_subset):
             rng.choice(ops_subset)(vm, driver, rng)
 
     return build_execution_spec(
-        lambda: profile.make_vm("5.2.0"), workload).spec
+        lambda: profile.make_vm(VERSION), workload).spec
 
 
 def main() -> None:
-    prof = PROFILES["sdhci"]
+    prof = PROFILES[DEVICE]
 
     # -- distributed training --------------------------------------------------
     site_a = train_site(prof, prof.common_ops[:2])    # block I/O heavy
@@ -44,37 +52,47 @@ def main() -> None:
     print(f"site A was missing {coverage_gain(site_a, merged):.0%} of the "
           f"merged behaviour\n")
 
-    # -- deployment with automated response -------------------------------------
-    vm, device = prof.make_vm("5.2.0")     # CVE-2021-3409 vulnerable
-    deploy(vm, device, merged, mode=Mode.PROTECTION)
-    policy = ResponsePolicy(device)
-    driver = prof.make_driver(vm)
-    driver.reset_card()
-
-    # Healthy traffic accumulates checkpoints.
+    # -- deployment: the merged spec serves every sdhci tenant ------------------
+    registry = SpecRegistry()
+    generation = registry.publish(DEVICE, VERSION, merged,
+                                  provenance="merged sites A+B")
+    registry.activate(DEVICE, VERSION, generation.digest)
+    session = FleetSupervisor(FleetConfig(workers=1, inline=True),
+                              registry=registry).session()
     rng = random.Random(2)
-    for _ in range(20):
-        rng.choice(prof.common_ops)(vm, driver, rng)
-        policy.on_clean_round()
+    seqs = itertools.count()
+
+    def submit(tenant, *ops):
+        ops = ops or tuple(sample_benign_op(DEVICE, rng) for _ in range(4))
+        return session.submit(
+            RequestBatch(tenant, DEVICE, VERSION, next(seqs), ops))
+
+    # Healthy traffic from two tenants sharing the worker.
+    for _ in range(3):
+        submit("victim")
+        submit("neighbour")
+    pre_attack = session.checkpoint_tenant("victim")
 
     # The blksize-underflow exploit arrives.
-    exploit = exploit_by_cve("CVE-2021-3409")
-    try:
-        exploit.run(vm, device)
-    except SEDSpecHalt as halt:
-        fresh = policy.on_report(halt.report)
-        print(f"exploit flagged: {fresh[-1]}")
+    hit = submit("victim", OpRequest("exploit", cve="CVE-2021-3409"))
+    assert hit.detections and hit.quarantined
+    print(f"exploit flagged, tenant quarantined: {hit.quarantine_reason}")
+    refused = submit("victim")
+    print(f"victim: {refused.rejected} of {refused.submitted} ops refused "
+          f"while quarantined")
+    neighbour = submit("neighbour")
+    assert neighbour.completed == neighbour.submitted
+    print(f"neighbour: {neighbour.completed} of {neighbour.submitted} ops "
+          f"served on the same worker")
 
-    print(f"response: rollbacks={policy.rollback.rollbacks}, "
-          f"quarantined={policy.quarantine.is_quarantined('sdhci')}, "
-          f"worst alert={policy.alerts.worst().name}")
-    assert policy.alerts.worst() is AlertLevel.CRITICAL
-
-    # The operator inspects, patches, and releases the device.
-    policy.quarantine.release(device)
-    driver.reset_card()
-    driver.write_blocks(2, bytes(512))
-    print("device recovered and serving I/O again")
+    # The operator inspects, then rolls the tenant back to its sealed
+    # pre-attack checkpoint.
+    session.install_checkpoint(pre_attack)
+    back = submit("victim")
+    assert back.completed == back.submitted and not back.quarantined
+    print(f"victim restored from its pre-attack checkpoint: "
+          f"{back.completed} of {back.submitted} ops served again\n")
+    print(session.close().stats.describe())
 
 
 if __name__ == "__main__":

@@ -15,10 +15,6 @@ from repro.checker.degrade import (
 from repro.checker.escheck import (
     BACKENDS, CHECK_BLOCK_COST, CHECK_STMT_COST, DEFAULT_BACKEND, ESChecker,
 )
-from repro.checker.response import (
-    Alert, AlertLevel, AlertManager, Checkpoint, DeviceQuarantine,
-    ResponsePolicy, RollbackManager, classify,
-)
 from repro.checker.sync import (
     FieldSyncOracle, MappingSyncOracle, NullSyncOracle, QueueSyncOracle,
     SyncOracle,
@@ -34,8 +30,6 @@ __all__ = [
     "DEFAULT_DEGRADATION", "INFRA_EXCEPTIONS", "DegradationConfig",
     "DegradationPolicy", "gap_report", "retrain_reason",
     "run_with_policy",
-    "Alert", "AlertLevel", "AlertManager", "Checkpoint",
-    "DeviceQuarantine", "ResponsePolicy", "RollbackManager", "classify",
     "FieldSyncOracle", "MappingSyncOracle", "NullSyncOracle",
     "QueueSyncOracle", "SyncOracle",
 ]

@@ -25,10 +25,10 @@ spec**: a ``while`` loop dispatching on the global block index through a
 binary jump-target tree, with an explicit call stack (so walk counters,
 the current command, and the current address stay in locals for the
 entire round) and a ``finally`` that reconciles them with the
-:class:`_WalkContext`.  The arrays are the canonical artifact — they
-serialize (:meth:`BytecodeSpec.to_payload`), digest, and round-trip
-through the content-addressed registry; assembly is a deterministic
-function of them and needs no spec object.
+:class:`_WalkContext`.  Assembly is a deterministic function of the
+arrays and needs no spec object.  Lowering and assembly happen in the
+process that runs the checker, once per spec; nothing generated is
+ever read back from disk.
 
 Strategy toggles stay runtime-dynamic (read from the walk context at
 round entry), so one artifact serves every strategy configuration — the
@@ -42,8 +42,6 @@ across the seven device models and the CVE corpus.
 
 from __future__ import annotations
 
-import hashlib
-import json
 import struct
 from typing import Any, Callable, Dict, List, Optional, Tuple
 
@@ -60,15 +58,10 @@ from repro.ir import (
 )
 from repro.spec.escfg import ESBlock, ESFunction, ExecutionSpec
 
-BYTECODE_FORMAT = 1
-
 #: Little-endian fixed-width codecs shared by every specialized frame.
 _S2 = struct.Struct("<H")
 _S4 = struct.Struct("<I")
 _S8 = struct.Struct("<Q")
-#: bumped with every ``_ctx`` layout change: older ``bd-*`` artifacts are
-#: rejected and re-specialized, never unpacked into the wrong slots
-BATCH_FORMAT = 2
 
 #: read sentinels for the generated frame
 _MISS = object()     # I/O parameter never provided
@@ -563,114 +556,6 @@ class BytecodeSpec:
             report.indirect_checks += w.ichecks
             report.conditional_checks += w.cchecks
 
-    # -- serialization -------------------------------------------------------
-
-    def to_payload(self) -> Dict[str, Any]:
-        return {
-            "format": BYTECODE_FORMAT,
-            "kind": "checker-bytecode",
-            "device": self.device,
-            "fnames": list(self.fnames),
-            "entry_pc": list(self.entry_pc),
-            "nparams": list(self.nparams),
-            "nlocals": list(self.nlocals),
-            "code": list(self.code),
-            "pool": [_tag_const(c) for c in self.pool],
-        }
-
-    @classmethod
-    def from_payload(cls, payload: Dict[str, Any]) -> "BytecodeSpec":
-        if payload.get("format") != BYTECODE_FORMAT:
-            raise CheckerError(
-                f"unsupported bytecode format {payload.get('format')!r}")
-        if payload.get("kind") != "checker-bytecode":
-            raise CheckerError("payload is not a checker bytecode")
-        return cls(
-            device=payload["device"], fnames=tuple(payload["fnames"]),
-            entry_pc=tuple(payload["entry_pc"]),
-            nparams=tuple(payload["nparams"]),
-            nlocals=tuple(payload["nlocals"]),
-            code=tuple(payload["code"]),
-            pool=tuple(_untag_const(c) for c in payload["pool"]))
-
-    def digest(self) -> str:
-        blob = json.dumps(self.to_payload(), sort_keys=True,
-                          separators=(",", ":")).encode("utf-8")
-        return hashlib.sha256(blob).hexdigest()
-
-    # -- the specialized batch artifact --------------------------------------
-
-    def batch_payload(self) -> Dict[str, Any]:
-        """The spec-specialized batched dispatch as a self-contained
-        artifact: the generated source plus the constant tables it
-        closes over (trained access tables, jump tables, legitimate
-        target sets).  Deterministic for a given bytecode, so it is
-        content-addressable alongside the ``bc-*`` artifacts."""
-        walk = self.batch_walk()
-        return {
-            "format": BATCH_FORMAT,
-            "kind": "checker-batch-dispatch",
-            "device": self.device,
-            "bytecode_digest": self.digest(),
-            "source": walk._bytecode_source,
-            "consts": {k: _tag_const(v)
-                       for k, v in sorted(
-                           walk._bytecode_consts.items())},
-        }
-
-    def attach_batch_payload(self, payload: Dict[str, Any]) -> None:
-        """Adopt a cached specialized dispatch instead of re-running
-        specialization.  The payload must belong to this bytecode."""
-        if payload.get("format") != BATCH_FORMAT:
-            raise CheckerError(
-                f"unsupported batch format {payload.get('format')!r}")
-        if payload.get("kind") != "checker-batch-dispatch":
-            raise CheckerError("payload is not a batch dispatch")
-        if payload.get("device") != self.device:
-            raise CheckerError(
-                f"batch dispatch for {payload.get('device')!r} cannot "
-                f"serve {self.device!r}")
-        if payload.get("bytecode_digest") != self.digest():
-            raise CheckerError(
-                "batch dispatch was specialized from a different "
-                "spec generation")
-        bound = {k: _untag_const(v)
-                 for k, v in payload["consts"].items()}
-        namespace: Dict[str, Any] = _base_consts(self)
-        namespace.update(bound)
-        source = payload["source"]
-        exec(compile(source, f"<es-bytecode-batch:{self.device}>",
-                     "exec"), namespace)
-        walk = namespace["_walk_batch"]
-        walk._bytecode_source = source
-        walk._bytecode_consts = bound
-        self._walk_batch = walk
-
-
-def _tag_const(value: Any) -> Any:
-    if isinstance(value, tuple):
-        return {"t": "tuple", "v": [_tag_const(v) for v in value]}
-    if isinstance(value, frozenset):
-        return {"t": "fset", "v": sorted(value)}
-    if isinstance(value, dict):
-        return {"t": "imap",
-                "v": [[k, _tag_const(v)]
-                      for k, v in sorted(value.items())]}
-    return value
-
-
-def _untag_const(value: Any) -> Any:
-    if isinstance(value, dict):
-        tag = value.get("t")
-        if tag == "tuple":
-            return tuple(_untag_const(v) for v in value["v"])
-        if tag == "fset":
-            return frozenset(value["v"])
-        if tag == "imap":
-            return {k: _untag_const(v) for k, v in value["v"]}
-        raise CheckerError(f"unknown constant tag {tag!r}")
-    return value
-
 
 # ---------------------------------------------------------------------------
 # Assembly
@@ -711,9 +596,9 @@ def _state_load_expr(off: int, end: int, signed: int, bits: int,
 
 
 def _base_consts(bspec: "BytecodeSpec") -> Dict[str, Any]:
-    """The non-serializable part of a generated frame's namespace:
-    helpers, sentinels, and the function tables derived from the
-    bytecode arrays."""
+    """What every generated frame's namespace starts from: helpers,
+    sentinels, and the function tables derived from the bytecode
+    arrays."""
     from bisect import bisect_left
 
     def _die(msg: str) -> int:
@@ -1362,13 +1247,10 @@ def _assemble_spec(bspec: BytecodeSpec, batched: bool = False) -> Callable:
         tag = f"<es-bytecode:{bspec.device}>"
 
     source = "\n".join(out.lines) + "\n"
-    base_keys = set(_base_consts(bspec))
     namespace: Dict[str, Any] = dict(consts)
     exec(compile(source, tag, "exec"), namespace)
     walk = namespace[fname]
     walk._bytecode_source = source
-    walk._bytecode_consts = {k: v for k, v in consts.items()
-                             if k not in base_keys}
     return walk
 
 

@@ -162,11 +162,6 @@ class SpecRegistry:
         self._generations: Dict[Tuple[str, str], List[SpecGeneration]] = {}
         self._active: Dict[Tuple[str, str], str] = {}
         self._by_digest: Dict[str, ExecutionSpec] = {}
-        #: content-addressed lowered bytecode artifacts (interp/checker)
-        self._bytecode: Dict[str, object] = {}
-        #: spec-specialized batched dispatch payloads, keyed by the
-        #: digest of the bytecode they were specialized from
-        self._batch: Dict[str, Dict[str, object]] = {}
         #: content-addressed tenant-policy sets; rides the same cache_dir
         #: so pool worker processes resolve policy digests exactly the
         #: way they resolve spec digests
@@ -460,164 +455,6 @@ class SpecRegistry:
         self.stats.generation_hits += 1
         return spec
 
-    # -- bytecode artifacts ---------------------------------------------------
-
-    def bytecode_path(self, digest: str) -> Optional[str]:
-        if self.cache_dir is None:
-            return None
-        return os.path.join(self.cache_dir,
-                            f"bc-{digest[:16]}.bytecode.json")
-
-    def store_bytecode(self, artifact) -> str:
-        """Persist a lowered bytecode artifact, content-addressed.
-
-        *artifact* is either an interpreter :class:`BytecodeProgram` or
-        a checker :class:`BytecodeSpec` — anything exposing
-        ``to_payload()``/``digest()``.  The digest is the sha256 of the
-        canonical payload JSON, so the address moves with any semantic
-        change to the lowered code.  Returns the digest.
-        """
-        digest = artifact.digest()
-        self._bytecode[digest] = artifact
-        path = self.bytecode_path(digest)
-        if path is not None:
-            payload = artifact.to_payload()
-            _atomic_write_json(path, {
-                "format": CACHE_FORMAT,
-                "kind": payload["kind"],
-                "sha256": digest,
-                "payload": payload,
-            })
-        return digest
-
-    def load_bytecode(self, digest: str):
-        """Fetch a stored bytecode artifact by content address.
-
-        The envelope's claimed digest *and* the payload's recomputed
-        digest must both match the address — a tampered or hand-renamed
-        file is rejected (``corrupt_rejected``), exactly like spec
-        envelopes.  Raises :class:`SpecError` when absent or invalid.
-        """
-        artifact = self._bytecode.get(digest)
-        if artifact is not None:
-            return artifact
-        path = self.bytecode_path(digest)
-        if path is None or not os.path.exists(path):
-            raise SpecError(
-                f"no bytecode artifact for digest {digest[:16]}")
-        try:
-            with open(path) as handle:
-                envelope = json.load(handle)
-            payload = envelope["payload"]
-            kind = envelope["kind"]
-        except (OSError, ValueError, KeyError, TypeError):
-            self.stats.corrupt_rejected += 1
-            raise SpecError(
-                f"bytecode artifact for {digest[:16]} is unreadable")
-        if (not isinstance(envelope, dict)
-                or envelope.get("format") != CACHE_FORMAT
-                or envelope.get("sha256") != digest):
-            self.stats.corrupt_rejected += 1
-            raise SpecError(
-                f"bytecode artifact for {digest[:16]} fails its "
-                f"envelope check")
-        try:
-            if kind == "interp-bytecode":
-                from repro.interp.bytecode import BytecodeProgram
-                artifact = BytecodeProgram.from_payload(payload)
-            elif kind == "checker-bytecode":
-                from repro.checker.bytecode import BytecodeSpec
-                artifact = BytecodeSpec.from_payload(payload)
-            else:
-                raise SpecError(
-                    f"unknown bytecode artifact kind {kind!r}")
-        except SpecError:
-            self.stats.corrupt_rejected += 1
-            raise
-        except Exception:
-            self.stats.corrupt_rejected += 1
-            raise SpecError(
-                f"bytecode artifact for {digest[:16]} fails to decode")
-        if artifact.digest() != digest:
-            self.stats.corrupt_rejected += 1
-            raise SpecError(
-                f"bytecode artifact for {digest[:16]} fails its "
-                f"content-digest check")
-        self._bytecode[digest] = artifact
-        return artifact
-
-    # -- specialized batch dispatch artifacts ---------------------------------
-
-    def batch_dispatch_path(self, bytecode_digest: str) -> Optional[str]:
-        if self.cache_dir is None:
-            return None
-        return os.path.join(self.cache_dir,
-                            f"bd-{bytecode_digest[:16]}.batch.json")
-
-    def store_batch_dispatch(self, bspec) -> str:
-        """Persist a spec-specialized batched dispatch artifact.
-
-        *bspec* is a checker :class:`BytecodeSpec`; its
-        ``batch_payload()`` (generated source + folded constant tables)
-        is stored **addressed by the digest of the bytecode it was
-        specialized from**, so a later :meth:`load_batch_dispatch` on
-        the same spec generation finds it without re-specializing —
-        and a different generation's lookup simply misses.  The
-        payload's own content digest rides in the envelope for the
-        tamper check.  Returns the payload digest.
-        """
-        payload = bspec.batch_payload()
-        bc_digest = payload["bytecode_digest"]
-        digest = _payload_digest(payload)
-        self._batch[bc_digest] = payload
-        path = self.batch_dispatch_path(bc_digest)
-        if path is not None:
-            _atomic_write_json(path, {
-                "format": CACHE_FORMAT,
-                "kind": payload["kind"],
-                "bytecode_sha256": bc_digest,
-                "sha256": digest,
-                "payload": payload,
-            })
-        return digest
-
-    def load_batch_dispatch(self, bspec) -> bool:
-        """Attach a cached specialized dispatch to *bspec* if one exists.
-
-        Returns ``True`` on a hit (the spec's batched entry now runs the
-        cached source without re-specializing).  A missing artifact
-        returns ``False`` — the caller specializes lazily as usual.  A
-        tampered, truncated or wrong-generation envelope is rejected
-        (``corrupt_rejected``) and also returns ``False``: corruption
-        degrades to re-specialization, never to running altered code.
-        """
-        bc_digest = bspec.digest()
-        payload = self._batch.get(bc_digest)
-        if payload is None:
-            path = self.batch_dispatch_path(bc_digest)
-            if path is None or not os.path.exists(path):
-                return False
-            try:
-                with open(path) as handle:
-                    envelope = json.load(handle)
-                payload = envelope["payload"]
-            except (OSError, ValueError, KeyError, TypeError):
-                self.stats.corrupt_rejected += 1
-                return False
-            if (not isinstance(envelope, dict)
-                    or envelope.get("format") != CACHE_FORMAT
-                    or envelope.get("bytecode_sha256") != bc_digest
-                    or envelope.get("sha256") != _payload_digest(payload)):
-                self.stats.corrupt_rejected += 1
-                return False
-        try:
-            bspec.attach_batch_payload(payload)
-        except Exception:
-            self.stats.corrupt_rejected += 1
-            return False
-        self._batch[bc_digest] = payload
-        return True
-
     def _load_active(self, device_name: str,
                      qemu_version: str) -> Optional[ExecutionSpec]:
         digest = self._active.get((device_name, qemu_version))
@@ -632,13 +469,6 @@ class SpecRegistry:
             return None
         self.stats.disk_hits += 1
         return spec
-
-
-def _payload_digest(payload) -> str:
-    """Canonical content digest of a JSON-safe artifact payload."""
-    blob = json.dumps(payload, sort_keys=True,
-                      separators=(",", ":")).encode("utf-8")
-    return hashlib.sha256(blob).hexdigest()
 
 
 def _atomic_write_json(path: str, obj) -> None:

@@ -16,6 +16,12 @@ The supervisor owns the enforcement service's control plane:
 * **quarantine bookkeeping** — SEDSpec detections recorded per tenant
   with their :class:`CheckReport`s while other tenants keep being served.
 
+There is one execution path.  A run's lanes (in-process workers or
+worker processes) live on the supervisor; ``run()`` serves a whole
+schedule on them, and a :class:`FleetSession` is a run held open that
+serves one submitted batch at a time through the same two drivers,
+``_run_inline`` and ``_run_pool``.
+
 Throughput and latency are reported on the substrate's **simulated
 clock**: every request accrues deterministic cycles (vmexit + device +
 checker), workers are parallel lanes, and the fleet makespan is the
@@ -270,10 +276,13 @@ class FleetResult:
 
 
 class _WorkerHandle:
-    """Supervisor-side view of one worker process."""
+    """Supervisor-side view of one worker lane: an in-process
+    :class:`FleetWorker` (inline) or a worker process (pool)."""
 
     def __init__(self, worker_id: int):
         self.worker_id = worker_id
+        #: the in-process worker of an inline lane
+        self.worker: Optional[FleetWorker] = None
         self.process: Optional[multiprocessing.process.BaseProcess] = None
         self.inbox = None
         #: receiving end of this worker's own result pipe; ``None`` once
@@ -323,6 +332,8 @@ class FleetSupervisor:
             cache_dir=self.config.cache_dir,
             seed=self.config.train_seed,
             repeats=self.config.train_repeats)
+        # The drivers' counters; ``_begin`` resets them, with the rest
+        # of the per-run state, at the start of every run.
         self._duplicates = 0
         self._watchdog_kills = 0
         #: seq -> monotonic ts of *first* dispatch; a requeued batch keeps
@@ -338,7 +349,6 @@ class FleetSupervisor:
             self._telemetry = FleetTelemetry(recorder)
         self._reloads: List[ScheduledReload] = []
         self._policy_reloads: List[ScheduledPolicyReload] = []
-        self._migrations = 0
         #: configured policy set, published content-addressed so pool
         #: worker processes load the exact same document by digest
         self._policy_digest = ""
@@ -415,110 +425,100 @@ class FleetSupervisor:
                             policy_digest=pdigest)
         return batch
 
-    def _stamp_reloads(self, schedule: Sequence[RequestBatch]
-                       ) -> List[RequestBatch]:
-        """Stamp every batch with the spec epoch/digest it runs under."""
-        if not self._reloads and not self._policy_reloads:
-            return list(schedule)
-        return [self._stamp_one(batch) for batch in schedule]
-
     def session(self) -> "FleetSession":
-        """Open a streaming session: batches are submitted one at a time
-        (the gateway's dispatch loop) instead of as a prebuilt schedule,
-        with ``run()``-identical placement, fault-tolerance, reload, and
-        aggregation semantics."""
+        """Open a streaming session: a ``run()`` held open, fed one
+        batch at a time (the gateway's dispatch loop) instead of a
+        prebuilt schedule, and served by the same lanes and drivers.  A
+        supervisor serves one run at a time: opening a session, like
+        calling ``run()``, starts a new one."""
         return FleetSession(self)
 
     def run(self, schedule: Sequence[RequestBatch],
             plans: Sequence[TenantPlan] = ()) -> FleetResult:
-        """Serve the whole schedule; returns aggregated fleet results."""
-        start = time.perf_counter()
+        """Serve the whole schedule; returns aggregated fleet results.
+        Every worker starts up front and all lanes are in flight at
+        once, ``queue_depth`` batches each."""
+        self._begin()
         self.registry.prime(sorted({(b.device, b.qemu_version)
                                     for b in schedule}))
-        schedule = self._stamp_reloads(schedule)
-        pending = self._assign(schedule)
+        pending: Dict[int, Deque[RequestBatch]] = {
+            w: deque() for w in range(self.config.workers)}
+        try:
+            for worker_id in pending:
+                self._lane(worker_id)
+            for batch in schedule:
+                worker_id, batch = self._admit(batch)
+                pending[worker_id].append(batch)
+            self._serve(pending)
+        except BaseException:
+            self._shutdown()
+            raise
+        return self._close(plans)
+
+    # -- per-run state --------------------------------------------------------
+
+    def _begin(self) -> None:
+        """Start a run: reset the per-run state — lanes, tenant pins,
+        submitted batches, results, counted seqs and counters."""
+        if not self.config.inline and self.registry.cache_dir is None:
+            raise FleetError(
+                "worker processes share specs via the disk cache; "
+                "set FleetConfig.cache_dir (or use inline=True)")
+        self._start = time.perf_counter()
+        self._ctx = None if self.config.inline else self._context()
+        self._lanes: Dict[int, _WorkerHandle] = {}
+        self._tenant_worker: Dict[str, int] = {}
+        self._submitted: List[RequestBatch] = []
+        self._results: List[BatchResult] = []
+        #: every batch seq already counted (first result wins)
+        self._done: set = set()
+        self._lost = 0
         self._duplicates = 0
         self._watchdog_kills = 0
         self._migrations = 0
         self._enqueue_ts = {}
         self._queue_waits = []
+
+    def _pin(self, tenant: str) -> int:
+        """The lane *tenant* is pinned to: round-robin in order of first
+        appearance (instances are stateful)."""
+        return self._tenant_worker.setdefault(
+            tenant, len(self._tenant_worker) % self.config.workers)
+
+    def _admit(self, batch: RequestBatch) -> Tuple[int, RequestBatch]:
+        """Stamp *batch* with the spec and policy epochs it runs under
+        and record it as submitted; returns (its lane, the stamped
+        batch)."""
+        batch = self._stamp_one(batch)
+        self._submitted.append(batch)
+        return self._pin(batch.tenant), batch
+
+    def _lane(self, worker_id: int) -> _WorkerHandle:
+        """The lane *worker_id*, its worker started on first use."""
+        handle = self._lanes.get(worker_id)
+        if handle is None:
+            handle = self._lanes[worker_id] = _WorkerHandle(worker_id)
+            self._spawn(self._ctx, handle)
+        return handle
+
+    def _serve(self, pending: Dict[int, Deque[RequestBatch]]) -> None:
+        """Drain *pending* (lane -> batches in submission order) on the
+        run's lanes.  Batches left on a lane whose respawn budget is
+        spent are counted lost."""
         if self.config.inline:
-            results, lost, respawns = self._run_inline(pending)
+            self._run_inline(pending)
         else:
-            results, lost, respawns = self._run_pool(pending)
-        wall = time.perf_counter() - start
-        return self._aggregate(schedule, plans, results, lost, respawns,
-                               wall)
+            self._run_pool(pending)
+        for batches in pending.values():
+            self._lost += sum(len(b.ops) for b in batches)
+            batches.clear()
 
-    # -- placement ----------------------------------------------------------
+    def _close(self, plans: Sequence[TenantPlan]) -> FleetResult:
+        """End the run: stop the workers and aggregate."""
+        self._shutdown()
+        return self._aggregate(plans, time.perf_counter() - self._start)
 
-    def _assign(self, schedule: Sequence[RequestBatch]
-                ) -> Dict[int, Deque[RequestBatch]]:
-        """Pin each tenant to a worker; preserve per-tenant batch order."""
-        tenant_worker: Dict[str, int] = {}
-        pending: Dict[int, Deque[RequestBatch]] = {
-            w: deque() for w in range(self.config.workers)}
-        for batch in schedule:
-            worker = tenant_worker.setdefault(
-                batch.tenant, len(tenant_worker) % self.config.workers)
-            pending[worker].append(batch)
-        return pending
-
-    # -- in-process fallback -------------------------------------------------
-
-    def _make_worker(self, worker_id: int) -> FleetWorker:
-        config = self.config
-        return FleetWorker(worker_id, self.registry,
-                           mode=config.mode,
-                           backend=config.backend,
-                           batch_rounds=config.batch_rounds,
-                           max_instance_respawns=config
-                           .max_instance_respawns,
-                           degradation=(config.degradation
-                                        or DEFAULT_DEGRADATION),
-                           injector=instance_injector(
-                               config.fault_plan,
-                               recorder=self._recorder),
-                           circuit_threshold=config.circuit_threshold,
-                           circuit_cooldown=config.circuit_cooldown,
-                           policies=config.policies)
-
-    def _run_inline(self, pending: Dict[int, Deque[RequestBatch]]
-                    ) -> Tuple[List[BatchResult], int, int]:
-        """Single-process execution with identical semantics: crash ops
-        still cost the worker its in-memory instances and a respawn, and
-        hang ops still count a watchdog kill."""
-        results: List[BatchResult] = []
-        lost = 0
-        respawns = 0
-        for worker_id, batches in pending.items():
-            worker = self._make_worker(worker_id)
-            budget = self.config.max_worker_respawns
-            while batches:
-                batch = batches[0]
-                self._enqueue_ts.setdefault(batch.seq, self._clock())
-                crash = batch_wants_crash(batch)
-                hang = batch_wants_hang(batch)
-                if crash or hang:
-                    if budget <= 0:
-                        lost += sum(len(b.ops) for b in batches)
-                        batches.clear()
-                        break
-                    budget -= 1
-                    respawns += 1
-                    if hang:
-                        self._watchdog_kills += 1
-                    worker = self._make_worker(worker_id)
-                    batches[0] = requeue_batch(batch)
-                    continue
-                batch = batches.popleft()
-                results.append(worker.run_batch(batch))
-                start = self._enqueue_ts.pop(batch.seq, None)
-                if start is not None:
-                    self._queue_waits.append(self._clock() - start)
-        return results, lost, respawns
-
-    # -- multiprocessing pool -----------------------------------------------
+    # -- workers ---------------------------------------------------------------
 
     def _context(self):
         methods = multiprocessing.get_all_start_methods()
@@ -538,10 +538,25 @@ class FleetSupervisor:
         return 0.05 * spec.arg if spec is not None else 0.0
 
     def _spawn(self, ctx, handle: _WorkerHandle) -> None:
-        """Start (or restart) *handle*'s process with a fresh inbox and
-        a fresh result pipe of its own.  A worker that dies mid-send
-        can only ever damage its own channel, never its peers'."""
+        """Start (or restart) *handle*'s worker: a fresh in-process
+        :class:`FleetWorker` for an inline lane, else a process with a
+        fresh inbox and a fresh result pipe of its own.  A worker that
+        dies mid-send can only ever damage its own channel, never its
+        peers'."""
         config = self.config
+        degradation = config.degradation or DEFAULT_DEGRADATION
+        if config.inline:
+            handle.worker = FleetWorker(
+                handle.worker_id, self.registry, mode=config.mode,
+                backend=config.backend, batch_rounds=config.batch_rounds,
+                max_instance_respawns=config.max_instance_respawns,
+                degradation=degradation,
+                injector=instance_injector(config.fault_plan,
+                                           recorder=self._recorder),
+                circuit_threshold=config.circuit_threshold,
+                circuit_cooldown=config.circuit_cooldown,
+                policies=config.policies)
+            return
         handle.inbox = ctx.Queue()
         handle.outbox, results = ctx.Pipe(duplex=False)
         handle.process = ctx.Process(
@@ -549,8 +564,7 @@ class FleetSupervisor:
             args=(handle.worker_id, self.registry.cache_dir,
                   config.mode, config.backend,
                   config.max_instance_respawns,
-                  handle.inbox, results, config.fault_plan,
-                  config.degradation or DEFAULT_DEGRADATION,
+                  handle.inbox, results, config.fault_plan, degradation,
                   config.circuit_threshold, config.circuit_cooldown,
                   self._slow_start(handle), self._policy_digest,
                   config.batch_rounds),
@@ -560,42 +574,82 @@ class FleetSupervisor:
         # end-of-file once everything it sent has been received.
         results.close()
 
-    def _run_pool(self, pending: Dict[int, Deque[RequestBatch]]
-                  ) -> Tuple[List[BatchResult], int, int]:
-        if self.registry.cache_dir is None:
-            raise FleetError(
-                "worker processes share specs via the disk cache; "
-                "set FleetConfig.cache_dir (or use inline=True)")
-        ctx = self._context()
-        handles = {w: _WorkerHandle(w) for w in pending}
-        for handle in handles.values():
-            self._spawn(ctx, handle)
-        results: List[BatchResult] = []
-        done: set = set()
-        lost = 0
-        respawns = 0
+    def _shutdown(self) -> None:
+        """Stop every lane's worker."""
+        for handle in self._lanes.values():
+            handle.worker = None
+            if handle.process is None:
+                continue
+            if handle.process.is_alive():
+                try:
+                    handle.inbox.put(("stop",))
+                except (OSError, ValueError):
+                    pass
+            handle.process.join(timeout=5)
+            if handle.process.is_alive():
+                handle.process.terminate()
+                handle.process.join(timeout=5)
+            if handle.outbox is not None:
+                handle.outbox.close()
+                handle.outbox = None
+
+    # -- in-process driver ----------------------------------------------------
+
+    def _run_inline(self, pending: Dict[int, Deque[RequestBatch]]
+                    ) -> None:
+        """Serve *pending* in process with the pool's semantics: a crash
+        op costs the lane its worker (and so its instances) and a
+        respawn, a hang op also counts a watchdog kill, and a lane whose
+        respawn budget is spent stops serving."""
+        for worker_id, batches in pending.items():
+            handle = self._lanes[worker_id]
+            while batches and not handle.dead:
+                batch = batches[0]
+                self._enqueue_ts.setdefault(batch.seq, self._clock())
+                hang = batch_wants_hang(batch)
+                if hang or batch_wants_crash(batch):
+                    if handle.respawns >= self.config.max_worker_respawns:
+                        handle.dead = True
+                        handle.worker = None
+                        break
+                    handle.respawns += 1
+                    if hang:
+                        self._watchdog_kills += 1
+                    self._spawn(None, handle)
+                    batches[0] = requeue_batch(batch)
+                    continue
+                batches.popleft()
+                self._results.append(handle.worker.run_batch(batch))
+                start = self._enqueue_ts.pop(batch.seq, None)
+                if start is not None:
+                    self._queue_waits.append(self._clock() - start)
+
+    # -- multiprocessing driver -----------------------------------------------
+
+    def _run_pool(self, pending: Dict[int, Deque[RequestBatch]]) -> None:
+        """Serve *pending* on the pool lanes until it is drained:
+        credit-based dispatch, result collection, the hang watchdog,
+        backoff revival, and reaping of dead workers."""
+        handles = {w: self._lanes[w] for w in pending}
         last_progress = time.monotonic()
-        try:
-            while any(not h.dead and (pending[w] or h.outstanding)
-                      for w, h in handles.items()):
-                self._dispatch(handles, pending)
-                if self._collect(handles, results, done, timeout=0.05):
-                    last_progress = time.monotonic()
-                self._watchdog(handles)
-                if self._revive(ctx, handles):
-                    last_progress = time.monotonic()
-                died = self._reap(handles, pending, results, done)
-                if died:
-                    respawns += died[0]
-                    lost += died[1]
-                    last_progress = time.monotonic()
-                if (time.monotonic() - last_progress
-                        > self.config.stall_timeout):
-                    raise FleetError("fleet stalled: no results and no "
-                                     "worker exits within stall_timeout")
-        finally:
-            self._shutdown(handles)
-        return results, lost, respawns
+        while any(not h.dead and (pending[w] or h.outstanding)
+                  for w, h in handles.items()):
+            self._dispatch(handles, pending)
+            if self._collect(handles, self._results, self._done,
+                             timeout=0.05):
+                last_progress = time.monotonic()
+            self._watchdog(handles)
+            if self._revive(self._ctx, handles):
+                last_progress = time.monotonic()
+            respawned, lost = self._reap(handles, pending, self._results,
+                                         self._done)
+            if respawned or lost:
+                self._lost += lost
+                last_progress = time.monotonic()
+            if (time.monotonic() - last_progress
+                    > self.config.stall_timeout):
+                raise FleetError("fleet stalled: no results and no "
+                                 "worker exits within stall_timeout")
 
     def _dispatch(self, handles: Dict[int, _WorkerHandle],
                   pending: Dict[int, Deque[RequestBatch]]) -> None:
@@ -735,29 +789,12 @@ class FleetSupervisor:
             handle.respawn_at = self._clock() + delay
         return respawned, lost
 
-    def _shutdown(self, handles: Dict[int, _WorkerHandle]) -> None:
-        for handle in handles.values():
-            if handle.process is None:
-                continue
-            if handle.process.is_alive():
-                try:
-                    handle.inbox.put(("stop",))
-                except (OSError, ValueError):
-                    pass
-            handle.process.join(timeout=5)
-            if handle.process.is_alive():
-                handle.process.terminate()
-                handle.process.join(timeout=5)
-            if handle.outbox is not None:
-                handle.outbox.close()
-                handle.outbox = None
-
     # -- aggregation ---------------------------------------------------------
 
-    def _aggregate(self, schedule: Sequence[RequestBatch],
-                   plans: Sequence[TenantPlan],
-                   results: List[BatchResult], lost: int,
-                   worker_respawns: int, wall: float) -> FleetResult:
+    def _aggregate(self, plans: Sequence[TenantPlan],
+                   wall: float) -> FleetResult:
+        schedule, results = self._submitted, self._results
+        worker_respawns = sum(h.respawns for h in self._lanes.values())
         attacked = {p.tenant for p in plans if p.attacked}
         if not plans:
             attacked = {b.tenant for b in schedule
@@ -774,7 +811,8 @@ class FleetSupervisor:
         retrain: List[RetrainRecord] = []
         stats = FleetStats(workers=self.config.workers,
                            requests=sum(len(b.ops) for b in schedule),
-                           lost=lost, worker_respawns=worker_respawns,
+                           lost=self._lost,
+                           worker_respawns=worker_respawns,
                            duplicate_results=self._duplicates,
                            watchdog_kills=self._watchdog_kills,
                            wall_seconds=wall)
@@ -877,25 +915,17 @@ class FleetSupervisor:
 
 
 class FleetSession:
-    """Streaming facade over one :class:`FleetSupervisor`.
+    """A :meth:`FleetSupervisor.run` held open.
 
     ``run()`` takes the whole schedule up front; a session accepts one
     batch at a time — the shape the admission gateway needs, where the
     next dispatch depends on simulated arrivals and coalescing decisions
-    made *after* earlier results come back.  Everything else is kept
-    identical to ``run()``:
-
-    * tenants are pinned to workers round-robin in order of first
-      appearance (``worker_for`` exposes the pin so the gateway's lane
-      model matches);
-    * crash/hang fault ops cost the worker its instances and a bounded
-      respawn (with the same tombstoned requeue and jitter-free
-      backoff), and hang ops count a watchdog kill;
-    * batches are stamped with scheduled hot reloads at submit time,
-      so epoch-based spec swaps behave exactly as in ``run()``;
-    * ``close()`` funnels through the same ``_aggregate`` as ``run()``,
-      so stats, tenant summaries, retrain records, and telemetry are
-      byte-identical given the same executed batches.
+    made *after* earlier results come back.  Each ``submit`` puts its
+    batch on the tenant's pinned lane and serves it through ``run()``'s
+    lanes and drivers, so placement (``worker_for`` exposes the pin so
+    the gateway's lane model matches), reload stamping, crash/hang
+    respawn with tombstoned requeue, backoff, watchdog, lost accounting
+    and aggregation are ``run()``'s own.  Lanes start on first use.
 
     Submission is synchronous: ``submit`` returns the batch's
     :class:`BatchResult`, or ``None`` when the ops were lost to an
@@ -905,159 +935,29 @@ class FleetSession:
     def __init__(self, supervisor: FleetSupervisor):
         self.supervisor = supervisor
         self.config = supervisor.config
-        self._start = time.perf_counter()
-        self._submitted: List[RequestBatch] = []
-        self._results: List[BatchResult] = []
-        self._lost = 0
-        self._respawns = 0
-        self._duplicates = 0
-        self._watchdog_kills = 0
-        self._migrations = 0
-        self._queue_waits: List[float] = []
-        self._tenant_worker: Dict[str, int] = {}
+        supervisor._begin()
         self._primed: set = set()
-        self._done: set = set()
         self._closed = False
-        if self.config.inline:
-            self._workers: Dict[int, FleetWorker] = {}
-            self._budget = {w: self.config.max_worker_respawns
-                            for w in range(self.config.workers)}
-            self._inline_dead: set = set()
-        else:
-            if supervisor.registry.cache_dir is None:
-                raise FleetError(
-                    "worker processes share specs via the disk cache; "
-                    "set FleetConfig.cache_dir (or use inline=True)")
-            self._ctx = supervisor._context()
-            self._handles: Dict[int, _WorkerHandle] = {}
-
-    # -- placement ----------------------------------------------------------
 
     def worker_for(self, tenant: str) -> int:
-        """The worker lane *tenant* is pinned to (same first-appearance
-        round-robin as ``run()``'s ``_assign``); registers the pin."""
-        return self._tenant_worker.setdefault(
-            tenant, len(self._tenant_worker) % self.config.workers)
-
-    # -- submission ---------------------------------------------------------
+        """The worker lane *tenant* is pinned to (first-appearance
+        round-robin, as in ``run()``); registers the pin."""
+        return self.supervisor._pin(tenant)
 
     def submit(self, batch: RequestBatch) -> Optional[BatchResult]:
         if self._closed:
             raise FleetError("session is closed")
+        supervisor = self.supervisor
         key = (batch.device, batch.qemu_version)
         if key not in self._primed:
-            self.supervisor.registry.prime([key])
+            supervisor.registry.prime([key])
             self._primed.add(key)
-        batch = self.supervisor._stamp_one(batch)
-        self._submitted.append(batch)
-        worker_id = self.worker_for(batch.tenant)
-        enqueued = self.supervisor._clock()
-        if self.config.inline:
-            result = self._submit_inline(worker_id, batch)
-        else:
-            result = self._submit_pool(worker_id, batch)
-        if result is not None:
-            self._queue_waits.append(self.supervisor._clock() - enqueued)
-            self._results.append(result)
-        return result
-
-    def _submit_inline(self, worker_id: int,
-                       batch: RequestBatch) -> Optional[BatchResult]:
-        if worker_id in self._inline_dead:
-            self._lost += len(batch.ops)
-            return None
-        worker = self._workers.get(worker_id)
-        if worker is None:
-            worker = self._workers[worker_id] = \
-                self.supervisor._make_worker(worker_id)
-        while batch_wants_crash(batch) or batch_wants_hang(batch):
-            if self._budget[worker_id] <= 0:
-                self._inline_dead.add(worker_id)
-                self._lost += len(batch.ops)
-                return None
-            self._budget[worker_id] -= 1
-            self._respawns += 1
-            if batch_wants_hang(batch):
-                self._watchdog_kills += 1
-            worker = self._workers[worker_id] = \
-                self.supervisor._make_worker(worker_id)
-            batch = requeue_batch(batch)
-        return worker.run_batch(batch)
-
-    def _submit_pool(self, worker_id: int,
-                     batch: RequestBatch) -> Optional[BatchResult]:
-        supervisor = self.supervisor
-        handle = self._handles.get(worker_id)
-        if handle is None:
-            handle = self._handles[worker_id] = _WorkerHandle(worker_id)
-            supervisor._spawn(self._ctx, handle)
-        if handle.dead:
-            self._lost += len(batch.ops)
-            return None
-        handle.outstanding[batch.seq] = batch
-        handle.dispatched_at[batch.seq] = supervisor._clock()
-        handle.inbox.put(("batch", batch))
-        last_progress = time.monotonic()
-        while True:
-            message = _poll(handle, 0.05)
-            if message is not None:
-                if message[0] == "result":
-                    last_progress = time.monotonic()
-                    result = message[2]
-                    handle.outstanding.pop(result.seq, None)
-                    handle.dispatched_at.pop(result.seq, None)
-                    if result.seq != batch.seq or result.seq in self._done:
-                        # A result for a batch already counted or
-                        # already written off as lost.
-                        self._duplicates += 1
-                        continue
-                    self._done.add(result.seq)
-                    return result
-                continue
-            # Watchdog: one outstanding batch, so any over-age dispatch
-            # means this lane is hung and only a kill gets it moving.
-            timeout = self.config.watchdog_timeout
-            if (timeout and handle.process is not None
-                    and handle.process.is_alive()
-                    and any(supervisor._clock() - t > timeout
-                            for t in handle.dispatched_at.values())):
-                handle.process.terminate()
-                self._watchdog_kills += 1
-            if handle.process is not None \
-                    and not handle.process.is_alive():
-                if handle.outbox is not None:
-                    continue    # read what it sent, up to end-of-file
-                requeue = [b for _, b
-                           in sorted(handle.outstanding.items())]
-                for i, b in enumerate(requeue):
-                    if any(op.kind in FAULT_OP_KINDS and op.seed >= 0
-                           for op in b.ops):
-                        requeue[i] = requeue_batch(b)
-                        break
-                handle.outstanding.clear()
-                handle.dispatched_at.clear()
-                if handle.respawns >= self.config.max_worker_respawns:
-                    handle.dead = True
-                    self._lost += sum(len(b.ops) for b in requeue)
-                    return None
-                handle.respawns += 1
-                self._respawns += 1
-                delay = min(self.config.backoff_cap,
-                            self.config.backoff_base
-                            * (2 ** (handle.respawns - 1)))
-                time.sleep(delay)
-                supervisor._spawn(self._ctx, handle)
-                for b in requeue:
-                    handle.outstanding[b.seq] = b
-                    handle.dispatched_at[b.seq] = supervisor._clock()
-                    handle.inbox.put(("batch", b))
-                    if b.seq == batch.seq:
-                        batch = b   # track the tombstoned incarnation
-                last_progress = time.monotonic()
-            if (time.monotonic() - last_progress
-                    > self.config.stall_timeout):
-                raise FleetError("fleet session stalled: no result and "
-                                 "no worker exit within stall_timeout")
+        worker_id, batch = supervisor._admit(batch)
+        supervisor._lane(worker_id)
+        results = supervisor._results
+        served = len(results)
+        supervisor._serve({worker_id: deque([batch])})
+        return results[-1] if len(results) > served else None
 
     # -- live migration ------------------------------------------------------
 
@@ -1072,19 +972,15 @@ class FleetSession:
         """
         if self._closed:
             raise FleetError("session is closed")
-        worker_id = self._tenant_worker.get(tenant)
-        if worker_id is None:
-            return None
-        if self.config.inline:
-            worker = self._workers.get(worker_id)
-            if worker is None:
-                return None
-            return worker.checkpoint_tenant(tenant)
-        handle = self._handles.get(worker_id)
+        supervisor = self.supervisor
+        handle = supervisor._lanes.get(
+            supervisor._tenant_worker.get(tenant))
         if handle is None or handle.dead:
             return None
+        if self.config.inline:
+            return handle.worker.checkpoint_tenant(tenant)
         handle.inbox.put(("checkpoint", tenant))
-        return self._await_reply("checkpoint", worker_id)
+        return self._await_reply("checkpoint", handle)
 
     def install_checkpoint(self, envelope: dict,
                            worker_id: Optional[int] = None) -> str:
@@ -1095,37 +991,26 @@ class FleetSession:
         the tenant."""
         if self._closed:
             raise FleetError("session is closed")
+        supervisor = self.supervisor
         tenant = envelope["tenant"]
         if worker_id is None:
-            worker_id = self.worker_for(tenant)
+            worker_id = supervisor._pin(tenant)
         else:
             if not 0 <= worker_id < self.config.workers:
                 raise FleetError(
                     f"no such worker lane: {worker_id}")
-            self._tenant_worker[tenant] = worker_id
+            supervisor._tenant_worker[tenant] = worker_id
+        handle = supervisor._lane(worker_id)
+        if handle.dead:
+            raise FleetError(
+                f"cannot restore {tenant!r}: worker {worker_id} "
+                f"has spent its respawn budget")
         if self.config.inline:
-            if worker_id in self._inline_dead:
-                raise FleetError(
-                    f"cannot restore {tenant!r}: worker {worker_id} "
-                    f"has spent its respawn budget")
-            worker = self._workers.get(worker_id)
-            if worker is None:
-                worker = self._workers[worker_id] = \
-                    self.supervisor._make_worker(worker_id)
-            worker.restore_tenant(envelope)
+            handle.worker.restore_tenant(envelope)
         else:
-            handle = self._handles.get(worker_id)
-            if handle is None:
-                handle = self._handles[worker_id] = \
-                    _WorkerHandle(worker_id)
-                self.supervisor._spawn(self._ctx, handle)
-            if handle.dead:
-                raise FleetError(
-                    f"cannot restore {tenant!r}: worker {worker_id} "
-                    f"has spent its respawn budget")
             handle.inbox.put(("restore", envelope))
-            self._await_reply("restored", worker_id)
-        self._migrations += 1
+            self._await_reply("restored", handle)
+        supervisor._migrations += 1
         return tenant
 
     def migrate_tenant(self, tenant: str,
@@ -1141,11 +1026,10 @@ class FleetSession:
         self.install_checkpoint(envelope, worker_id=target_worker)
         return envelope
 
-    def _await_reply(self, kind: str, worker_id: int):
-        """Wait for a control-RPC reply on the worker's result channel.
-        Stray ``result`` messages are dropped and counted, exactly as
-        in ``_submit_pool``."""
-        handle = self._handles[worker_id]
+    def _await_reply(self, kind: str, handle: _WorkerHandle):
+        """Wait for a control-RPC reply on *handle*'s result channel.
+        Stray ``result`` messages are dropped and counted as
+        duplicates."""
         deadline = time.monotonic() + self.config.stall_timeout
         while True:
             message = _poll(handle, 0.05)
@@ -1153,29 +1037,18 @@ class FleetSession:
                 if message[0] == kind:
                     return message[2]
                 if message[0] == "result":
-                    self._duplicates += 1
+                    self.supervisor._duplicates += 1
                     continue
             if time.monotonic() > deadline:
                 raise FleetError(
-                    f"no {kind} reply from worker {worker_id} within "
-                    f"stall_timeout")
+                    f"no {kind} reply from worker {handle.worker_id} "
+                    f"within stall_timeout")
 
     # -- teardown -----------------------------------------------------------
 
     def close(self, plans: Sequence[TenantPlan] = ()) -> FleetResult:
-        """Stop workers and aggregate, exactly as ``run()`` would."""
+        """Stop workers and aggregate, exactly as ``run()`` does."""
         if self._closed:
             raise FleetError("session already closed")
         self._closed = True
-        wall = time.perf_counter() - self._start
-        supervisor = self.supervisor
-        if not self.config.inline and self._handles:
-            supervisor._shutdown(self._handles)
-        supervisor._duplicates = self._duplicates
-        supervisor._watchdog_kills = self._watchdog_kills
-        supervisor._migrations = self._migrations
-        supervisor._queue_waits = self._queue_waits
-        supervisor._enqueue_ts = {}
-        return supervisor._aggregate(self._submitted, plans,
-                                     self._results, self._lost,
-                                     self._respawns, wall)
+        return self.supervisor._close(plans)

@@ -9,7 +9,7 @@ array-encoded bytecode:
 * ``code``  — a flat ``int`` opcode stream (expressions in stack form,
   statements and terminators as fixed-operand instructions);
 * ``pool``  — a constant pool holding field geometry, messages, switch
-  tables, and call targets (by name, so the artifact serializes);
+  tables, and call targets (by name);
 * jump targets resolved to dense block indices at lowering time, with
   ``Switch`` terminators compiled to dense tables when the key range is
   compact and to binary-search key/value arrays otherwise.
@@ -19,10 +19,9 @@ assembler translates the opcode stream into one Python frame — a
 ``while`` loop dispatching on the block index through a binary
 jump-target tree, with every statement body inlined (no per-statement
 calls, counters kept in locals and reconciled on every exit path).  The
-int stream is the canonical, serializable artifact
-(:func:`to_payload`/:func:`from_payload`, cacheable in the
-content-addressed registry); the assembled frame is a deterministic
-function of it.
+assembled frame is a deterministic function of the int stream, lowered
+and assembled in the process that runs the device; nothing generated
+is ever read back from disk.
 
 Semantics replicate the reference walker bit-for-bit: cycle/step
 accounting (costs charged *before* evaluation), flag updates, fault
@@ -37,8 +36,6 @@ dispatch-loop frame too.
 
 from __future__ import annotations
 
-import hashlib
-import json
 from collections import deque
 from typing import Any, Callable, Dict, List, Optional, Tuple
 
@@ -50,8 +47,6 @@ from repro.ir import (
     Switch, SyncVar, UnOp,
 )
 from repro.interp.ops import _floordiv, _mod
-
-BYTECODE_FORMAT = 1
 
 # -- opcodes ----------------------------------------------------------------
 # Expressions (stack form; operands follow the opcode in the stream)
@@ -373,70 +368,6 @@ class BytecodeProgram:
             self.traced_runners[name] = _assemble_function(
                 bfunc, program, traced=True)
         return self
-
-    # -- serialization -------------------------------------------------------
-
-    def to_payload(self) -> Dict[str, Any]:
-        return {
-            "format": BYTECODE_FORMAT,
-            "kind": "interp-bytecode",
-            "program": self.program_name,
-            "funcs": {
-                name: {
-                    "params": list(f.params),
-                    "labels": list(f.labels),
-                    "code": list(f.code),
-                    "pool": [_tag_const(c) for c in f.pool],
-                }
-                for name, f in sorted(self.funcs.items())
-            },
-        }
-
-    @classmethod
-    def from_payload(cls, payload: Dict[str, Any]) -> "BytecodeProgram":
-        if payload.get("format") != BYTECODE_FORMAT:
-            raise InterpError(
-                f"unsupported bytecode format {payload.get('format')!r}")
-        if payload.get("kind") != "interp-bytecode":
-            raise InterpError("payload is not an interpreter bytecode")
-        funcs = {}
-        for name, body in payload["funcs"].items():
-            funcs[name] = BytecodeFunction(
-                name=name, params=tuple(body["params"]),
-                labels=tuple(body["labels"]),
-                code=tuple(body["code"]),
-                pool=tuple(_untag_const(c) for c in body["pool"]))
-        return cls(payload["program"], funcs)
-
-    def digest(self) -> str:
-        blob = json.dumps(self.to_payload(), sort_keys=True,
-                          separators=(",", ":")).encode("utf-8")
-        return hashlib.sha256(blob).hexdigest()
-
-
-def _tag_const(value: Any) -> Any:
-    """Constant-pool entry -> JSON-stable form (tuples tagged)."""
-    if isinstance(value, tuple):
-        return {"t": "tuple", "v": [_tag_const(v) for v in value]}
-    if isinstance(value, frozenset):
-        return {"t": "fset", "v": sorted(value)}
-    if isinstance(value, dict):
-        return {"t": "imap",
-                "v": [[k, _tag_const(v)] for k, v in sorted(value.items())]}
-    return value
-
-
-def _untag_const(value: Any) -> Any:
-    if isinstance(value, dict):
-        tag = value.get("t")
-        if tag == "tuple":
-            return tuple(_untag_const(v) for v in value["v"])
-        if tag == "fset":
-            return frozenset(value["v"])
-        if tag == "imap":
-            return {k: _untag_const(v) for k, v in value["v"]}
-        raise InterpError(f"unknown constant tag {tag!r}")
-    return value
 
 
 # ---------------------------------------------------------------------------

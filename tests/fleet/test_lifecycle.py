@@ -392,7 +392,7 @@ class TestHotReload:
                    for seq in range(6)]
         batches.append(RequestBatch("t1", "scsi", "2.4.0", 6,
                                     (OpRequest("common"),)))
-        stamped = supervisor._stamp_reloads(batches)
+        stamped = [supervisor._stamp_one(b) for b in batches]
         assert [(b.spec_epoch, b.spec_digest) for b in stamped] == [
             (0, ""), (0, ""),                 # before any reload
             (1, "d1"), (1, "d1"),             # first reload applies
@@ -435,7 +435,7 @@ class TestHotReload:
             FleetConfig(workers=1, inline=True,
                         cache_dir=registry.cache_dir), registry)
         supervisor.reload_spec("fdc", digest, at_seq=1)
-        stamped = supervisor._stamp_reloads(schedule)
+        stamped = [supervisor._stamp_one(b) for b in schedule]
         assert stamped[0].spec_epoch == 0
         assert all(b.spec_epoch == 1 for b in stamped[1:])
 

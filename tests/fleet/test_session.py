@@ -1,11 +1,14 @@
 """FleetSession: the streaming facade must be result-identical to
 ``run()`` over the same executed batches, inline and pooled."""
 
+from dataclasses import replace
+
 import pytest
 
 from repro.errors import FleetError
+from repro.faults import FaultPlan, FaultSpec
 from repro.fleet import (
-    FleetConfig, FleetSupervisor, SpecRegistry, build_load,
+    FleetConfig, FleetSupervisor, OpRequest, SpecRegistry, build_load,
 )
 
 STAT_FIELDS = (
@@ -91,3 +94,72 @@ class TestSessionContract:
                                           cache_dir=None))
         with pytest.raises(FleetError, match="cache"):
             sup.session()
+
+
+def crash_first(batch):
+    """*batch* with its first op replaced by a live crash op."""
+    return replace(batch, ops=(OpRequest("crash"),) + batch.ops[1:])
+
+
+DETERMINISTIC_STATS = STAT_FIELDS + (
+    "worker_respawns", "instance_respawns", "policy_reloads",
+    "fenced_tenants", "migrations", "retrain_candidates")
+
+
+class TestDeadLane:
+    @pytest.mark.parametrize("inline", [True, False],
+                             ids=["inline", "pool"])
+    def test_spent_lane_yields_no_checkpoint(self, registry, inline):
+        """Once a lane's respawn budget is spent its worker is gone, so
+        a tenant pinned there has nothing left to checkpoint, in either
+        mode."""
+        sup = FleetSupervisor(
+            FleetConfig(workers=1, inline=inline, max_worker_respawns=0,
+                        cache_dir=registry.cache_dir), registry)
+        _, schedule = build_load(["fdc"], 1, 2, 2, seed=3)
+        session = sup.session()
+        try:
+            assert session.submit(schedule[0]) is not None
+            assert session.submit(crash_first(schedule[1])) is None
+            assert session.checkpoint_tenant(schedule[0].tenant) is None
+        finally:
+            result = session.close()
+        assert result.stats.lost == len(schedule[1].ops)
+        assert result.stats.worker_respawns == 0
+
+
+class TestSessionDifferential:
+    def test_inline_and_pool_sessions_agree(self, registry):
+        """A crash that spends lane 0's budget, instance-level faults
+        and mid-stream migrations off lane 0: the inline and pool
+        sessions must account every op and every migration alike."""
+        plan = FaultPlan(23, (
+            FaultSpec("interp.step", probability=0.05),))
+        plans, schedule = build_load(
+            ["fdc"], 4, 4, 2, inject_cves=["CVE-2015-3456"], seed=17)
+        second = [i for i, b in enumerate(schedule)
+                  if b.tenant == "t00-fdc"][1]
+        schedule[second] = crash_first(schedule[second])
+
+        def serve(inline):
+            sup = FleetSupervisor(
+                FleetConfig(workers=2, inline=inline,
+                            max_worker_respawns=0, backoff_base=0.01,
+                            cache_dir=registry.cache_dir,
+                            fault_plan=plan), registry)
+            session = sup.session()
+            seen = {}
+            for batch in schedule:
+                session.submit(batch)
+                seen[batch.tenant] = seen.get(batch.tenant, 0) + 1
+                if (seen[batch.tenant] == 3
+                        and session.worker_for(batch.tenant) == 0):
+                    session.migrate_tenant(batch.tenant, 1)
+            return session.close(plans)
+
+        inline, pool = serve(True), serve(False)
+        for name in DETERMINISTIC_STATS:
+            assert getattr(inline.stats, name) == \
+                getattr(pool.stats, name), name
+        assert inline.stats.lost > 0
+        assert inline.tenants == pool.tenants

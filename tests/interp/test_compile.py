@@ -231,13 +231,3 @@ class TestBytecodeArtifactSharing:
         b = Machine(program, backend="bytecode",
                     state=StateMemory(program.layout))
         assert a._bytecode is b._bytecode
-
-    def test_payload_round_trips_to_same_digest(self):
-        from repro.interp import bytecode_program_for
-        from repro.interp.bytecode import BytecodeProgram
-
-        program = compile_device(ToyLogic)
-        art = bytecode_program_for(program)
-        clone = BytecodeProgram.from_payload(art.to_payload())
-        assert clone.digest() == art.digest()
-        assert clone.to_payload() == art.to_payload()
