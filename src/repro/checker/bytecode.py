@@ -20,18 +20,22 @@ array-encoded bytecode:
   range is compact and to binary-search key/target arrays otherwise,
   with each arm's legitimacy verdict precomputed into the table.
 
-The assembler turns those arrays into **one generated Python frame per
-spec**: a ``while`` loop dispatching on the global block index through a
-binary jump-target tree, with an explicit call stack (so walk counters,
-the current command, and the current address stay in locals for the
-entire round) and a ``finally`` that reconciles them with the
-:class:`_WalkContext`.  Assembly is a deterministic function of the
-arrays and needs no spec object.  Lowering and assembly happen in the
-process that runs the checker, once per spec; nothing generated is
-ever read back from disk.
+The assembler turns those arrays into **one generated, spec-specialized
+Python frame per spec**, assembled at lowering by
+:func:`bytecode_spec_for`.  The frame is its own round driver: it takes
+a queue of ``(io_key, args)`` rounds — one for ``ESChecker.check_io``,
+many for ``ESChecker.check_batch`` — and for each builds the report,
+walks, decides the verdict, and commits or rolls back the shadow buffer,
+which it walks in place.  The walk is a ``while`` loop dispatching on
+the global block index through a binary jump-target tree, with an
+explicit call stack, so walk counters, the current command and the
+current address stay in locals for the entire round.  Assembly is a
+deterministic function of the arrays and needs no spec object.
+Lowering and assembly happen in the process that runs the checker, once
+per spec; nothing generated is ever read back from disk.
 
-Strategy toggles stay runtime-dynamic (read from the walk context at
-round entry), so one artifact serves every strategy configuration — the
+Mode, strategy toggles and degradation policy stay runtime-dynamic
+(read on every call), so one artifact serves every configuration — the
 ablation benches rely on that.
 
 Semantics replicate the reference walker bit-for-bit: every anomaly
@@ -49,7 +53,9 @@ from repro.errors import CheckerError, DeviceFault
 from repro.checker.anomalies import (
     Action, CheckReport, Strategy, decide_action,
 )
-from repro.checker.escheck import _WalkStop, _flag
+from repro.checker.escheck import (
+    CHECK_BLOCK_COST, CHECK_STMT_COST, _WalkStop, _flag,
+)
 from repro.interp.ops import _floordiv, _mod, binop_fn
 from repro.ir import (
     Assign, BinOp, Branch, BufLen, BufLoad, BufStore, Call, Const, Expr,
@@ -244,10 +250,17 @@ class _SpecLowerer:
             func = spec.functions[name]
             block = func.blocks[label]
             self.lower_block(func, block)
+        # io_key -> (entry pc, nparams, nlocals); keys whose handler
+        # training never ran are absent and take the unknown-key path.
+        plans = {}
+        for key, handler in spec.entry_handlers.items():
+            fid = self.fid.get(handler)
+            if fid is not None:
+                plans[key] = (self.entry_pc[fid], self.nparams[fid],
+                              self.nlocals[fid])
         return BytecodeSpec(
-            device=spec.device, fnames=self.fnames,
-            entry_pc=self.entry_pc, nparams=self.nparams,
-            nlocals=self.nlocals, code=tuple(self.code),
+            device=spec.device, entry_pc=self.entry_pc, nparams=self.nparams,
+            nlocals=self.nlocals, plans=plans, code=tuple(self.code),
             pool=tuple(self.pool))
 
     # -- blocks --------------------------------------------------------------
@@ -503,58 +516,23 @@ def _encode_switch(table: Dict[int, int],
 class BytecodeSpec:
     """One spec's flat bytecode arrays plus its assembled walk frame."""
 
-    __slots__ = ("device", "fnames", "entry_pc", "nparams", "nlocals",
-                 "code", "pool", "_walk", "_walk_batch", "_fid",
-                 "_entry")
+    __slots__ = ("device", "entry_pc", "nparams", "nlocals", "plans",
+                 "code", "pool", "walk")
 
-    def __init__(self, device: str, fnames: Tuple[str, ...],
+    def __init__(self, device: str,
                  entry_pc: Tuple[int, ...], nparams: Tuple[int, ...],
-                 nlocals: Tuple[int, ...], code: Tuple[int, ...],
-                 pool: Tuple[Any, ...]):
+                 nlocals: Tuple[int, ...],
+                 plans: Dict[str, Tuple[int, int, int]],
+                 code: Tuple[int, ...], pool: Tuple[Any, ...]):
         self.device = device
-        self.fnames = fnames
         self.entry_pc = entry_pc
         self.nparams = nparams
         self.nlocals = nlocals
+        self.plans = plans
         self.code = code
         self.pool = pool
-        self._walk: Optional[Callable] = None
-        self._walk_batch: Optional[Callable] = None
-        self._fid = {name: i for i, name in enumerate(fnames)}
-        self._entry = {name: (entry_pc[i], nparams[i], nlocals[i])
-                       for i, name in enumerate(fnames)}
-
-    def assemble(self) -> "BytecodeSpec":
-        """Self-contained: assembly reads only the arrays."""
-        self._walk = _assemble_spec(self)
-        return self
-
-    def batch_walk(self) -> Callable:
-        """The batched entry's generated frame, assembled on first use
-        (the per-round ``_walk`` is untouched — the batched frame is a
-        second, spec-specialized artifact)."""
-        wb = self._walk_batch
-        if wb is None:
-            wb = _assemble_spec(self, batched=True)
-            self._walk_batch = wb
-        return wb
-
-    def run(self, w, handler: str, args: Tuple[int, ...]) -> Optional[int]:
-        """One I/O round's walk; counters flush even on early stops."""
-        try:
-            pc0, np, nl = self._entry[handler]
-            if len(args) == np:
-                par = args if type(args) is tuple else tuple(args)
-            else:
-                par = (tuple(args) + (_MISS,) * np)[:np]
-            return self._walk(w, pc0, par, [_UNDEF] * nl)
-        finally:
-            report = w.report
-            report.blocks_walked += w.blocks
-            report.dsod_stmts_executed += w.dsod
-            report.param_checks += w.pchecks
-            report.indirect_checks += w.ichecks
-            report.conditional_checks += w.cchecks
+        # Self-contained: assembly reads only the arrays above.
+        self.walk: Callable = _assemble_spec(self)
 
 
 # ---------------------------------------------------------------------------
@@ -575,20 +553,27 @@ class _Asm:
         return f"_t{self._temp}"
 
 
-def _state_load_expr(off: int, end: int, signed: int, bits: int,
-                     direct: bool = False) -> str:
-    if direct and end - off == 1:
-        # Specialized form: a one-byte field is a plain bytearray index —
-        # no slice object, no int.from_bytes call.
-        raw = f"_sdata[{off}]"
-    elif direct and end - off == 2:
-        # Two index ops beat the slice allocation + from_bytes call;
-        # wider fields use the fixed-width codecs below.
-        raw = f"(_sdata[{off}] | _sdata[{off + 1}] << 8)"
-    elif direct and end - off in (4, 8):
-        raw = f"_u{end - off}(_sdata, {off})[0]"
-    else:
-        raw = f'_ifb(_sdata[{off}:{end}], "little")'
+def _load_raw(off: str, size: int) -> str:
+    """Read *size* little-endian bytes at *off* off the shadow buffer:
+    one-byte fields are a plain bytearray index, two-byte ones two
+    index ops (cheaper than a slice plus ``int.from_bytes``), wider
+    ones the fixed-width codecs.  Layout widths are 1, 2, 4 or 8."""
+    if size == 1:
+        return f"_sdata[{off}]"
+    if size == 2:
+        return f"(_sdata[{off}] | _sdata[{off} + 1] << 8)"
+    return f"_u{size}(_sdata, {off})[0]"
+
+
+def _store_stmt(off: str, size: int, value: str) -> str:
+    """The store twin of :func:`_load_raw` (*value* already masked)."""
+    if size == 1:
+        return f"_sdata[{off}] = {value}"
+    return f"_p{size}(_sdata, {off}, {value})"
+
+
+def _state_load_expr(off: int, end: int, signed: int, bits: int) -> str:
+    raw = _load_raw(str(off), end - off)
     if signed:
         half, mod = 1 << (bits - 1), 1 << bits
         return f"((({raw} + {half}) % {mod}) - {half})"
@@ -596,16 +581,16 @@ def _state_load_expr(off: int, end: int, signed: int, bits: int,
 
 
 def _base_consts(bspec: "BytecodeSpec") -> Dict[str, Any]:
-    """What every generated frame's namespace starts from: helpers,
-    sentinels, and the function tables derived from the bytecode
-    arrays."""
+    """What the generated frame's namespace starts from: helpers,
+    sentinels, and the tables derived from the bytecode arrays."""
     from bisect import bisect_left
+    from functools import partial
 
     def _die(msg: str) -> int:
         raise CheckerError(msg)
 
     return {
-        "_ifb": int.from_bytes, "_fdiv": _floordiv, "_fmod": _mod,
+        "_fdiv": _floordiv, "_fmod": _mod,
         "_flag": _flag, "_WalkStop": _WalkStop,
         "CheckerError": CheckerError,
         "_SP": Strategy.PARAMETER, "_SI": Strategy.INDIRECT_JUMP,
@@ -614,14 +599,14 @@ def _base_consts(bspec: "BytecodeSpec") -> Dict[str, Any]:
         "_FENT": bspec.entry_pc, "_FNP": bspec.nparams,
         "_FNL": bspec.nlocals,
         "_MISSPAD": (_MISS,) * (max(bspec.nparams, default=0) + 1),
+        "_plans_get": bspec.plans.get,
         "_bisect": bisect_left, "_die": _die,
-        # Batched-driver helpers (unused by the per-round frame).
         "_CR": CheckReport, "_decide": decide_action,
-        "_ALLOW": Action.ALLOW, "_bytes": bytes,
-        # Fixed-width accessors for the specialized source: no slice
-        # allocation, no int.to_bytes object per store.
-        "_u2": _S2.unpack_from, "_u4": _S4.unpack_from,
-        "_u8": _S8.unpack_from,
+        "_ALLOW": Action.ALLOW, "_bytes": bytes, "_partial": partial,
+        "_CBC": CHECK_BLOCK_COST, "_CSC": CHECK_STMT_COST,
+        # Fixed-width accessors: no slice allocation, no int.to_bytes
+        # object per store.
+        "_u4": _S4.unpack_from, "_u8": _S8.unpack_from,
         "_p2": _S2.pack_into, "_p4": _S4.pack_into,
         "_p8": _S8.pack_into,
     }
@@ -630,25 +615,25 @@ def _base_consts(bspec: "BytecodeSpec") -> Dict[str, Any]:
 _INT_LITERAL = __import__("re").compile(r"-?\d+")
 
 
-def _assemble_spec(bspec: BytecodeSpec, batched: bool = False) -> Callable:
-    """Assemble the arrays into a generated Python frame.
+def _assemble_spec(bspec: BytecodeSpec) -> Callable:
+    """Assemble the arrays into the spec's one generated walk frame.
 
-    ``batched=False`` produces the per-round ``_walk`` entry, unchanged.
-    ``batched=True`` produces the cross-round ``_walk_batch`` entry with
-    a **spec-specialized** dispatch source: the trained access tables
-    and parameter bounds are constant-folded into the emitted code at
-    assembly time (single-byte field accesses become direct bytearray
-    indexing, bound checks on in-range constant stores reduce to their
-    counter increment, anomaly addresses become literals, and command
-    gates that a ``command_end`` prologue makes unreachable are
-    elided), and the frame loops over the batch's rounds internally so
-    the prologue — strategy toggles, shadow buffer, oracle, watchdog
-    budget — is set up once per batch instead of once per round.
+    The source is **spec-specialized**: the trained access tables and
+    parameter bounds are constant-folded into the emitted code (field
+    accesses index the shadow buffer directly, bound checks on
+    in-range constant stores reduce to their counter increment,
+    anomaly addresses become literals, and command gates that a
+    ``command_end`` prologue makes unreachable are elided).  The frame
+    is its own round driver: it loops over a queue of rounds — one for
+    ``check_io``, many for ``check_batch`` — and for each builds the
+    report, walks, decides the verdict, and commits or rolls back the
+    shadow buffer, which it walks in place.  The prologue (strategy
+    toggles, shadow buffer, entry snapshot) runs once per call.
     """
     code, pool = bspec.code, bspec.pool
     consts: Dict[str, Any] = _base_consts(bspec)
     const_n = 0
-    cur_addr: Optional[int] = None   # current block address (batched)
+    cur_addr: Optional[int] = None   # current block address
 
     def bind(value: Any, prefix: str = "_K") -> str:
         nonlocal const_n
@@ -691,6 +676,27 @@ def _assemble_spec(bspec: BytecodeSpec, batched: bool = False) -> Callable:
                   f"{addr_expr})")
             asm.w("raise _WalkStop(not _r)")
 
+    def emit_checked_index(i: str, length: int, msg: str,
+                           addr_expr: str) -> None:
+        asm.w("if _pon:")
+        asm.indent += 1
+        asm.w("_pch += 1")
+        asm.w(f"if not 0 <= {i} < {length}:")
+        asm.indent += 1
+        emit_flag_raise("_SP", "buffer-overflow", f"{msg!r} % {i}",
+                        addr_expr, plain=True)
+        asm.indent -= 2
+
+    def emit_element_offset(i: str, base: int, esize: int,
+                            struct_size: int) -> str:
+        o = asm.temp()
+        asm.w(f"{o} = {base} + {i} * {esize}")
+        asm.w(f"if {o} < 0 or {o} + {esize} > {struct_size}:")
+        asm.indent += 1
+        asm.w("raise _WalkStop(True)")
+        asm.indent -= 1
+        return o
+
     blocks: List[List[str]] = []
     pc = 0
     n = len(code)
@@ -710,12 +716,9 @@ def _assemble_spec(bspec: BytecodeSpec, batched: bool = False) -> Callable:
             asm.w("raise _WalkStop()")
             asm.indent -= 1
             if is_cmd_end:
+                # The prologue clears _cmd, so the gate can never fire.
                 asm.w("_cmd = None")
-            if gated and batched and is_cmd_end:
-                # The command_end prologue just cleared _cmd, so the
-                # gate below it can never fire: fold it away.
-                gated = 0
-            if gated:
+            elif gated:
                 gref = bind(gate, "_G")
                 asm.w("if _cmd is not None:")
                 asm.indent += 1
@@ -730,8 +733,7 @@ def _assemble_spec(bspec: BytecodeSpec, batched: bool = False) -> Callable:
             asm.lines = []
             blocks.append(asm.lines)
             # A stub flags at the *predecessor's* address (the block the
-            # untrained transition left from), so _addr must stay
-            # dynamic here even in the specialized source.
+            # untrained transition left from), so _addr stays dynamic.
             cur_addr = None
             emit_flag_raise("_SC", "unobserved-path",
                             repr(pool[code[pc + 1]]), "_addr")
@@ -768,9 +770,7 @@ def _assemble_spec(bspec: BytecodeSpec, batched: bool = False) -> Callable:
             push(t)
             pc += 3
         elif op == C_STATE:
-            off, end, signed, bits = pool[code[pc + 1]]
-            push(_state_load_expr(off, end, signed, bits,
-                                  direct=batched))
+            push(_state_load_expr(*pool[code[pc + 1]]))
             pc += 2
         elif op == C_STATEF:
             spill_pending()
@@ -787,32 +787,13 @@ def _assemble_spec(bspec: BytecodeSpec, batched: bool = False) -> Callable:
             index = pop()
             spill_pending()
             i = force_temp(index)
-            load_addr = ("_addr" if not batched or cur_addr is None
-                         else str(cur_addr))
             if checked:
-                asm.w("if _pon:")
-                asm.indent += 1
-                asm.w("_pch += 1")
-                asm.w(f"if not 0 <= {i} < {length}:")
-                asm.indent += 1
-                emit_flag_raise("_SP", "buffer-overflow",
-                                f"{msg!r} % {i}", load_addr, plain=True)
-                asm.indent -= 2
-            o = asm.temp()
-            asm.w(f"{o} = {base} + {i} * {esize}")
-            asm.w(f"if {o} < 0 or {o} + {esize} > {struct_size}:")
-            asm.indent += 1
-            asm.w("raise _WalkStop(True)")
-            asm.indent -= 1
+                emit_checked_index(i, length, msg,
+                                   "_addr" if cur_addr is None
+                                   else str(cur_addr))
+            o = emit_element_offset(i, base, esize, struct_size)
             t = asm.temp()
-            if batched and esize == 1:
-                raw = f"_sdata[{o}]"
-            elif batched and esize == 2:
-                raw = f"(_sdata[{o}] | _sdata[{o} + 1] << 8)"
-            elif batched and esize in (4, 8):
-                raw = f"_u{esize}(_sdata, {o})[0]"
-            else:
-                raw = f'_ifb(_sdata[{o}:{o} + {esize}], "little")'
+            raw = _load_raw(o, esize)
             if signed:
                 half, mod = 1 << (bits - 1), 1 << bits
                 asm.w(f"{t} = ((({raw} + {half}) % {mod}) - {half})")
@@ -860,13 +841,16 @@ def _assemble_spec(bspec: BytecodeSpec, batched: bool = False) -> Callable:
             (field, lo, hi, off, end, size, mask, msg,
              address) = pool[code[pc + 1]]
             raw_v = pop()
-            folded = (batched and _INT_LITERAL.fullmatch(raw_v)
-                      and lo <= int(raw_v) <= hi)
-            if folded:
+            if _INT_LITERAL.fullmatch(raw_v) and lo <= int(raw_v) <= hi:
                 # Constant store inside its declared bounds: the check
                 # can never fire, only its counter survives.
-                v = raw_v
                 asm.w("if _pon: _pch += 1")
+                value = int(raw_v) & mask
+                if size == 1:
+                    asm.w(f"_sdata[{off}] = {value}")
+                else:
+                    blob = value.to_bytes(size, "little")
+                    asm.w(f"_sdata[{off}:{end}] = {blob!r}")
             else:
                 v = force_temp(raw_v)
                 asm.w("if _pon:")
@@ -878,19 +862,7 @@ def _assemble_spec(bspec: BytecodeSpec, batched: bool = False) -> Callable:
                                 f"{msg!r} % {v}", str(address),
                                 plain=True)
                 asm.indent -= 2
-            if batched and folded:
-                if size == 1:
-                    asm.w(f"_sdata[{off}] = {int(v) & mask}")
-                else:
-                    blob = (int(v) & mask).to_bytes(size, "little")
-                    asm.w(f"_sdata[{off}:{end}] = {blob!r}")
-            elif batched and size == 1:
-                asm.w(f"_sdata[{off}] = {v} & {mask}")
-            elif batched and size in (2, 4, 8):
-                asm.w(f"_p{size}(_sdata, {off}, {v} & {mask})")
-            else:
-                asm.w(f"_sdata[{off}:{end}] = ({v} & {mask})"
-                      f'.to_bytes({size}, "little")')
+                asm.w(_store_stmt(str(off), size, f"{v} & {mask}"))
             pc += 2
         elif op == D_STOREM:
             field = pool[code[pc + 1]]
@@ -911,28 +883,9 @@ def _assemble_spec(bspec: BytecodeSpec, batched: bool = False) -> Callable:
             i = force_temp(index)
             v = force_temp(value)
             if checked:
-                asm.w("if _pon:")
-                asm.indent += 1
-                asm.w("_pch += 1")
-                asm.w(f"if not 0 <= {i} < {length}:")
-                asm.indent += 1
-                emit_flag_raise("_SP", "buffer-overflow",
-                                f"{msg!r} % {i}", str(address),
-                                plain=True)
-                asm.indent -= 2
-            o = asm.temp()
-            asm.w(f"{o} = {base} + {i} * {esize}")
-            asm.w(f"if {o} < 0 or {o} + {esize} > {struct_size}:")
-            asm.indent += 1
-            asm.w("raise _WalkStop(True)")
-            asm.indent -= 1
-            if batched and esize == 1:
-                asm.w(f"_sdata[{o}] = {v} & {emask}")
-            elif batched and esize in (2, 4, 8):
-                asm.w(f"_p{esize}(_sdata, {o}, {v} & {emask})")
-            else:
-                asm.w(f"_sdata[{o}:{o} + {esize}] = ({v} & {emask})"
-                      f'.to_bytes({esize}, "little")')
+                emit_checked_index(i, length, msg, str(address))
+            o = emit_element_offset(i, base, esize, struct_size)
+            asm.w(_store_stmt(o, esize, f"{v} & {emask}"))
             pc += 2
         elif op == D_SETCMD:
             known, msg, address = pool[code[pc + 1]]
@@ -952,18 +905,7 @@ def _assemble_spec(bspec: BytecodeSpec, batched: bool = False) -> Callable:
             t_pc, nt_pc = code[pc + 2], code[pc + 3]
             cond = pop()
             if one_sided < 0:
-                if batched:
-                    # Split arms so each gets a static `_pc = K` tail:
-                    # the tail inliner and the self-loop wrapper can
-                    # then collapse trained loop back-edges.
-                    asm.w(f"if {cond}:")
-                    asm.indent += 1
-                    asm.w(f"_pc = {t_pc}")
-                    asm.w("continue")
-                    asm.indent -= 1
-                    asm.w(f"_pc = {nt_pc}")
-                else:
-                    asm.w(f"_pc = {t_pc} if {cond} else {nt_pc}")
+                asm.w(f"_pc = {t_pc} if {cond} else {nt_pc}")
             else:
                 c = force_temp(cond)
                 asm.w("if _con: _cch += 1")
@@ -1076,32 +1018,19 @@ def _assemble_spec(bspec: BytecodeSpec, batched: bool = False) -> Callable:
             pc += 2
         elif op == N_RET0:
             asm.w("if not _stack:")
-            asm.indent += 1
-            if batched:
-                asm.w("_rv = 0")
-                asm.w("break")
-            else:
-                asm.w("return 0")
-            asm.indent -= 1
+            asm.w("    break")
             asm.w("_env, _par, _pc, _d = _stack.pop()")
             asm.w("if _d >= 0:")
-            asm.indent += 1
-            asm.w("_env[_d] = 0")
-            asm.indent -= 1
+            asm.w("    _env[_d] = 0")
             asm.w("continue")
             pc += 1
         elif op == N_RETV:
-            v = pop()
-            asm.w(f"_rv = {v}")
+            asm.w(f"_rv = {pop()}")
             asm.w("if not _stack:")
-            asm.indent += 1
-            asm.w("break" if batched else "return _rv")
-            asm.indent -= 1
+            asm.w("    break")
             asm.w("_env, _par, _pc, _d = _stack.pop()")
             asm.w("if _d >= 0:")
-            asm.indent += 1
-            asm.w("_env[_d] = _rv")
-            asm.indent -= 1
+            asm.w("    _env[_d] = _rv")
             asm.w("continue")
             pc += 1
         elif op == N_NONBTD:
@@ -1113,143 +1042,85 @@ def _assemble_spec(bspec: BytecodeSpec, batched: bool = False) -> Callable:
     if stack:
         raise CheckerError("unbalanced expression stack lowering spec")
 
-    # The batched frame is built once per spec generation and amortized
-    # over every round of every batch, so it can afford a much larger
-    # inlining budget: fewer dispatch-tree descents per walk.
-    _inline_goto_tails(blocks,
-                       _INLINE_BUDGET_BATCH if batched else _INLINE_BUDGET)
-    if batched:
-        _wrap_self_loops(blocks)
+    _inline_goto_tails(blocks)
+    _wrap_self_loops(blocks)
 
     out = _Asm()
-    if batched:
-        # The generated frame IS the batch driver: plan lookup, report
-        # construction, walk, verdict, commit/rollback and bookkeeping
-        # all run as locals of one frame — the per-round Python driver
-        # that dominates small-round overhead disappears entirely.
-        out.w("def _walk_batch(w, _rounds, _ctx):")
-        out.indent += 1
-        # One prologue for the batch, not per round.
-        out.w("_pon = w.param_on; _ion = w.ijump_on; _con = w.cond_on")
-        out.w("_maxb = w.checker.max_walk_blocks")
-        out.w("_sdata = w.state.memory.data")
-        out.w("_res = w.oracle.resolve")
-        out.w("(_plans, _policy, _mode, _unknown, _make_src,")
-        out.w(" _reports_append, _tel, _clk,")
-        out.w(" _cbc, _csc) = _ctx")
-        out.w("_plans_get = _plans.get")
-        out.w("_committed = _bytes(_sdata)")
-        out.w("_cyc = 0")
-        out.w("_t0 = 0.0")
-        out.w("for _iokey, _args in _rounds:")
-        out.indent += 1
-        out.w("_plan = _plans_get(_iokey)")
-        out.w("if _plan is None:")
-        out.indent += 1
-        out.w("_unknown(_iokey)")
-        out.w("continue")
-        out.indent -= 1
-        out.w("_pc, _np, _nl = _plan")
-        out.w("if len(_args) == _np:")
-        out.indent += 1
-        out.w("_par = _args if type(_args) is tuple else tuple(_args)")
-        out.indent -= 1
-        out.w("else:")
-        out.indent += 1
-        out.w("_par = (tuple(_args) + _MISSPAD)[:_np]")
-        out.indent -= 1
-        out.w("_report = _CR(io_key=_iokey)")
-        out.w("_report.policy = _policy")
-        out.w("w.report = _report")
-        out.w("if _tel is not None:")
-        out.indent += 1
-        out.w("_t0 = _clk()")
-        out.indent -= 1
-        out.w("_env = [_UNDEF] * _nl")
-        out.w("_blk = 0; _dsd = 0; _pch = 0; _ich = 0; _cch = 0")
-        out.w("_cmd = None; _addr = 0")
-        out.w("_stack = []")
-        out.w("_rv = None; _err = None")
-        out.w("try:")
-        out.indent += 1
-        out.w("while True:")
-        out.indent += 1
-        _emit_dispatch(out, blocks, 0, len(blocks))
-        out.indent -= 2
-        out.w("except _WalkStop as _e:")
-        out.indent += 1
-        out.w("_err = _e")
-        out.indent -= 1
-        out.w("except CheckerError as _e:")
-        out.indent += 1
-        out.w("_err = _e")
-        out.indent -= 1
-        out.w("_report.blocks_walked = _blk")
-        out.w("_report.dsod_stmts_executed = _dsd")
-        out.w("_report.param_checks = _pch")
-        out.w("_report.indirect_checks = _ich")
-        out.w("_report.conditional_checks = _cch")
-        out.w("if _err is not None:")
-        out.indent += 1
-        out.w("if _err.__class__ is _WalkStop:")
-        out.indent += 1
-        out.w("_report.incomplete = _err.incomplete")
-        out.indent -= 1
-        out.w("else:")
-        out.indent += 1
-        out.w('_flag(w, _SC, "sync-failure", str(_err), _addr)')
-        out.indent -= 2
-        out.w("_anoms = _report.anomalies")
-        out.w("_act = _ALLOW if not _anoms else _decide(_anoms, _mode)")
-        out.w("_report.action = _act")
-        out.w("_cyc += int(_blk * _cbc + _dsd * _csc)")
-        out.w("if _act is _ALLOW and not _report.incomplete:")
-        out.indent += 1
-        out.w("_committed = _bytes(_sdata)")
-        out.indent -= 1
-        out.w("else:")
-        out.indent += 1
-        out.w("_sdata[:] = _committed")
-        out.indent -= 1
-        out.w("_report.bind_final_state(_make_src(_committed))")
-        out.w("_reports_append(_report)")
-        out.w("if _tel is not None:")
-        out.indent += 1
-        out.w("_tel.record_round(_report, _clk() - _t0)")
-        out.indent -= 2
-        out.w("return _cyc")
-        out.indent -= 1
-        fname = "_walk_batch"
-        tag = f"<es-bytecode-batch:{bspec.device}>"
-    else:
-        out.w("def _walk(w, _pc, _par, _env):")
-        out.indent += 1
-        out.w("_blk = 0; _dsd = 0; _pch = 0; _ich = 0; _cch = 0")
-        out.w("_cmd = None; _addr = 0")
-        out.w("_pon = w.param_on; _ion = w.ijump_on; _con = w.cond_on")
-        out.w("_maxb = w.checker.max_walk_blocks")
-        out.w("_sdata = w.state.memory.data")
-        out.w("_res = w.oracle.resolve")
-        out.w("_stack = []")
-        out.w("try:")
-        out.indent += 1
-        out.w("while True:")
-        out.indent += 1
-        _emit_dispatch(out, blocks, 0, len(blocks))
-        out.indent -= 2
-        out.w("finally:")
-        out.indent += 1
-        out.w("w.blocks = _blk; w.dsod = _dsd; w.pchecks = _pch")
-        out.w("w.ichecks = _ich; w.cchecks = _cch")
-        out.w("w.current_address = _addr; w.current_cmd = _cmd")
-        out.indent -= 2
-        fname = "_walk"
-        tag = f"<es-bytecode:{bspec.device}>"
+    out.w("def _walk(w, _rounds, _reports_append, _res, _mode, _policy,")
+    out.w("          _maxb, _tel, _clk):")
+    out.indent += 1
+    out.w("_pon = w.param_on; _ion = w.ijump_on; _con = w.cond_on")
+    out.w("_sdata = w.state.memory.data")
+    out.w("_final = w.final_state")
+    # A round that does not commit rolls the buffer back to the last
+    # committed snapshot; anything escaping the frame (an oracle or
+    # device fault, an interrupt) rolls it back to the entry snapshot.
+    out.w("_committed = _entry = _bytes(_sdata)")
+    out.w("_cyc = 0")
+    out.w("try:")
+    out.indent += 1
+    out.w("for _iokey, _args in _rounds:")
+    out.indent += 1
+    out.w("if _tel is not None:")
+    out.w("    _t0 = _clk()")
+    out.w("_plan = _plans_get(_iokey)")
+    out.w("if _plan is None:")
+    out.w("    _report = w.unknown_key(_iokey, _policy, _mode)")
+    out.w("else:")
+    out.indent += 1
+    out.w("_pc, _np, _nl = _plan")
+    out.w("if len(_args) == _np:")
+    out.w("    _par = _args if type(_args) is tuple else tuple(_args)")
+    out.w("else:")
+    out.w("    _par = (tuple(_args) + _MISSPAD)[:_np]")
+    out.w("_report = _CR(io_key=_iokey)")
+    out.w("_report.policy = _policy")
+    out.w("w.report = _report")
+    out.w("_env = [_UNDEF] * _nl")
+    out.w("_blk = 0; _dsd = 0; _pch = 0; _ich = 0; _cch = 0")
+    out.w("_cmd = None; _addr = 0")
+    out.w("_stack = []")
+    out.w("try:")
+    out.indent += 1
+    out.w("while True:")
+    out.indent += 1
+    _emit_dispatch(out, blocks, 0, len(blocks))
+    out.indent -= 2
+    # Handled inside the clauses: an exception kept in a local would
+    # tie itself, its traceback and this frame into a garbage cycle.
+    out.w("except _WalkStop as _e:")
+    out.w("    _report.incomplete = _e.incomplete")
+    out.w("except CheckerError as _e:")
+    out.w('    _flag(w, _SC, "sync-failure", str(_e), _addr)')
+    out.w("_report.blocks_walked = _blk")
+    out.w("_report.dsod_stmts_executed = _dsd")
+    out.w("_report.param_checks = _pch")
+    out.w("_report.indirect_checks = _ich")
+    out.w("_report.conditional_checks = _cch")
+    out.w("_anoms = _report.anomalies")
+    out.w("_act = _ALLOW if not _anoms else _decide(_anoms, _mode)")
+    out.w("_report.action = _act")
+    out.w("_cyc += int(_blk * _CBC + _dsd * _CSC)")
+    out.w("if _act is _ALLOW and not _report.incomplete:")
+    out.w("    _committed = _bytes(_sdata)")
+    out.w("else:")
+    out.w("    _sdata[:] = _committed")
+    out.w("_report.bind_final_state(_partial(_final, _committed))")
+    out.indent -= 1
+    out.w("_reports_append(_report)")
+    out.w("if _tel is not None:")
+    out.w("    _tel.record_round(_report, _clk() - _t0)")
+    out.indent -= 2
+    out.w("except BaseException:")
+    out.w("    _sdata[:] = _entry")
+    out.w("    raise")
+    out.w("return _cyc")
 
     source = "\n".join(out.lines) + "\n"
     namespace: Dict[str, Any] = dict(consts)
-    exec(compile(source, tag, "exec"), namespace)
-    walk = namespace[fname]
+    exec(compile(source, f"<es-bytecode:{bspec.device}>", "exec"),
+         namespace)
+    walk = namespace["_walk"]
     walk._bytecode_source = source
     return walk
 
@@ -1259,15 +1130,10 @@ _GOTO_TAIL = __import__("re").compile(r"^_pc = (\d+)$")
 #: Cap on a block's line count after tail inlining.  Keeps the source
 #: (and CPython compile time) linear in the spec while still collapsing
 #: the straight-line Goto / one-sided-branch chains that dominate walks.
-_INLINE_BUDGET = 400
-
-#: The batched frame trades source size for dispatch savings; its cost
-#: is paid once per spec generation (and cached in the registry).
-_INLINE_BUDGET_BATCH = 1600
+_INLINE_BUDGET = 1600
 
 
-def _inline_goto_tails(blocks: List[List[str]],
-                       budget: int = _INLINE_BUDGET) -> None:
+def _inline_goto_tails(blocks: List[List[str]]) -> None:
     """Splice statically-known successors into their predecessors.
 
     A block ending in ``_pc = K`` / ``continue`` (a ``Goto`` or the
@@ -1282,7 +1148,7 @@ def _inline_goto_tails(blocks: List[List[str]],
     for i, lines in enumerate(blocks):
         visited = {i}
         while (len(lines) >= 2 and lines[-1] == "continue"
-               and len(lines) < budget):
+               and len(lines) < _INLINE_BUDGET):
             match = _GOTO_TAIL.match(lines[-2])
             if match is None:
                 break
@@ -1293,31 +1159,55 @@ def _inline_goto_tails(blocks: List[List[str]],
             lines[-2:] = list(blocks[target])
 
 
+_TWO_SIDED = __import__("re").compile(r"^_pc = (\d+) if (.*) else (\d+)$")
+
+
 def _wrap_self_loops(blocks: List[List[str]]) -> None:
     """Turn dispatch-level self-loops into native Python loops.
 
     After tail inlining, a trained loop collapses into one block whose
-    tail is ``_pc = <itself>`` / ``continue`` — and every iteration
-    still pays a full dispatch-tree descent to get back to it.  In the
-    batched frame (only), such a block is wrapped in its own
-    ``while True:``: the back-edge becomes a plain ``continue`` and the
-    loop body re-executes without touching the dispatch tree at all.
+    tail jumps back to the block itself — and every iteration still
+    pays a full dispatch-tree descent to get back to it.  Such a block
+    is wrapped in its own ``while True:``: the back-edge becomes a
+    plain ``continue`` and the loop body re-executes without touching
+    the dispatch tree at all.
+
+    The back-edge is the block's tail (the only place a static or
+    two-sided transfer sits once tails are inlined): either
+    ``_pc = <itself>`` / ``continue``, or a two-sided branch with one
+    arm back to the block (a loop latch that inlining pulled the loop
+    header into), which is split into ``if c:`` / ``_pc = <itself>`` /
+    ``continue`` plus ``_pc = K``.  Only such self-edges are split:
+    splitting every two-sided branch would let tail inlining copy each
+    fall-through arm, growing the source (and its compile time) for no
+    loop gained.
 
     Inside the wrapped body, control statements are re-targeted:
 
     * ``continue`` (a dispatch jump to another block) → ``break`` out
       of the inner loop, then the trailing ``continue`` re-enters the
       dispatch with ``_pc`` already set;
-    * ``break`` (a batched round-exit) → ``_pc = -1`` + ``break``; the
+    * ``break`` (a round exit) → ``_pc = -1`` + ``break``; the
       trailing ``if _pc == -1: break`` propagates the round exit.
 
     Observables (counters, flags, shadow stores, anomaly addresses) are
     byte-for-byte those of the dispatch-driven execution.
     """
     for i, lines in enumerate(blocks):
-        target = f"_pc = {i}"
-        if not any(a.strip() == target and b.strip() == "continue"
-                   for a, b in zip(lines, lines[1:])):
+        if len(lines) < 2:
+            continue
+        tail = lines[-2]
+        match = _TWO_SIDED.match(tail)
+        if match is not None and str(i) in match.group(1, 3):
+            taken, cond, not_taken = match.groups()
+            if int(taken) == i:
+                test, other = cond, not_taken
+            else:
+                test, other = f"not {cond}", taken
+            lines = lines[:-2] + [f"if {test}:", f"    _pc = {i}",
+                                  "    continue", f"_pc = {other}",
+                                  "continue"]
+        elif tail != f"_pc = {i}":
             continue
         body: List[str] = []
         for line in lines:
@@ -1375,16 +1265,11 @@ def _emit_dispatch(out: _Asm, blocks: List[List[str]],
 # Entry points
 # ---------------------------------------------------------------------------
 
-def lower_spec(spec: ExecutionSpec) -> BytecodeSpec:
-    """Lower the whole spec to flat arrays (unassembled)."""
-    return _SpecLowerer(spec).lower()
-
-
 def bytecode_spec_for(spec: ExecutionSpec) -> BytecodeSpec:
     """Lower + assemble once per spec object, shared by every checker
     deployed on it."""
     cached = getattr(spec, "_bytecode_backend", None)
     if cached is None:
-        cached = lower_spec(spec).assemble()
+        cached = _SpecLowerer(spec).lower()
         spec._bytecode_backend = cached
     return cached

@@ -49,6 +49,9 @@ CHECK_BLOCK_COST = 0.5
 CHECK_STMT_COST = 0.5
 
 
+_NULL_ORACLE = NullSyncOracle()
+
+
 class _WalkStop(Exception):
     """Internal: the walk cannot or need not continue."""
 
@@ -57,33 +60,49 @@ class _WalkStop(Exception):
 
 
 class _WalkContext:
-    """Per-round mutable state the bytecode backend's generated walk
-    frames read and reconcile (the reference walker keeps its own)."""
+    """What a checker's generated walk frame reads besides its call
+    arguments: the shadow state it walks in place, the enabled
+    strategies with their toggles, and the report of the round in
+    flight.  One per bytecode checker, reused by every call (the
+    reference walker keeps its own per-round state)."""
 
-    __slots__ = ("checker", "report", "state", "oracle", "strategies",
-                 "param_on", "ijump_on", "cond_on", "current_address",
-                 "current_cmd", "blocks", "dsod", "pchecks", "ichecks",
-                 "cchecks")
+    __slots__ = ("report", "state", "strategies", "param_on", "ijump_on",
+                 "cond_on", "_view")
 
-    def __init__(self, checker, report, state, oracle):
-        self.checker = checker
-        self.report = report
+    def __init__(self, state, strategies: FrozenSet[Strategy]):
+        self.report: Optional[CheckReport] = None
         self.state = state
-        self.oracle = oracle
-        self.strategies = checker.strategies
-        self.param_on = Strategy.PARAMETER in checker.strategies
-        self.ijump_on = Strategy.INDIRECT_JUMP in checker.strategies
-        self.cond_on = Strategy.CONDITIONAL_JUMP in checker.strategies
-        self.current_address = 0
-        self.current_cmd: Optional[int] = None
-        self.blocks = 0
-        self.dsod = 0
-        # Check-site executions per enabled strategy; flushed into the
-        # report with the walk counters (mirrors the reference walker's
-        # direct report increments).
-        self.pchecks = 0
-        self.ichecks = 0
-        self.cchecks = 0
+        self._view = None
+        self.set_strategies(strategies)
+
+    def set_strategies(self, strategies: FrozenSet[Strategy]) -> None:
+        self.strategies = strategies
+        self.param_on = Strategy.PARAMETER in strategies
+        self.ijump_on = Strategy.INDIRECT_JUMP in strategies
+        self.cond_on = Strategy.CONDITIONAL_JUMP in strategies
+
+    def unknown_key(self, io_key: str, policy: str,
+                    mode: Mode) -> CheckReport:
+        """The report of a round on an I/O key training never used:
+        nothing walks, the shadow state is untouched and the final
+        state stays unbound (mirrors ``ESChecker._check_io``)."""
+        report = CheckReport(io_key=io_key)
+        report.policy = policy
+        self.report = report
+        _flag(self, Strategy.CONDITIONAL_JUMP, "unknown-io-key",
+              f"I/O interface {io_key!r} never used in training", 0)
+        report.action = decide_action(report.anomalies, mode)
+        return report
+
+    def final_state(self, snapshot: bytes) -> Dict[str, int]:
+        """A report's lazy final state: *snapshot*, the shadow buffer
+        the round committed or kept, dumped through one view clone per
+        checker (reports never share the live buffer)."""
+        view = self._view
+        if view is None:
+            view = self._view = self.state.clone()
+        view.memory.data[:] = snapshot
+        return view.dump()
 
 
 def _flag(w: _WalkContext, strategy: Strategy, kind: str, message: str,
@@ -123,13 +142,13 @@ class ESChecker:
         self.strategies = frozenset(strategies)
         self.max_walk_blocks = max_walk_blocks
         self.backend = backend
+        self.device_state = spec.make_device_state()
         if backend == "bytecode":
             from repro.checker.bytecode import bytecode_spec_for
             self._bytecode = bytecode_spec_for(spec)
+            self._walk_ctx = _WalkContext(self.device_state, self.strategies)
         else:
             self._bytecode = None
-        self.device_state = spec.make_device_state()
-        self._batch_plans: Optional[Dict[str, Tuple[int, int, int]]] = None
         self.cycles = 0
         # Telemetry is opt-in per checker: no recorder, no cost beyond
         # one None test per round (see repro.telemetry.recorder).
@@ -180,6 +199,9 @@ class ESChecker:
     def check_io(self, io_key: str, args: Tuple[int, ...] = (),
                  oracle: Optional[SyncOracle] = None) -> CheckReport:
         """Simulate one I/O round over the ES-CFG and report anomalies."""
+        if self._bytecode is not None:
+            # A batch of one; the frame records the round's telemetry.
+            return self._run_frame(((io_key, args),), oracle)[0]
         telemetry = self._telemetry
         if telemetry is None:
             return self._check_io(io_key, args, oracle)
@@ -191,6 +213,7 @@ class ESChecker:
 
     def _check_io(self, io_key: str, args: Tuple[int, ...],
                   oracle: Optional[SyncOracle]) -> CheckReport:
+        """One round on the reference walker."""
         report = CheckReport(io_key=io_key)
         report.policy = self.degradation.policy.value
         oracle = oracle or NullSyncOracle()
@@ -205,16 +228,9 @@ class ESChecker:
 
         # Walk on a scratch copy: only a clean round updates the state.
         scratch = self.device_state.clone()
-        if self._bytecode is not None:
-            walker = _WalkContext(self, report, scratch, oracle)
-            run = lambda: self._bytecode.run(         # noqa: E731
-                walker, handler, args)
-        else:
-            walker = _Walker(self, report, scratch, oracle)
-            run = lambda: walker.run(                 # noqa: E731
-                self.spec.entry_for(io_key), args)
+        walker = _Walker(self, report, scratch, oracle)
         try:
-            run()
+            walker.run(self.spec.entry_for(io_key), args)
         except _WalkStop as stop:
             report.incomplete = stop.incomplete
         except CheckerError as exc:
@@ -247,91 +263,38 @@ class ESChecker:
         anomalies, counters, actions, committed shadow state, and
         per-round final states.
 
-        On the bytecode backend all rounds share one generated frame
-        entry: the strategy toggles, shadow buffer, sync oracle and
-        the spec-specialized dispatch tables are set up once per
-        batch.  The reference backend has no batched frame and falls
+        On the bytecode backend every round of the queue runs in one
+        call of the spec's generated frame — the same frame
+        :meth:`check_io` calls with a queue of one — so the frame's
+        prologue is paid once per batch.  The reference backend falls
         back to per-round checking, which keeps parity trivially.
         """
         if self._bytecode is None:
             return [self.check_io(key, args, oracle=oracle)
                     for key, args in rounds]
-        return self._check_batch_bytecode(rounds, oracle)
+        return self._run_frame(rounds, oracle)
 
-    def _batch_plans_for(self) -> Dict[str, Tuple[int, int, int]]:
-        """io_key → (entry pc, nparams, nlocals) for the batched frame.
-
-        Built once per checker (the spec is fixed at construction);
-        io_keys absent here take the unknown-io-key path.
-        """
-        plans = self._batch_plans
-        if plans is None:
-            bspec = self._bytecode
-            spec = self.spec
-            plans = {key: bspec._entry[handler]
-                     for key, handler in spec.entry_handlers.items()
-                     if spec.has_function(handler)}
-            self._batch_plans = plans
-        return plans
-
-    def _check_batch_bytecode(self, rounds,
-                              oracle: Optional[SyncOracle]
-                              ) -> List[CheckReport]:
-        walk_batch = self._bytecode.batch_walk()
-        oracle = oracle or NullSyncOracle()
+    def _run_frame(self, rounds, oracle: Optional[SyncOracle]
+                   ) -> List[CheckReport]:
+        """Run *rounds* through the spec's generated frame, in place on
+        the committed shadow state.  Mode, strategies, degradation
+        policy, watchdog budget and telemetry are read here, per call,
+        so a change between rounds applies to the next one."""
+        w = self._walk_ctx
+        strategies = self.strategies
+        if strategies is not w.strategies:
+            w.set_strategies(strategies)
+        w.state = self.device_state
         reports: List[CheckReport] = []
-
-        # One scratch per batch; commits become byte snapshots of the
-        # shadow buffer, replicating check_io's per-round clone/commit
-        # object dance at memcpy cost.  Rounds that do not commit roll
-        # the buffer back to the last committed snapshot (the generated
-        # frame owns that loop — see ``_assemble_spec(batched=True)``).
-        scratch = self.device_state.clone()
-        walker = _WalkContext(self, None, scratch, oracle)
-        telemetry = self._telemetry
-
-        # Final states rebuild lazily through a shared view clone, so a
-        # committed snapshot stays frozen exactly like the superseded
-        # state object a per-round commit leaves behind.  The view is
-        # itself lazy: the hot path never dumps.
-        viewbox: List = []
-
-        def make_src(snap: bytes):
-            def dump():
-                if not viewbox:
-                    viewbox.append(scratch.clone())
-                view = viewbox[0]
-                view.memory.data[:] = snap
-                return view.dump()
-            return dump
-
-        def unknown(io_key: str) -> None:
-            # Rare path, mirrored from _check_io: nothing walks, the
-            # shadow buffer is untouched, final_state stays unbound.
-            clock = self._clock
-            t0 = clock() if telemetry is not None else 0.0
-            report = CheckReport(io_key=io_key)
-            report.policy = policy_val
-            self._flag(report, Strategy.CONDITIONAL_JUMP,
-                       "unknown-io-key",
-                       f"I/O interface {io_key!r} never used in "
-                       f"training", 0)
-            self._finish(report)
-            reports.append(report)
-            if telemetry is not None:
-                telemetry.record_round(report, clock() - t0)
-
-        # The degradation policy is sampled once per batch: policy hot
-        # reloads land at op boundaries, never inside a batch.
-        policy_val = self.degradation.policy.value
-        ctx = (self._batch_plans_for(), policy_val, self.mode,
-               unknown, make_src, reports.append,
-               telemetry, self._clock,
-               CHECK_BLOCK_COST, CHECK_STMT_COST)
-        self.cycles += walk_batch(walker, rounds, ctx)
-        # The scratch buffer now equals the last committed snapshot:
-        # adopt it, exactly as the last per-round commit would have.
-        self.device_state = scratch
+        try:
+            self.cycles += self._bytecode.walk(
+                w, rounds, reports.append,
+                (oracle or _NULL_ORACLE).resolve, self.mode,
+                self.degradation.policy.value, self.max_walk_blocks,
+                self._telemetry, self._clock)
+        finally:
+            # The context outlives the call; the report must not.
+            w.report = None
         return reports
 
     # -- internals --------------------------------------------------------------

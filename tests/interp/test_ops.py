@@ -7,7 +7,7 @@ device-side bytecode lowering, and the checker-side bytecode lowering —
 so no backend can drift from another.  The two lowerings are exercised
 end to end: a one-block IR program on ``Machine(backend="bytecode")``
 and a one-block execution spec on the bytecode ES-Checker, each
-returning the expression under test.  *Compiled* below means run
+yielding the expression under test.  *Compiled* below means run
 through one of those two lowerings.
 """
 
@@ -16,14 +16,15 @@ from functools import lru_cache
 import pytest
 from hypothesis import given, strategies as st
 
-from repro.checker import CheckReport, ESChecker, NullSyncOracle
-from repro.checker.escheck import _WalkContext
+from repro.checker import ESChecker
 from repro.errors import DeviceFault, InterpError
 from repro.interp import Machine
 from repro.interp.ops import (
     BINOP_FUNCS, UNOP_FUNCS, binop_fn, eval_binop, eval_unop,
 )
-from repro.ir import BasicBlock, Function, Program, Return, StateLayout
+from repro.ir import (
+    BasicBlock, Function, Program, Return, StateLayout, Switch,
+)
 from repro.ir.expr import BINOPS, UNOPS, BinOp, Const, Param, UnOp
 from repro.spec.escfg import ESBlock, ESFunction, ExecutionSpec
 
@@ -67,10 +68,12 @@ def _device_lowering(expr, params):
 
 
 def _checker_lowering(expr, params):
-    """Checker side: a one-block execution spec returning *expr*, on
-    the bytecode ES-Checker.  Returns ``run(*args)``."""
+    """Checker side: a one-block execution spec that switches on *expr*
+    with no arms, on the bytecode ES-Checker.  Every round then flags
+    one ``unobserved-arm`` anomaly whose message ends in the value, so
+    ``run(*args)`` is one ``check_io`` that reads it back from there."""
     block = ESBlock(address=0x1000, func="f", label="entry",
-                    nbtd=Return(expr), kind="ret", is_entry=True,
+                    nbtd=Switch(expr), kind="switch", is_entry=True,
                     is_exit=True)
     spec = ExecutionSpec(
         device="ops", functions={"f": ESFunction("f", "entry", params,
@@ -79,9 +82,8 @@ def _checker_lowering(expr, params):
     checker = ESChecker(spec, backend="bytecode")
 
     def run(*args):
-        walk = _WalkContext(checker, CheckReport(io_key="k"),
-                            checker.device_state.clone(), NullSyncOracle())
-        return checker._bytecode.run(walk, "f", args)
+        (anomaly,) = checker.check_io("k", args).anomalies
+        return int(anomaly.message.rsplit(" ", 1)[1])
     return run
 
 
