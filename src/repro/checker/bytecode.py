@@ -34,6 +34,12 @@ deterministic function of the arrays and needs no spec object.
 Lowering and assembly happen in the process that runs the checker, once
 per spec; nothing generated is ever read back from disk.
 
+The generator pieces — operator spellings, the source accumulator, the
+state-buffer load/store forms, switch tables, the dispatch tree, tail
+inlining and self-loop wrapping — are the code-generation toolkit of
+:mod:`repro.interp.bytecode`, which specializes the device
+interpreter's fast runner the same way.
+
 Mode, strategy toggles and degradation policy stay runtime-dynamic
 (read on every call), so one artifact serves every configuration — the
 ablation benches rely on that.
@@ -46,7 +52,6 @@ across the seven device models and the CVE corpus.
 
 from __future__ import annotations
 
-import struct
 from typing import Any, Callable, Dict, List, Optional, Tuple
 
 from repro.errors import CheckerError, DeviceFault
@@ -56,6 +61,12 @@ from repro.checker.anomalies import (
 from repro.checker.escheck import (
     CHECK_BLOCK_COST, CHECK_STMT_COST, _WalkStop, _flag,
 )
+from repro.interp.bytecode import (
+    _BIN_INLINE, _CODECS, _INT_LITERAL, _OPSYMS, _UN_INLINE, _UNSYMS, _Asm,
+    _emit_dispatch, _emit_switch_pc, _encode_switch, _exec_frame,
+    _inline_goto_tails, _load_raw, _signed, _state_load_expr, _store_stmt,
+    _wrap_self_loops,
+)
 from repro.interp.ops import _floordiv, _mod, binop_fn
 from repro.ir import (
     Assign, BinOp, Branch, BufLen, BufLoad, BufStore, Call, Const, Expr,
@@ -63,11 +74,6 @@ from repro.ir import (
     StateRef, StateStore, Switch, SyncVar, UnOp,
 )
 from repro.spec.escfg import ESBlock, ESFunction, ExecutionSpec
-
-#: Little-endian fixed-width codecs shared by every specialized frame.
-_S2 = struct.Struct("<H")
-_S4 = struct.Struct("<I")
-_S8 = struct.Struct("<Q")
 
 #: read sentinels for the generated frame
 _MISS = object()     # I/O parameter never provided
@@ -104,23 +110,6 @@ N_RETV = 47          #
 N_STUB = 48          # ni       (untrained-label landing block)
 N_UNTRAINED = 49     # ni       (call into a function training never ran)
 N_NONBTD = 50        # ni
-
-_OPSYMS = ("+", "-", "*", "//", "%", "&", "|", "^", "<<", ">>",
-           "==", "!=", "<", "<=", ">", ">=", "and", "or")
-_UNSYMS = ("-", "~", "not")
-
-_BIN_INLINE = {
-    "+": "({a} + {b})", "-": "({a} - {b})", "*": "({a} * {b})",
-    "&": "({a} & {b})", "|": "({a} | {b})", "^": "({a} ^ {b})",
-    "<<": "({a} << ({b} & 63))", ">>": "({a} >> ({b} & 63))",
-    "==": "(1 if {a} == {b} else 0)", "!=": "(1 if {a} != {b} else 0)",
-    "<": "(1 if {a} < {b} else 0)", "<=": "(1 if {a} <= {b} else 0)",
-    ">": "(1 if {a} > {b} else 0)", ">=": "(1 if {a} >= {b} else 0)",
-    "and": "(1 if ({a} and {b}) else 0)",
-    "or": "(1 if ({a} or {b}) else 0)",
-}
-_UN_INLINE = {"-": "(-({a}))", "~": "(~({a}))",
-              "not": "(0 if {a} else 1)"}
 
 
 def _index_is_state_derived(index: Expr) -> bool:
@@ -496,19 +485,6 @@ class _SpecLowerer:
                 f"ES block {block.label} has no NBTD"))
 
 
-def _encode_switch(table: Dict[int, int],
-                   default: int) -> Tuple[Any, ...]:
-    if table:
-        lo, hi = min(table), max(table)
-        span = hi - lo + 1
-        if span <= max(16, 4 * len(table)):
-            dense = tuple(table.get(lo + i, default) for i in range(span))
-            return ("dense", lo, dense, default)
-    keys = tuple(sorted(table))
-    vals = tuple(table[k] for k in keys)
-    return ("bsearch", keys, vals, default)
-
-
 # ---------------------------------------------------------------------------
 # The artifact
 # ---------------------------------------------------------------------------
@@ -539,47 +515,6 @@ class BytecodeSpec:
 # Assembly
 # ---------------------------------------------------------------------------
 
-class _Asm:
-    def __init__(self) -> None:
-        self.lines: List[str] = []
-        self.indent = 0
-        self._temp = 0
-
-    def w(self, line: str) -> None:
-        self.lines.append("    " * self.indent + line)
-
-    def temp(self) -> str:
-        self._temp += 1
-        return f"_t{self._temp}"
-
-
-def _load_raw(off: str, size: int) -> str:
-    """Read *size* little-endian bytes at *off* off the shadow buffer:
-    one-byte fields are a plain bytearray index, two-byte ones two
-    index ops (cheaper than a slice plus ``int.from_bytes``), wider
-    ones the fixed-width codecs.  Layout widths are 1, 2, 4 or 8."""
-    if size == 1:
-        return f"_sdata[{off}]"
-    if size == 2:
-        return f"(_sdata[{off}] | _sdata[{off} + 1] << 8)"
-    return f"_u{size}(_sdata, {off})[0]"
-
-
-def _store_stmt(off: str, size: int, value: str) -> str:
-    """The store twin of :func:`_load_raw` (*value* already masked)."""
-    if size == 1:
-        return f"_sdata[{off}] = {value}"
-    return f"_p{size}(_sdata, {off}, {value})"
-
-
-def _state_load_expr(off: int, end: int, signed: int, bits: int) -> str:
-    raw = _load_raw(str(off), end - off)
-    if signed:
-        half, mod = 1 << (bits - 1), 1 << bits
-        return f"((({raw} + {half}) % {mod}) - {half})"
-    return raw
-
-
 def _base_consts(bspec: "BytecodeSpec") -> Dict[str, Any]:
     """What the generated frame's namespace starts from: helpers,
     sentinels, and the tables derived from the bytecode arrays."""
@@ -606,13 +541,8 @@ def _base_consts(bspec: "BytecodeSpec") -> Dict[str, Any]:
         "_CBC": CHECK_BLOCK_COST, "_CSC": CHECK_STMT_COST,
         # Fixed-width accessors: no slice allocation, no int.to_bytes
         # object per store.
-        "_u4": _S4.unpack_from, "_u8": _S8.unpack_from,
-        "_p2": _S2.pack_into, "_p4": _S4.pack_into,
-        "_p8": _S8.pack_into,
+        **_CODECS,
     }
-
-
-_INT_LITERAL = __import__("re").compile(r"-?\d+")
 
 
 def _assemble_spec(bspec: BytecodeSpec) -> Callable:
@@ -631,39 +561,10 @@ def _assemble_spec(bspec: BytecodeSpec) -> Callable:
     toggles, shadow buffer, entry snapshot) runs once per call.
     """
     code, pool = bspec.code, bspec.pool
-    consts: Dict[str, Any] = _base_consts(bspec)
-    const_n = 0
     cur_addr: Optional[int] = None   # current block address
-
-    def bind(value: Any, prefix: str = "_K") -> str:
-        nonlocal const_n
-        const_n += 1
-        name = f"{prefix}{const_n}"
-        consts[name] = value
-        return name
-
-    asm = _Asm()
-    stack: List[str] = []   # expression strings; temps already spilled
-
-    def push(expr: str) -> None:
-        stack.append(expr)
-
-    def pop() -> str:
-        return stack.pop()
-
-    def spill_pending() -> None:
-        for i, expr in enumerate(stack):
-            if not (expr.startswith("_t") and expr[2:].isdigit()):
-                t = asm.temp()
-                asm.w(f"{t} = {expr}")
-                stack[i] = t
-
-    def force_temp(expr: str) -> str:
-        if expr.startswith("_t") and expr[2:].isdigit():
-            return expr
-        t = asm.temp()
-        asm.w(f"{t} = {expr}")
-        return t
+    asm = _Asm(_base_consts(bspec))
+    push, pop, bind = asm.push, asm.pop, asm.bind
+    spill_pending, force_temp = asm.spill_pending, asm.force_temp
 
     def emit_flag_raise(strategy: str, kind: str, msg_expr: str,
                         addr_expr: str, plain: bool = False) -> None:
@@ -794,11 +695,7 @@ def _assemble_spec(bspec: BytecodeSpec) -> Callable:
             o = emit_element_offset(i, base, esize, struct_size)
             t = asm.temp()
             raw = _load_raw(o, esize)
-            if signed:
-                half, mod = 1 << (bits - 1), 1 << bits
-                asm.w(f"{t} = ((({raw} + {half}) % {mod}) - {half})")
-            else:
-                asm.w(f"{t} = {raw}")
+            asm.w(f"{t} = {_signed(raw, bits) if signed else raw}")
             push(t)
             pc += 2
         elif op == C_BINOP:
@@ -845,12 +742,7 @@ def _assemble_spec(bspec: BytecodeSpec) -> Callable:
                 # Constant store inside its declared bounds: the check
                 # can never fire, only its counter survives.
                 asm.w("if _pon: _pch += 1")
-                value = int(raw_v) & mask
-                if size == 1:
-                    asm.w(f"_sdata[{off}] = {value}")
-                else:
-                    blob = value.to_bytes(size, "little")
-                    asm.w(f"_sdata[{off}:{end}] = {blob!r}")
+                asm.w(_store_stmt(str(off), size, str(int(raw_v) & mask)))
             else:
                 v = force_temp(raw_v)
                 asm.w("if _pon:")
@@ -890,8 +782,7 @@ def _assemble_spec(bspec: BytecodeSpec) -> Callable:
         elif op == D_SETCMD:
             known, msg, address = pool[code[pc + 1]]
             v = force_temp(pop())
-            _emit_setcmd(asm, bind, known, msg, address, v,
-                         emit_flag_raise)
+            _emit_setcmd(asm, known, msg, address, v, emit_flag_raise)
             pc += 2
         elif op == D_CMDEND:
             asm.w("_cmd = None")
@@ -931,24 +822,9 @@ def _assemble_spec(bspec: BytecodeSpec) -> Callable:
             v = force_temp(pop())
             if setcmd >= 0:
                 known, cmsg, caddr = pool[setcmd]
-                _emit_setcmd(asm, bind, known, cmsg, caddr, v,
-                             emit_flag_raise)
+                _emit_setcmd(asm, known, cmsg, caddr, v, emit_flag_raise)
             asm.w("if _con: _cch += 1")
-            if enc[0] == "dense":
-                _, base, dense, default = enc
-                tref = bind(tuple(dense), "_T")
-                i = asm.temp()
-                asm.w(f"{i} = {v} - {base}")
-                asm.w(f"_pc = {tref}[{i}] if 0 <= {i} < {len(dense)} "
-                      f"else {default}")
-            else:
-                _, keys, vals, default = enc
-                kref = bind(tuple(keys), "_T")
-                vref = bind(tuple(vals), "_T")
-                i = asm.temp()
-                asm.w(f"{i} = _bisect({kref}, {v})")
-                asm.w(f"_pc = {vref}[{i}] if {i} < {len(keys)} "
-                      f"and {kref}[{i}] == {v} else {default}")
+            _emit_switch_pc(asm, enc, v)
             asm.w("if _pc == -1:")
             asm.indent += 1
             emit_flag_raise("_SC", "unobserved-arm",
@@ -1039,13 +915,13 @@ def _assemble_spec(bspec: BytecodeSpec) -> Callable:
         else:
             raise CheckerError(f"bad opcode {op} at pc {pc}")
 
-    if stack:
+    if asm.stack:
         raise CheckerError("unbalanced expression stack lowering spec")
 
     _inline_goto_tails(blocks)
     _wrap_self_loops(blocks)
 
-    out = _Asm()
+    out = _Asm(asm.consts)
     out.w("def _walk(w, _rounds, _reports_append, _res, _mode, _policy,")
     out.w("          _maxb, _tel, _clk):")
     out.indent += 1
@@ -1116,149 +992,20 @@ def _assemble_spec(bspec: BytecodeSpec) -> Callable:
     out.w("    raise")
     out.w("return _cyc")
 
-    source = "\n".join(out.lines) + "\n"
-    namespace: Dict[str, Any] = dict(consts)
-    exec(compile(source, f"<es-bytecode:{bspec.device}>", "exec"),
-         namespace)
-    walk = namespace["_walk"]
-    walk._bytecode_source = source
-    return walk
+    return _exec_frame(out, f"<es-bytecode:{bspec.device}>", "_walk")
 
 
-_GOTO_TAIL = __import__("re").compile(r"^_pc = (\d+)$")
-
-#: Cap on a block's line count after tail inlining.  Keeps the source
-#: (and CPython compile time) linear in the spec while still collapsing
-#: the straight-line Goto / one-sided-branch chains that dominate walks.
-_INLINE_BUDGET = 1600
-
-
-def _inline_goto_tails(blocks: List[List[str]]) -> None:
-    """Splice statically-known successors into their predecessors.
-
-    A block ending in ``_pc = K`` / ``continue`` (a ``Goto`` or the
-    trained side of a one-sided branch) pays a full dispatch-tree
-    descent per transfer.  Replacing that tail with a copy of block K's
-    body keeps execution inside one trace until the next *dynamic*
-    transfer — the block's semantic prologue (address, watchdog,
-    command gate) rides along in the copy, so observables are
-    untouched.  Every block stays in the dispatch tree for its other
-    predecessors; self-loops and cycles stop the splice.
-    """
-    for i, lines in enumerate(blocks):
-        visited = {i}
-        while (len(lines) >= 2 and lines[-1] == "continue"
-               and len(lines) < _INLINE_BUDGET):
-            match = _GOTO_TAIL.match(lines[-2])
-            if match is None:
-                break
-            target = int(match.group(1))
-            if target in visited:
-                break
-            visited.add(target)
-            lines[-2:] = list(blocks[target])
-
-
-_TWO_SIDED = __import__("re").compile(r"^_pc = (\d+) if (.*) else (\d+)$")
-
-
-def _wrap_self_loops(blocks: List[List[str]]) -> None:
-    """Turn dispatch-level self-loops into native Python loops.
-
-    After tail inlining, a trained loop collapses into one block whose
-    tail jumps back to the block itself — and every iteration still
-    pays a full dispatch-tree descent to get back to it.  Such a block
-    is wrapped in its own ``while True:``: the back-edge becomes a
-    plain ``continue`` and the loop body re-executes without touching
-    the dispatch tree at all.
-
-    The back-edge is the block's tail (the only place a static or
-    two-sided transfer sits once tails are inlined): either
-    ``_pc = <itself>`` / ``continue``, or a two-sided branch with one
-    arm back to the block (a loop latch that inlining pulled the loop
-    header into), which is split into ``if c:`` / ``_pc = <itself>`` /
-    ``continue`` plus ``_pc = K``.  Only such self-edges are split:
-    splitting every two-sided branch would let tail inlining copy each
-    fall-through arm, growing the source (and its compile time) for no
-    loop gained.
-
-    Inside the wrapped body, control statements are re-targeted:
-
-    * ``continue`` (a dispatch jump to another block) → ``break`` out
-      of the inner loop, then the trailing ``continue`` re-enters the
-      dispatch with ``_pc`` already set;
-    * ``break`` (a round exit) → ``_pc = -1`` + ``break``; the
-      trailing ``if _pc == -1: break`` propagates the round exit.
-
-    Observables (counters, flags, shadow stores, anomaly addresses) are
-    byte-for-byte those of the dispatch-driven execution.
-    """
-    for i, lines in enumerate(blocks):
-        if len(lines) < 2:
-            continue
-        tail = lines[-2]
-        match = _TWO_SIDED.match(tail)
-        if match is not None and str(i) in match.group(1, 3):
-            taken, cond, not_taken = match.groups()
-            if int(taken) == i:
-                test, other = cond, not_taken
-            else:
-                test, other = f"not {cond}", taken
-            lines = lines[:-2] + [f"if {test}:", f"    _pc = {i}",
-                                  "    continue", f"_pc = {other}",
-                                  "continue"]
-        elif tail != f"_pc = {i}":
-            continue
-        body: List[str] = []
-        for line in lines:
-            stripped = line.strip()
-            indent = line[:len(line) - len(stripped)]
-            if stripped == "continue":
-                if body and body[-1].strip() == f"_pc = {i}":
-                    # The self back-edge: drop the pc store, loop
-                    # natively.
-                    body.pop()
-                    body.append(indent + "continue")
-                else:
-                    body.append(indent + "break")
-            elif stripped == "break":
-                body.append(indent + "_pc = -1")
-                body.append(indent + "break")
-            else:
-                body.append(line)
-        blocks[i] = (["while True:"]
-                     + ["    " + line for line in body]
-                     + ["if _pc == -1:", "    break", "continue"])
-
-
-def _emit_setcmd(asm: _Asm, bind, known, msg: str, address: int,
-                 value: str, emit_flag_raise) -> None:
+def _emit_setcmd(asm: _Asm, known, msg: str, address: int, value: str,
+                 emit_flag_raise) -> None:
     """Inline command-decision resolution (Algorithm 1's cmd table)."""
     asm.w("if _con: _cch += 1")
-    kref = bind(known, "_K")
+    kref = asm.bind(known, "_K")
     asm.w(f"if {value} not in {kref}:")
     asm.indent += 1
     emit_flag_raise("_SC", "unknown-command", f"{msg!r} % {value}",
                     str(address))
     asm.indent -= 1
     asm.w(f"_cmd = {value}")
-
-
-def _emit_dispatch(out: _Asm, blocks: List[List[str]],
-                   lo: int, hi: int) -> None:
-    if hi - lo == 1:
-        for line in blocks[lo]:
-            out.w(line)
-        return
-    mid = (lo + hi) // 2
-    out.w(f"if _pc < {mid}:")
-    out.indent += 1
-    _emit_dispatch(out, blocks, lo, mid)
-    out.indent -= 1
-    out.w("else:")
-    out.indent += 1
-    _emit_dispatch(out, blocks, mid, hi)
-    out.indent -= 1
 
 
 # ---------------------------------------------------------------------------

@@ -1,5 +1,5 @@
 """Flat bytecode backend for device programs (the default interpreter
-backend).
+backend), and the code-generation toolkit both bytecode backends share.
 
 The reference tree walker in :mod:`repro.interp.machine` re-dispatches
 on IR node types for every statement, operand and terminator of every
@@ -18,26 +18,43 @@ Execution happens in a **single dispatch loop per function**: the
 assembler translates the opcode stream into one Python frame — a
 ``while`` loop dispatching on the block index through a binary
 jump-target tree, with every statement body inlined (no per-statement
-calls, counters kept in locals and reconciled on every exit path).  The
-assembled frame is a deterministic function of the int stream, lowered
-and assembled in the process that runs the device; nothing generated
-is ever read back from disk.
+calls).  The assembled frame is a deterministic function of the int
+stream, lowered and assembled in the process that runs the device;
+nothing generated is ever read back from disk.
+
+Every function is assembled twice:
+
+* the **fast runner** is specialized like the checker frame: counters
+  live in locals and are reconciled on every exit path; field loads and
+  stores index the state buffer directly or go through fixed-width
+  ``struct`` codecs; literal stores and constant-index buffer accesses
+  inside the struct are decided at assembly; static successors are
+  spliced into their predecessors and trained loops become native
+  ``while`` loops; each extern the function calls is resolved once per
+  frame entry;
+* the **traced runner** emits the sink event stream inline
+  (``on_block``/``on_branch``/``on_tip``/... in the exact order the
+  reference walker produces them) and keeps one dispatch per block, so
+  traced rounds stay in the dispatch-loop frame too.
 
 Semantics replicate the reference walker bit-for-bit: cycle/step
 accounting (costs charged *before* evaluation), flag updates, fault
 kinds and messages, and return-value coercion.  The differential suite
-(``tests/interp/test_compile.py``) holds both backends to that.
-Every function is assembled twice — a fast runner (counters in locals,
-reconciled on exit) and a traced runner that emits the sink event
-stream inline (``on_block``/``on_branch``/``on_tip``/... in the exact
-order the reference walker produces them), so traced rounds stay in the
-dispatch-loop frame too.
+(``tests/interp/test_compile.py``) holds both runners to that.
+
+The toolkit half of the module — operator spellings, the source
+accumulator, state-buffer load/store forms, switch tables, the dispatch
+tree, tail inlining and self-loop wrapping — is what
+:mod:`repro.checker.bytecode` builds its spec frame from.
 """
 
 from __future__ import annotations
 
+import re
+import struct
+from bisect import bisect_left
 from collections import deque
-from typing import Any, Callable, Dict, List, Optional, Tuple
+from typing import Any, Callable, Dict, List, Tuple
 
 from repro.errors import DeviceFault, InterpError
 from repro.ir import (
@@ -46,7 +63,7 @@ from repro.ir import (
     IntType, Local, Param, Program, Return, StateRef, StateStore, Stmt,
     Switch, SyncVar, UnOp,
 )
-from repro.interp.ops import _floordiv, _mod
+from repro.interp.ops import DEFAULT_EXTERN_COST, _floordiv, _mod
 
 # -- opcodes ----------------------------------------------------------------
 # Expressions (stack form; operands follow the opcode in the stream)
@@ -278,8 +295,8 @@ class _FuncLowerer:
             msg = (f"switch in {func_name}:{label} has no arm "
                    f"for %d and no default")
             table = {k: self.block_index[v] for k, v in term.table.items()}
-            self.emit(OP_SWITCH, self.ref(_encode_switch(table, default,
-                                                         msg)))
+            self.emit(OP_SWITCH,
+                      self.ref((_encode_switch(table, default), msg)))
         elif isinstance(term, Call):
             # Resolve at lowering: a missing callee is a lowering-time
             # error.
@@ -316,8 +333,7 @@ class _FuncLowerer:
             raise InterpError(f"unknown terminator {type(term).__name__}")
 
 
-def _encode_switch(table: Dict[int, int], default: int,
-                   msg: str) -> Tuple[Any, ...]:
+def _encode_switch(table: Dict[int, int], default: int) -> Tuple[Any, ...]:
     """Dense jump table when the key range is compact, else sorted
     key/target arrays for binary search."""
     if table:
@@ -325,10 +341,10 @@ def _encode_switch(table: Dict[int, int], default: int,
         span = hi - lo + 1
         if span <= max(16, 4 * len(table)):
             dense = tuple(table.get(lo + i, default) for i in range(span))
-            return ("dense", lo, dense, default, msg)
+            return ("dense", lo, dense, default)
     keys = tuple(sorted(table))
     vals = tuple(table[k] for k in keys)
-    return ("bsearch", keys, vals, default, msg)
+    return ("bsearch", keys, vals, default)
 
 
 # ---------------------------------------------------------------------------
@@ -371,16 +387,22 @@ class BytecodeProgram:
 
 
 # ---------------------------------------------------------------------------
-# Assembly: flat arrays -> one dispatch-loop frame
+# Code-generation toolkit (shared with repro.checker.bytecode)
 # ---------------------------------------------------------------------------
 
 class _Asm:
-    """Accumulates generated source with indentation tracking."""
+    """Generated source under construction: lines with indentation
+    tracking, the expression stack of the instruction being assembled
+    (source strings; ``_t<n>`` temps are already evaluated), and the
+    constants the frame's namespace binds."""
 
-    def __init__(self) -> None:
+    def __init__(self, consts: Dict[str, Any]) -> None:
         self.lines: List[str] = []
         self.indent = 0
+        self.stack: List[str] = []
+        self.consts = consts
         self._temp = 0
+        self._const = 0
 
     def w(self, line: str) -> None:
         self.lines.append("    " * self.indent + line)
@@ -389,6 +411,250 @@ class _Asm:
         self._temp += 1
         return f"_t{self._temp}"
 
+    def bind(self, value: Any, prefix: str = "_K") -> str:
+        """Bind *value* as a frame constant; returns its name."""
+        self._const += 1
+        name = f"{prefix}{self._const}"
+        self.consts[name] = value
+        return name
+
+    def push(self, expr: str) -> None:
+        self.stack.append(expr)
+
+    def pop(self) -> str:
+        return self.stack.pop()
+
+    def pop_args(self, n: int) -> List[str]:
+        return [self.stack.pop() for _ in range(n)][::-1]
+
+    def spill_pending(self) -> None:
+        """Materialize every pending stack entry as a temp, in push
+        order, so a faulting instruction cannot reorder evaluation."""
+        for i, expr in enumerate(self.stack):
+            if not _is_temp(expr):
+                t = self.temp()
+                self.w(f"{t} = {expr}")
+                self.stack[i] = t
+
+    def force_temp(self, expr: str) -> str:
+        """Name an expression so it can be used more than once."""
+        if _is_temp(expr):
+            return expr
+        t = self.temp()
+        self.w(f"{t} = {expr}")
+        return t
+
+
+def _is_temp(expr: str) -> bool:
+    return expr.startswith("_t") and expr[2:].isdigit()
+
+
+#: little-endian fixed-width codecs of the state-buffer forms below
+_S2 = struct.Struct("<H")
+_S4 = struct.Struct("<I")
+_S8 = struct.Struct("<Q")
+_CODECS: Dict[str, Any] = {
+    "_u4": _S4.unpack_from, "_u8": _S8.unpack_from,
+    "_p2": _S2.pack_into, "_p4": _S4.pack_into, "_p8": _S8.pack_into,
+}
+
+#: a source string that is an integer literal (a folded ``Const``)
+_INT_LITERAL = re.compile(r"-?\d+")
+
+
+def _load_raw(off: str, size: int) -> str:
+    """Read *size* little-endian bytes at *off* off the state buffer
+    ``_sdata``: one-byte fields are a plain bytearray index, two-byte
+    ones two index ops (cheaper than a slice plus ``int.from_bytes``),
+    wider ones the fixed-width codecs.  Layout widths are 1, 2, 4 or 8."""
+    if size == 1:
+        return f"_sdata[{off}]"
+    if size == 2:
+        return f"(_sdata[{off}] | _sdata[{off} + 1] << 8)"
+    return f"_u{size}(_sdata, {off})[0]"
+
+
+def _store_stmt(off: str, size: int, value: str) -> str:
+    """The store twin of :func:`_load_raw` (*value* already masked)."""
+    if size == 1:
+        return f"_sdata[{off}] = {value}"
+    return f"_p{size}(_sdata, {off}, {value})"
+
+
+def _signed(raw: str, bits: int) -> str:
+    """Re-interpret an unsigned *bits*-wide load as two's complement."""
+    half, mod = 1 << (bits - 1), 1 << bits
+    return f"((({raw} + {half}) % {mod}) - {half})"
+
+
+def _state_load_expr(off: int, end: int, signed: int, bits: int) -> str:
+    raw = _load_raw(str(off), end - off)
+    return _signed(raw, bits) if signed else raw
+
+
+def _emit_switch_pc(asm: _Asm, enc: Tuple[Any, ...], v: str) -> None:
+    """``_pc = <arm of v>`` over an :func:`_encode_switch` table; keys
+    without an arm yield the table's default."""
+    i = asm.temp()
+    if enc[0] == "dense":
+        _, base, dense, default = enc
+        tref = asm.bind(dense, "_T")
+        asm.w(f"{i} = {v} - {base}")
+        asm.w(f"_pc = {tref}[{i}] if 0 <= {i} < {len(dense)} "
+              f"else {default}")
+    else:
+        _, keys, vals, default = enc
+        kref = asm.bind(keys, "_T")
+        vref = asm.bind(vals, "_T")
+        asm.w(f"{i} = _bisect({kref}, {v})")
+        asm.w(f"_pc = {vref}[{i}] if {i} < {len(keys)} "
+              f"and {kref}[{i}] == {v} else {default}")
+
+
+def _emit_dispatch(out: _Asm, blocks: List[List[str]],
+                   lo: int, hi: int) -> None:
+    """Binary jump-target tree over block indices."""
+    if hi - lo == 1:
+        for line in blocks[lo]:
+            out.w(line)
+        return
+    mid = (lo + hi) // 2
+    out.w(f"if _pc < {mid}:")
+    out.indent += 1
+    _emit_dispatch(out, blocks, lo, mid)
+    out.indent -= 1
+    out.w("else:")
+    out.indent += 1
+    _emit_dispatch(out, blocks, mid, hi)
+    out.indent -= 1
+
+
+def _exec_frame(out: _Asm, filename: str, name: str) -> Callable:
+    """Compile the generated source into the function *name*, with the
+    frame constants as its globals."""
+    source = "\n".join(out.lines) + "\n"
+    namespace: Dict[str, Any] = dict(out.consts)
+    exec(compile(source, filename, "exec"), namespace)
+    frame = namespace[name]
+    frame._bytecode_source = source
+    return frame
+
+
+_GOTO_TAIL = re.compile(r"^_pc = (\d+)$")
+
+#: Cap on a block's line count after tail inlining.  Keeps the source
+#: (and CPython compile time) linear in the program while still
+#: collapsing the straight-line Goto / one-sided-branch chains that
+#: dominate execution.
+_INLINE_BUDGET = 1600
+
+
+def _inline_goto_tails(blocks: List[List[str]]) -> None:
+    """Splice statically-known successors into their predecessors.
+
+    A block ending in ``_pc = K`` / ``continue`` (a ``Goto``, a call's
+    continuation, or the trained side of a one-sided branch) pays a
+    full dispatch-tree descent per transfer.  Replacing that tail with
+    a copy of block K's body keeps execution inside one trace until the
+    next *dynamic* transfer — the block's prologue (step count,
+    watchdog, checker address and command gate) rides along in the
+    copy, so observables are untouched.  Every block stays in the
+    dispatch tree for its other predecessors; self-loops and cycles
+    stop the splice.
+    """
+    for i, lines in enumerate(blocks):
+        visited = {i}
+        while (len(lines) >= 2 and lines[-1] == "continue"
+               and len(lines) < _INLINE_BUDGET):
+            match = _GOTO_TAIL.match(lines[-2])
+            if match is None:
+                break
+            target = int(match.group(1))
+            if target in visited:
+                break
+            visited.add(target)
+            lines[-2:] = list(blocks[target])
+
+
+_TWO_SIDED = re.compile(r"^_pc = (\d+) if (.*) else (\d+)$")
+
+
+def _wrap_self_loops(blocks: List[List[str]]) -> None:
+    """Turn dispatch-level self-loops into native Python loops.
+
+    After tail inlining, a trained loop collapses into one block whose
+    tail jumps back to the block itself — and every iteration still
+    pays a full dispatch-tree descent to get back to it.  Such a block
+    is wrapped in its own ``while True:``: the back-edge becomes a
+    plain ``continue`` and the loop body re-executes without touching
+    the dispatch tree at all.
+
+    The back-edge is the block's tail (the only place a static or
+    two-sided transfer sits once tails are inlined): either
+    ``_pc = <itself>`` / ``continue``, or a two-sided branch with one
+    arm back to the block (a loop latch that inlining pulled the loop
+    header into), which is split into ``if c:`` / ``_pc = <itself>`` /
+    ``continue`` plus ``_pc = K``.  Only such self-edges are split:
+    splitting every two-sided branch would let tail inlining copy each
+    fall-through arm, growing the source (and its compile time) for no
+    loop gained.
+
+    Inside the wrapped body, control statements are re-targeted:
+
+    * ``continue`` (a dispatch jump to another block) → ``break`` out
+      of the inner loop, then the trailing ``continue`` re-enters the
+      dispatch with ``_pc`` already set;
+    * ``break`` (a checker round exit) → ``_pc = -1`` + ``break``; the
+      trailing ``if _pc == -1: break`` propagates the round exit.
+      ``return`` (a device frame exit) needs no re-targeting.
+
+    Observables (counters, flags, state stores, anomaly addresses) are
+    byte-for-byte those of the dispatch-driven execution.
+    """
+    for i, lines in enumerate(blocks):
+        if len(lines) < 2:
+            continue
+        tail = lines[-2]
+        match = _TWO_SIDED.match(tail)
+        if match is not None and str(i) in match.group(1, 3):
+            taken, cond, not_taken = match.groups()
+            if int(taken) == i:
+                test, other = cond, not_taken
+            else:
+                test, other = f"not {cond}", taken
+            lines = lines[:-2] + [f"if {test}:", f"    _pc = {i}",
+                                  "    continue", f"_pc = {other}",
+                                  "continue"]
+        elif tail != f"_pc = {i}":
+            continue
+        body: List[str] = []
+        exits = False
+        for line in lines:
+            stripped = line.strip()
+            indent = line[:len(line) - len(stripped)]
+            if stripped == "continue":
+                if body and body[-1].strip() == f"_pc = {i}":
+                    # The self back-edge: drop the pc store, loop
+                    # natively.
+                    body.pop()
+                    body.append(indent + "continue")
+                else:
+                    body.append(indent + "break")
+            elif stripped == "break":
+                exits = True
+                body.append(indent + "_pc = -1")
+                body.append(indent + "break")
+            else:
+                body.append(line)
+        blocks[i] = (["while True:"]
+                     + ["    " + line for line in body]
+                     + (["if _pc == -1:", "    break"] if exits else [])
+                     + ["continue"])
+
+
+# ---------------------------------------------------------------------------
+# Assembly: flat arrays -> one dispatch-loop frame
+# ---------------------------------------------------------------------------
 
 def _mangle_local(name: str) -> str:
     return "V_" + name
@@ -398,19 +664,21 @@ def _mangle_param(name: str) -> str:
     return "P_" + name
 
 
-def _state_load_expr(off: int, end: int, signed: int, bits: int) -> str:
-    raw = f'_ifb(_data[{off}:{end}], "little")'
-    if signed:
-        half, mod = 1 << (bits - 1), 1 << bits
-        return f"((({raw} + {half}) % {mod}) - {half})"
-    return raw
+def _watchdog(m) -> None:
+    """The block-budget fault, raised from every block prologue."""
+    raise DeviceFault("watchdog: %d blocks without completing the I/O "
+                      "round (infinite loop?)" % m.max_steps,
+                      device=m.program.name, kind="watchdog")
 
 
-class _StackEntry:
-    __slots__ = ("expr",)
+def _die(msg: str) -> int:
+    raise InterpError(msg)
 
-    def __init__(self, expr: str):
-        self.expr = expr
+
+def _elem_offset(base: int, index: str, esize: int) -> str:
+    if esize == 1:
+        return f"{base} + ({index})"
+    return f"{base} + ({index}) * {esize}"
 
 
 def _assemble_function(bfunc: BytecodeFunction, program: Program,
@@ -420,70 +688,59 @@ def _assemble_function(bfunc: BytecodeFunction, program: Program,
     The fast frame keeps cycle/step counts as local deltas and
     reconciles them with the machine on *every* exit path (return,
     nested call, extern, and any raise), so fault-time accounting is
-    bit-identical to the reference walker's.
+    bit-identical to the reference walker's.  It writes state through
+    the specialized buffer forms, folds literal stores and in-struct
+    constant-index accesses, and runs over tail-inlined blocks with
+    native self-loops.
 
     The traced frame (``traced=True``) instead updates ``m.cycles`` /
     ``m.steps`` directly — the counters must be current at every sink
     call — and emits the sink events inline, replicating the reference
     walker event-for-event: ``on_block`` after the watchdog check,
     ``on_tip`` before a wild-jump fault, ``on_return`` after the return
-    value is evaluated, store events carrying the re-read stored value,
-    and so on.  Both frames append destination-bearing extern results
-    to ``m.harvest`` (read once per frame) when co-execution has set it.
+    value is evaluated, store events carrying the re-read stored value
+    (stores go through the ``StateMemory`` accessors), and so on.
+
+    Both frames resolve each extern the function calls once at entry
+    (so ``bind_extern`` takes effect at the next function entry) and
+    append destination-bearing extern results to ``m.harvest`` (read
+    once per frame) when co-execution has set it.
     """
     code, pool = bfunc.code, bfunc.pool
-    consts: Dict[str, Any] = {
-        "_ifb": int.from_bytes, "_fdiv": _floordiv, "_fmod": _mod,
-        "InterpError": InterpError, "DeviceFault": DeviceFault,
-    }
-    const_n = 0
-    func = program.function(bfunc.name)
-    if traced:
-        consts["_FN"] = func
-        for i, label in enumerate(bfunc.labels):
-            consts[f"_BLK{i}"] = func.blocks[label]
-        consts["_BADDR"] = tuple(func.blocks[l].address
-                                 for l in bfunc.labels)
-
-    def bind(value: Any, prefix: str = "_K") -> str:
-        nonlocal const_n
-        const_n += 1
-        name = f"{prefix}{const_n}"
-        consts[name] = value
-        return name
-
-    asm = _Asm()
-    stack: List[_StackEntry] = []
     device = program.name
+    struct_size = program.layout.size
+    func = program.function(bfunc.name)
+    asm = _Asm({
+        **_CODECS, "_fdiv": _floordiv, "_fmod": _mod, "_wd": _watchdog,
+        "_die": _die, "_bisect": bisect_left, "_deque": deque,
+        "InterpError": InterpError, "DeviceFault": DeviceFault,
+    })
+    if traced:
+        asm.consts["_FN"] = func
+        for i, label in enumerate(bfunc.labels):
+            asm.consts[f"_BLK{i}"] = func.blocks[label]
+        asm.consts["_BADDR"] = tuple(func.blocks[l].address
+                                     for l in bfunc.labels)
+    push, pop = asm.push, asm.pop
+    cy = "m.cycles" if traced else "_cy"
     local_names: set = set()
+    externs: Dict[str, int] = {}    # extern name -> slot, first use order
     harvests = False    # any extern result to queue into m.harvest
 
-    def push(expr: str) -> None:
-        stack.append(_StackEntry(expr))
+    def local(name: str) -> str:
+        local_names.add(name)
+        return _mangle_local(name)
 
-    def pop() -> str:
-        return stack.pop().expr
-
-    def spill_pending() -> None:
-        """Materialize every pending stack entry as a temp, in push
-        order, so a faulting instruction cannot reorder evaluation."""
-        for entry in stack:
-            if not entry.expr.startswith("_t"):
-                t = asm.temp()
-                asm.w(f"{t} = {entry.expr}")
-                entry.expr = t
-
-    def force_temp(expr: str) -> str:
-        """Name an expression so it can be used more than once."""
-        if expr.startswith("_t") and expr[2:].isdigit():
-            return expr
-        t = asm.temp()
-        asm.w(f"{t} = {expr}")
-        return t
+    def const_offset(index: str, base: int, esize: int):
+        """The struct offset of a literal-index element, or None."""
+        if _INT_LITERAL.fullmatch(index):
+            return base + int(index) * esize
+        return None
 
     # Split the stream into per-block line groups.
     blocks: List[List[str]] = []
     blk = "_BLK0"    # const name of the block currently being assembled
+    last_extern = ""
     pc = 0
     n = len(code)
     while pc < n:
@@ -494,27 +751,14 @@ def _assemble_function(bfunc: BytecodeFunction, program: Program,
             blocks.append(asm.lines)
             if traced:
                 asm.w("m.steps += 1")
-                asm.w("if m.steps > _maxs:")
-                asm.indent += 1
-                asm.w('raise DeviceFault("watchdog: %d blocks without '
-                      'completing the I/O round (infinite loop?)" '
-                      f'% _maxs, device={device!r}, kind="watchdog")')
-                asm.indent -= 1
+                asm.w("if m.steps > _maxs: _wd(m)")
                 asm.w(f"for _s in m._sinks: _s.on_block(_FN, {blk})")
             else:
                 asm.w("_st += 1")
-                asm.w("if _st > _lim:")
-                asm.indent += 1
-                asm.w('raise DeviceFault("watchdog: %d blocks without '
-                      'completing the I/O round (infinite loop?)" '
-                      f'% m.max_steps, device={device!r}, kind="watchdog")')
-                asm.indent -= 1
+                asm.w("if _st > _lim: _wd(m)")
             pc += 1
         elif op == OP_TICK:
-            if traced:
-                asm.w(f"m.cycles += {code[pc + 1]}")
-            else:
-                asm.w(f"_cy += {code[pc + 1]}")
+            asm.w(f"{cy} += {code[pc + 1]}")
             pc += 2
         elif op == OP_CONST:
             push(repr(pool[code[pc + 1]]))
@@ -522,23 +766,20 @@ def _assemble_function(bfunc: BytecodeFunction, program: Program,
         elif op == OP_PARAM:
             push(_mangle_param(bfunc.params[code[pc + 1]]))
             pc += 2
-        elif op == OP_PARAM_MISSING:
-            spill_pending()
+        elif op in (OP_PARAM_MISSING, OP_SYNCVAR):
+            asm.spill_pending()
             t = asm.temp()
             asm.w(f"{t} = _die({pool[code[pc + 1]]!r})")
             push(t)
             pc += 2
         elif op == OP_LOCAL:
-            name = pool[code[pc + 1]]
-            local_names.add(name)
-            push(_mangle_local(name))
+            push(local(pool[code[pc + 1]]))
             pc += 2
         elif op == OP_STATE:
-            off, end, signed, bits = pool[code[pc + 1]]
-            push(_state_load_expr(off, end, signed, bits))
+            push(_state_load_expr(*pool[code[pc + 1]]))
             pc += 2
         elif op == OP_STATE_REF:
-            spill_pending()
+            asm.spill_pending()
             t = asm.temp()
             asm.w(f"{t} = _state.read_field({pool[code[pc + 1]]!r})")
             push(t)
@@ -549,35 +790,35 @@ def _assemble_function(bfunc: BytecodeFunction, program: Program,
         elif op == OP_BUFLOAD:
             buf, is_buffer, base, esize, signed, bits = pool[code[pc + 1]]
             index = pop()
-            spill_pending()
-            t = asm.temp()
-            if not is_buffer:
+            off = const_offset(index, base, esize) if is_buffer else None
+            if off is not None and 0 <= off <= struct_size - esize:
+                # In-struct constant index: a plain load, nothing to test.
+                raw = _load_raw(str(off), esize)
+                push(_signed(raw, bits) if signed else raw)
+            elif off is not None or not is_buffer:
+                # read_buf raises the fault (oob-segfault, or not a
+                # buffer) with the reference walker's message.
+                asm.spill_pending()
+                t = asm.temp()
                 asm.w(f"{t} = _state.read_buf({buf!r}, {index})")
+                push(t)
             else:
-                o = asm.temp()
-                asm.w(f"{o} = {base} + ({index}) * {esize}")
-                asm.w(f"if 0 <= {o} and {o} + {esize} <= "
-                      f"{program.layout.size}:")
-                asm.indent += 1
-                raw = f'_ifb(_data[{o}:{o} + {esize}], "little")'
-                if signed:
-                    half, mod = 1 << (bits - 1), 1 << bits
-                    asm.w(f"{t} = ((({raw} + {half}) % {mod}) - {half})")
-                else:
-                    asm.w(f"{t} = {raw}")
-                asm.indent -= 1
+                asm.spill_pending()
+                t, o = asm.temp(), asm.temp()
+                raw = _load_raw(o, esize)
+                asm.w(f"{o} = {_elem_offset(base, index, esize)}")
+                asm.w(f"if 0 <= {o} <= {struct_size - esize}:")
+                asm.w(f"    {t} = {_signed(raw, bits) if signed else raw}")
                 asm.w("else:")
-                asm.indent += 1
-                asm.w(f"{t} = _state.read_buf({buf!r}, "
+                asm.w(f"    {t} = _state.read_buf({buf!r}, "
                       f"({o} - {base}) // {esize})")
-                asm.indent -= 1
-            push(t)
+                push(t)
             pc += 2
         elif op == OP_BINOP:
             sym = _OPSYMS[code[pc + 1]]
             b, a = pop(), pop()
             if sym in ("//", "%"):
-                spill_pending()
+                asm.spill_pending()
                 t = asm.temp()
                 fn = "_fdiv" if sym == "//" else "_fmod"
                 asm.w(f"{t} = {fn}({a}, {b})")
@@ -588,102 +829,90 @@ def _assemble_function(bfunc: BytecodeFunction, program: Program,
         elif op == OP_UNOP:
             push(_UN_INLINE[_UNSYMS[code[pc + 1]]].format(a=pop()))
             pc += 2
-        elif op == OP_SYNCVAR:
-            spill_pending()
-            t = asm.temp()
-            asm.w(f"{t} = _die({pool[code[pc + 1]]!r})")
-            push(t)
-            pc += 2
         elif op == OP_ASSIGN:
-            name = pool[code[pc + 1]]
-            local_names.add(name)
-            asm.w(f"{_mangle_local(name)} = {pop()}")
+            value = pop()
+            asm.w(f"{local(pool[code[pc + 1]])} = {value}")
             pc += 2
         elif op == OP_STORE:
             field, kind, off, end, size, mask, lo, hi = pool[code[pc + 1]]
             value = pop()
-            if traced:
-                # Uniform traced body (matches traced_store): write via
-                # the accessor, re-read the stored value for the event.
-                v = force_temp(value)
+            if traced or kind == "malformed":
+                # Through the accessor, like the reference walker's
+                # StateStore; the traced runner re-reads the stored value
+                # for the event.
+                v = asm.force_temp(value)
                 o = asm.temp()
                 asm.w(f"{o} = _state.write_field({field!r}, {v})")
                 asm.w(f"_flags.overflow = {o}")
                 asm.w(f"_flags.last_store_field = {field!r}")
-                s = asm.temp()
-                asm.w(f"{s} = _state.read_field({field!r})")
-                asm.w(f"for _s in m._sinks: "
-                      f"_s.on_state_store({field!r}, {s}, {o})")
-            elif kind == "malformed":
-                v = force_temp(value)
-                asm.w(f"_flags.overflow = _state.write_field({field!r}, "
-                      f"{v})")
+                if traced:
+                    s = asm.temp()
+                    asm.w(f"{s} = _state.read_field({field!r})")
+                    asm.w(f"for _s in m._sinks: "
+                          f"_s.on_state_store({field!r}, {s}, {o})")
+            elif _INT_LITERAL.fullmatch(value):
+                # Literal store: the overflow bit and the stored bytes
+                # are decided here.
+                literal = int(value)
+                overflow = kind == "int" and not lo <= literal <= hi
+                asm.w(f"_flags.overflow = {overflow}")
                 asm.w(f"_flags.last_store_field = {field!r}")
+                asm.w(_store_stmt(str(off), size, str(literal & mask)))
             else:
-                v = force_temp(value)
-                if kind == "fp":
-                    asm.w("_flags.overflow = False")
-                else:
-                    asm.w(f"_flags.overflow = not {lo} <= {v} <= {hi}")
+                v = asm.force_temp(value)
+                asm.w("_flags.overflow = False" if kind == "fp" else
+                      f"_flags.overflow = not {lo} <= {v} <= {hi}")
                 asm.w(f"_flags.last_store_field = {field!r}")
-                asm.w(f"_data[{off}:{end}] = ({v} & {mask})"
-                      f'.to_bytes({size}, "little")')
+                asm.w(_store_stmt(str(off), size, f"{v} & {mask}"))
             pc += 2
         elif op == OP_BUFSTORE:
             buf, is_buffer, base, esize, emask = pool[code[pc + 1]]
             value, index = pop(), pop()
+            off = const_offset(index, base, esize) if is_buffer else None
             if traced:
-                i = force_temp(index)
-                v = force_temp(value)
+                i = asm.force_temp(index)
+                v = asm.force_temp(value)
                 asm.w(f"_state.write_buf({buf!r}, {i}, {v})")
                 asm.w(f"for _s in m._sinks: "
                       f"_s.on_buf_store({buf!r}, {i}, {v})")
-            elif not is_buffer:
+            elif off is not None and 0 <= off <= struct_size - esize:
+                if _INT_LITERAL.fullmatch(value):
+                    value = str(int(value) & emask)
+                else:
+                    value = f"{value} & {emask}"
+                asm.w(_store_stmt(str(off), esize, value))
+            elif off is not None or not is_buffer:
                 asm.w(f"_state.write_buf({buf!r}, {index}, {value})")
             else:
                 o = asm.temp()
-                asm.w(f"{o} = {base} + ({index}) * {esize}")
-                v = force_temp(value)
-                asm.w(f"if 0 <= {o} and {o} + {esize} <= "
-                      f"{program.layout.size}:")
-                asm.indent += 1
-                asm.w(f"_data[{o}:{o} + {esize}] = ({v} & {emask})"
-                      f'.to_bytes({esize}, "little")')
-                asm.indent -= 1
+                asm.w(f"{o} = {_elem_offset(base, index, esize)}")
+                v = asm.force_temp(value)
+                asm.w(f"if 0 <= {o} <= {struct_size - esize}:")
+                asm.w(f"    {_store_stmt(o, esize, f'{v} & {emask}')}")
                 asm.w("else:")
-                asm.indent += 1
-                asm.w(f"_state.write_buf({buf!r}, "
+                asm.w(f"    _state.write_buf({buf!r}, "
                       f"({o} - {base}) // {esize}, {v})")
-                asm.indent -= 1
             pc += 2
         elif op == OP_EXTERN_PRE:
             name, msg = pool[code[pc + 1]], pool[code[pc + 2]]
             last_extern = name    # consumed by the matching EXTERN_CALL
-            f = asm.temp()
-            asm.w(f"{f} = _ext.get({name!r})")
-            asm.w(f"if {f} is None:")
-            asm.indent += 1
-            asm.w(f"raise InterpError({msg!r})")
-            asm.indent -= 1
-            if traced:
-                asm.w(f"m.cycles += _ecost.get({name!r}, 8)")
-            else:
-                asm.w(f"_cy += _ecost.get({name!r}, 8)")
-            push(f)    # carried under the args until EXTERN_CALL
+            slot = externs.setdefault(name, len(externs))
+            asm.w(f"if _X{slot} is None: raise InterpError({msg!r})")
+            asm.w(f"{cy} += _XC{slot}")
+            push(f"_X{slot}")    # carried under the args until EXTERN_CALL
             pc += 3
         elif op == OP_EXTERN_CALL:
             nargs, dest = code[pc + 1], code[pc + 2]
-            args = [pop() for _ in range(nargs)][::-1]
+            args = asm.pop_args(nargs)
             f = pop()
-            spill_pending()
+            asm.spill_pending()
             if traced:
-                args = [force_temp(a) for a in args]
+                args = [asm.force_temp(a) for a in args]
             else:
                 asm.w("m.cycles += _cy; _cy = 0")
                 asm.w("m.steps += _st; _lim -= _st; _st = 0")
-            call = ", ".join(["m"] + args)
             t = asm.temp()
-            asm.w(f"{t} = int({f}({call}) or 0)")
+            asm.w(f"{t} = int({f}({', '.join(['m'] + args)}) or 0)")
             if traced:
                 tup = f"({', '.join(args)}{',' if args else ''})"
                 dname = pool[dest] if dest >= 0 else None
@@ -693,28 +922,25 @@ def _assemble_function(bfunc: BytecodeFunction, program: Program,
             if dest >= 0:
                 name = pool[dest]
                 harvests = True
+                key = f"extern:{bfunc.name}:{name}"
                 q = asm.temp()
                 asm.w("if _hv is not None:")
-                asm.indent += 1
-                key = f"extern:{bfunc.name}:{name}"
-                asm.w(f"{q} = _hv.get({key!r})")
-                asm.w(f"if {q} is None: {q} = _hv[{key!r}] = _deque()")
-                asm.w(f"{q}.append({t})")
-                asm.indent -= 1
-                local_names.add(name)
-                asm.w(f"{_mangle_local(name)} = {t}")
+                asm.w(f"    {q} = _hv.get({key!r})")
+                asm.w(f"    if {q} is None: {q} = _hv[{key!r}] = _deque()")
+                asm.w(f"    {q}.append({t})")
+                asm.w(f"{local(name)} = {t}")
             pc += 3
         elif op == OP_INTRIN:
             nargs, ki = code[pc + 1], code[pc + 2]
-            args = [pop() for _ in range(nargs)][::-1]
+            args = asm.pop_args(nargs)
             if traced:
-                args = [force_temp(a) for a in args]
+                args = [asm.force_temp(a) for a in args]
                 tup = f"({', '.join(args)}{',' if args else ''})"
                 asm.w(f"for _s in m._sinks: "
                       f"_s.on_intrinsic({pool[ki]!r}, {tup})")
             else:
                 for a in args:
-                    if not (a.startswith("_t") and a[2:].isdigit()):
+                    if not _is_temp(a):
                         asm.w(a)    # evaluate for effect (it can fault)
             pc += 3
         elif op == OP_ICALL_PRE:
@@ -729,18 +955,30 @@ def _assemble_function(bfunc: BytecodeFunction, program: Program,
                 asm.w(f'for _s in m._sinks: '
                       f'_s.on_tip({blk}, {a}, "icall")')
             asm.w(f"if {f} is None:")
-            asm.indent += 1
-            asm.w(f"raise DeviceFault({msg!r} % {a}, "
+            asm.w(f"    raise DeviceFault({msg!r} % {a}, "
                   f"device={device!r}, kind=\"wild-jump\")")
-            asm.indent -= 1
             push(f)
             pc += 2
-        elif op == OP_ICALL_CALL:
-            nargs, dest, cont = code[pc + 1], code[pc + 2], code[pc + 3]
-            args = [pop() for _ in range(nargs)][::-1]
-            f = pop()
-            spill_pending()
-            if not traced:
+        elif op in (OP_CALL, OP_ICALL_CALL):
+            if op == OP_CALL:
+                fname = pool[code[pc + 1]]
+                nargs, dest, cont = code[pc + 2:pc + 5]
+                pc += 5
+            else:
+                nargs, dest, cont = code[pc + 1:pc + 4]
+                pc += 4
+            args = asm.pop_args(nargs)
+            if op == OP_CALL:
+                f = asm.bind(program.function(fname), "_F")
+            else:
+                f = pop()
+            asm.spill_pending()
+            if traced and op == OP_CALL:
+                # Args are evaluated before on_call, like the walker's
+                # Call terminator.
+                args = [asm.force_temp(a) for a in args]
+                asm.w(f"for _s in m._sinks: _s.on_call(_FN, {f})")
+            elif not traced:
                 asm.w("m.cycles += _cy; _cy = 0")
                 asm.w("m.steps += _st; _st = 0")
             t = asm.temp()
@@ -749,37 +987,9 @@ def _assemble_function(bfunc: BytecodeFunction, program: Program,
             if not traced:
                 asm.w("_lim = m.max_steps - m.steps")
             if dest >= 0:
-                name = pool[dest]
-                local_names.add(name)
-                asm.w(f"{_mangle_local(name)} = int({t} or 0)")
+                asm.w(f"{local(pool[dest])} = int({t} or 0)")
             asm.w(f"_pc = {cont}")
             asm.w("continue")
-            pc += 4
-        elif op == OP_CALL:
-            fname = pool[code[pc + 1]]
-            nargs, dest, cont = code[pc + 2], code[pc + 3], code[pc + 4]
-            args = [pop() for _ in range(nargs)][::-1]
-            spill_pending()
-            fref = bind(program.function(fname), "_F")
-            t = asm.temp()
-            if traced:
-                # Args are evaluated before on_call, like traced_call.
-                args = [force_temp(a) for a in args]
-                asm.w(f"for _s in m._sinks: _s.on_call(_FN, {fref})")
-            else:
-                asm.w("m.cycles += _cy; _cy = 0")
-                asm.w("m.steps += _st; _st = 0")
-            asm.w(f"{t} = m._call({fref}, ({', '.join(args)}"
-                  f"{',' if args else ''}))")
-            if not traced:
-                asm.w("_lim = m.max_steps - m.steps")
-            if dest >= 0:
-                name = pool[dest]
-                local_names.add(name)
-                asm.w(f"{_mangle_local(name)} = int({t} or 0)")
-            asm.w(f"_pc = {cont}")
-            asm.w("continue")
-            pc += 5
         elif op == OP_GOTO:
             asm.w(f"_pc = {code[pc + 1]}")
             asm.w("continue")
@@ -796,77 +1006,57 @@ def _assemble_function(bfunc: BytecodeFunction, program: Program,
             asm.w("continue")
             pc += 3
         elif op == OP_SWITCH:
-            info = pool[code[pc + 1]]
-            v = force_temp(pop())
-            if info[0] == "dense":
-                _, base, dense, default, msg = info
-                tref = bind(tuple(dense), "_T")
-                i = asm.temp()
-                asm.w(f"{i} = {v} - {base}")
-                asm.w(f"_pc = {tref}[{i}] if 0 <= {i} < {len(dense)} "
-                      f"else {default}")
-            else:
-                _, keys, vals, default, msg = info
-                kref = bind(tuple(keys), "_T")
-                vref = bind(tuple(vals), "_T")
-                i = asm.temp()
-                asm.w(f"{i} = _bisect({kref}, {v})")
-                asm.w(f"_pc = {vref}[{i}] if {i} < {len(keys)} "
-                      f"and {kref}[{i}] == {v} else {default}")
-            asm.w("if _pc < 0:")
-            asm.indent += 1
-            asm.w(f"raise InterpError({msg!r} % {v})")
-            asm.indent -= 1
+            enc, msg = pool[code[pc + 1]]
+            v = asm.force_temp(pop())
+            _emit_switch_pc(asm, enc, v)
+            asm.w(f"if _pc < 0: raise InterpError({msg!r} % {v})")
             if traced:
                 ta = asm.temp()
                 asm.w(f"{ta} = _BADDR[_pc]")
                 # Both events per sink before moving to the next sink,
-                # matching traced_switch's single loop.
+                # matching the walker's single sink loop.
                 asm.w("for _s in m._sinks:")
-                asm.indent += 1
-                asm.w(f'_s.on_tip({blk}, {ta}, "switch")')
-                asm.w(f"_s.on_switch({blk}, {v}, {ta})")
-                asm.indent -= 1
+                asm.w(f'    _s.on_tip({blk}, {ta}, "switch")')
+                asm.w(f"    _s.on_switch({blk}, {v}, {ta})")
             asm.w("continue")
             pc += 2
-        elif op == OP_RET:
+        elif op in (OP_RET, OP_RETV):
+            if op == OP_RETV:
+                asm.w(f"_rv = {pop()}")
             if traced:
                 asm.w("for _s in m._sinks: _s.on_return(_FN)")
             else:
                 asm.w("m.cycles += _cy; m.steps += _st")
-            asm.w("return None")
-            pc += 1
-        elif op == OP_RETV:
-            asm.w(f"_rv = {pop()}")
-            if traced:
-                asm.w("for _s in m._sinks: _s.on_return(_FN)")
-            else:
-                asm.w("m.cycles += _cy; m.steps += _st")
-            asm.w("return _rv")
+            asm.w("return _rv" if op == OP_RETV else "return None")
             pc += 1
         else:
             raise InterpError(f"bad opcode {op} at pc {pc}")
 
-    if stack:
+    if asm.stack:
         raise InterpError(
             f"unbalanced expression stack lowering {bfunc.name}")
 
+    if not traced:
+        _inline_goto_tails(blocks)
+        _wrap_self_loops(blocks)
+
     # -- frame scaffolding ---------------------------------------------------
-    out = _Asm()
-    out.w(f"def _run(m, args):")
+    out = _Asm(asm.consts)
+    out.w("def _run(m, args):")
     out.indent += 1
     if bfunc.params:
         unpack = ", ".join(_mangle_param(p) for p in bfunc.params)
         out.w(f"{unpack}{',' if len(bfunc.params) == 1 else ''} = args")
-    if traced:
-        out.w("_state = m.state; _data = _state.data; _flags = m.flags")
-        out.w("_ext = m._externs; _ecost = m._extern_cost")
-        out.w("_maxs = m.max_steps")
-    else:
+    if not traced:
         out.w("_st = 0; _cy = 0")
-        out.w("_state = m.state; _data = _state.data; _flags = m.flags")
+    out.w("_state = m.state; _sdata = _state.data; _flags = m.flags")
+    if externs:
         out.w("_ext = m._externs; _ecost = m._extern_cost")
-        out.w("_lim = m.max_steps - m.steps")
+        for name, slot in externs.items():
+            out.w(f"_X{slot} = _ext.get({name!r}); "
+                  f"_XC{slot} = _ecost.get({name!r}, {DEFAULT_EXTERN_COST})")
+    out.w("_maxs = m.max_steps" if traced
+          else "_lim = m.max_steps - m.steps")
     if harvests:
         out.w("_hv = m.harvest")
     out.w("_pc = 0")
@@ -882,63 +1072,22 @@ def _assemble_function(bfunc: BytecodeFunction, program: Program,
         out.w("m.cycles += _cy; m.steps += _st")
     out.w("_msg = _LMSG.get(getattr(e, 'name', None))")
     out.w("if _msg is not None:")
-    out.indent += 1
-    out.w("raise InterpError(_msg) from None")
-    out.indent -= 1
+    out.w("    raise InterpError(_msg) from None")
     out.w("raise")
     out.indent -= 1
     if not traced:
         out.w("except BaseException:")
-        out.indent += 1
-        out.w("m.cycles += _cy; m.steps += _st")
-        out.w("raise")
-        out.indent -= 1
-    out.indent -= 1
+        out.w("    m.cycles += _cy; m.steps += _st")
+        out.w("    raise")
 
-    consts["_LMSG"] = {
+    out.consts["_LMSG"] = {
         _mangle_local(name): (f"{bfunc.name}: local {name!r} read "
                               f"before assignment")
         for name in local_names
     }
-    consts["_A2F"] = {addr: program.functions[fname]
-                      for addr, fname in program.addr_to_func.items()}
-    from bisect import bisect_left
-    consts["_bisect"] = bisect_left
-    consts["_deque"] = deque
-
-    def _die(msg: str) -> int:
-        raise InterpError(msg)
-    consts["_die"] = _die
-
-    source = "\n".join(out.lines) + "\n"
-    namespace: Dict[str, Any] = dict(consts)
-    exec(compile(source, f"<bytecode:{device}.{bfunc.name}>", "exec"),
-         namespace)
-    runner = namespace["_run"]
-    runner._bytecode_source = source
-    return runner
-
-
-def _emit_dispatch(out: _Asm, blocks: List[List[str]],
-                   lo: int, hi: int) -> None:
-    """Binary jump-target tree over block indices."""
-    if hi - lo == 1:
-        if len(blocks) > 1:
-            # Guard so the leaf is reachable only for its own index; the
-            # tree makes other indices impossible, so no else needed.
-            pass
-        for line in blocks[lo]:
-            out.w(line)
-        return
-    mid = (lo + hi) // 2
-    out.w(f"if _pc < {mid}:")
-    out.indent += 1
-    _emit_dispatch(out, blocks, lo, mid)
-    out.indent -= 1
-    out.w("else:")
-    out.indent += 1
-    _emit_dispatch(out, blocks, mid, hi)
-    out.indent -= 1
+    out.consts["_A2F"] = {addr: program.functions[fname]
+                          for addr, fname in program.addr_to_func.items()}
+    return _exec_frame(out, f"<bytecode:{device}.{bfunc.name}>", "_run")
 
 
 # ---------------------------------------------------------------------------

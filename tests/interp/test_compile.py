@@ -5,7 +5,7 @@ The bytecode backend's contract is bit-exactness — same final state
 bytes, same cycle/step accounting, same sink event stream (order
 included), same faults with the same kinds and messages.  Every test
 here runs the identical workload on one machine per backend and demands
-identical observables, on the toy device and on five real device
+identical observables, on the toy device and on the real device
 models.  The reference walker is the oracle.
 """
 
@@ -24,6 +24,7 @@ from repro.workloads.profiles import PROFILES
 from tests.toydev import ToyLogic
 
 ALL_DEVICES = ("fdc", "ehci", "pcnet", "sdhci", "scsi")
+ALL_MODELS = ALL_DEVICES + ("virtio-net", "virtio-blk")
 # BACKENDS lists the reference oracle first: index 0 is what every
 # other machine is compared against.
 
@@ -157,8 +158,10 @@ class TestToyDifferential:
         assert all(f == faults[0] for f in faults[1:])
 
 
-def _vm_pair(name):
-    """One (vm, device, recorder) per backend, identically wired."""
+def _vm_pair(name, traced=True):
+    """One (vm, device, recorder) per backend, identically wired; with
+    ``traced=False`` no sink is attached, so bytecode runs the fast
+    runner."""
     prof = PROFILES[name]
     out = []
     for backend in BACKENDS:
@@ -168,9 +171,36 @@ def _vm_pair(name):
             vm.attach_mmio_device(device, prof.base_port)
         else:
             vm.attach_device(device, prof.base_port)
-        recorder = device.machine.add_sink(EventRecorder())
+        recorder = (device.machine.add_sink(EventRecorder()) if traced
+                    else None)
         out.append((vm, device, recorder))
     return prof, out
+
+
+def _round_log(device):
+    """Record every observable of *device* after each I/O round: the
+    return value (or fault), state bytes, cycles, steps and the flag
+    register."""
+    log = []
+    handle_io = device.handle_io
+    machine = device.machine
+
+    def record(key, args, outcome):
+        log.append((key, tuple(args), outcome, bytes(machine.state.data),
+                    machine.cycles, machine.steps, machine.flags.overflow,
+                    machine.flags.last_store_field))
+
+    def logged(key, args=()):
+        try:
+            result = handle_io(key, args)
+        except DeviceFault as fault:
+            record(key, args, (fault.kind, str(fault)))
+            raise
+        record(key, args, result)
+        return result
+
+    device.handle_io = logged
+    return log
 
 
 @pytest.mark.parametrize("name", ALL_DEVICES)
@@ -203,6 +233,29 @@ class TestRealDeviceDifferential:
         for _, bc_dev, _ in pair[1:]:
             assert bytes(ref_dev.state.data) == bytes(bc_dev.state.data)
             assert ref_dev.machine.cycles == bc_dev.machine.cycles
+
+
+@pytest.mark.parametrize("name", ALL_MODELS)
+def test_fast_runner_round_by_round(name):
+    """No sink attached: the bytecode fast runner against the reference
+    walker after every I/O round of prepare + every common and rare
+    op."""
+    prof, pair = _vm_pair(name, traced=False)
+    logs = []
+    for vm, device, _ in pair:
+        log = _round_log(device)
+        driver = prof.make_driver(vm)
+        prof.prepare(vm, driver)
+        rng = random.Random(4321)
+        for op in prof.common_ops + prof.rare_ops:
+            op(vm, driver, rng)
+        assert device.machine._sinks == []
+        logs.append(log)
+    assert logs[0], "no I/O round ran"
+    for log in logs[1:]:
+        assert len(log) == len(logs[0])
+        for ours, reference in zip(log, logs[0]):
+            assert ours == reference, reference[:2]
 
 
 class TestBackendSelection:

@@ -10,7 +10,8 @@ The parity sweep runs every device profile (composites included), the
 nine seeded CVE PoCs and the generated corpus PoCs on three device
 execution paths — the fast runner, the traced runner (a no-op sink
 attached) and the reference walker — and requires identical harvests,
-``CheckReport`` streams, device state and cycle accounting.
+``CheckReport`` streams, device state, cycle and step accounting and
+the flag register.
 """
 
 import random
@@ -91,9 +92,13 @@ def _observables(vm, log):
     devices = {name: bytes(dev.state.data)
                for name, dev in vm.devices.items()}
     cycles = {name: dev.machine.cycles for name, dev in vm.devices.items()}
+    steps = {name: dev.machine.steps for name, dev in vm.devices.items()}
+    flags = {name: (dev.machine.flags.overflow,
+                    dev.machine.flags.last_store_field)
+             for name, dev in vm.devices.items()}
     verdicts = {name: (att.checked_rounds, att.warnings, att.halts)
                 for name, att in vm.attachments.items()}
-    return log, devices, cycles, verdicts, vm.stats
+    return log, devices, cycles, steps, flags, verdicts, vm.stats
 
 
 def _assert_paths_agree(runs):
