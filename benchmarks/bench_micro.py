@@ -134,6 +134,29 @@ def bench_checker_batched(benchmark, batch):
     assert benchmark(one_command)
 
 
+def bench_guarded_round(benchmark):
+    """What a guest I/O round pays end to end on the VM: port lookup,
+    the checker's strict vet, the device round and the VM's accounting,
+    through ``vm.inb``/``vm.outl`` with a deployed bytecode checker.
+    One pcnet receive — a 256-byte frame delivered (one co-executed
+    round) and drained a byte at a time (256 trivial strict
+    ``pmio:read:6`` rounds) — so the per-round toll outside the two
+    generated frames dominates."""
+    prof = PROFILES["pcnet"]
+    vm, device = prof.make_vm()
+    deploy(vm, device, spec_for("pcnet"))
+    driver = prof.make_driver(vm)
+    prof.prepare(vm, driver)
+    frame = bytes(range(256))
+
+    def receive():
+        driver.deliver_frame(frame)
+        return driver.read_frame(len(frame))
+
+    assert benchmark(receive) == frame
+    assert vm.warning_count("pcnet") == 0
+
+
 @pytest.mark.parametrize("backend", BACKENDS)
 def bench_device_round_uncached(benchmark, backend):
     """Raw device-side cost of the same command, for comparison."""

@@ -55,9 +55,7 @@ from __future__ import annotations
 from typing import Any, Callable, Dict, List, Optional, Tuple
 
 from repro.errors import CheckerError, DeviceFault
-from repro.checker.anomalies import (
-    Action, CheckReport, Strategy, decide_action,
-)
+from repro.checker.anomalies import Action, CheckReport, Strategy
 from repro.checker.escheck import (
     CHECK_BLOCK_COST, CHECK_STMT_COST, _WalkStop, _flag,
 )
@@ -536,8 +534,8 @@ def _base_consts(bspec: "BytecodeSpec") -> Dict[str, Any]:
         "_MISSPAD": (_MISS,) * (max(bspec.nparams, default=0) + 1),
         "_plans_get": bspec.plans.get,
         "_bisect": bisect_left, "_die": _die,
-        "_CR": CheckReport, "_decide": decide_action,
-        "_ALLOW": Action.ALLOW, "_bytes": bytes, "_partial": partial,
+        "_CR": CheckReport, "_ALLOW": Action.ALLOW, "_bytes": bytes,
+        "_partial": partial,
         "_CBC": CHECK_BLOCK_COST, "_CSC": CHECK_STMT_COST,
         # Fixed-width accessors: no slice allocation, no int.to_bytes
         # object per store.
@@ -923,7 +921,7 @@ def _assemble_spec(bspec: BytecodeSpec) -> Callable:
 
     out = _Asm(asm.consts)
     out.w("def _walk(w, _rounds, _reports_append, _res, _mode, _policy,")
-    out.w("          _maxb, _tel, _clk):")
+    out.w("          _maxb, _tel, _clk, _full):")
     out.indent += 1
     out.w("_pon = w.param_on; _ion = w.ijump_on; _con = w.cond_on")
     out.w("_sdata = w.state.memory.data")
@@ -931,6 +929,8 @@ def _assemble_spec(bspec: BytecodeSpec) -> Callable:
     # A round that does not commit rolls the buffer back to the last
     # committed snapshot; anything escaping the frame (an oracle or
     # device fault, an interrupt) rolls it back to the entry snapshot.
+    # A clean round that reports nothing (_full false) leaves the
+    # committed snapshot stale (None); the next round retakes it.
     out.w("_committed = _entry = _bytes(_sdata)")
     out.w("_cyc = 0")
     out.w("try:")
@@ -944,14 +944,13 @@ def _assemble_spec(bspec: BytecodeSpec) -> Callable:
     out.w("    _report = w.unknown_key(_iokey, _policy, _mode)")
     out.w("else:")
     out.indent += 1
+    out.w("if _committed is None:")
+    out.w("    _committed = _bytes(_sdata)")
     out.w("_pc, _np, _nl = _plan")
     out.w("if len(_args) == _np:")
     out.w("    _par = _args if type(_args) is tuple else tuple(_args)")
     out.w("else:")
     out.w("    _par = (tuple(_args) + _MISSPAD)[:_np]")
-    out.w("_report = _CR(io_key=_iokey)")
-    out.w("_report.policy = _policy")
-    out.w("w.report = _report")
     out.w("_env = [_UNDEF] * _nl")
     out.w("_blk = 0; _dsd = 0; _pch = 0; _ich = 0; _cch = 0")
     out.w("_cmd = None; _addr = 0")
@@ -965,30 +964,48 @@ def _assemble_spec(bspec: BytecodeSpec) -> Callable:
     # Handled inside the clauses: an exception kept in a local would
     # tie itself, its traceback and this frame into a garbage cycle.
     out.w("except _WalkStop as _e:")
-    out.w("    _report.incomplete = _e.incomplete")
+    out.w("    _inc = _e.incomplete")
     out.w("except CheckerError as _e:")
-    out.w('    _flag(w, _SC, "sync-failure", str(_e), _addr)')
-    out.w("_report.blocks_walked = _blk")
-    out.w("_report.dsod_stmts_executed = _dsd")
-    out.w("_report.param_checks = _pch")
-    out.w("_report.indirect_checks = _ich")
-    out.w("_report.conditional_checks = _cch")
-    out.w("_anoms = _report.anomalies")
-    out.w("_act = _ALLOW if not _anoms else _decide(_anoms, _mode)")
-    out.w("_report.action = _act")
+    out.w('    _inc = not _flag(w, _SC, "sync-failure", str(_e), _addr)')
+    # The walk left the dispatch loop normally: every flag site stops
+    # the walk, so nothing was flagged and the round is complete.
+    out.w("else:")
+    out.indent += 1
     out.w("_cyc += int(_blk * _CBC + _dsd * _CSC)")
-    out.w("if _act is _ALLOW and not _report.incomplete:")
+    out.w("if _tel is not None:")
+    out.w("    _tel.record_clean(_pch, _ich, _cch, _clk() - _t0)")
+    out.w("if _full:")
+    out.w("    _committed = _bytes(_sdata)")
+    out.w("    _report = _CR(io_key=_iokey, blocks_walked=_blk,")
+    out.w("                  dsod_stmts_executed=_dsd, param_checks=_pch,")
+    out.w("                  indirect_checks=_ich, conditional_checks=_cch,")
+    out.w("                  policy=_policy)")
+    out.w("    _report.bind_final_state(_partial(_final, _committed))")
+    out.w("    _reports_append(_report)")
+    out.w("else:")
+    out.w("    _committed = None")
+    out.w("    _reports_append(None)")
+    out.w("continue")
+    out.indent -= 1
+    out.w("_report = w.report(_iokey, _policy, _mode, _inc, _blk, _dsd,")
+    out.w("                   _pch, _ich, _cch)")
+    out.w("_cyc += int(_blk * _CBC + _dsd * _CSC)")
+    out.w("if _report.action is _ALLOW and not _inc:")
     out.w("    _committed = _bytes(_sdata)")
     out.w("else:")
     out.w("    _sdata[:] = _committed")
     out.w("_report.bind_final_state(_partial(_final, _committed))")
     out.indent -= 1
-    out.w("_reports_append(_report)")
     out.w("if _tel is not None:")
     out.w("    _tel.record_round(_report, _clk() - _t0)")
+    out.w("if _full or _report.incomplete or _report.action is not _ALLOW:")
+    out.w("    _reports_append(_report)")
+    out.w("else:")
+    out.w("    _reports_append(None)")
     out.indent -= 2
     out.w("except BaseException:")
     out.w("    _sdata[:] = _entry")
+    out.w("    w.flagged.clear()")
     out.w("    raise")
     out.w("return _cyc")
 

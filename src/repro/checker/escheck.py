@@ -62,15 +62,22 @@ class _WalkStop(Exception):
 class _WalkContext:
     """What a checker's generated walk frame reads besides its call
     arguments: the shadow state it walks in place, the enabled
-    strategies with their toggles, and the report of the round in
-    flight.  One per bytecode checker, reused by every call (the
-    reference walker keeps its own per-round state)."""
+    strategies with their toggles, and the anomalies the round in
+    flight flagged.  One per bytecode checker, reused by every call
+    (the reference walker keeps its own per-round state).
 
-    __slots__ = ("report", "state", "strategies", "param_on", "ijump_on",
+    A round builds its :class:`CheckReport` only when it needs one: a
+    clean round (the walk left the dispatch loop normally) flagged
+    nothing, so the frame reports it from its own counters, and every
+    other round collects its report from :meth:`report`."""
+
+    __slots__ = ("flagged", "state", "strategies", "param_on", "ijump_on",
                  "cond_on", "_view")
 
     def __init__(self, state, strategies: FrozenSet[Strategy]):
-        self.report: Optional[CheckReport] = None
+        #: (strategy, kind, message, block address) per recorded anomaly
+        #: of the round in flight; :meth:`report` drains it
+        self.flagged: List[Tuple[Strategy, str, str, int]] = []
         self.state = state
         self._view = None
         self.set_strategies(strategies)
@@ -81,18 +88,31 @@ class _WalkContext:
         self.ijump_on = Strategy.INDIRECT_JUMP in strategies
         self.cond_on = Strategy.CONDITIONAL_JUMP in strategies
 
+    def report(self, io_key: str, policy: str, mode: Mode,
+               incomplete: bool, blocks: int, dsod: int, param: int,
+               indirect: int, conditional: int) -> CheckReport:
+        """The full report of a round that did not end clean, built from
+        the frame's counters and the anomalies flagged since the last
+        report (mirrors ``ESChecker._check_io`` + ``_finish``)."""
+        anomalies = [Anomaly(strategy=strategy, kind=kind, message=message,
+                             block_address=address, io_key=io_key)
+                     for strategy, kind, message, address in self.flagged]
+        self.flagged.clear()
+        return CheckReport(
+            io_key=io_key, action=decide_action(anomalies, mode),
+            anomalies=anomalies, blocks_walked=blocks,
+            dsod_stmts_executed=dsod, incomplete=incomplete,
+            param_checks=param, indirect_checks=indirect,
+            conditional_checks=conditional, policy=policy)
+
     def unknown_key(self, io_key: str, policy: str,
                     mode: Mode) -> CheckReport:
         """The report of a round on an I/O key training never used:
         nothing walks, the shadow state is untouched and the final
         state stays unbound (mirrors ``ESChecker._check_io``)."""
-        report = CheckReport(io_key=io_key)
-        report.policy = policy
-        self.report = report
         _flag(self, Strategy.CONDITIONAL_JUMP, "unknown-io-key",
               f"I/O interface {io_key!r} never used in training", 0)
-        report.action = decide_action(report.anomalies, mode)
-        return report
+        return self.report(io_key, policy, mode, False, 0, 0, 0, 0, 0)
 
     def final_state(self, snapshot: bytes) -> Dict[str, int]:
         """A report's lazy final state: *snapshot*, the shadow buffer
@@ -108,12 +128,11 @@ class _WalkContext:
 def _flag(w: _WalkContext, strategy: Strategy, kind: str, message: str,
           address: int) -> bool:
     """Record an anomaly if its strategy is enabled (mirrors
-    ``ESChecker._flag``)."""
+    ``ESChecker._flag``).  Every flag site stops the walk right after,
+    so a round flags at most once before its report is built."""
     if strategy not in w.strategies:
         return False
-    w.report.anomalies.append(Anomaly(
-        strategy=strategy, kind=kind, message=message,
-        block_address=address, io_key=w.report.io_key))
+    w.flagged.append((strategy, kind, message, address))
     return True
 
 
@@ -197,19 +216,34 @@ class ESChecker:
     # -- the check entry point ---------------------------------------------------
 
     def check_io(self, io_key: str, args: Tuple[int, ...] = (),
-                 oracle: Optional[SyncOracle] = None) -> CheckReport:
-        """Simulate one I/O round over the ES-CFG and report anomalies."""
+                 oracle: Optional[SyncOracle] = None, *,
+                 report_clean: bool = True) -> Optional[CheckReport]:
+        """Simulate one I/O round over the ES-CFG and report anomalies.
+
+        With ``report_clean=False`` a *clean* round — verdict ALLOW, walk
+        complete — returns ``None`` instead of its report; every other
+        round returns its full report.  The shadow state, cycle
+        accounting and telemetry are the same either way.  It is for a
+        caller that acts only on warnings, halts and incomplete walks
+        (``GuestVM``): on the bytecode backend a clean round then builds
+        no report, takes no commit snapshot and binds no final state.
+        """
         if self._bytecode is not None:
             # A batch of one; the frame records the round's telemetry.
-            return self._run_frame(((io_key, args),), oracle)[0]
+            return self._run_frame(((io_key, args),), oracle,
+                                   report_clean)[0]
         telemetry = self._telemetry
         if telemetry is None:
-            return self._check_io(io_key, args, oracle)
-        clock = self._clock
-        start = clock()
-        report = self._check_io(io_key, args, oracle)
-        telemetry.record_round(report, clock() - start)
-        return report
+            report = self._check_io(io_key, args, oracle)
+        else:
+            clock = self._clock
+            start = clock()
+            report = self._check_io(io_key, args, oracle)
+            telemetry.record_round(report, clock() - start)
+        if (report_clean or report.incomplete
+                or report.action is not Action.ALLOW):
+            return report
+        return None
 
     def _check_io(self, io_key: str, args: Tuple[int, ...],
                   oracle: Optional[SyncOracle]) -> CheckReport:
@@ -235,18 +269,20 @@ class ESChecker:
             report.incomplete = stop.incomplete
         except CheckerError as exc:
             # Unresolvable sync values mean the checker cannot vouch for
-            # the round; surface it as an irregular-operation anomaly.
-            self._flag(report, Strategy.CONDITIONAL_JUMP, "sync-failure",
-                       str(exc), walker.current_address)
+            # the round: an irregular-operation anomaly, or — with that
+            # strategy off — an unresolved walk, like every other site.
+            report.incomplete = not self._flag(
+                report, Strategy.CONDITIONAL_JUMP, "sync-failure",
+                str(exc), walker.current_address)
 
         self._finish(report)
         if report.action is Action.ALLOW and not report.incomplete:
             # The simulated final device state seeds the next round.
             self.device_state = scratch
-        # Lazy: dumping is O(device state) and only eval/report readers
-        # want it.  The value reflects the shadow state at *read* time —
-        # read it before the next resync if exactness matters.
-        report.bind_final_state(self.device_state.dump)
+        # Lazy — dumping is O(device state) and only eval/report readers
+        # want it — but frozen at the round's end, as on the bytecode
+        # backend: a later resync or restore does not show through.
+        report.bind_final_state(self.device_state.clone().dump)
         return report
 
     # -- the batched entry -------------------------------------------------------
@@ -274,8 +310,9 @@ class ESChecker:
                     for key, args in rounds]
         return self._run_frame(rounds, oracle)
 
-    def _run_frame(self, rounds, oracle: Optional[SyncOracle]
-                   ) -> List[CheckReport]:
+    def _run_frame(self, rounds, oracle: Optional[SyncOracle],
+                   report_clean: bool = True
+                   ) -> List[Optional[CheckReport]]:
         """Run *rounds* through the spec's generated frame, in place on
         the committed shadow state.  Mode, strategies, degradation
         policy, watchdog budget and telemetry are read here, per call,
@@ -285,16 +322,11 @@ class ESChecker:
         if strategies is not w.strategies:
             w.set_strategies(strategies)
         w.state = self.device_state
-        reports: List[CheckReport] = []
-        try:
-            self.cycles += self._bytecode.walk(
-                w, rounds, reports.append,
-                (oracle or _NULL_ORACLE).resolve, self.mode,
-                self.degradation.policy.value, self.max_walk_blocks,
-                self._telemetry, self._clock)
-        finally:
-            # The context outlives the call; the report must not.
-            w.report = None
+        reports: List[Optional[CheckReport]] = []
+        self.cycles += self._bytecode.walk(
+            w, rounds, reports.append, (oracle or _NULL_ORACLE).resolve,
+            self.mode, self.degradation.policy.value, self.max_walk_blocks,
+            self._telemetry, self._clock, report_clean)
         return reports
 
     # -- internals --------------------------------------------------------------

@@ -12,10 +12,11 @@ multi-percent wall-clock noise floor — an A-vs-A null experiment with
 this harness's own pass sizes measured +-2.7% — so directly differencing
 off/on pass times cannot resolve a ~1% effect.  Instead the harness
 *amplifies* the instrumentation: an ``_Amplified`` shim invokes the real
-record path (its own clock pair plus ``record_round``) ``amplify`` times
-per round, lifting the signal to ~10% where drift-cancelling ABBA quads
-(off, amplified, amplified, off) measure it reliably; dividing the
-paired median by the amplification factor recovers the per-round cost.
+record path (its own clock pair plus ``record_clean`` for a clean round,
+``record_round`` for any other) ``amplify`` times per round, lifting
+the signal to ~10% where drift-cancelling ABBA quads (off, amplified,
+amplified, off) measure it reliably; dividing the paired median by the
+amplification factor recovers the per-round cost.
 The interpreter-side cost (two staged slot adds per round) is far below
 even the amplified resolution and is measured with a tight loop.
 """
@@ -68,8 +69,9 @@ def capture_sequence(device: str = "fdc", qemu_version: str = "99.0.0",
 
 class _Amplified:
     """Bench-only shim standing in for a CheckerTelemetry bundle: runs
-    the real record path (clock pair + ``record_round``) *factor* times
-    per round so its cost rises above the host's noise floor."""
+    the real record path (clock pair + ``record_clean`` or
+    ``record_round``) *factor* times per round so its cost rises above
+    the host's noise floor."""
 
     __slots__ = ("bundle", "clock", "factor")
 
@@ -77,6 +79,15 @@ class _Amplified:
         self.bundle = bundle
         self.clock = clock
         self.factor = factor
+
+    def record_clean(self, param, indirect, conditional,
+                     elapsed_ns) -> None:
+        bundle = self.bundle
+        clock = self.clock
+        for _ in range(self.factor):
+            start = clock()
+            bundle.record_clean(param, indirect, conditional,
+                                clock() - start + elapsed_ns)
 
     def record_round(self, report, elapsed_ns) -> None:
         bundle = self.bundle

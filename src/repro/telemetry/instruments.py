@@ -33,8 +33,9 @@ class CheckerTelemetry:
     ``record_round`` consumes the finished :class:`CheckReport` (whose
     per-strategy check counters both backends maintain identically), so
     the enabled-telemetry cost is O(1) per I/O round regardless of how
-    many blocks the walk visited.  The common all-clear round touches
-    only plain slot ints and two list appends; everything is drained
+    many blocks the walk visited.  The common all-clear round comes in
+    through ``record_clean`` with just those counters and touches only
+    plain slot ints and two list appends; everything is drained
     into the recorder's Counter/Histogram objects by ``flush`` — which
     the recorder runs before every snapshot — or every ``_DRAIN_EVERY``
     rounds, whichever comes first.
@@ -84,22 +85,27 @@ class CheckerTelemetry:
         self._nchecks: list = []
         recorder.add_flush(self.flush)
 
-    def record_round(self, report, elapsed_ns: int) -> None:
-        p = report.param_checks
-        i = report.indirect_checks
-        c = report.conditional_checks
+    def record_clean(self, param: int, indirect: int, conditional: int,
+                     elapsed_ns: int) -> None:
+        """One clean round — verdict ALLOW, walk complete — from its
+        per-strategy check counts alone: the bytecode frame records a
+        clean round without building a report for it."""
         self.n_rounds += 1
-        self.n_param += p
-        self.n_indirect += i
-        self.n_cond += c
+        self.n_param += param
+        self.n_indirect += indirect
+        self.n_cond += conditional
         elapsed = self._elapsed
         elapsed.append(elapsed_ns)
-        self._nchecks.append(p + i + c)
+        self._nchecks.append(param + indirect + conditional)
+        if len(elapsed) >= _DRAIN_EVERY:
+            self._drain()
+
+    def record_round(self, report, elapsed_ns: int) -> None:
+        self.record_clean(report.param_checks, report.indirect_checks,
+                          report.conditional_checks, elapsed_ns)
         if (report.action is not self._allow_action or report.anomalies
                 or report.incomplete):
             self._record_rare(report)
-        if len(elapsed) >= _DRAIN_EVERY:
-            self._drain()
 
     def flush(self) -> None:
         """Fold staged state into the recorder-owned metrics."""

@@ -66,6 +66,12 @@ class Attachment:
     pending: List[Tuple[str, Tuple[int, ...]]] = field(default_factory=list)
     #: batched checker invocations performed
     batch_flushes: int = 0
+    #: resolves ``field:NAME`` sync points from the live device state;
+    #: one per attachment, so its resolution cache outlives the round
+    oracle: FieldSyncOracle = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        self.oracle = FieldSyncOracle(self.device.state)
 
 
 @dataclass
@@ -100,6 +106,10 @@ class GuestVM:
         self.devices: Dict[str, Device] = {}
         self._port_ranges: List[Tuple[int, int, str]] = []
         self._mmio_ranges: List[Tuple[int, int, str]] = []
+        # port / MMIO address -> (device, read key, write key), filled
+        # on first use and cleared whenever the topology changes
+        self._pmio: Dict[int, Tuple[Device, str, str]] = {}
+        self._mmio: Dict[int, Tuple[Device, str, str]] = {}
         self.attachments: Dict[str, Attachment] = {}
         self.stats = IOStats()
 
@@ -115,6 +125,8 @@ class GuestVM:
         self.devices[device.NAME] = device
         self._port_ranges.append((base_port, base_port + span,
                                   device.NAME))
+        self._pmio.clear()
+        self._mmio.clear()
         if hasattr(device, "memory"):
             # DMA-capable devices address *this* guest's physical memory.
             device.memory = self.memory
@@ -130,6 +142,8 @@ class GuestVM:
         self.devices[device.NAME] = device
         self._mmio_ranges.append((base_addr, base_addr + span,
                                   device.NAME))
+        self._pmio.clear()
+        self._mmio.clear()
         if hasattr(device, "memory"):
             device.memory = self.memory
         return device
@@ -145,6 +159,21 @@ class GuestVM:
             if lo <= port < hi:
                 return self.devices[name], port - lo
         raise WorkloadError(f"no device at port {port:#x}")
+
+    def _map_port(self, port: int) -> Tuple[Device, str, str]:
+        """Resolve *port* once into the port table (an unmapped port
+        raises every time: nothing is cached for it)."""
+        device, offset = self.device_at(port)
+        entry = self._pmio[port] = (device, f"pmio:read:{offset}",
+                                    f"pmio:write:{offset}")
+        return entry
+
+    def _map_mmio(self, addr: int) -> Tuple[Device, str, str]:
+        """:meth:`_map_port` for a memory-mapped register address."""
+        device, offset = self.mmio_device_at(addr)
+        entry = self._mmio[addr] = (device, f"mmio:read:{offset}",
+                                    f"mmio:write:{offset}")
+        return entry
 
     def attach_sedspec(self, device_name: str, spec: ExecutionSpec,
                        mode: Mode = Mode.ENHANCEMENT,
@@ -179,40 +208,41 @@ class GuestVM:
     # -- the I/O path --------------------------------------------------------------
 
     def outb(self, port: int, value: int) -> None:
-        device, offset = self.device_at(port)
-        self._io(device, f"pmio:write:{offset}", (value & 0xFF,))
+        device, _, key = self._pmio.get(port) or self._map_port(port)
+        self._io(device, key, (value & 0xFF,))
 
     def inb(self, port: int) -> int:
-        device, offset = self.device_at(port)
-        result = self._io(device, f"pmio:read:{offset}", ())
+        device, key, _ = self._pmio.get(port) or self._map_port(port)
+        result = self._io(device, key, ())
         return (result or 0) & 0xFF
 
     def outl(self, port: int, value: int) -> None:
         """32-bit port write (DMA address setup and the like)."""
-        device, offset = self.device_at(port)
-        self._io(device, f"pmio:write:{offset}", (value & 0xFFFFFFFF,))
+        device, _, key = self._pmio.get(port) or self._map_port(port)
+        self._io(device, key, (value & 0xFFFFFFFF,))
 
     def inl(self, port: int) -> int:
         """32-bit port read (wide status/CSR values)."""
-        device, offset = self.device_at(port)
-        result = self._io(device, f"pmio:read:{offset}", ())
+        device, key, _ = self._pmio.get(port) or self._map_port(port)
+        result = self._io(device, key, ())
         return (result or 0) & 0xFFFFFFFF
 
     def mmio_write(self, addr: int, value: int) -> None:
         """Write to a memory-mapped device register."""
-        device, offset = self.mmio_device_at(addr)
-        self._io(device, f"mmio:write:{offset}", (value & 0xFFFFFFFF,))
+        device, _, key = self._mmio.get(addr) or self._map_mmio(addr)
+        self._io(device, key, (value & 0xFFFFFFFF,))
 
     def mmio_read(self, addr: int) -> int:
         """Read a memory-mapped device register."""
-        device, offset = self.mmio_device_at(addr)
-        result = self._io(device, f"mmio:read:{offset}", ())
+        device, key, _ = self._mmio.get(addr) or self._map_mmio(addr)
+        result = self._io(device, key, ())
         return (result or 0) & 0xFFFFFFFF
 
     def _io(self, device: Device, key: str,
             args: Tuple[int, ...]) -> Optional[int]:
-        self.stats.io_rounds += 1
-        self.stats.vmexit_cycles += VMEXIT_COST
+        stats = self.stats
+        stats.io_rounds += 1
+        stats.vmexit_cycles += VMEXIT_COST
         attachment = self.attachments.get(device.NAME)
         if attachment is None:
             return self._run_device(device, key, args)
@@ -224,10 +254,24 @@ class GuestVM:
         if attachment.batch_rounds > 0:
             return self._credit_io(attachment, device, key, args)
         # Strict discipline: simulate and vet before the device runs.
-        oracle = FieldSyncOracle(device.state)
-        report = self._vet(attachment, key, args, oracle)
-        result = self._run_device(device, key, args)
-        self._maybe_resync(attachment, device, report)
+        # _vet, _run_device and _maybe_resync inlined: most rounds come
+        # this way, and a clean one brings no report back.
+        checker = attachment.checker
+        before = checker.cycles
+        report = checker.check_io(key, args, oracle=attachment.oracle,
+                                  report_clean=False)
+        stats.checker_cycles += checker.cycles - before
+        attachment.checked_rounds += 1
+        if report is not None:
+            self._verdict(attachment, report)
+        machine = device.machine
+        before = machine.cycles
+        try:
+            result = device.handle_io(key, args)
+        finally:
+            stats.device_cycles += machine.cycles - before
+        if report is not None:
+            self._maybe_resync(attachment, device, report)
         return result
 
     def _credit_io(self, attachment: Attachment, device: Device,
@@ -260,8 +304,7 @@ class GuestVM:
         pending.clear()
         checker = attachment.checker
         before = checker.cycles
-        reports = checker.check_batch(
-            rounds, oracle=FieldSyncOracle(device.state))
+        reports = checker.check_batch(rounds, oracle=attachment.oracle)
         self.stats.checker_cycles += checker.cycles - before
         attachment.batch_flushes += 1
         resync = False
@@ -315,7 +358,8 @@ class GuestVM:
         oracle = QueueSyncOracle(
             harvest, fallback=FieldSyncOracle(pre_state))
         report = self._vet(attachment, key, args, oracle)
-        self._maybe_resync(attachment, device, report)
+        if report is not None:
+            self._maybe_resync(attachment, device, report)
         if fault is not None:
             raise fault
         return result
@@ -329,18 +373,27 @@ class GuestVM:
             self.stats.device_cycles += device.machine.cycles - before
 
     def _vet(self, attachment: Attachment, key: str,
-             args: Tuple[int, ...], oracle) -> CheckReport:
+             args: Tuple[int, ...], oracle) -> Optional[CheckReport]:
+        """Check one round; ``None`` means clean (ALLOW, complete)."""
         checker = attachment.checker
         before = checker.cycles
-        report = checker.check_io(key, args, oracle=oracle)
+        report = checker.check_io(key, args, oracle=oracle,
+                                  report_clean=False)
         self.stats.checker_cycles += checker.cycles - before
         attachment.checked_rounds += 1
+        if report is not None:
+            self._verdict(attachment, report)
+        return report
+
+    @staticmethod
+    def _verdict(attachment: Attachment, report: CheckReport) -> None:
+        """Act on a round that did not check clean: a HALT raises, a
+        WARN is kept."""
         if report.action is Action.HALT:
             attachment.halts.append(report)
             raise SEDSpecHalt(report)
         if report.action is Action.WARN:
             attachment.warnings.append(report)
-        return report
 
     @staticmethod
     def _maybe_resync(attachment: Attachment, device: Device,

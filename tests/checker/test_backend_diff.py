@@ -15,8 +15,11 @@ import random
 
 import pytest
 
-from repro.checker import BACKENDS, Mode
+from repro.checker import (
+    ALL_STRATEGIES, BACKENDS, Action, ESChecker, Mode, Strategy,
+)
 from repro.core import deploy
+from repro.devices.fdc import FDC
 from repro.exploits.pocs import EXPLOITS, run_exploit
 from repro.vm.machine import SEDSpecHalt
 from repro.workloads.profiles import PROFILES, train_device_spec
@@ -43,12 +46,15 @@ def _spec(cache, device, qemu_version="99.0.0"):
 
 def _recorded(attachment):
     """Record every report the deployed checker returns, with its final
-    state read at return time (the checker itself keeps none)."""
+    state read at return time (the checker itself keeps none).  The VM
+    asks ``check_io`` to leave out clean rounds' reports; the spy asks
+    for every round's full report instead, so the two backends are
+    compared on all of them."""
     checker = attachment.checker
     check_io, check_batch = checker.check_io, checker.check_batch
     log = []
 
-    def recording_check_io(key, args=(), oracle=None):
+    def recording_check_io(key, args=(), oracle=None, report_clean=True):
         report = check_io(key, args, oracle=oracle)
         log.append((report, report.final_state))
         return report
@@ -169,3 +175,57 @@ class TestHaltParity:
             messages.append((report.io_key, report.action,
                              tuple(report.anomalies)))
         assert all(m == messages[0] for m in messages[1:])
+
+
+class TestRoundEnd:
+    """What a round leaves behind, read after the round: identical on
+    both backends."""
+
+    def test_final_state_frozen_before_resync(self, spec_cache):
+        """``final_state`` is the shadow state at the round's end: a
+        resync before the (lazy) read does not show through."""
+        spec = _spec(spec_cache, "fdc")
+        finals = {}
+        for backend in BACKENDS:
+            checker = ESChecker(spec, backend=backend)
+            checker.boot_sync(FDC().state)
+            report = checker.check_io("pmio:write:2", (0x0C,))
+            assert report.action is Action.ALLOW and not report.incomplete
+            other = FDC()
+            other.state.write_field("dor", 0)
+            other.state.write_field("msr", 0x11)
+            checker.resync(other.state)
+            assert checker.device_state.dump()["msr"] == 0x11
+            finals[backend] = report.final_state
+        assert finals["reference"]["dor"] == 0x0C
+        assert finals["reference"]["msr"] == 0x80
+        assert finals["bytecode"] == finals["reference"]
+
+    @pytest.mark.parametrize("backend", BACKENDS)
+    def test_unrecorded_sync_failure_is_incomplete(self, backend,
+                                                   spec_cache):
+        """With the conditional-jump strategy off, a sync failure goes
+        unflagged; the round must then read as unresolved (incomplete,
+        rolled back), like every other site whose anomaly is not
+        recorded — never as vetted."""
+        spec = _spec(spec_cache, "pcnet")
+        prof = PROFILES["pcnet"]
+        vm, device = prof.make_vm()
+        prof.prepare(vm, prof.make_driver(vm))
+        reports = {}
+        for strategies in (ALL_STRATEGIES,
+                           ALL_STRATEGIES - {Strategy.CONDITIONAL_JUMP}):
+            checker = ESChecker(spec, strategies=strategies,
+                                backend=backend)
+            checker.boot_sync(device.state)
+            before = bytes(checker.device_state.memory.data)
+            # No oracle: the handler's sync points cannot resolve.
+            reports[strategies] = checker.check_io("pmio:write:4", (1,))
+            assert bytes(checker.device_state.memory.data) == before
+        flagged = reports[ALL_STRATEGIES]
+        assert [a.kind for a in flagged.anomalies] == ["sync-failure"]
+        assert flagged.action is Action.WARN and not flagged.incomplete
+        (unflagged,) = (r for k, r in reports.items()
+                        if k != ALL_STRATEGIES)
+        assert unflagged.anomalies == []
+        assert unflagged.incomplete

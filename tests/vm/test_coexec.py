@@ -57,7 +57,9 @@ def _guarded_vm(name, qemu_version, path, mode):
 
 def _spy(device, checker, log):
     """Instance-level wrappers recording each co-executed round's
-    harvest (copied before the checker pops it) and each report."""
+    harvest (copied before the checker pops it) and each report (the
+    full report of every round, clean ones included, whatever the VM
+    asked ``check_io`` for)."""
     machine = device.machine
     handle_io = device.handle_io
     check_io = checker.check_io
@@ -72,7 +74,7 @@ def _spy(device, checker, log):
                             {k: list(q) for k, q in
                              machine.harvest.items()}))
 
-    def spy_check_io(key, args=(), oracle=None):
+    def spy_check_io(key, args=(), oracle=None, report_clean=True):
         report = check_io(key, args, oracle=oracle)
         log.append(("report", device.NAME, report, report.final_state))
         return report
