@@ -610,9 +610,9 @@ def _assemble_spec(bspec: BytecodeSpec) -> Callable:
             asm.w("_blk += 1")
             asm.w("if _blk > _maxb:")
             asm.indent += 1
-            asm.w(f'_flag(w, _SC, "walk-watchdog", "specification walk '
-                  f'exceeded block budget", {address})')
-            asm.w("raise _WalkStop()")
+            emit_flag_raise("_SC", "walk-watchdog",
+                            repr("specification walk exceeded block budget"),
+                            str(address))
             asm.indent -= 1
             if is_cmd_end:
                 # The prologue clears _cmd, so the gate can never fire.
@@ -920,7 +920,7 @@ def _assemble_spec(bspec: BytecodeSpec) -> Callable:
     _wrap_self_loops(blocks)
 
     out = _Asm(asm.consts)
-    out.w("def _walk(w, _rounds, _reports_append, _res, _mode, _policy,")
+    out.w("def _walk(w, _rounds, _reports_append, _res, _mode, _deg,")
     out.w("          _maxb, _tel, _clk, _full):")
     out.indent += 1
     out.w("_pon = w.param_on; _ion = w.ijump_on; _con = w.cond_on")
@@ -941,7 +941,7 @@ def _assemble_spec(bspec: BytecodeSpec) -> Callable:
     out.w("    _t0 = _clk()")
     out.w("_plan = _plans_get(_iokey)")
     out.w("if _plan is None:")
-    out.w("    _report = w.unknown_key(_iokey, _policy, _mode)")
+    out.w("    _report = w.unknown_key(_iokey, _deg, _mode)")
     out.w("else:")
     out.indent += 1
     out.w("if _committed is None:")
@@ -979,7 +979,7 @@ def _assemble_spec(bspec: BytecodeSpec) -> Callable:
     out.w("    _report = _CR(io_key=_iokey, blocks_walked=_blk,")
     out.w("                  dsod_stmts_executed=_dsd, param_checks=_pch,")
     out.w("                  indirect_checks=_ich, conditional_checks=_cch,")
-    out.w("                  policy=_policy)")
+    out.w("                  policy=_deg.policy.value)")
     out.w("    _report.bind_final_state(_partial(_final, _committed))")
     out.w("    _reports_append(_report)")
     out.w("else:")
@@ -987,7 +987,7 @@ def _assemble_spec(bspec: BytecodeSpec) -> Callable:
     out.w("    _reports_append(None)")
     out.w("continue")
     out.indent -= 1
-    out.w("_report = w.report(_iokey, _policy, _mode, _inc, _blk, _dsd,")
+    out.w("_report = w.report(_iokey, _deg, _mode, _inc, _blk, _dsd,")
     out.w("                   _pch, _ich, _cch)")
     out.w("_cyc += int(_blk * _CBC + _dsd * _CSC)")
     out.w("if _report.action is _ALLOW and not _inc:")

@@ -88,12 +88,15 @@ class _WalkContext:
         self.ijump_on = Strategy.INDIRECT_JUMP in strategies
         self.cond_on = Strategy.CONDITIONAL_JUMP in strategies
 
-    def report(self, io_key: str, policy: str, mode: Mode,
-               incomplete: bool, blocks: int, dsod: int, param: int,
-               indirect: int, conditional: int) -> CheckReport:
+    def report(self, io_key: str, degradation: DegradationConfig,
+               mode: Mode, incomplete: bool, blocks: int, dsod: int,
+               param: int, indirect: int,
+               conditional: int) -> CheckReport:
         """The full report of a round that did not end clean, built from
         the frame's counters and the anomalies flagged since the last
-        report (mirrors ``ESChecker._check_io`` + ``_finish``)."""
+        report (mirrors ``ESChecker._check_io`` + ``_finish``).  The
+        policy is read off *degradation* here, where a report is built,
+        never on a clean round's path."""
         anomalies = [Anomaly(strategy=strategy, kind=kind, message=message,
                              block_address=address, io_key=io_key)
                      for strategy, kind, message, address in self.flagged]
@@ -103,16 +106,18 @@ class _WalkContext:
             anomalies=anomalies, blocks_walked=blocks,
             dsod_stmts_executed=dsod, incomplete=incomplete,
             param_checks=param, indirect_checks=indirect,
-            conditional_checks=conditional, policy=policy)
+            conditional_checks=conditional,
+            policy=degradation.policy.value)
 
-    def unknown_key(self, io_key: str, policy: str,
+    def unknown_key(self, io_key: str, degradation: DegradationConfig,
                     mode: Mode) -> CheckReport:
         """The report of a round on an I/O key training never used:
         nothing walks, the shadow state is untouched and the final
         state stays unbound (mirrors ``ESChecker._check_io``)."""
         _flag(self, Strategy.CONDITIONAL_JUMP, "unknown-io-key",
               f"I/O interface {io_key!r} never used in training", 0)
-        return self.report(io_key, policy, mode, False, 0, 0, 0, 0, 0)
+        return self.report(io_key, degradation, mode, False, 0, 0, 0, 0,
+                           0)
 
     def final_state(self, snapshot: bytes) -> Dict[str, int]:
         """A report's lazy final state: *snapshot*, the shadow buffer
@@ -315,8 +320,9 @@ class ESChecker:
                    ) -> List[Optional[CheckReport]]:
         """Run *rounds* through the spec's generated frame, in place on
         the committed shadow state.  Mode, strategies, degradation
-        policy, watchdog budget and telemetry are read here, per call,
-        so a change between rounds applies to the next one."""
+        config, watchdog budget and telemetry are read here, per call,
+        so a change between rounds applies to the next one; the
+        config's policy is resolved only for a report that is built."""
         w = self._walk_ctx
         strategies = self.strategies
         if strategies is not w.strategies:
@@ -325,7 +331,7 @@ class ESChecker:
         reports: List[Optional[CheckReport]] = []
         self.cycles += self._bytecode.walk(
             w, rounds, reports.append, (oracle or _NULL_ORACLE).resolve,
-            self.mode, self.degradation.policy.value, self.max_walk_blocks,
+            self.mode, self.degradation, self.max_walk_blocks,
             self._telemetry, self._clock, report_clean)
         return reports
 
@@ -424,11 +430,11 @@ class _Walker:
         self.blocks += 1
         self.report.blocks_walked += 1
         if self.blocks > self.checker.max_walk_blocks:
-            self.checker._flag(
+            recorded = self.checker._flag(
                 self.report, Strategy.CONDITIONAL_JUMP, "walk-watchdog",
                 "specification walk exceeded block budget",
                 self.current_address)
-            raise _WalkStop()
+            raise _WalkStop(incomplete=not recorded)
         self._command_gate(block)
         return block
 

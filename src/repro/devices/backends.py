@@ -91,6 +91,15 @@ class _SparseBytes:
                                                 pos - offset + take]
             pos += take
 
+    def window(self, offset: int, length: int) -> bytes:
+        """Exactly *length* bytes from *offset*: what *length* per-byte
+        reads give, zeros wherever the window leaves ``[0, size)``."""
+        lo, hi = max(offset, 0), min(offset + length, self.size)
+        if lo >= hi:
+            return bytes(max(0, length))
+        return (bytes(lo - offset) + self.read_range(lo, hi - lo)
+                + bytes(offset + length - hi))
+
     @property
     def allocated_bytes(self) -> int:
         return len(self._chunks) * _CHUNK_SIZE
@@ -123,17 +132,21 @@ class DiskImage:
         if 0 <= offset < self.size:
             self._store.set(offset, value & 0xFF)
 
-    def read_block(self, offset: int, length: int) -> bytes:
-        self.reads += length
-        data = self._store.read_range(offset, length)
-        if len(data) < length:      # zeros past the end, as per byte reads
-            data += bytes(length - len(data))
-        return data
+    def read_bytes(self, offset: int, n: int) -> bytes:
+        """Block twin of *n* :meth:`read_byte` calls from *offset*."""
+        self.reads += n
+        return self._store.window(offset, n)
 
-    def write_block(self, offset: int, payload: bytes) -> None:
-        self.writes += len(payload)
-        masked = bytes(b & 0xFF for b in payload)
-        self._store.write_range(offset, masked)
+    def write_bytes(self, offset: int, data: bytes) -> None:
+        """Block twin of :meth:`write_byte` over consecutive offsets
+        (*data* holds byte values)."""
+        self.writes += len(data)
+        self._store.write_range(offset, data)
+
+    #: whole-block access for tools and tests: the twins, which count
+    #: like the per-byte calls
+    read_block = read_bytes
+    write_block = write_bytes
 
 
 class GuestMemory:
@@ -161,11 +174,31 @@ class GuestMemory:
         if 0 <= addr < self.size:
             self._store.set(addr, value & 0xFF)
 
+    def dma_read_bytes(self, addr: int, n: int) -> bytes:
+        """Block twin of *n* :meth:`read_byte` calls from *addr*."""
+        self.dma_reads += n
+        return self._store.window(addr, n)
+
+    def dma_write_bytes(self, addr: int, data: bytes) -> None:
+        """Block twin of :meth:`write_byte` over consecutive addresses
+        (*data* holds byte values)."""
+        self.dma_writes += len(data)
+        self._store.write_range(addr, data)
+
     def write_block(self, addr: int, payload: bytes) -> None:
         self._store.write_range(addr, bytes(payload))
 
     def read_block(self, addr: int, length: int) -> bytes:
         return self._store.read_range(addr, length)
+
+
+def byte_window(data: bytes, start: int, n: int) -> bytes:
+    """*n* bytes of *data* from *start*, zeros wherever the window
+    leaves it: what *n* bounds-checked per-index reads give."""
+    lo, hi = max(start, 0), min(start + n, len(data))
+    if lo >= hi:
+        return bytes(max(0, n))
+    return bytes(lo - start) + data[lo:hi] + bytes(start + n - hi)
 
 
 class IRQLine:

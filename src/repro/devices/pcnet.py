@@ -27,7 +27,9 @@ Seeded vulnerabilities (versions per the paper's Table III):
 from __future__ import annotations
 
 from repro.compiler import DeviceLogic, arr, fld, ptr, reg
-from repro.devices.backends import GuestMemory, IRQLine, NetBackend
+from repro.devices.backends import (
+    GuestMemory, IRQLine, NetBackend, byte_window,
+)
 from repro.devices.base import CveGate, Device, register_device
 
 BUFFER_SIZE = 4096
@@ -368,19 +370,27 @@ class PCNet(Device):
 
     def bind_externs(self) -> None:
         self.machine.bind_extern(
-            "dma_read", lambda m, addr: self.memory.read_byte(addr), cost=40)
+            "dma_read", lambda m, addr: self.memory.read_byte(addr), cost=40,
+            block=lambda m, addr, n: self.memory.dma_read_bytes(addr, n))
         self.machine.bind_extern(
             "dma_write", lambda m, addr, v: self.memory.write_byte(addr, v),
-            cost=40)
-        self.machine.bind_extern("net_tx_byte", self._net_tx_byte, cost=20)
+            cost=40,
+            block=lambda m, addr, data: self.memory.dma_write_bytes(addr,
+                                                                   data))
+        self.machine.bind_extern("net_tx_byte", self._net_tx_byte, cost=20,
+                                 block=self._net_tx_bytes)
         self.machine.bind_extern("net_tx_done", self._net_tx_done, cost=60)
-        self.machine.bind_extern("net_rx_byte", self._net_rx_byte, cost=20)
+        self.machine.bind_extern("net_rx_byte", self._net_rx_byte, cost=20,
+                                 block=self._net_rx_bytes)
         self.machine.bind_extern(
             "set_irq", lambda m, level: self.irq_line.set_level(level),
             cost=50)
 
     def _net_tx_byte(self, machine, byte: int) -> None:
         self._tx_staging.append(byte & 0xFF)
+
+    def _net_tx_bytes(self, machine, data: bytes) -> None:
+        self._tx_staging.extend(data)
 
     def _net_tx_done(self, machine, length: int) -> None:
         self.net.transmit(bytes(self._tx_staging[:length]))
@@ -390,6 +400,9 @@ class PCNet(Device):
         if 0 <= index < len(self._rx_frame):
             return self._rx_frame[index]
         return 0
+
+    def _net_rx_bytes(self, machine, start: int, n: int) -> bytes:
+        return byte_window(self._rx_frame, start, n)
 
     def reset(self) -> None:
         self.machine.set_funcptr("irq", "on_irq")

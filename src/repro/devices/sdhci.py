@@ -278,10 +278,12 @@ class SDHCI(Device):
 
     def bind_externs(self) -> None:
         self.machine.bind_extern(
-            "disk_read", lambda m, off: self.disk.read_byte(off), cost=30)
+            "disk_read", lambda m, off: self.disk.read_byte(off), cost=30,
+            block=lambda m, off, n: self.disk.read_bytes(off, n))
         self.machine.bind_extern(
             "disk_write", lambda m, off, v: self.disk.write_byte(off, v),
-            cost=30)
+            cost=30,
+            block=lambda m, off, data: self.disk.write_bytes(off, data))
         self.machine.bind_extern(
             "set_irq", lambda m, level: self.irq_line.set_level(level),
             cost=50)

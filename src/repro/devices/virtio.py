@@ -38,7 +38,9 @@ each family can be exercised in isolation):
 from __future__ import annotations
 
 from repro.compiler import DeviceLogic, arr, fld, ptr, reg
-from repro.devices.backends import DiskImage, GuestMemory, IRQLine, NetBackend
+from repro.devices.backends import (
+    DiskImage, GuestMemory, IRQLine, NetBackend, byte_window,
+)
 from repro.devices.base import CveGate, Device, register_device
 
 BUFFER_SIZE = 4096
@@ -713,19 +715,27 @@ class VirtioNet(Device):
 
     def bind_externs(self) -> None:
         self.machine.bind_extern(
-            "dma_read", lambda m, addr: self.memory.read_byte(addr), cost=40)
+            "dma_read", lambda m, addr: self.memory.read_byte(addr), cost=40,
+            block=lambda m, addr, n: self.memory.dma_read_bytes(addr, n))
         self.machine.bind_extern(
             "dma_write", lambda m, addr, v: self.memory.write_byte(addr, v),
-            cost=40)
-        self.machine.bind_extern("net_tx_byte", self._net_tx_byte, cost=20)
+            cost=40,
+            block=lambda m, addr, data: self.memory.dma_write_bytes(addr,
+                                                                   data))
+        self.machine.bind_extern("net_tx_byte", self._net_tx_byte, cost=20,
+                                 block=self._net_tx_bytes)
         self.machine.bind_extern("net_tx_done", self._net_tx_done, cost=60)
-        self.machine.bind_extern("net_rx_byte", self._net_rx_byte, cost=20)
+        self.machine.bind_extern("net_rx_byte", self._net_rx_byte, cost=20,
+                                 block=self._net_rx_bytes)
         self.machine.bind_extern(
             "set_irq", lambda m, level: self.irq_line.set_level(level),
             cost=50)
 
     def _net_tx_byte(self, machine, byte: int) -> None:
         self._tx_staging.append(byte & 0xFF)
+
+    def _net_tx_bytes(self, machine, data: bytes) -> None:
+        self._tx_staging.extend(data)
 
     def _net_tx_done(self, machine, length: int) -> None:
         self.net.transmit(bytes(self._tx_staging[:length]))
@@ -735,6 +745,9 @@ class VirtioNet(Device):
         if 0 <= index < len(self._rx_frame):
             return self._rx_frame[index]
         return 0
+
+    def _net_rx_bytes(self, machine, start: int, n: int) -> bytes:
+        return byte_window(self._rx_frame, start, n)
 
     def reset(self) -> None:
         self.machine.set_funcptr("complete", "on_complete")
@@ -769,15 +782,20 @@ class VirtioBlk(Device):
 
     def bind_externs(self) -> None:
         self.machine.bind_extern(
-            "dma_read", lambda m, addr: self.memory.read_byte(addr), cost=40)
+            "dma_read", lambda m, addr: self.memory.read_byte(addr), cost=40,
+            block=lambda m, addr, n: self.memory.dma_read_bytes(addr, n))
         self.machine.bind_extern(
             "dma_write", lambda m, addr, v: self.memory.write_byte(addr, v),
-            cost=40)
+            cost=40,
+            block=lambda m, addr, data: self.memory.dma_write_bytes(addr,
+                                                                   data))
         self.machine.bind_extern(
-            "disk_read", lambda m, off: self.disk.read_byte(off), cost=30)
+            "disk_read", lambda m, off: self.disk.read_byte(off), cost=30,
+            block=lambda m, off, n: self.disk.read_bytes(off, n))
         self.machine.bind_extern(
             "disk_write", lambda m, off, v: self.disk.write_byte(off, v),
-            cost=30)
+            cost=30,
+            block=lambda m, off, data: self.disk.write_bytes(off, data))
         self.machine.bind_extern(
             "set_irq", lambda m, level: self.irq_line.set_level(level),
             cost=50)

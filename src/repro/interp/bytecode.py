@@ -31,7 +31,9 @@ Every function is assembled twice:
   inside the struct are decided at assembly; static successors are
   spliced into their predecessors and trained loops become native
   ``while`` loops; each extern the function calls is resolved once per
-  frame entry;
+  frame entry; and a counted byte-copy loop moves its bytes with one
+  call of each extern's block twin when a guard proves that equals
+  the scalar loop (see "Block transfers" below);
 * the **traced runner** emits the sink event stream inline
   (``on_block``/``on_branch``/``on_tip``/... in the exact order the
   reference walker produces them) and keeps one dispatch per block, so
@@ -54,7 +56,8 @@ import re
 import struct
 from bisect import bisect_left
 from collections import deque
-from typing import Any, Callable, Dict, List, Tuple
+from dataclasses import dataclass
+from typing import Any, Callable, Dict, List, Optional, Tuple
 
 from repro.errors import DeviceFault, InterpError
 from repro.ir import (
@@ -653,6 +656,280 @@ def _wrap_self_loops(blocks: List[List[str]]) -> None:
 
 
 # ---------------------------------------------------------------------------
+# Block transfers (fast runner only)
+# ---------------------------------------------------------------------------
+
+@dataclass
+class _Transfer:
+    """A counted ``for`` loop whose one body block moves one byte per
+    iteration, which the fast runner can move as one twin call.
+
+    The frontend lowers ``for i in range(...)`` to a head block
+    (``i < __i_stop``), the body and a step block (``i = i + 1``).  The
+    body is one of three shapes: ``dest = R(X + i)`` then either
+    ``W(Y + i, dest)`` or a store into ``buf[i + c]`` /
+    ``buf[cursor]; cursor += 1``; or ``W(Y + i, buf[i + c])`` /
+    ``S(buf[i + c])``.  ``X`` and ``Y`` are the loop-invariant address
+    bases of the read and write externs."""
+
+    head: str
+    body: str
+    step: str
+    exit: str
+    i: str
+    stop: str
+    read: Optional[Tuple[str, Expr, str]] = None    # (extern, X, dest)
+    write: Optional[Tuple[str, Expr]] = None        # (extern, Y)
+    stream: Optional[str] = None                    # extern
+    buf: Optional[str] = None
+    into: bool = False             # the body stores into buf
+    offset: int = 0                # c of buf[i + c]
+    cursor: Optional[str] = None   # the field indexing buf instead
+
+    @property
+    def externs(self) -> Tuple[str, ...]:
+        return tuple(name for name in (
+            self.read and self.read[0], self.write and self.write[0],
+            self.stream) if name)
+
+
+def _counted_base(expr: Expr, i: str) -> Optional[Expr]:
+    """``X`` of an ``X + i`` (``Const(0)`` for a bare ``i``), else None."""
+    if expr == Local(i):
+        return Const(0)
+    if isinstance(expr, BinOp) and expr.op == "+":
+        if expr.right == Local(i):
+            return expr.left
+        if expr.left == Local(i):
+            return expr.right
+    return None
+
+
+def _buffer_offset(expr: Expr, i: str) -> Optional[int]:
+    """``c`` of a buffer index ``i + c``, else None."""
+    base = _counted_base(expr, i)
+    return base.value if isinstance(base, Const) else None
+
+
+def _transfer_body(stmts: List[Stmt], i: str,
+                   stop: str) -> Optional[Dict[str, Any]]:
+    """The :class:`_Transfer` fields of a body of one of the three
+    shapes, else None."""
+    if not stmts or not isinstance(stmts[0], ExternCall):
+        return None
+    first, rest = stmts[0], stmts[1:]
+    if first.dest is None:
+        # buffer -> write or stream extern
+        load = first.args[-1] if first.args else None
+        if rest or not isinstance(load, BufLoad):
+            return None
+        offset = _buffer_offset(load.index, i)
+        if offset is None:
+            return None
+        fields = dict(buf=load.buf, offset=offset)
+        if len(first.args) == 1:
+            fields["stream"] = first.func
+            return fields
+        base = (_counted_base(first.args[0], i) if len(first.args) == 2
+                else None)
+        if base is None:
+            return None
+        fields["write"] = (first.func, base)
+        return fields
+    dest = first.dest
+    base = (_counted_base(first.args[0], i) if len(first.args) == 1
+            else None)
+    if base is None or dest in (i, stop):
+        return None
+    fields = dict(read=(first.func, base, dest))
+    value = Local(dest)
+    if (len(rest) == 1 and isinstance(rest[0], ExternCall)
+            and rest[0].dest is None and len(rest[0].args) == 2
+            and rest[0].args[1] == value and rest[0].func != first.func):
+        # read extern -> write extern
+        fields["write"] = (rest[0].func,
+                           _counted_base(rest[0].args[0], i))
+        return fields if fields["write"][1] is not None else None
+    if not rest or not isinstance(rest[0], BufStore) \
+            or rest[0].value != value:
+        return None
+    fields.update(buf=rest[0].buf, into=True)
+    if len(rest) == 1:
+        fields["offset"] = _buffer_offset(rest[0].index, i)
+        return fields if fields["offset"] is not None else None
+    index = rest[0].index
+    if (len(rest) == 2 and isinstance(index, StateRef)
+            and isinstance(rest[1], StateStore)
+            and rest[1].field == index.field
+            and rest[1].value == BinOp("+", index, Const(1))):
+        fields["cursor"] = index.field
+        return fields
+    return None
+
+
+def _match_transfers(func: Function) -> List[_Transfer]:
+    """Every counted loop of *func* whose body is a transfer shape."""
+    found: List[_Transfer] = []
+    for label, head in func.blocks.items():
+        term = head.terminator
+        if (head.stmts or not isinstance(term, Branch)
+                or not isinstance(term.cond, BinOp) or term.cond.op != "<"
+                or not isinstance(term.cond.left, Local)
+                or not isinstance(term.cond.right, Local)):
+            continue
+        i, stop = term.cond.left.name, term.cond.right.name
+        body = func.blocks[term.taken]
+        if stop != f"__{i}_stop" or not isinstance(body.terminator, Goto):
+            continue
+        step = func.blocks[body.terminator.target]
+        if not (len(step.stmts) == 1 and isinstance(step.stmts[0], Assign)
+                and step.stmts[0].target == i
+                and step.stmts[0].value == BinOp("+", Local(i), Const(1))
+                and isinstance(step.terminator, Goto)
+                and step.terminator.target == label):
+            continue
+        fields = _transfer_body(body.stmts, i, stop)
+        if fields is not None:
+            found.append(_Transfer(head=label, body=term.taken,
+                                   step=body.terminator.target,
+                                   exit=term.not_taken, i=i, stop=stop,
+                                   **fields))
+    return found
+
+
+def _invariant_src(expr: Expr, func: Function, program: Program,
+                   barred: set, written: set) -> Optional[str]:
+    """Source of an address base that the loop cannot change and whose
+    evaluation cannot fault (so it is evaluated once, at loop entry), or
+    None.  *barred* locals are the loop's own, *written* fields are the
+    ones the body stores."""
+    def src(e: Expr) -> Optional[str]:
+        if isinstance(e, Const):
+            return repr(e.value)
+        if isinstance(e, Param):
+            return _mangle_param(e.name) if e.name in func.params else None
+        if isinstance(e, Local):
+            return None if e.name in barred else _mangle_local(e.name)
+        if isinstance(e, StateRef):
+            decl = program.layout.field(e.field)
+            if decl.is_buffer or e.field in written:
+                return None
+            signed = isinstance(decl.type, IntType) and decl.type.signed
+            return _state_load_expr(decl.offset, decl.end, int(signed),
+                                    decl.type.bits if signed else 0)
+        if isinstance(e, BufLen):
+            return repr(e.length)
+        if isinstance(e, BinOp) and e.op in _BIN_INLINE:
+            a, b = src(e.left), src(e.right)
+            if a is None or b is None:
+                return None
+            return _BIN_INLINE[e.op].format(a=a, b=b)
+        if isinstance(e, UnOp):
+            a = src(e.operand)
+            return None if a is None else _UN_INLINE[e.op].format(a=a)
+        return None    # buffer loads, sync vars, // and % can fault
+    return src(expr)
+
+
+def _transfer_lines(t: _Transfer, func: Function, program: Program,
+                    slots: Dict[str, int], cycles: int,
+                    exit_pc: int) -> Optional[List[str]]:
+    """The guarded block path of *t*, placed in front of its native
+    self-loop: when every guard holds at loop entry it moves all
+    ``n = stop - i`` bytes through the externs' twins and leaves the
+    round exactly as the scalar loop would (counters, locals, flags,
+    harvest, state), else it falls through to the unchanged loop.
+
+    The guard: ``n >= 1``; the watchdog budget covers all ``3n``
+    blocks; every extern of the body is bound and has a twin; every
+    buffer index stays within that buffer's own elements and a cursor
+    within its type; and a read-then-write body's write range does not
+    start strictly inside its read range, where a shared store would
+    make the loop read bytes it wrote itself."""
+    i, stop = _mangle_local(t.i), _mangle_local(t.stop)
+    written = {name for name in (t.buf if t.into else None, t.cursor)
+               if name}
+    barred = {t.i} | ({t.read[2]} if t.read else set())
+    evals: List[str] = []
+    conds: List[str] = []
+    for var, part in (("_br", t.read), ("_bw", t.write)):
+        if part is None:
+            continue
+        base = _invariant_src(part[1], func, program, barred, written)
+        if base is None:
+            return None
+        evals.append(f"{var} = {i}" if base == "0"
+                     else f"{var} = {base} + {i}")
+    if t.read and t.write:
+        conds.append("(_bw <= _br or _bw >= _br + _bn)")
+    decl = program.layout.field(t.buf) if t.buf else None
+    if decl is not None and not (decl.is_buffer and decl.type.elem.bits == 8
+                                 and not decl.type.elem.signed):
+        return None    # the twins move bytes: u8 buffers only
+    cursor = program.layout.field(t.cursor) if t.cursor else None
+    if cursor is not None:
+        if cursor.is_buffer or not isinstance(cursor.type, IntType):
+            return None
+        ctype = cursor.type
+        evals.append("_bc = " + _state_load_expr(
+            cursor.offset, cursor.end, int(ctype.signed),
+            ctype.bits if ctype.signed else 0))
+        conds.append(f"0 <= _bc and _bc + _bn <= "
+                     f"{min(decl.type.length, ctype.max_value)}")
+        at = f"{decl.offset} + _bc"
+    elif decl is not None:
+        conds.append(f"{i} >= {-t.offset} and "
+                     f"{stop} <= {decl.type.length - t.offset}")
+        at = f"{decl.offset + t.offset} + {i}"
+    guard = ["_bn >= 1", "_st + 3 * _bn <= _lim"]
+    for name in t.externs:
+        guard.append(f"_X{slots[name]} is not None")
+        guard.append(f"_XB{slots[name]} is not None")
+    lines = [f"_bn = {stop} - {i}", f"if {' and '.join(guard)}:"]
+    if any(part[1].local_refs() for part in (t.read, t.write) if part):
+        # A base local read before assignment faults in the loop, with
+        # the loop's accounting: leave that to the scalar path.
+        lines += ["    try:"] + ["        " + e for e in evals]
+        lines += ["    except NameError:", "        _bn = 0"]
+        conds.insert(0, "_bn")
+    else:
+        lines += ["    " + e for e in evals]
+    effects: List[str] = []
+    if t.read:
+        effects.append(f"_bd = _XB{slots[t.read[0]]}(m, _br, _bn)")
+    else:
+        effects.append("_bo = " + at)
+        effects.append("_bd = _sdata[_bo:_bo + _bn]")
+    if t.write:
+        effects.append(f"_XB{slots[t.write[0]]}(m, _bw, _bd)")
+    if t.stream:
+        effects.append(f"_XB{slots[t.stream]}(m, _bd)")
+    if t.into:
+        effects.append("_bo = " + at)
+        effects.append("_sdata[_bo:_bo + _bn] = _bd")
+    if cursor is not None:
+        mask = (1 << (cursor.size * 8)) - 1
+        effects.append(_store_stmt(str(cursor.offset), cursor.size,
+                                   f"(_bc + _bn) & {mask}"))
+        effects.append("_flags.overflow = False")
+        effects.append(f"_flags.last_store_field = {t.cursor!r}")
+    if t.read:
+        key = f"extern:{func.name}:{t.read[2]}"
+        effects += ["if _hv is not None:",
+                    f"    _bq = _hv.get({key!r})",
+                    f"    if _bq is None: _bq = _hv[{key!r}] = _deque()",
+                    "    _bq.extend(_bd)",
+                    f"{_mangle_local(t.read[2])} = _bd[-1]"]
+    per_iter = " + ".join([str(cycles)] + [f"_XC{slots[name]}"
+                                           for name in t.externs])
+    effects += [f"{i} = {stop}", "_st += 3 * _bn",
+                f"_cy += _bn * ({per_iter})", f"_pc = {exit_pc}",
+                "continue"]
+    lines.append(f"    if {' and '.join(conds)}:")
+    return lines + ["        " + e for e in effects]
+
+
+# ---------------------------------------------------------------------------
 # Assembly: flat arrays -> one dispatch-loop frame
 # ---------------------------------------------------------------------------
 
@@ -704,7 +981,9 @@ def _assemble_function(bfunc: BytecodeFunction, program: Program,
     Both frames resolve each extern the function calls once at entry
     (so ``bind_extern`` takes effect at the next function entry) and
     append destination-bearing extern results to ``m.harvest`` (read
-    once per frame) when co-execution has set it.
+    once per frame) when co-execution has set it.  The fast frame also
+    resolves the block twins of its transfer loops there, and puts
+    each loop's guarded block path in front of its native self-loop.
     """
     code, pool = bfunc.code, bfunc.pool
     device = program.name
@@ -739,6 +1018,7 @@ def _assemble_function(bfunc: BytecodeFunction, program: Program,
 
     # Split the stream into per-block line groups.
     blocks: List[List[str]] = []
+    ticks: List[int] = []    # static cycles each block charges
     blk = "_BLK0"    # const name of the block currently being assembled
     last_extern = ""
     pc = 0
@@ -749,6 +1029,7 @@ def _assemble_function(bfunc: BytecodeFunction, program: Program,
             asm.lines = []
             blk = f"_BLK{len(blocks)}"
             blocks.append(asm.lines)
+            ticks.append(0)
             if traced:
                 asm.w("m.steps += 1")
                 asm.w("if m.steps > _maxs: _wd(m)")
@@ -759,6 +1040,7 @@ def _assemble_function(bfunc: BytecodeFunction, program: Program,
             pc += 1
         elif op == OP_TICK:
             asm.w(f"{cy} += {code[pc + 1]}")
+            ticks[-1] += code[pc + 1]
             pc += 2
         elif op == OP_CONST:
             push(repr(pool[code[pc + 1]]))
@@ -1036,9 +1318,19 @@ def _assemble_function(bfunc: BytecodeFunction, program: Program,
         raise InterpError(
             f"unbalanced expression stack lowering {bfunc.name}")
 
+    twins: Dict[str, int] = {}    # extern name -> slot, twin resolved
     if not traced:
         _inline_goto_tails(blocks)
         _wrap_self_loops(blocks)
+        index = {label: k for k, label in enumerate(bfunc.labels)}
+        for t in _match_transfers(func):
+            k = index[t.body]
+            cycles = ticks[index[t.head]] + ticks[k] + ticks[index[t.step]]
+            lines = _transfer_lines(t, func, program, externs, cycles,
+                                    index[t.exit])
+            if lines is not None and blocks[k][0] == "while True:":
+                blocks[k][:0] = lines
+                twins.update((name, externs[name]) for name in t.externs)
 
     # -- frame scaffolding ---------------------------------------------------
     out = _Asm(asm.consts)
@@ -1055,6 +1347,10 @@ def _assemble_function(bfunc: BytecodeFunction, program: Program,
         for name, slot in externs.items():
             out.w(f"_X{slot} = _ext.get({name!r}); "
                   f"_XC{slot} = _ecost.get({name!r}, {DEFAULT_EXTERN_COST})")
+    if twins:
+        out.w("_xb = m._extern_block")
+        for name, slot in twins.items():
+            out.w(f"_XB{slot} = _xb.get({name!r})")
     out.w("_maxs = m.max_steps" if traced
           else "_lim = m.max_steps - m.steps")
     if harvests:

@@ -88,6 +88,9 @@ class Machine:
         self.harvest: Optional[Dict[str, Deque[int]]] = None
         self._externs: Dict[str, ExternFn] = {}
         self._extern_cost: Dict[str, int] = {}
+        #: block twins: extern name -> one call that does what *n*
+        #: per-byte calls do (only the bytecode fast runner calls them)
+        self._extern_block: Dict[str, Callable] = {}
         self._depth = 0
         self._telemetry = None
         self._telemetry_cache = None
@@ -109,9 +112,26 @@ class Machine:
         self._sinks.remove(sink)
 
     def bind_extern(self, name: str, fn: ExternFn,
-                    cost: int = DEFAULT_EXTERN_COST) -> None:
+                    cost: int = DEFAULT_EXTERN_COST,
+                    block: Optional[Callable] = None) -> None:
+        """Bind extern *name* to *fn* at *cost* cycles a call.
+
+        *block* is its optional block twin: one call with the effect and
+        results of *n* per-byte calls over consecutive addresses, which
+        the bytecode fast runner makes for a counted byte-copy loop
+        (see :mod:`repro.interp.bytecode`).  By the role the loop gives
+        the extern, a twin is called as ``block(m, start, n)`` for a
+        read (returns the *n* results as ``bytes``),
+        ``block(m, start, data)`` for a two-argument write and
+        ``block(m, data)`` for a one-argument stream.  Binding without
+        *block* drops a twin bound before, so a replaced extern is never
+        bypassed by its old twin."""
         self._externs[name] = fn
         self._extern_cost[name] = cost
+        if block is None:
+            self._extern_block.pop(name, None)
+        else:
+            self._extern_block[name] = block
 
     def set_funcptr(self, field_name: str, func_name: str) -> None:
         """Point a function-pointer field at a compiled function."""

@@ -16,7 +16,8 @@ import random
 import pytest
 
 from repro.checker import (
-    ALL_STRATEGIES, BACKENDS, Action, ESChecker, Mode, Strategy,
+    ALL_STRATEGIES, BACKENDS, Action, DegradationConfig, DegradationPolicy,
+    ESChecker, Mode, Strategy,
 )
 from repro.core import deploy
 from repro.devices.fdc import FDC
@@ -229,3 +230,73 @@ class TestRoundEnd:
                         if k != ALL_STRATEGIES)
         assert unflagged.anomalies == []
         assert unflagged.incomplete
+
+    @pytest.mark.parametrize("backend", BACKENDS)
+    def test_unrecorded_walk_watchdog_is_incomplete(self, backend,
+                                                    spec_cache):
+        """With the conditional-jump strategy off, a walk that runs out
+        of its block budget goes unflagged; the round must then read as
+        unresolved and roll back, never as vetted with the half-walked
+        shadow state committed."""
+        spec = _spec(spec_cache, "fdc")
+        prof = PROFILES["fdc"]
+        vm, device = prof.make_vm()
+        driver = prof.make_driver(vm)
+        prof.prepare(vm, driver)
+        boot = FDC().state
+        boot.data[:] = device.state.data
+        rounds = []
+        handle_io = device.handle_io
+        device.handle_io = lambda key, args=(): (
+            rounds.append((key, tuple(args))) or handle_io(key, args))
+        driver.read_lba(3)
+        full = ESChecker(spec, backend=backend)
+        full.boot_sync(boot)
+        walks = [full.check_io(key, args).blocks_walked
+                 for key, args in rounds]
+        last = max(range(len(rounds)), key=walks.__getitem__)
+        assert rounds[last][0] == "pmio:write:5" and walks[last] >= 2
+        reports = {}
+        for strategies in (ALL_STRATEGIES,
+                           ALL_STRATEGIES - {Strategy.CONDITIONAL_JUMP}):
+            checker = ESChecker(spec, strategies=strategies,
+                                backend=backend)
+            checker.boot_sync(boot)
+            for key, args in rounds[:last]:
+                report = checker.check_io(key, args)
+                assert report.action is Action.ALLOW
+                assert not report.incomplete
+            before = bytes(checker.device_state.memory.data)
+            checker.max_walk_blocks = walks[last] // 2
+            reports[strategies] = checker.check_io(*rounds[last])
+            assert bytes(checker.device_state.memory.data) == before
+        flagged = reports[ALL_STRATEGIES]
+        assert [a.kind for a in flagged.anomalies] == ["walk-watchdog"]
+        assert flagged.action is Action.WARN and not flagged.incomplete
+        (unflagged,) = (r for k, r in reports.items()
+                        if k != ALL_STRATEGIES)
+        assert unflagged.anomalies == []
+        assert unflagged.action is Action.ALLOW and unflagged.incomplete
+
+    @pytest.mark.parametrize("backend", BACKENDS)
+    def test_policy_change_shows_in_the_next_report(self, backend,
+                                                    spec_cache):
+        """A degradation policy set between two ``check_io`` calls is
+        the one the second call's reports carry: clean, unknown-key and
+        incomplete alike."""
+        checker = ESChecker(_spec(spec_cache, "fdc"), backend=backend)
+        checker.boot_sync(FDC().state)
+        assert checker.check_io("pmio:write:2", (0x0C,)).policy \
+            == "fail-closed"
+        checker.degradation = DegradationConfig(
+            policy=DegradationPolicy.FAIL_OPEN)
+        assert checker.check_io("pmio:write:2", (0x0C,)).policy \
+            == "fail-open"
+        unknown = checker.check_io("pmio:write:15", (1,))
+        assert [a.kind for a in unknown.anomalies] == ["unknown-io-key"]
+        assert unknown.policy == "fail-open"
+        checker.max_walk_blocks = 0
+        checker.degradation = DegradationConfig(
+            policy=DegradationPolicy.RETRY)
+        report = checker.check_io("pmio:write:2", (0x0C,))
+        assert report.anomalies and report.policy == "retry"

@@ -8,6 +8,7 @@ readability) and stay oblivious to bus type, base address, and bring-up
 protocol.
 """
 
+import hashlib
 from dataclasses import dataclass
 from typing import Callable, Dict, Tuple
 
@@ -76,3 +77,34 @@ def make_device(name: str, version: str = "99.0.0",
     if bring_up:
         fixture.bring_up(driver)
     return vm, device, driver
+
+
+def _store_digest(backing) -> str:
+    """Digest of a sparse store's allocated chunks, indices included
+    (so where chunks were allocated is compared too)."""
+    digest = hashlib.sha256()
+    chunks = backing._store._chunks
+    for index in sorted(chunks):
+        digest.update(index.to_bytes(8, "little"))
+        digest.update(chunks[index])
+    return digest.hexdigest()
+
+
+def backend_snapshot(device) -> Tuple:
+    """Everything a device's host backends hold, as a comparable value:
+    disk and guest-memory contents with their ``reads``/``writes`` and
+    ``dma_reads``/``dma_writes`` counters, and the net staging buffer
+    with the transmitted frames."""
+    out = []
+    disk = getattr(device, "disk", None)
+    if disk is not None:
+        out.append(("disk", _store_digest(disk), disk.reads, disk.writes))
+    memory = getattr(device, "memory", None)
+    if memory is not None:
+        out.append(("memory", _store_digest(memory), memory.dma_reads,
+                    memory.dma_writes))
+    net = getattr(device, "net", None)
+    if net is not None:
+        out.append(("net", bytes(device._tx_staging), net.tx_bytes,
+                    tuple(frame.payload for frame in net.tx_frames)))
+    return tuple(out)

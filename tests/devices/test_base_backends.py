@@ -9,6 +9,8 @@ from repro.devices import (
 )
 from repro.devices.base import CveGate
 from repro.devices.fdc import FDC
+from repro.devices.pcnet import PCNet
+from repro.devices.virtio import VirtioNet
 from repro.errors import DeviceFault, WorkloadError
 
 
@@ -176,3 +178,80 @@ class TestIRQAndNet:
         net.transmit(b"xyzw")
         assert net.tx_bytes == 4
         assert net.tx_frames[0].payload == b"xyzw"
+
+
+class TestBlockTwins:
+    """Each block twin equals *n* per-byte calls: the values returned,
+    the store contents (allocated chunks included) and the counters."""
+
+    SIZE = 3 * (1 << 16) + 100          # three chunks and a tail
+
+    STARTS = {
+        "empty-at-zero": (0, 0),
+        "empty-past-end": (SIZE + 5, 0),
+        "in-range": (100, 512),
+        "chunk-boundary": ((1 << 16) - 200, 512),
+        "store-end": (SIZE - 300, 512),
+        "ends-at-end": (SIZE - 512, 512),
+        "negative": (-200, 512),
+        "all-negative": (-1000, 300),
+        "past-end": (SIZE + 10, 300),
+        "spans-everything": (-5, SIZE + 10),
+    }
+
+    @staticmethod
+    def _seeded(cls):
+        store = cls(TestBlockTwins.SIZE)
+        for lo in (0, (1 << 16) - 300, TestBlockTwins.SIZE - 700):
+            store.write_block(lo, bytes((lo + k) * 7 & 0xFF
+                                        for k in range(600)))
+        return store
+
+    @staticmethod
+    def _state(store, reads, writes):
+        chunks = store._store._chunks
+        return ({i: bytes(chunks[i]) for i in chunks},
+                getattr(store, reads), getattr(store, writes))
+
+    @pytest.mark.parametrize("start, n", STARTS.values(), ids=STARTS)
+    @pytest.mark.parametrize("cls, read, write, counters", [
+        (DiskImage, "read_bytes", "write_bytes", ("reads", "writes")),
+        (GuestMemory, "dma_read_bytes", "dma_write_bytes",
+         ("dma_reads", "dma_writes")),
+    ], ids=["disk", "memory"])
+    def test_twin_equals_per_byte_calls(self, cls, read, write, counters,
+                                        start, n):
+        block, scalar = self._seeded(cls), self._seeded(cls)
+        got = getattr(block, read)(start, n)
+        assert isinstance(got, bytes)
+        assert got == bytes(scalar.read_byte(start + k) for k in range(n))
+        assert self._state(block, *counters) \
+            == self._state(scalar, *counters)
+        payload = bytes((k * 13 + 1) & 0xFF for k in range(n))
+        getattr(block, write)(start, payload)
+        for k, value in enumerate(payload):
+            scalar.write_byte(start + k, value)
+        assert self._state(block, *counters) \
+            == self._state(scalar, *counters)
+
+    @pytest.mark.parametrize("cls", [PCNet, VirtioNet],
+                             ids=["pcnet", "virtio-net"])
+    def test_net_twins_equal_per_byte_calls(self, cls):
+        block, scalar = cls(), cls()
+        frame = bytes(range(200))
+        for device in (block, scalar):
+            device.stage_rx_frame(frame)
+        for start, n in ((0, 0), (0, 200), (150, 100), (-20, 50),
+                         (500, 10)):
+            assert block._net_rx_bytes(None, start, n) == bytes(
+                scalar._net_rx_byte(None, start + k) for k in range(n))
+        data = bytes(range(40, 140))
+        block._net_tx_bytes(None, data)
+        for value in data:
+            scalar._net_tx_byte(None, value)
+        block._net_tx_bytes(None, b"")
+        assert block._tx_staging == scalar._tx_staging
+        block._net_tx_done(None, 60)
+        scalar._net_tx_done(None, 60)
+        assert [f.payload for f in block.net.tx_frames] \
+            == [f.payload for f in scalar.net.tx_frames]

@@ -21,6 +21,7 @@ from repro.ir import StateMemory
 from repro.vm.machine import GuestVM
 from repro.workloads.profiles import PROFILES
 
+from tests.devices.fixtures import backend_snapshot
 from tests.toydev import ToyLogic
 
 ALL_DEVICES = ("fdc", "ehci", "pcnet", "sdhci", "scsi")
@@ -179,8 +180,9 @@ def _vm_pair(name, traced=True):
 
 def _round_log(device):
     """Record every observable of *device* after each I/O round: the
-    return value (or fault), state bytes, cycles, steps and the flag
-    register."""
+    return value (or fault), state bytes, cycles, steps, the flag
+    register, and its backends (disk and guest-memory bytes with their
+    counters, the net staging buffer and transmitted frames)."""
     log = []
     handle_io = device.handle_io
     machine = device.machine
@@ -188,7 +190,8 @@ def _round_log(device):
     def record(key, args, outcome):
         log.append((key, tuple(args), outcome, bytes(machine.state.data),
                     machine.cycles, machine.steps, machine.flags.overflow,
-                    machine.flags.last_store_field))
+                    machine.flags.last_store_field,
+                    backend_snapshot(device)))
 
     def logged(key, args=()):
         try:
