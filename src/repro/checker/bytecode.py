@@ -29,7 +29,10 @@ walks, decides the verdict, and commits or rolls back the shadow buffer,
 which it walks in place.  The walk is a ``while`` loop dispatching on
 the global block index through a binary jump-target tree, with an
 explicit call stack, so walk counters, the current command and the
-current address stay in locals for the entire round.  Assembly is a
+current address stay in locals for the entire round.  A counted copy
+loop the lowering matches (an ``L_LOOP`` record) is walked in closed
+form when a guard proves all its iterations clean, and one iteration at
+a time otherwise (see :func:`_closed_form`).  Assembly is a
 deterministic function of the arrays and needs no spec object.
 Lowering and assembly happen in the process that runs the checker, once
 per spec; nothing generated is ever read back from disk.
@@ -61,9 +64,9 @@ from repro.checker.escheck import (
 )
 from repro.interp.bytecode import (
     _BIN_INLINE, _CODECS, _INT_LITERAL, _OPSYMS, _UN_INLINE, _UNSYMS, _Asm,
-    _emit_dispatch, _emit_switch_pc, _encode_switch, _exec_frame,
-    _inline_goto_tails, _load_raw, _signed, _state_load_expr, _store_stmt,
-    _wrap_self_loops,
+    _buffer_offset, _emit_dispatch, _emit_switch_pc, _encode_switch,
+    _exec_frame, _inline_goto_tails, _load_raw, _signed, _state_load_expr,
+    _store_stmt, _wrap_self_loops,
 )
 from repro.interp.ops import _floordiv, _mod, binop_fn
 from repro.ir import (
@@ -108,6 +111,7 @@ N_RETV = 47          #
 N_STUB = 48          # ni       (untrained-label landing block)
 N_UNTRAINED = 49     # ni       (call into a function training never ran)
 N_NONBTD = 50        # ni
+L_LOOP = 60          # ii       (closed-form loop record; trails the blocks)
 
 
 def _index_is_state_derived(index: Expr) -> bool:
@@ -237,6 +241,11 @@ class _SpecLowerer:
             func = spec.functions[name]
             block = func.blocks[label]
             self.lower_block(func, block)
+        for name, label, stub in self.order:
+            if not stub:
+                record = self.match_loop(spec.functions[name], label)
+                if record is not None:
+                    self.emit(L_LOOP, self.ref(record))
         # io_key -> (entry pc, nparams, nlocals); keys whose handler
         # training never ran are absent and take the unknown-key path.
         plans = {}
@@ -264,6 +273,110 @@ class _SpecLowerer:
         for stmt in block.dsod:
             self.lower_dsod(stmt, func, block)
         self.lower_nbtd(func, block)
+
+    # -- counted loops -------------------------------------------------------
+
+    def match_loop(self, func: ESFunction, label: str) -> Optional[tuple]:
+        """The closed-form record of the counted ``for`` loop headed by
+        block *label*, or None.
+
+        The frontend lowers ``for i in range(...)`` to a head
+        ``i < __i_stop``, a body and a step ``i = i + 1`` back to the
+        head.  A loop matches when the head carries no DSOD and is
+        two-sided in the spec, no loop block decides or ends a command,
+        and the body is empty (its externs were sliced away, so the head
+        branches straight to the step) or one of the two copy shapes of
+        :meth:`copy_shape`.  The record holds what the assembler's
+        closed form needs: the loop's pcs and head address, its blocks
+        and DSOD statements per iteration, the local slots, the
+        commands every loop block is accessible under, and the copy."""
+        spec = self.spec
+        head = func.blocks[label]
+        nbtd, cond = head.nbtd, getattr(head.nbtd, "cond", None)
+        if (not isinstance(nbtd, Branch) or not isinstance(cond, BinOp)
+                or cond.op != "<" or not isinstance(cond.left, Local)
+                or not isinstance(cond.right, Local)):
+            return None
+        i, stop = cond.left.name, cond.right.name
+        if (stop != f"__{i}_stop" or head.dsod
+                or spec.branch_is_one_sided(head.address) is not None):
+            return None
+
+        def is_step(block: Optional[ESBlock]) -> bool:
+            return (block is not None and len(block.dsod) == 1
+                    and isinstance(block.dsod[0], Assign)
+                    and block.dsod[0].target == i
+                    and block.dsod[0].value == BinOp("+", Local(i),
+                                                     Const(1))
+                    and isinstance(block.nbtd, Goto)
+                    and block.nbtd.target == label)
+
+        body = func.blocks.get(nbtd.taken)
+        if is_step(body):
+            blocks, copy = (body, head), None
+        else:
+            step = (func.blocks.get(body.nbtd.target)
+                    if body is not None and isinstance(body.nbtd, Goto)
+                    else None)
+            copy = self.copy_shape(func, body.dsod, i, stop) \
+                if is_step(step) else None
+            if copy is None:
+                return None
+            blocks = (body, step, head)
+        if any(b.is_cmd_decision or b.is_cmd_end for b in blocks):
+            return None
+        row = frozenset.intersection(*(
+            spec.cmd_access.commands_allowing(b.address) for b in blocks))
+        slot = self.locals_of[func.name].index
+        return (self.pc_of[(func.name, body.label)],
+                self.pc_of[(func.name, nbtd.not_taken)], head.address,
+                len(blocks), sum(len(b.dsod) for b in blocks),
+                slot(i), slot(stop), row, copy)
+
+    def copy_shape(self, func: ESFunction, dsod, i: str,
+                   stop: str) -> Optional[tuple]:
+        """The copy of a loop body that moves one harvested value into a
+        u8 buffer per iteration, or None.  Two shapes: the *cursor* copy
+        ``v = sync(extern:F:v); dev.B[dev.K] = v; dev.K = dev.K + 1``
+        and the *indexed* copy ``v = sync(extern:F:v); dev.B[i + c] =
+        v``.  Returns ``(sync name, slot of v, B's offset, B's length,
+        cursor, c)`` with the cursor as ``(K's load geometry, its
+        bound, its size)``, or None for the indexed shape."""
+        if (len(dsod) not in (2, 3) or not isinstance(dsod[0], Assign)
+                or not isinstance(dsod[0].value, SyncVar)
+                or not dsod[0].value.name.startswith("extern:")
+                or dsod[0].target in (i, stop)
+                or not isinstance(dsod[1], BufStore)
+                or dsod[1].value != Local(dsod[0].target)):
+            return None
+        layout = self.spec.layout
+        buf = layout.field(dsod[1].buf)
+        if not (buf.is_buffer and buf.type.elem.bits == 8
+                and not buf.type.elem.signed):
+            return None
+        index = dsod[1].index
+        cursor, offset = None, 0
+        if len(dsod) == 3:
+            store = dsod[2]
+            if not (isinstance(index, StateRef)
+                    and isinstance(store, StateStore)
+                    and store.field == index.field
+                    and store.value == BinOp("+", index, Const(1))):
+                return None
+            decl = layout.field(index.field)
+            if decl.is_buffer or not isinstance(decl.type, IntType):
+                return None
+            signed = decl.type.signed
+            cursor = ((decl.offset, decl.end, int(signed),
+                       decl.type.bits if signed else 0),
+                      min(buf.type.length, decl.type.max_value), decl.size)
+        else:
+            offset = _buffer_offset(index, i)
+            if offset is None:
+                return None
+        return (dsod[0].value.name,
+                self.locals_of[func.name].index(dsod[0].target),
+                buf.offset, buf.type.length, cursor, offset)
 
     # -- expressions ---------------------------------------------------------
 
@@ -535,7 +648,7 @@ def _base_consts(bspec: "BytecodeSpec") -> Dict[str, Any]:
         "_plans_get": bspec.plans.get,
         "_bisect": bisect_left, "_die": _die,
         "_CR": CheckReport, "_ALLOW": Action.ALLOW, "_bytes": bytes,
-        "_partial": partial,
+        "_partial": partial, "_u8s": _u8s,
         "_CBC": CHECK_BLOCK_COST, "_CSC": CHECK_STMT_COST,
         # Fixed-width accessors: no slice allocation, no int.to_bytes
         # object per store.
@@ -597,6 +710,7 @@ def _assemble_spec(bspec: BytecodeSpec) -> Callable:
         return o
 
     blocks: List[List[str]] = []
+    loops: List[tuple] = []
     pc = 0
     n = len(code)
     while pc < n:
@@ -910,6 +1024,9 @@ def _assemble_spec(bspec: BytecodeSpec) -> Callable:
         elif op == N_NONBTD:
             asm.w(f"raise CheckerError({pool[code[pc + 1]]!r})")
             pc += 2
+        elif op == L_LOOP:
+            loops.append(pool[code[pc + 1]])
+            pc += 2
         else:
             raise CheckerError(f"bad opcode {op} at pc {pc}")
 
@@ -918,12 +1035,17 @@ def _assemble_spec(bspec: BytecodeSpec) -> Callable:
 
     _inline_goto_tails(blocks)
     _wrap_self_loops(blocks)
+    for record in loops:
+        k = record[0]
+        if blocks[k][0] == "while True:":
+            blocks[k][:0] = _closed_form(asm, *record[1:])
 
     out = _Asm(asm.consts)
-    out.w("def _walk(w, _rounds, _reports_append, _res, _mode, _deg,")
+    out.w("def _walk(w, _rounds, _reports_append, _orc, _mode, _deg,")
     out.w("          _maxb, _tel, _clk, _full):")
     out.indent += 1
     out.w("_pon = w.param_on; _ion = w.ijump_on; _con = w.cond_on")
+    out.w("_res = _orc.resolve")
     out.w("_sdata = w.state.memory.data")
     out.w("_final = w.final_state")
     # A round that does not commit rolls the buffer back to the last
@@ -1010,6 +1132,71 @@ def _assemble_spec(bspec: BytecodeSpec) -> Callable:
     out.w("return _cyc")
 
     return _exec_frame(out, f"<es-bytecode:{bspec.device}>", "_walk")
+
+
+def _closed_form(asm: _Asm, exit_pc: int, head: int, nblocks: int,
+                 ndsod: int, i_slot: int, stop_slot: int, row,
+                 copy: Optional[tuple]) -> List[str]:
+    """The guarded closed-form walk of one counted loop (a
+    :meth:`_SpecLowerer.match_loop` record), placed in front of its
+    native self-loop, whose entry follows the head's taken branch.
+
+    When the guard proves at loop entry that all ``n = stop - i``
+    remaining iterations would walk clean, it applies their effects at
+    once — ``nblocks * n`` blocks, ``ndsod * n`` DSOD statements, the
+    check counters, ``i = stop``, the copy's slice store and cursor —
+    and exits to the head's not-taken target at the head's address,
+    exactly as the scalar loop would; otherwise it falls through to the
+    unchanged loop.  The guard: ``n >= 1`` with both values defined;
+    the walk budget covers every block; no command is in force or the
+    command is in every loop block's access row; a cursor copy's
+    ``K .. K + n`` stays within the buffer and K's type, an indexed
+    copy's ``i + c .. stop + c`` within the buffer; and the oracle's
+    :meth:`~repro.checker.sync.SyncOracle.take` hands over all ``n``
+    values at once."""
+    guard = [f"_blk + {nblocks} * _ln <= _maxb"]
+    if row:
+        guard.append(f"(_cmd is None or _cmd in {asm.bind(row, '_G')})")
+    else:
+        guard.append("_cmd is None")
+    lines = [f"_li = _env[{i_slot}]; _ls = _env[{stop_slot}]",
+             "if _li is not _UNDEF and _ls is not _UNDEF:",
+             "    _ln = _ls - _li",
+             f"    if _ln >= 1 and {' and '.join(guard)}:"]
+    effects = [f"_blk += {nblocks} * _ln; _dsd += {ndsod} * _ln",
+               f"if _con and _cmd is not None: _cch += {nblocks} * _ln"]
+    indent = "        "
+    if copy is not None:
+        name, v_slot, base, length, cursor, offset = copy
+        if cursor is not None:
+            geometry, bound, size = cursor
+            lines += [f"{indent}_lk = {_state_load_expr(*geometry)}",
+                      f"{indent}if 0 <= _lk and _lk + _ln <= {bound}:"]
+            at = f"{base} + _lk"
+            effects += ["if _pon: _pch += 2 * _ln",
+                        _store_stmt(str(geometry[0]), size, "_lk + _ln")]
+        else:
+            lines.append(f"{indent}if 0 <= _li + {offset} and "
+                         f"_ls + {offset} <= {length}:")
+            at = f"{base + offset} + _li"
+        indent += "    "
+        lines += [f"{indent}_lv = _orc.take({name!r}, _ln)",
+                  f"{indent}if _lv is not None:"]
+        indent += "    "
+        effects += [f"_env[{v_slot}] = _lv[-1]", f"_lo = {at}",
+                    "_sdata[_lo:_lo + _ln] = _u8s(_lv)"]
+    effects.append(f"_env[{i_slot}] = _ls; _addr = {head}; "
+                   f"_pc = {exit_pc}")
+    effects.append("continue")
+    return lines + [indent + line for line in effects]
+
+
+def _u8s(values: List[int]) -> bytes:
+    """The bytes a run of u8 buffer stores of *values* leaves."""
+    try:
+        return bytes(values)
+    except ValueError:
+        return bytes([value & 0xFF for value in values])
 
 
 def _emit_setcmd(asm: _Asm, known, msg: str, address: int, value: str,

@@ -330,7 +330,7 @@ class ESChecker:
         w.state = self.device_state
         reports: List[Optional[CheckReport]] = []
         self.cycles += self._bytecode.walk(
-            w, rounds, reports.append, (oracle or _NULL_ORACLE).resolve,
+            w, rounds, reports.append, oracle or _NULL_ORACLE,
             self.mode, self.degradation, self.max_walk_blocks,
             self._telemetry, self._clock, report_clean)
         return reports

@@ -13,7 +13,7 @@ Two kinds of sync variables appear in a specification:
 
 from __future__ import annotations
 
-from typing import Deque, Dict, Optional, Tuple
+from typing import Deque, Dict, List, Optional, Tuple
 
 from repro.errors import CheckerError
 from repro.ir import StateMemory
@@ -25,6 +25,16 @@ class SyncOracle:
     def resolve(self, name: str) -> int:
         raise CheckerError(f"sync variable {name!r} cannot be resolved "
                            f"by {type(self).__name__}")
+
+    def take(self, name: str, n: int) -> Optional[List[int]]:
+        """Block twin of *n* :meth:`resolve` calls of *name*: the *n*
+        values, or ``None`` — consuming nothing — when the oracle cannot
+        hand them all over at once.  The checker frame's closed-form
+        loop walk asks for a copy loop's values here and walks the loop
+        one iteration at a time whenever the answer is ``None``.  The
+        base refuses, so an oracle that implements only :meth:`resolve`
+        is asked once per value, exactly as before."""
+        return None
 
 
 class NullSyncOracle(SyncOracle):
@@ -97,3 +107,19 @@ class QueueSyncOracle(SyncOracle):
         if self._fallback is not None:
             return self._fallback.resolve(name)
         return super().resolve(name)
+
+    def take(self, name: str, n: int) -> Optional[List[int]]:
+        """The next *n* harvested values of *name*, or ``None`` with the
+        queue untouched when fewer are queued (the per-value walk then
+        fails on exactly the value that is missing)."""
+        if not name.startswith("extern:"):
+            return None
+        queue = self._queues.get(name)
+        if queue is None or len(queue) < n:
+            return None
+        if len(queue) == n:
+            values = list(queue)
+            queue.clear()
+            return values
+        popleft = queue.popleft
+        return [popleft() for _ in range(n)]

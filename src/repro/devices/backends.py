@@ -50,29 +50,6 @@ class _SparseBytes:
             chunk = self._chunks[index] = bytearray(_CHUNK_SIZE)
         chunk[offset & _CHUNK_MASK] = value
 
-    def read_range(self, offset: int, length: int) -> bytes:
-        """Chunk-spanning read; unallocated and out-of-range areas are
-        zeros (in-range) / absent (clamped at ``size``)."""
-        if offset < 0:
-            length += offset
-            offset = 0
-        end = min(offset + max(0, length), self.size)
-        if offset >= end:
-            return b""
-        parts: List[bytes] = []
-        pos = offset
-        while pos < end:
-            index = pos >> _CHUNK_BITS
-            start = pos & _CHUNK_MASK
-            take = min(_CHUNK_SIZE - start, end - pos)
-            chunk = self._chunks.get(index)
-            if chunk is None:
-                parts.append(bytes(take))
-            else:
-                parts.append(bytes(chunk[start:start + take]))
-            pos += take
-        return b"".join(parts)
-
     def write_range(self, offset: int, payload: bytes) -> None:
         """Chunk-spanning write, clamped to ``[0, size)``."""
         if offset < 0:
@@ -93,12 +70,22 @@ class _SparseBytes:
 
     def window(self, offset: int, length: int) -> bytes:
         """Exactly *length* bytes from *offset*: what *length* per-byte
-        reads give, zeros wherever the window leaves ``[0, size)``."""
+        reads give, zeros wherever the window leaves ``[0, size)`` or
+        the allocated chunks."""
         lo, hi = max(offset, 0), min(offset + length, self.size)
         if lo >= hi:
             return bytes(max(0, length))
-        return (bytes(lo - offset) + self.read_range(lo, hi - lo)
-                + bytes(offset + length - hi))
+        parts: List[bytes] = [bytes(lo - offset)]
+        pos = lo
+        while pos < hi:
+            start = pos & _CHUNK_MASK
+            take = min(_CHUNK_SIZE - start, hi - pos)
+            chunk = self._chunks.get(pos >> _CHUNK_BITS)
+            parts.append(bytes(take) if chunk is None
+                         else bytes(chunk[start:start + take]))
+            pos += take
+        parts.append(bytes(offset + length - hi))
+        return b"".join(parts)
 
     @property
     def allocated_bytes(self) -> int:
@@ -189,16 +176,9 @@ class GuestMemory:
         self._store.write_range(addr, bytes(payload))
 
     def read_block(self, addr: int, length: int) -> bytes:
-        return self._store.read_range(addr, length)
-
-
-def byte_window(data: bytes, start: int, n: int) -> bytes:
-    """*n* bytes of *data* from *start*, zeros wherever the window
-    leaves it: what *n* bounds-checked per-index reads give."""
-    lo, hi = max(start, 0), min(start + n, len(data))
-    if lo >= hi:
-        return bytes(max(0, n))
-    return bytes(lo - start) + data[lo:hi] + bytes(start + n - hi)
+        """*length* bytes from *addr*, as per-byte reads give them, but
+        uncounted: a tool and driver accessor, not device DMA."""
+        return self._store.window(addr, length)
 
 
 class IRQLine:
@@ -244,3 +224,49 @@ class NetBackend:
     def transmit(self, payload: bytes) -> None:
         self.tx_frames.append(NetFrame(bytes(payload)))
         self.tx_bytes += len(payload)
+
+
+class NetStaging:
+    """A NIC model's side of the net layer: the three net externs and
+    their block twins, shared by the pcnet and virtio-net models.  A
+    transmitted frame is staged byte by byte until ``net_tx_done``
+    hands its first *length* bytes to the backend; a received frame,
+    staged by the host, is read by index (zeros past its end)."""
+
+    __slots__ = ("net", "tx", "rx_frame")
+
+    def __init__(self, net: NetBackend):
+        self.net = net
+        self.tx: List[int] = []
+        self.rx_frame = b""
+
+    def bind(self, machine) -> None:
+        machine.bind_extern("net_tx_byte", self.tx_byte, cost=20,
+                            block=self.tx_bytes)
+        machine.bind_extern("net_tx_done", self.tx_done, cost=60)
+        machine.bind_extern("net_rx_byte", self.rx_byte, cost=20,
+                            block=self.rx_bytes)
+
+    def tx_byte(self, machine, byte: int) -> None:
+        self.tx.append(byte & 0xFF)
+
+    def tx_bytes(self, machine, data: bytes) -> None:
+        """Block twin of :meth:`tx_byte` (*data* holds byte values)."""
+        self.tx.extend(data)
+
+    def tx_done(self, machine, length: int) -> None:
+        self.net.transmit(bytes(self.tx[:length]))
+        self.tx.clear()
+
+    def rx_byte(self, machine, index: int) -> int:
+        if 0 <= index < len(self.rx_frame):
+            return self.rx_frame[index]
+        return 0
+
+    def rx_bytes(self, machine, start: int, n: int) -> bytes:
+        """Block twin of *n* :meth:`rx_byte` calls from *start*."""
+        frame = self.rx_frame
+        lo, hi = max(start, 0), min(start + n, len(frame))
+        if lo >= hi:
+            return bytes(max(0, n))
+        return bytes(lo - start) + frame[lo:hi] + bytes(start + n - hi)

@@ -39,7 +39,7 @@ from __future__ import annotations
 
 from repro.compiler import DeviceLogic, arr, fld, ptr, reg
 from repro.devices.backends import (
-    DiskImage, GuestMemory, IRQLine, NetBackend, byte_window,
+    DiskImage, GuestMemory, IRQLine, NetBackend, NetStaging,
 )
 from repro.devices.base import CveGate, Device, register_device
 
@@ -708,8 +708,7 @@ class VirtioNet(Device):
         self.net = net if net is not None else NetBackend()
         self.irq_line = (irq_line if irq_line is not None
                          else IRQLine("virtio-net"))
-        self._tx_staging: list = []
-        self._rx_frame: bytes = b""
+        self.staging = NetStaging(self.net)
         kwargs.setdefault("max_steps", 60_000)
         super().__init__(qemu_version=qemu_version, **kwargs)
 
@@ -722,32 +721,10 @@ class VirtioNet(Device):
             cost=40,
             block=lambda m, addr, data: self.memory.dma_write_bytes(addr,
                                                                    data))
-        self.machine.bind_extern("net_tx_byte", self._net_tx_byte, cost=20,
-                                 block=self._net_tx_bytes)
-        self.machine.bind_extern("net_tx_done", self._net_tx_done, cost=60)
-        self.machine.bind_extern("net_rx_byte", self._net_rx_byte, cost=20,
-                                 block=self._net_rx_bytes)
+        self.staging.bind(self.machine)
         self.machine.bind_extern(
             "set_irq", lambda m, level: self.irq_line.set_level(level),
             cost=50)
-
-    def _net_tx_byte(self, machine, byte: int) -> None:
-        self._tx_staging.append(byte & 0xFF)
-
-    def _net_tx_bytes(self, machine, data: bytes) -> None:
-        self._tx_staging.extend(data)
-
-    def _net_tx_done(self, machine, length: int) -> None:
-        self.net.transmit(bytes(self._tx_staging[:length]))
-        self._tx_staging.clear()
-
-    def _net_rx_byte(self, machine, index: int) -> int:
-        if 0 <= index < len(self._rx_frame):
-            return self._rx_frame[index]
-        return 0
-
-    def _net_rx_bytes(self, machine, start: int, n: int) -> bytes:
-        return byte_window(self._rx_frame, start, n)
 
     def reset(self) -> None:
         self.machine.set_funcptr("complete", "on_complete")
@@ -758,7 +735,7 @@ class VirtioNet(Device):
 
     def stage_rx_frame(self, payload: bytes) -> None:
         """Make *payload* available to the next rx_notify round."""
-        self._rx_frame = bytes(payload)
+        self.staging.rx_frame = bytes(payload)
 
 
 @register_device

@@ -218,14 +218,15 @@ class SpecRegistry:
         self._memory[key] = spec
         return spec
 
-    def prime(self, pairs: Iterable[Tuple[str, str]]) -> None:
+    def prime(self, pairs: Iterable[Tuple[str, str]]
+              ) -> List[ExecutionSpec]:
         """Train/load every (device, qemu_version) pair up front, so
-        worker processes find a warm disk cache instead of retraining.
-        Composite device names split into their parts here — the
-        registry itself stays strictly per-device."""
-        for device_name, qemu_version in pairs:
-            for part in device_name.split("+"):
-                self.get(part, qemu_version)
+        worker processes find a warm disk cache instead of retraining;
+        returns the specs.  Composite device names split into their
+        parts here — the registry itself stays strictly per-device."""
+        return [self.get(part, qemu_version)
+                for device_name, qemu_version in pairs
+                for part in device_name.split("+")]
 
     def _load(self, device_name: str,
               qemu_version: str) -> Optional[ExecutionSpec]:

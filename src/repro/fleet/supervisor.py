@@ -439,8 +439,7 @@ class FleetSupervisor:
         Every worker starts up front and all lanes are in flight at
         once, ``queue_depth`` batches each."""
         self._begin()
-        self.registry.prime(sorted({(b.device, b.qemu_version)
-                                    for b in schedule}))
+        self._prime(sorted({(b.device, b.qemu_version) for b in schedule}))
         pending: Dict[int, Deque[RequestBatch]] = {
             w: deque() for w in range(self.config.workers)}
         try:
@@ -478,6 +477,18 @@ class FleetSupervisor:
         self._migrations = 0
         self._enqueue_ts = {}
         self._queue_waits = []
+
+    def _prime(self, pairs: Sequence[Tuple[str, str]]) -> None:
+        """Train or load the specs of *pairs* and, on the bytecode
+        backend, lower them here, before the workers that serve them
+        start: every lane is handed this registry, so a forked worker
+        inherits the lowered frames, and a worker started any other way
+        unpickles the specs without them and lowers on first use."""
+        specs = self.registry.prime(pairs)
+        if self.config.backend == "bytecode":
+            from repro.checker.bytecode import bytecode_spec_for
+            for spec in specs:
+                bytecode_spec_for(spec)
 
     def _pin(self, tenant: str) -> int:
         """The lane *tenant* is pinned to: round-robin in order of first
@@ -561,7 +572,7 @@ class FleetSupervisor:
         handle.outbox, results = ctx.Pipe(duplex=False)
         handle.process = ctx.Process(
             target=worker_main,
-            args=(handle.worker_id, self.registry.cache_dir,
+            args=(handle.worker_id, self.registry,
                   config.mode, config.backend,
                   config.max_instance_respawns,
                   handle.inbox, results, config.fault_plan, degradation,
@@ -950,7 +961,7 @@ class FleetSession:
         supervisor = self.supervisor
         key = (batch.device, batch.qemu_version)
         if key not in self._primed:
-            supervisor.registry.prime([key])
+            supervisor._prime([key])
             self._primed.add(key)
         worker_id, batch = supervisor._admit(batch)
         supervisor._lane(worker_id)

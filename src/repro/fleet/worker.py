@@ -502,7 +502,7 @@ class FleetWorker:
         return instance
 
 
-def worker_main(worker_id: int, cache_dir: Optional[str], mode: Mode,
+def worker_main(worker_id: int, registry: SpecRegistry, mode: Mode,
                 backend: str, max_instance_respawns: int,
                 inbox, outbox, fault_plan=None,
                 degradation: Optional[DegradationConfig] = None,
@@ -512,16 +512,17 @@ def worker_main(worker_id: int, cache_dir: Optional[str], mode: Mode,
                 batch_rounds: int = 0) -> None:
     """Multiprocessing entry: drain ("batch", RequestBatch) messages
     from the *inbox* queue until ("stop",), answering on *outbox*, the
-    sending end of this worker's own result pipe.  Specs — and the
-    fleet's configured policy set, named by *policy_digest* — are
-    loaded from the shared disk cache.  ("checkpoint", tenant) answers
+    sending end of this worker's own result pipe.  *registry* is the
+    supervisor's, with the specs it primed (and, forked, their lowered
+    frames); anything else — specs published later, the fleet's
+    configured policy set named by *policy_digest* — is loaded from its
+    shared disk cache.  ("checkpoint", tenant) answers
     with the tenant's sealed migration envelope; ("restore", envelope)
     installs a migrated tenant."""
     if slow_start > 0:
         # worker.slow_start arm: the respawned process takes its time
         # coming up; dispatched batches just wait in the inbox.
         time.sleep(slow_start)
-    registry = SpecRegistry(cache_dir=cache_dir)
     policies = (registry.policies.get(policy_digest)
                 if policy_digest else None)
     worker = FleetWorker(worker_id, registry, mode=mode, backend=backend,

@@ -146,6 +146,15 @@ class ExecutionSpec:
     #: reduction statistics (for the ablation benchmarks)
     stats: Dict[str, int] = field(default_factory=dict)
 
+    def __getstate__(self) -> Dict[str, object]:
+        """Pickled without the lowered bytecode artifact that
+        ``bytecode_spec_for`` caches on the spec (generated frames do
+        not pickle): a spec sent to another process is lowered again
+        there, on first use."""
+        state = self.__dict__.copy()
+        state.pop("_bytecode_backend", None)
+        return state
+
     # -- structure queries ----------------------------------------------------
 
     def function(self, name: str) -> ESFunction:

@@ -105,6 +105,6 @@ def backend_snapshot(device) -> Tuple:
                     memory.dma_writes))
     net = getattr(device, "net", None)
     if net is not None:
-        out.append(("net", bytes(device._tx_staging), net.tx_bytes,
+        out.append(("net", bytes(device.staging.tx), net.tx_bytes,
                     tuple(frame.payload for frame in net.tx_frames)))
     return tuple(out)

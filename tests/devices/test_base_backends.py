@@ -104,6 +104,20 @@ class TestGuestMemory:
         memory.write_byte(9999, 1)
         assert memory.read_byte(9999) == 0
 
+    @pytest.mark.parametrize("addr, n", [(-2, 5), (-10, 3), (60, 8),
+                                         (70, 3), (0, 64)])
+    def test_read_block_equals_per_byte_reads(self, addr, n):
+        """read_block gives exactly *n* bytes, zeros off the store,
+        and counts no DMA read."""
+        memory = GuestMemory(64)
+        memory.write_block(0, bytes(range(1, 9)))
+        memory.write_block(56, bytes(range(9, 17)))
+        got = memory.read_block(addr, n)
+        assert memory.dma_reads == 0
+        assert got == bytes(memory.read_byte(addr + k) for k in range(n))
+        if addr == -2:
+            assert got == b"\x00\x00\x01\x02\x03"
+
 
 class TestSparseBacking:
     """Backing stores allocate 64 KiB chunks on first write, so a fleet
@@ -151,9 +165,10 @@ class TestSparseBacking:
             fit = payload[:max(0, size - offset)]
             dense[offset:offset + len(fit)] = fit
         for offset, payload in writes:
-            # read_block clamps at size, exactly like the dense slice
-            assert memory.read_block(offset, len(payload) + 8) \
-                == bytes(dense[offset:offset + len(payload) + 8])
+            # read_block reads zeros past size, like per-byte reads
+            n = len(payload) + 8
+            assert memory.read_block(offset, n) \
+                == bytes(dense[offset:offset + n]).ljust(n, b"\x00")
 
 
 class TestIRQAndNet:
@@ -241,17 +256,18 @@ class TestBlockTwins:
         frame = bytes(range(200))
         for device in (block, scalar):
             device.stage_rx_frame(frame)
+        block, scalar = block.staging, scalar.staging
         for start, n in ((0, 0), (0, 200), (150, 100), (-20, 50),
                          (500, 10)):
-            assert block._net_rx_bytes(None, start, n) == bytes(
-                scalar._net_rx_byte(None, start + k) for k in range(n))
+            assert block.rx_bytes(None, start, n) == bytes(
+                scalar.rx_byte(None, start + k) for k in range(n))
         data = bytes(range(40, 140))
-        block._net_tx_bytes(None, data)
+        block.tx_bytes(None, data)
         for value in data:
-            scalar._net_tx_byte(None, value)
-        block._net_tx_bytes(None, b"")
-        assert block._tx_staging == scalar._tx_staging
-        block._net_tx_done(None, 60)
-        scalar._net_tx_done(None, 60)
+            scalar.tx_byte(None, value)
+        block.tx_bytes(None, b"")
+        assert block.tx == scalar.tx
+        block.tx_done(None, 60)
+        scalar.tx_done(None, 60)
         assert [f.payload for f in block.net.tx_frames] \
             == [f.payload for f in scalar.net.tx_frames]
