@@ -1,5 +1,6 @@
 """Micro-benchmarks of the pipeline's core components: compilation,
-tracing+decoding, spec construction, and per-round checking cost.
+tracing+decoding, training, spec construction, and per-round checking
+cost.
 
 These quantify where the offline and online time goes — useful context
 for every macro number in the table/figure benches.
@@ -20,7 +21,7 @@ from repro.devices.fdc import FDC, FDCLogic
 from repro.interp import BACKENDS, Machine
 from repro.ipt import Decoder, IPTTracer
 from repro.spec import build_spec, spec_from_json, spec_to_json
-from repro.workloads.profiles import PROFILES
+from repro.workloads.profiles import PROFILES, train_device_spec
 
 
 def bench_compile_fdc(benchmark):
@@ -40,10 +41,20 @@ def bench_trace_and_decode(benchmark, backend):
         prof.prepare(vm, driver)
         driver.write_lba(3, bytes(512))
         driver.read_lba(3)
-        return Decoder(device.program).decode_stream(tracer.packets)
+        # Training's decode: the tracer's wire bytes, in one pass.
+        rounds, result = Decoder(device.program).decode_bytes(tracer.raw())
+        assert result.ok
+        return rounds
 
     rounds = benchmark(traced_session)
     assert len(rounds) > 20
+
+
+def bench_train_spec(benchmark):
+    """The spec registry's training of one device: boot, the traced
+    training run, decode, ITC-CFG, selection and spec construction."""
+    artifacts = benchmark(train_device_spec, "fdc")
+    assert artifacts.training_rounds > 0
 
 
 def bench_spec_construction(benchmark):

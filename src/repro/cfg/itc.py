@@ -10,12 +10,12 @@ exist and which targets they legitimately reached during training.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Optional, Set, Tuple
+from typing import Dict, Iterable, List, Set, Tuple
 
 from repro.ir import (
     Branch, Call, Goto, ICall, Program, Return, Switch,
 )
-from repro.ipt.decoder import DecodedRound
+from repro.ipt.decoder import BRANCH, DecodedRound, walk_table
 
 
 @dataclass
@@ -110,45 +110,35 @@ def connect_rounds(graph: ITCCFG, program: Program,
 
     Marks executed nodes/edges, records observed indirect targets, and
     records conditional outcomes (needed for one-sided-branch detection).
+    Each round's consecutive block pairs are folded into one set first,
+    so every distinct hop is classified once, against the program's
+    :func:`~repro.ipt.decoder.walk_table`.
     """
+    executed: Set[int] = set()
+    hops: Set[Tuple[int, int]] = set()
     for round_ in rounds:
-        prev: Optional[int] = None
-        for addr in round_.block_addresses:
-            node = graph.nodes.get(addr)
-            if node is not None:
-                node.executed = True
-            if prev is not None:
-                graph.executed_edges.add((prev, addr))
-                if (prev, addr) not in graph.edges:
-                    graph.edges.add((prev, addr))
-                prev_node = graph.nodes.get(prev)
-                if prev_node is not None and prev_node.kind == "cond":
-                    outcome = _branch_outcome(program, prev, addr)
-                    if outcome is not None:
-                        graph.branch_outcomes.setdefault(
-                            prev, set()).add(outcome)
-            prev = addr
+        path = round_.block_addresses
+        executed.update(path)
+        hops.update(zip(path, path[1:]))
         for src, target, _kind in round_.indirect_edges:
             graph.indirect_targets.setdefault(src, set()).add(target)
+    for addr in executed:
+        node = graph.nodes.get(addr)
+        if node is not None:
+            node.executed = True
+    graph.executed_edges |= hops
+    graph.edges |= hops
+    table = walk_table(program)
+    for src, dst in hops:
+        entry = table.get(src)
+        if entry is None or entry[0] != BRANCH:
+            continue
+        # Was the hop the taken or the not-taken side of the branch?
+        if dst == entry[1]:
+            graph.branch_outcomes.setdefault(src, set()).add(True)
+        elif dst == entry[2]:
+            graph.branch_outcomes.setdefault(src, set()).add(False)
     return graph
-
-
-def _branch_outcome(program: Program, src_addr: int,
-                    dst_addr: int) -> Optional[bool]:
-    """Was the src->dst hop the taken or the not-taken side of the branch?"""
-    loc = program.addr_to_block.get(src_addr)
-    if loc is None:
-        return None
-    func = program.function(loc[0])
-    block = func.block(loc[1])
-    term = block.terminator
-    if not isinstance(term, Branch):
-        return None
-    if func.block(term.taken).address == dst_addr:
-        return True
-    if func.block(term.not_taken).address == dst_addr:
-        return False
-    return None
 
 
 def build_itc_cfg(program: Program,

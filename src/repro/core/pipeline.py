@@ -1,28 +1,31 @@
 """The SEDSpec pipeline facade: Figure 1's three phases, end to end.
 
-Phase ① data collection: run benign training samples twice — once under
-the IPT tracer to build the ITC-CFG and select device-state parameters,
-once under the observation-point logger to produce the device state
-change log.  Phase ② construction: Algorithm 1 + reduction + dependency
-recovery.  Phase ③ runtime protection: deploy the spec via
-:meth:`GuestVM.attach_sedspec`.
+Phase ① data collection: run the benign training samples once, on one
+VM, under two sinks at the same time — the IPT tracer, whose decoded
+trace becomes the ITC-CFG from which the device-state parameters are
+selected, and the observation-point logger, which records every field
+and buffer so that its device state change log can be projected onto
+that selection afterwards.  Phase ② construction: Algorithm 1 +
+reduction + dependency recovery.  Phase ③ runtime protection: deploy
+the spec via :meth:`GuestVM.attach_sedspec`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Optional, Tuple
+from typing import Callable, Tuple
 
 from repro.analysis import ObservationLogger, analyze_taint, select_parameters
 from repro.analysis.params import ParamSelection
 from repro.cfg import ITCCFG, build_itc_cfg
 from repro.checker import ALL_STRATEGIES, DEFAULT_BACKEND, Mode
 from repro.devices.base import Device
-from repro.ipt import Decoder, IPTTracer
+from repro.errors import TraceError
+from repro.ipt import Decoder, IPTTracer, Ovf
 from repro.spec import ExecutionSpec, build_spec
 from repro.vm.machine import Attachment, GuestVM
 
-#: Builds a fresh (vm, device) pair — training needs clean boots.
+#: Builds a fresh (vm, device) pair — training needs a clean boot.
 MakeVM = Callable[[], Tuple[GuestVM, Device]]
 #: Drives benign training traffic through the vm/device.
 Workload = Callable[[GuestVM, Device], None]
@@ -40,32 +43,58 @@ class TrainingArtifacts:
 
 def build_execution_spec(make_vm: MakeVM, workload: Workload,
                          reduce_cfg: bool = True) -> TrainingArtifacts:
-    """Run the full offline pipeline for one device."""
-    # -- pass 1: IPT trace -> ITC-CFG -> parameter selection ---------------
-    vm, device = make_vm()
-    tracer = device.machine.add_sink(IPTTracer())
-    workload(vm, device)
-    rounds = Decoder(device.program).decode_stream(tracer.packets)
-    itc = build_itc_cfg(device.program, rounds)
-    selection = select_parameters(device.program, itc)
+    """Run the full offline pipeline for one device.
 
-    # -- pass 2: observation points -> device state change log --------------
-    # Block-type auxiliary info (command decision/end) comes from the
-    # taint analysis and is recorded by the instrumented points.
+    The workload runs once.  The trace decodes to the ITC-CFG and the
+    parameter selection exactly as a trace-only run would, and the log,
+    recorded for every field and buffer, is projected onto the
+    selection: the same log a second run under a logger built with the
+    selection would record.  A trace with any gap fails training with
+    :class:`TraceError`: a path with a hole in it is not a benign
+    execution to learn from.
+    """
     vm, device = make_vm()
-    taint = analyze_taint(device.program)
+    program = device.program
+    # Block-type auxiliary info (command decision/end) comes from the
+    # static taint analysis and is recorded by the instrumented points.
+    taint = analyze_taint(program)
+    layout = program.layout
+    tracer = device.machine.add_sink(IPTTracer())
     logger = device.machine.add_sink(ObservationLogger(
-        device.NAME, selection.scalar_params | selection.funcptrs,
-        selection.buffers,
+        device.NAME,
+        {decl.name for decl in layout.fields if not decl.is_buffer},
+        {decl.name for decl in layout.fields if decl.is_buffer},
         decision_blocks=taint.command_decision_blocks,
         end_blocks=taint.command_end_blocks))
     workload(vm, device)
+    # The training VM is cyclic garbage once this returns; detached, the
+    # trace and the log are freed as soon as the spec is built instead of
+    # at the collector's next full pass.
+    device.machine.remove_sink(tracer)
+    device.machine.remove_sink(logger)
 
-    # -- phase 2: construction ------------------------------------------------
-    spec = build_spec(device.program, logger.log, selection, taint,
+    # -- IPT trace -> ITC-CFG -> parameter selection --------------------------
+    if tracer.dropped:
+        raise TraceError(f"training trace of {device.NAME} lost "
+                         f"{tracer.dropped} packet(s) in capture")
+    rounds, result = Decoder(program).decode_bytes(tracer.raw())
+    # Every gapped round, and every gap that falls between rounds, leaves
+    # an OVF in the report: on the wire, or synthesized where the bytes
+    # did not parse.
+    gaps = sum(1 for packet in result.packets if isinstance(packet, Ovf))
+    if gaps:
+        raise TraceError(f"training trace of {device.NAME} has {gaps} "
+                         f"gap(s)")
+    itc = build_itc_cfg(program, rounds)
+    selection = select_parameters(program, itc)
+
+    # -- phase 2: construction over the projected log -------------------------
+    log = logger.log.project(selection.scalar_params | selection.funcptrs,
+                             selection.buffers)
+    spec = build_spec(program, log, selection, taint,
                       reduce_cfg=reduce_cfg)
     return TrainingArtifacts(spec=spec, selection=selection, itc=itc,
-                             training_rounds=len(logger.log.rounds))
+                             training_rounds=len(log.rounds))
 
 
 def deploy(vm: GuestVM, device: Device, spec: ExecutionSpec,

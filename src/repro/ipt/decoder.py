@@ -10,19 +10,25 @@ indirect targets — the inputs to ITC-CFG construction.
 Two entry points share the walk:
 
 * :meth:`Decoder.decode_stream` consumes already-parsed packet objects
-  (the in-process tracer hands its packet list straight over);
+  (a loaded :class:`~repro.ipt.storage.TraceFile`, or a tracer's
+  ``packets``);
 * :meth:`Decoder.decode_bytes` consumes the raw wire bytes in a single
   pass — one index cursor over a ``memoryview``, TNT bits unpacked and
   TIP addresses read in place, rounds segmented inline.  No intermediate
   packet list is built; packet *objects* are constructed only for
   anomalies (FUP/OVF and synthesized loss markers) so the
-  :class:`DecodeResult` report stays inspectable.
+  :class:`DecodeResult` report stays inspectable.  Training decodes the
+  tracer's ``raw()`` bytes this way.
+
+The walk itself reads :func:`walk_table`, one tuple per block address
+built once per program, instead of resolving every block through the
+program's function and label maps.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterable, Iterator, List, Optional, Tuple
+from typing import Dict, Iterable, Iterator, List, Optional, Tuple
 
 from repro.errors import TraceError
 from repro.ir import (
@@ -54,56 +60,84 @@ class DecodedRound:
         return list(zip(self.block_addresses, self.block_addresses[1:]))
 
 
-class _BitFeed:
-    """Sequential consumer of TNT bits / TIP addresses within one round."""
+#: walk-table kinds, one per terminator class (see :func:`walk_table`)
+GOTO, BRANCH, SWITCH, CALL, ICALL, RETURN, UNKNOWN = range(7)
 
-    def __init__(self, tnt: List[bool], tips: List[int],
-                 faulted: bool, gapped: bool):
-        self._tnt = tnt
-        self._tips = tips
-        self.faulted = faulted
-        self.gapped = gapped
-        self._tnt_pos = 0
-        self._tip_pos = 0
 
-    @classmethod
-    def from_packets(cls, packets: List[Packet]) -> "_BitFeed":
-        tnt: List[bool] = []
-        tips: List[int] = []
-        faulted = False
-        gapped = False
-        for pkt in packets:
-            if gapped:
-                # Nothing after an OVF is trustworthy within this round:
-                # the lost packets make later TNT/TIP alignment unknown.
-                break
-            if isinstance(pkt, Tnt):
-                tnt.extend(pkt.bits)
-            elif isinstance(pkt, Tip):
-                tips.append(pkt.ip)
-            elif isinstance(pkt, Fup):
-                faulted = True
-            elif isinstance(pkt, Ovf):
-                gapped = True
-        return cls(tnt, tips, faulted, gapped)
+def walk_table(program: Program) -> Dict[int, tuple]:
+    """Block address -> ``(kind, a, b, func, label)``, built once per
+    program and shared by every decoder and ITC-CFG over it.
 
-    def next_bit(self) -> Optional[bool]:
-        if self._tnt_pos >= len(self._tnt):
-            return None
-        bit = self._tnt[self._tnt_pos]
-        self._tnt_pos += 1
-        return bit
+    *a*/*b* are the successor addresses the terminator fixes: a Goto's
+    target; a Branch's taken/not-taken arms; a Call's callee entry and
+    continuation; an ICall's continuation (in *b*).
+    """
+    table = getattr(program, "_walk_table", None)
+    if table is not None:
+        return table
+    table = {}
+    for func in program.functions.values():
+        address = {label: block.address
+                   for label, block in func.blocks.items()}
+        for block in func.iter_blocks():
+            term = block.terminator
+            a = b = None
+            if isinstance(term, Goto):
+                kind, a = GOTO, address[term.target]
+            elif isinstance(term, Branch):
+                kind = BRANCH
+                a, b = address[term.taken], address[term.not_taken]
+            elif isinstance(term, Switch):
+                kind = SWITCH
+            elif isinstance(term, Call):
+                callee = program.function(term.func)
+                kind = CALL
+                a = callee.block(callee.entry).address
+                b = address[term.cont]
+            elif isinstance(term, ICall):
+                kind, b = ICALL, address[term.cont]
+            elif isinstance(term, Return):
+                kind = RETURN
+            else:
+                kind = UNKNOWN
+            table[block.address] = (kind, a, b, func.name, block.label)
+    program._walk_table = table
+    return table
 
-    def next_tip(self) -> Optional[int]:
-        if self._tip_pos >= len(self._tips):
-            return None
-        ip = self._tips[self._tip_pos]
-        self._tip_pos += 1
-        return ip
 
-    def exhausted(self) -> bool:
-        return (self._tnt_pos >= len(self._tnt)
-                and self._tip_pos >= len(self._tips))
+def _callee_entries(program: Program) -> Dict[int, int]:
+    """Function address (what an icall's TIP carries) -> entry block."""
+    return {func.address: func.block(func.entry).address
+            for func in program.functions.values()}
+
+
+#: TNT payload -> its bits, oldest first: ``_TNT_BITS[count][packed]``
+_TNT_BITS = [[tuple(bool(packed >> i & 1) for i in range(count))
+              for packed in range(256)]
+             for count in range(TNT_CAPACITY + 1)]
+
+
+def _round_feed(packets: List[Packet]
+                ) -> Tuple[List[bool], List[int], bool, bool]:
+    """One round's TNT bits, TIP addresses, fault and gap flags."""
+    tnt: List[bool] = []
+    tips: List[int] = []
+    faulted = False
+    gapped = False
+    for pkt in packets:
+        if gapped:
+            # Nothing after an OVF is trustworthy within this round:
+            # the lost packets make later TNT/TIP alignment unknown.
+            break
+        if isinstance(pkt, Tnt):
+            tnt.extend(pkt.bits)
+        elif isinstance(pkt, Tip):
+            tips.append(pkt.ip)
+        elif isinstance(pkt, Fup):
+            faulted = True
+        elif isinstance(pkt, Ovf):
+            gapped = True
+    return tnt, tips, faulted, gapped
 
 
 class Decoder:
@@ -113,6 +147,8 @@ class Decoder:
                  recorder=None):
         self.program = program
         self.max_blocks = max_blocks
+        self._table = walk_table(program)
+        self._callee_entry = _callee_entries(program)
         self._telemetry = None
         if recorder is not None:
             from repro.telemetry.instruments import PacketTelemetry
@@ -176,8 +212,7 @@ class Decoder:
             cur = None
             round_.faulted = faulted
             round_.trace_gap = gapped
-            self._walk(round_.entry_address,
-                       _BitFeed(tnt, tips, faulted, gapped), round_)
+            self._walk(round_, tnt, tips)
             if telemetry is not None:
                 telemetry.rounds.inc()
                 if round_.faulted:
@@ -195,6 +230,7 @@ class Decoder:
         magic_ovf = _MAGIC["OVF"]
         psb_len = len(PSB_PATTERN)
         ifb = int.from_bytes
+        tnt_bits = _TNT_BITS
         while pos < size:
             start = pos
             magic = data[pos]
@@ -213,8 +249,7 @@ class Decoder:
                         if telemetry is not None and cur is not None:
                             telemetry.count_kind("Tnt")
                         if cur is not None and not gapped:
-                            for i in range(count):
-                                tnt.append(bool(packed >> i & 1))
+                            tnt += tnt_bits[count][packed]
             elif magic == magic_psb:
                 end = start + psb_len
                 if data[start:end] != PSB_PATTERN:
@@ -289,10 +324,10 @@ class Decoder:
         pge = next((p for p in packets if isinstance(p, TipPge)), None)
         if pge is None:
             raise TraceError("round has no TIP.PGE packet")
-        feed = _BitFeed.from_packets(packets)
-        round_ = DecodedRound(entry_address=pge.ip, faulted=feed.faulted,
-                              trace_gap=feed.gapped)
-        self._walk(pge.ip, feed, round_)
+        tnt, tips, faulted, gapped = _round_feed(packets)
+        round_ = DecodedRound(entry_address=pge.ip, faulted=faulted,
+                              trace_gap=gapped)
+        self._walk(round_, tnt, tips)
         telemetry = self._telemetry
         if telemetry is not None:
             telemetry.rounds.inc()
@@ -304,66 +339,68 @@ class Decoder:
 
     # -- path reconstruction ------------------------------------------------
 
-    def _walk(self, entry_addr: int, feed: _BitFeed,
-              round_: DecodedRound) -> None:
-        loc = self.program.addr_to_block.get(entry_addr)
-        if loc is None:
-            raise TraceError(f"PGE address {entry_addr:#x} is not a block")
-        func_name, label = loc
-        #: call stack of (func_name, continuation_label, ...)
-        stack: List[Tuple[str, str]] = []
+    def _walk(self, round_: DecodedRound, tnt: List[bool],
+              tips: List[int]) -> None:
+        """Follow the program from the round's entry block, taking TNT
+        bits at conditional branches and TIP addresses at indirect
+        transfers; appends the path to *round_*."""
+        table = self._table
+        address = round_.entry_address
+        if address not in table:
+            raise TraceError(f"PGE address {address:#x} is not a block")
+        blocks = round_.block_addresses
+        indirect = round_.indirect_edges
+        max_blocks = self.max_blocks
+        n_tnt, n_tips = len(tnt), len(tips)
+        next_bit = next_tip = 0
+        #: continuation addresses of the calls in progress
+        stack: List[int] = []
         steps = 0
         while True:
             steps += 1
-            if steps > self.max_blocks:
+            if steps > max_blocks:
                 raise TraceError("decoder runaway (packet/program mismatch)")
-            func = self.program.function(func_name)
-            block = func.block(label)
-            round_.block_addresses.append(block.address)
-            term = block.terminator
-            if isinstance(term, Goto):
-                label = term.target
-            elif isinstance(term, Branch):
-                bit = feed.next_bit()
-                if bit is None:
+            blocks.append(address)
+            kind, a, b, func, label = table[address]
+            if kind == BRANCH:
+                if next_bit >= n_tnt:
                     if (round_.faulted or round_.trace_gap
-                            or feed.exhausted()):
+                            or next_tip >= n_tips):
                         return   # trace ended mid-path (fault/gap/trunc)
-                    raise TraceError(
-                        f"TNT underflow at {func_name}:{label}")
-                label = term.taken if bit else term.not_taken
-            elif isinstance(term, Switch):
-                target_addr = feed.next_tip()
-                if target_addr is None:
-                    return
-                round_.indirect_edges.append(
-                    (block.address, target_addr, "switch"))
-                target_loc = self.program.addr_to_block.get(target_addr)
-                if target_loc is None or target_loc[0] != func_name:
-                    raise TraceError(
-                        f"switch TIP {target_addr:#x} leaves {func_name}")
-                label = target_loc[1]
-            elif isinstance(term, Call):
-                stack.append((func_name, term.cont))
-                func_name = term.func
-                label = self.program.function(func_name).entry
-            elif isinstance(term, ICall):
-                target_addr = feed.next_tip()
-                if target_addr is None:
-                    return
-                round_.indirect_edges.append(
-                    (block.address, target_addr, "icall"))
-                callee = self.program.addr_to_func.get(target_addr)
-                if callee is None:
-                    # Hijack to a wild address: the trace ends in a fault.
-                    return
-                stack.append((func_name, term.cont))
-                func_name = callee
-                label = self.program.function(callee).entry
-            elif isinstance(term, Return):
+                    raise TraceError(f"TNT underflow at {func}:{label}")
+                address = a if tnt[next_bit] else b
+                next_bit += 1
+            elif kind == GOTO:
+                address = a
+            elif kind == CALL:
+                stack.append(b)
+                address = a
+            elif kind == RETURN:
                 if not stack:
                     return   # top-level handler returned: round complete
-                func_name, label = stack.pop()
+                address = stack.pop()
+            elif kind == SWITCH:
+                if next_tip >= n_tips:
+                    return
+                target = tips[next_tip]
+                next_tip += 1
+                indirect.append((address, target, "switch"))
+                arm = table.get(target)
+                if arm is None or arm[3] != func:
+                    raise TraceError(
+                        f"switch TIP {target:#x} leaves {func}")
+                address = target
+            elif kind == ICALL:
+                if next_tip >= n_tips:
+                    return
+                target = tips[next_tip]
+                next_tip += 1
+                indirect.append((address, target, "icall"))
+                entry = self._callee_entry.get(target)
+                if entry is None:
+                    # Hijack to a wild address: the trace ends in a fault.
+                    return
+                stack.append(b)
+                address = entry
             else:
-                raise TraceError(
-                    f"unknown terminator in {func_name}:{label}")
+                raise TraceError(f"unknown terminator in {func}:{label}")

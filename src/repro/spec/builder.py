@@ -13,7 +13,9 @@ from dataclasses import dataclass
 from typing import Dict, FrozenSet, List, Optional, Set, Tuple
 
 from repro.analysis.dataflow import SliceResult, slice_function
-from repro.analysis.obslog import DeviceStateChangeLog
+from repro.analysis.obslog import (
+    EV_BLOCK, EV_BRANCH, EV_DECISION, EV_END, EV_TIP, DeviceStateChangeLog,
+)
 from repro.analysis.params import ParamSelection
 from repro.analysis.taint import TaintResult, analyze_taint
 from repro.errors import SpecError
@@ -138,34 +140,39 @@ class _TrainingFacts:
 def _digest_log(log: DeviceStateChangeLog) -> _TrainingFacts:
     """RestoreRuntimeCFG + the per-log loop of Algorithm 1, condensed.
 
-    Faulted rounds are excluded: only *legitimate* executions define the
-    specification.
+    Reads the rounds' recorded event tuples directly: none of the kinds
+    it reads depends on the parameter view.  Faulted rounds are
+    excluded: only *legitimate* executions define the specification.
     """
     facts = _TrainingFacts(set(), {}, {}, {}, CommandAccessTable())
+    visited = facts.visited
+    branch_observed = facts.branch_observed
+    record = facts.cmd_access.record
     for round_ in log.rounds:
         if round_.faulted:
             continue
         current_cmd: Optional[int] = None
-        for event in round_.events:
-            if event.kind == "block":
-                facts.visited.add(event.block)
+        for event in round_.trace:
+            kind = event[0]
+            if kind == EV_BLOCK:
+                visited.add(event[1])
                 if current_cmd is not None:
-                    facts.cmd_access.record(current_cmd, event.block)
-            elif event.kind == "branch":
-                facts.branch_observed.setdefault(event.block, set()) \
-                    .add(bool(event.data["taken"]))
-            elif event.kind == "tip":
-                target = int(event.data["target"])
-                if event.data["how"] == "icall":
-                    facts.icall_targets.setdefault(event.block, set()) \
+                    record(current_cmd, event[1])
+            elif kind == EV_BRANCH:
+                branch_observed.setdefault(event[1], set()) \
+                    .add(bool(event[2]))
+            elif kind == EV_TIP:
+                target = int(event[2])
+                if event[3] == "icall":
+                    facts.icall_targets.setdefault(event[1], set()) \
                         .add(target)
                 else:
-                    facts.switch_targets.setdefault(event.block, set()) \
+                    facts.switch_targets.setdefault(event[1], set()) \
                         .add(target)
-            elif event.kind == "cmd_decision":
-                current_cmd = int(event.data["value"])
-                facts.cmd_access.record(current_cmd, event.block)
-            elif event.kind == "cmd_end":
+            elif kind == EV_DECISION:
+                current_cmd = int(event[2])
+                record(current_cmd, event[1])
+            elif kind == EV_END:
                 current_cmd = None
     return facts
 

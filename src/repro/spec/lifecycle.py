@@ -169,8 +169,12 @@ def candidate_from_records(device: str, qemu_version: str,
             try:
                 fn(vm, driver, random.Random(record.seed))
             except DeviceFault:
-                # The round crashed the device in enforcement too; the
-                # trace up to the fault is still training signal.
+                # The round crashed the device in enforcement too.  The
+                # log never records a faulted round (its exit event
+                # never comes), so the spec learns nothing from it; the
+                # trace keeps its partial path only as an unclosed last
+                # round of the ITC-CFG.  The halted device refuses every
+                # later op, so no record after the fault trains either.
                 continue
 
     artifacts = build_execution_spec(
