@@ -4,10 +4,6 @@ from repro.checker.anomalies import (
     ALL_STRATEGIES, Action, Anomaly, CheckReport, Mode, Strategy,
     decide_action,
 )
-from repro.checker.bounds import (
-    BoundTable, BoundViolation, BufferBound, ScalarBound, audit_reports,
-    scan,
-)
 from repro.checker.degrade import (
     DEFAULT_DEGRADATION, INFRA_EXCEPTIONS, DegradationConfig,
     DegradationPolicy, gap_report, retrain_reason, run_with_policy,
@@ -24,8 +20,6 @@ __all__ = [
     "ALL_STRATEGIES", "Action", "Anomaly", "CheckReport", "Mode",
     "Strategy", "decide_action",
     "BACKENDS", "CHECK_BLOCK_COST", "CHECK_STMT_COST", "DEFAULT_BACKEND",
-    "BoundTable", "BoundViolation", "BufferBound", "ScalarBound",
-    "audit_reports", "scan",
     "ESChecker",
     "DEFAULT_DEGRADATION", "INFRA_EXCEPTIONS", "DegradationConfig",
     "DegradationPolicy", "gap_report", "retrain_reason",

@@ -31,6 +31,7 @@
 from __future__ import annotations
 
 import argparse
+import contextlib
 import sys
 from typing import List, Optional
 
@@ -227,10 +228,24 @@ def _cmd_spec_diff(args: argparse.Namespace) -> int:
     return 0
 
 
-def _serve_gateway(args: argparse.Namespace) -> int:
+@contextlib.contextmanager
+def _spec_cache(args: argparse.Namespace, prefix: str):
+    """The run's spec cache directory: ``--spec-cache`` when given, none
+    for an ``--inline`` run, else a temporary directory that pool
+    workers share and that is removed when the run ends."""
+    if args.spec_cache is not None or args.inline:
+        yield args.spec_cache
+        return
+    import tempfile
+    with tempfile.TemporaryDirectory(prefix=prefix) as cache_dir:
+        yield cache_dir
+
+
+def _serve_gateway(args: argparse.Namespace, resilience: dict) -> int:
     """``repro serve --gateway``: open-loop arrivals through the
     admission gateway into a sharded fleet.  Exit code certifies the
-    conservation + security invariants, so CI can smoke it directly."""
+    conservation + security invariants, so CI can smoke it directly.
+    *resilience* holds the ``--policy`` set, if one was given."""
     from repro.checker import Mode
     from repro.eval.report import render_table
     from repro.fleet.loadgen import plan_tenants
@@ -240,33 +255,12 @@ def _serve_gateway(args: argparse.Namespace) -> int:
     )
     from repro.telemetry.stats import gateway_rows
 
-    policies = None
-    if args.policy:
-        policies = _load_policies(args.policy)
-        if policies is None:
-            return 2
     devices = args.devices.split(",")
     plans = plan_tenants(devices, args.tenants, inject_cves=args.inject,
                          inject_fraction=args.inject_fraction,
                          qemu_version=args.qemu_version, seed=args.seed)
     arrival = ArrivalSpec(pattern=args.arrival, rate_per_sec=args.rate,
                           horizon_s=args.horizon_ms * 1e-3)
-    cache_dir = args.spec_cache
-    owned_tmp = None
-    if cache_dir is None and not args.inline:
-        import tempfile
-        owned_tmp = tempfile.TemporaryDirectory(prefix="sedspec-gw-")
-        cache_dir = owned_tmp.name
-    config = GatewayConfig(
-        shards=args.shards, workers_per_shard=args.workers,
-        coalesce_max=args.coalesce_max, slo_ms=args.slo_ms,
-        seed=args.seed,
-        admission=AdmissionConfig(quota_rate_per_sec=args.quota_rate,
-                                  quota_burst=args.quota_burst,
-                                  queue_cap=args.queue_cap),
-        arrival=arrival, inline=args.inline, backend=args.backend,
-        batch_rounds=args.batch_rounds,
-        mode=Mode(args.mode), cache_dir=cache_dir, policies=policies)
     rebalances = []
     if args.rebalance_at is not None:
         rebalances.append(RebalanceAction(
@@ -286,12 +280,19 @@ def _serve_gateway(args: argparse.Namespace) -> int:
         policy_reloads.append(PolicyReloadAction(
             at_cycle=int(args.policy_reload_at * arrival.horizon_cycles),
             policies=reloaded))
-    try:
+    with _spec_cache(args, "sedspec-gw-") as cache_dir:
+        config = GatewayConfig(
+            shards=args.shards, workers_per_shard=args.workers,
+            coalesce_max=args.coalesce_max, slo_ms=args.slo_ms,
+            seed=args.seed,
+            admission=AdmissionConfig(quota_rate_per_sec=args.quota_rate,
+                                      quota_burst=args.quota_burst,
+                                      queue_cap=args.queue_cap),
+            arrival=arrival, inline=args.inline, backend=args.backend,
+            batch_rounds=args.batch_rounds,
+            mode=Mode(args.mode), cache_dir=cache_dir, **resilience)
         result = Gateway(config).run(plans, rebalances=rebalances,
                                      policy_reloads=policy_reloads)
-    finally:
-        if owned_tmp is not None:
-            owned_tmp.cleanup()
 
     # At four-digit tenant counts a full per-tenant table is noise:
     # show the tenants where something happened, summarize the rest.
@@ -344,34 +345,26 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         FleetConfig, FleetSupervisor, build_load,
     )
 
-    if args.gateway:
-        return _serve_gateway(args)
-    policies = None
+    # Without --policy the config keeps its default PolicySet.
+    resilience = {}
     if args.policy:
-        policies = _load_policies(args.policy)
-        if policies is None:
+        resilience["policies"] = _load_policies(args.policy)
+        if resilience["policies"] is None:
             return 2
+    if args.gateway:
+        return _serve_gateway(args, resilience)
     devices = args.devices.split(",")
     plans, schedule = build_load(
         devices, args.tenants, args.batches, args.ops,
         inject_cves=args.inject, inject_fraction=args.inject_fraction,
         qemu_version=args.qemu_version, seed=args.seed)
-    cache_dir = args.spec_cache
-    owned_tmp = None
-    if cache_dir is None and not args.inline:
-        import tempfile
-        owned_tmp = tempfile.TemporaryDirectory(prefix="sedspec-serve-")
-        cache_dir = owned_tmp.name
-    config = FleetConfig(workers=args.workers, inline=args.inline,
-                         queue_depth=args.queue_depth,
-                         mode=Mode(args.mode), backend=args.backend,
-                         batch_rounds=args.batch_rounds,
-                         cache_dir=cache_dir, policies=policies)
-    try:
+    with _spec_cache(args, "sedspec-serve-") as cache_dir:
+        config = FleetConfig(workers=args.workers, inline=args.inline,
+                             queue_depth=args.queue_depth,
+                             mode=Mode(args.mode), backend=args.backend,
+                             batch_rounds=args.batch_rounds,
+                             cache_dir=cache_dir, **resilience)
         result = FleetSupervisor(config).run(schedule, plans)
-    finally:
-        if owned_tmp is not None:
-            owned_tmp.cleanup()
     rows = [(s.tenant, s.device, "yes" if s.attacked else "-",
              f"{s.completed}/{s.submitted}", s.rejected, s.detections,
              s.quarantine_reason if s.quarantined else "-")
@@ -499,6 +492,7 @@ def _cmd_stats(args: argparse.Namespace) -> int:
 
 
 def _cmd_chaos(args: argparse.Namespace) -> int:
+    from repro.errors import PolicyError
     from repro.faults import (
         CampaignConfig, decoder_recovery_experiment, run_campaign,
         write_report,
@@ -511,7 +505,11 @@ def _cmd_chaos(args: argparse.Namespace) -> int:
         tenants=args.tenants, batches_per_tenant=args.batches,
         ops_per_batch=args.ops, workers=args.workers,
         inline=not args.pool)
-    report = run_campaign(config)
+    try:
+        report = run_campaign(config)
+    except PolicyError as exc:
+        print(f"chaos: {exc}", file=sys.stderr)
+        return 2
     print(report.describe())
     if args.recovery_runs:
         recovery = decoder_recovery_experiment(runs=args.recovery_runs)
@@ -754,25 +752,16 @@ def _cmd_policy_reload(args: argparse.Namespace) -> int:
     policies = _load_policies(args.file)
     if policies is None:
         return 1
-    cache_dir = args.spec_cache
-    owned_tmp = None
-    if cache_dir is None and not args.inline:
-        import tempfile
-        owned_tmp = tempfile.TemporaryDirectory(prefix="sedspec-pol-")
-        cache_dir = owned_tmp.name
     plans, schedule = build_load(
         args.devices.split(","), args.tenants, args.batches, args.ops,
         seed=args.seed)
     at_seq = (args.batches // 2) * len(plans)
-    supervisor = FleetSupervisor(
-        FleetConfig(workers=args.workers, inline=args.inline,
-                    cache_dir=cache_dir))
-    digest = supervisor.reload_policy(policies, at_seq=at_seq)
-    try:
+    with _spec_cache(args, "sedspec-pol-") as cache_dir:
+        supervisor = FleetSupervisor(
+            FleetConfig(workers=args.workers, inline=args.inline,
+                        cache_dir=cache_dir))
+        digest = supervisor.reload_policy(policies, at_seq=at_seq)
         result = supervisor.run(schedule, plans)
-    finally:
-        if owned_tmp is not None:
-            owned_tmp.cleanup()
     print(f"hot policy reload to {digest[:16]} at seq {at_seq}:")
     print(result.stats.describe())
     stats = result.stats

@@ -21,7 +21,7 @@ from repro.cfg import ITCCFG, build_itc_cfg
 from repro.checker import ALL_STRATEGIES, DEFAULT_BACKEND, Mode
 from repro.devices.base import Device
 from repro.errors import TraceError
-from repro.ipt import Decoder, IPTTracer, Ovf
+from repro.ipt import Decoder, IPTTracer
 from repro.spec import ExecutionSpec, build_spec
 from repro.vm.machine import Attachment, GuestVM
 
@@ -78,13 +78,9 @@ def build_execution_spec(make_vm: MakeVM, workload: Workload,
         raise TraceError(f"training trace of {device.NAME} lost "
                          f"{tracer.dropped} packet(s) in capture")
     rounds, result = Decoder(program).decode_bytes(tracer.raw())
-    # Every gapped round, and every gap that falls between rounds, leaves
-    # an OVF in the report: on the wire, or synthesized where the bytes
-    # did not parse.
-    gaps = sum(1 for packet in result.packets if isinstance(packet, Ovf))
-    if gaps:
-        raise TraceError(f"training trace of {device.NAME} has {gaps} "
-                         f"gap(s)")
+    if not result.ok:
+        raise TraceError(f"training trace of {device.NAME} has "
+                         f"{result.overflows()} gap(s)")
     itc = build_itc_cfg(program, rounds)
     selection = select_parameters(program, itc)
 

@@ -58,7 +58,8 @@ DEFAULT_FAULT_SPECS = (
 @dataclass(frozen=True)
 class CampaignConfig:
     seeds: Tuple[int, ...] = (101, 102, 103, 104, 105)
-    policy: str = "fail-closed"     # DegradationPolicy value
+    #: the campaign's TenantPolicy degradation mode and retry budget
+    policy: str = "fail-closed"
     max_retries: int = 2
     devices: Tuple[str, ...] = DEFAULT_DEVICES
     tenants: int = 10
@@ -193,11 +194,15 @@ def run_seed(config: CampaignConfig, seed: int,
              recorder=None) -> SeedOutcome:
     """One campaign trial: build load, arm faults, run the fleet, judge
     the invariants."""
-    from repro.checker import DegradationConfig, DegradationPolicy
     from repro.fleet.loadgen import build_load, inject_schedule_faults
     from repro.fleet.registry import SpecRegistry
     from repro.fleet.supervisor import FleetConfig, FleetSupervisor
+    from repro.policy.model import PolicySet, TenantPolicy
 
+    # Validated before anything trains: a bad --policy/--max-retries
+    # raises PolicyError here.
+    policies = PolicySet(default=TenantPolicy(
+        degradation=config.policy, max_retries=config.max_retries))
     plan = FaultPlan(seed, config.specs)
     cves = seeded_cves(config.devices)
     plans, schedule = build_load(
@@ -229,13 +234,10 @@ def run_seed(config: CampaignConfig, seed: int,
             applied = corrupt_cache_dir(cache_dir, injector)
             outcome.registry_corruptions = len(applied)
         registry = SpecRegistry(cache_dir=cache_dir)
-        degradation = DegradationConfig(
-            policy=DegradationPolicy(config.policy),
-            max_retries=config.max_retries)
         supervisor = FleetSupervisor(
             FleetConfig(workers=config.workers, inline=config.inline,
                         cache_dir=cache_dir,
-                        degradation=degradation, fault_plan=plan),
+                        policies=policies, fault_plan=plan),
             registry=registry, recorder=recorder)
         result = supervisor.run(schedule, plans)
         outcome.corrupt_rejected = registry.stats.corrupt_rejected

@@ -40,8 +40,7 @@ from dataclasses import dataclass, field, replace
 from multiprocessing.connection import wait
 from typing import Deque, Dict, List, Optional, Sequence, Tuple
 
-from repro.checker import CheckReport, DEFAULT_BACKEND, \
-    DEFAULT_DEGRADATION, DegradationConfig, Mode
+from repro.checker import CheckReport, DEFAULT_BACKEND, Mode
 from repro.errors import FleetError
 from repro.policy.model import PolicySet
 from repro.fleet.loadgen import FAULT_OP_KINDS, RequestBatch, TenantPlan
@@ -67,7 +66,6 @@ class FleetConfig:
     batch_rounds: int = 0
     cache_dir: Optional[str] = None
     max_worker_respawns: int = 2
-    max_instance_respawns: int = 1
     train_seed: int = 7
     train_repeats: int = 2
     #: no result and no worker death for this long -> supervisor error
@@ -79,18 +77,11 @@ class FleetConfig:
     #: the n-th respawn of a worker waits min(cap, base * 2**(n-1))
     backoff_base: float = 0.05
     backoff_cap: float = 1.0
-    #: per-tenant circuit breaker: consecutive infra failures that open
-    #: the circuit (0 disables) and ops shed before a half-open probe
-    circuit_threshold: int = 3
-    circuit_cooldown: int = 4
-    #: what an enforcement-machinery failure means for the affected round
-    degradation: Optional[DegradationConfig] = None
     #: armed fault plan shipped to every worker (chaos campaigns)
     fault_plan: Optional[object] = None
-    #: declarative per-tenant resilience policies; None preserves the
-    #: legacy knobs above verbatim (workers synthesize an equivalent
-    #: default policy)
-    policies: Optional[PolicySet] = None
+    #: declarative per-tenant resilience policies: degradation mode,
+    #: retries, instance-respawn budget, circuit breaker and ladder
+    policies: PolicySet = field(default_factory=PolicySet)
 
 
 @dataclass(frozen=True)
@@ -349,12 +340,6 @@ class FleetSupervisor:
             self._telemetry = FleetTelemetry(recorder)
         self._reloads: List[ScheduledReload] = []
         self._policy_reloads: List[ScheduledPolicyReload] = []
-        #: configured policy set, published content-addressed so pool
-        #: worker processes load the exact same document by digest
-        self._policy_digest = ""
-        if self.config.policies is not None:
-            self._policy_digest = self.registry.policies.put(
-                self.config.policies)
         queue_path = None
         if self.config.cache_dir is not None:
             os.makedirs(self.config.cache_dir, exist_ok=True)
@@ -555,31 +540,23 @@ class FleetSupervisor:
         dies mid-send can only ever damage its own channel, never its
         peers'."""
         config = self.config
-        degradation = config.degradation or DEFAULT_DEGRADATION
+        settings = dict(mode=config.mode, backend=config.backend,
+                        batch_rounds=config.batch_rounds,
+                        policies=config.policies)
         if config.inline:
             handle.worker = FleetWorker(
-                handle.worker_id, self.registry, mode=config.mode,
-                backend=config.backend, batch_rounds=config.batch_rounds,
-                max_instance_respawns=config.max_instance_respawns,
-                degradation=degradation,
+                handle.worker_id, self.registry,
                 injector=instance_injector(config.fault_plan,
                                            recorder=self._recorder),
-                circuit_threshold=config.circuit_threshold,
-                circuit_cooldown=config.circuit_cooldown,
-                policies=config.policies)
+                **settings)
             return
         handle.inbox = ctx.Queue()
         handle.outbox, results = ctx.Pipe(duplex=False)
         handle.process = ctx.Process(
             target=worker_main,
-            args=(handle.worker_id, self.registry,
-                  config.mode, config.backend,
-                  config.max_instance_respawns,
-                  handle.inbox, results, config.fault_plan, degradation,
-                  config.circuit_threshold, config.circuit_cooldown,
-                  self._slow_start(handle), self._policy_digest,
-                  config.batch_rounds),
-            daemon=True)
+            args=(handle.worker_id, self.registry, handle.inbox, results,
+                  config.fault_plan, self._slow_start(handle)),
+            kwargs=settings, daemon=True)
         handle.process.start()
         # Only the worker keeps the sending end, so its exit reads as
         # end-of-file once everything it sent has been received.

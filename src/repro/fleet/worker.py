@@ -8,10 +8,13 @@ process never retrains); a device fault respawns the instance in place
 with bounded retries, after which the tenant is fenced off.
 
 The worker also runs the fleet's per-tenant **circuit breaker** — an
-infrastructure guard distinct from security quarantine: after
-``circuit_threshold`` *consecutive* infra failures (trace gaps, decode
-failures) a tenant's circuit opens and its requests are shed (counted,
-never quarantined) until a half-open probe succeeds.  Breaker inputs are
+infrastructure guard distinct from security quarantine: after the
+tenant policy's ``throttle_after`` *consecutive* infra failures (trace
+gaps, decode failures) a tenant's circuit opens and its requests are
+shed (counted, never quarantined) until a half-open probe succeeds.
+Every resilience setting — degradation mode, retries, respawn budget,
+breaker and ladder — comes from the worker's
+:class:`~repro.policy.model.PolicySet`.  Breaker inputs are
 deterministic: tenants are pinned to workers, batches run sequentially,
 and a batch requeued after a worker death carries its accumulated
 ``infra_strikes`` so the breaker survives the respawn that wiped the
@@ -25,8 +28,8 @@ import time
 from dataclasses import dataclass, field, replace
 from typing import Dict, Optional, Tuple
 
-from repro.checker import CheckReport, DEFAULT_BACKEND, \
-    DEFAULT_DEGRADATION, DegradationConfig, Mode, retrain_reason
+from repro.checker import CheckReport, DEFAULT_BACKEND, Mode, \
+    retrain_reason
 from repro.fleet.checkpoint import checkpoint_instance, restore_instance, \
     seal, verify
 from repro.fleet.instance import GuardedInstance
@@ -147,17 +150,9 @@ class FleetWorker:
     backend: str = DEFAULT_BACKEND
     #: credit-batch size for every hosted instance (0 = per-round vets)
     batch_rounds: int = 0
-    max_instance_respawns: int = 1
-    degradation: DegradationConfig = DEFAULT_DEGRADATION
     injector: Optional[object] = None
-    #: consecutive infra failures that open a tenant's circuit; 0 disables
-    circuit_threshold: int = 3
-    #: ops shed while open before a half-open probe is let through
-    circuit_cooldown: int = 4
-    #: declarative per-tenant resilience policies; None falls back to a
-    #: policy synthesized from the legacy knobs above, preserving the
-    #: fleet's historical behavior bit-for-bit
-    policies: Optional[PolicySet] = None
+    #: declarative per-tenant resilience policies
+    policies: PolicySet = field(default_factory=PolicySet)
     instances: Dict[str, GuardedInstance] = field(default_factory=dict)
     _respawns: Dict[str, int] = field(default_factory=dict)
     _strikes: Dict[str, int] = field(default_factory=dict)
@@ -176,20 +171,9 @@ class FleetWorker:
 
     # -- policy resolution --------------------------------------------------
 
-    def _legacy_policy(self) -> TenantPolicy:
-        return TenantPolicy(
-            degradation=self.degradation.policy.value,
-            max_retries=self.degradation.max_retries,
-            respawn_budget=self.max_instance_respawns,
-            throttle_after=self.circuit_threshold,
-            circuit_cooldown=max(1, self.circuit_cooldown))
-
     def policy_for(self, tenant: str) -> TenantPolicy:
         """The tenant's resolved policy under its current epoch."""
-        policies = self._policy_sets.get(tenant, self.policies)
-        if policies is None:
-            return self._legacy_policy()
-        return policies.resolve(tenant)
+        return self._policy_sets.get(tenant, self.policies).resolve(tenant)
 
     def _maybe_reload_policy(self, batch: RequestBatch,
                              result: BatchResult) -> None:
@@ -502,36 +486,28 @@ class FleetWorker:
         return instance
 
 
-def worker_main(worker_id: int, registry: SpecRegistry, mode: Mode,
-                backend: str, max_instance_respawns: int,
-                inbox, outbox, fault_plan=None,
-                degradation: Optional[DegradationConfig] = None,
-                circuit_threshold: int = 3, circuit_cooldown: int = 4,
-                slow_start: float = 0.0,
-                policy_digest: str = "",
-                batch_rounds: int = 0) -> None:
+def worker_main(worker_id: int, registry: SpecRegistry, inbox, outbox,
+                fault_plan=None, slow_start: float = 0.0, *,
+                mode: Mode = Mode.PROTECTION,
+                backend: str = DEFAULT_BACKEND, batch_rounds: int = 0,
+                policies: PolicySet = PolicySet()) -> None:
     """Multiprocessing entry: drain ("batch", RequestBatch) messages
     from the *inbox* queue until ("stop",), answering on *outbox*, the
     sending end of this worker's own result pipe.  *registry* is the
     supervisor's, with the specs it primed (and, forked, their lowered
-    frames); anything else — specs published later, the fleet's
-    configured policy set named by *policy_digest* — is loaded from its
-    shared disk cache.  ("checkpoint", tenant) answers
+    frames); anything else — specs published later, the policy sets a
+    hot reload names by digest — is loaded from its shared disk cache.
+    The keyword arguments are the :class:`FleetWorker` settings, the
+    same ones an inline lane gets.  ("checkpoint", tenant) answers
     with the tenant's sealed migration envelope; ("restore", envelope)
     installs a migrated tenant."""
     if slow_start > 0:
         # worker.slow_start arm: the respawned process takes its time
         # coming up; dispatched batches just wait in the inbox.
         time.sleep(slow_start)
-    policies = (registry.policies.get(policy_digest)
-                if policy_digest else None)
     worker = FleetWorker(worker_id, registry, mode=mode, backend=backend,
                          batch_rounds=batch_rounds,
-                         max_instance_respawns=max_instance_respawns,
-                         degradation=degradation or DEFAULT_DEGRADATION,
                          injector=instance_injector(fault_plan),
-                         circuit_threshold=circuit_threshold,
-                         circuit_cooldown=circuit_cooldown,
                          policies=policies)
     outbox.send(("ready", worker_id))
     while True:

@@ -38,7 +38,7 @@ from collections import deque
 from dataclasses import dataclass, field, replace
 from typing import Deque, Dict, List, Optional, Sequence, Set, Tuple
 
-from repro.checker import DegradationConfig, Mode
+from repro.checker import Mode
 from repro.errors import GatewayError
 from repro.fleet.loadgen import RequestBatch, TenantPlan
 from repro.fleet.registry import SpecRegistry
@@ -115,13 +115,10 @@ class GatewayConfig:
     batch_rounds: int = 0
     mode: Mode = Mode.PROTECTION
     cache_dir: Optional[str] = None
-    circuit_threshold: int = 3
-    circuit_cooldown: int = 4
-    degradation: Optional[DegradationConfig] = None
     fault_plan: Optional[object] = None
     #: declarative per-tenant resilience policies, forwarded to every
-    #: shard supervisor; None preserves the legacy knobs above
-    policies: Optional[PolicySet] = None
+    #: shard supervisor
+    policies: PolicySet = field(default_factory=PolicySet)
 
 
 @dataclass
@@ -409,9 +406,6 @@ class Gateway:
             mode=config.mode, backend=config.backend,
             batch_rounds=config.batch_rounds,
             cache_dir=config.cache_dir,
-            circuit_threshold=config.circuit_threshold,
-            circuit_cooldown=config.circuit_cooldown,
-            degradation=config.degradation,
             fault_plan=config.fault_plan,
             policies=config.policies)
         supervisor = FleetSupervisor(fleet_config,

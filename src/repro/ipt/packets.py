@@ -106,14 +106,16 @@ Packet = Union[PSB, TipPge, TipPgd, Tnt, Tip, Fup, Ovf]
 class TraceGap:
     """A byte region of the stream that could not be decoded.
 
-    ``start`` is the offset where parsing failed (or where an OVF packet
-    reported hardware loss); ``end`` is the offset of the PSB pattern
-    where parsing resumed (``len(data)`` if no sync point was found).
+    ``start`` is the offset where parsing failed; ``end`` is the offset
+    of the PSB pattern where parsing resumed (``len(data)`` if no sync
+    point was found).  An OVF packet the tracer wrote parses cleanly and
+    records no gap: it shows up as an :class:`Ovf` in
+    :attr:`DecodeResult.packets` only.
     """
 
     start: int
     end: int
-    reason: str          # "corruption" | "truncated" | "overflow"
+    reason: str          # "corruption" | "truncated"
 
 
 @dataclass
@@ -125,7 +127,15 @@ class DecodeResult:
 
     @property
     def ok(self) -> bool:
-        return not self.gaps
+        """True only for a lossless trace: no region failed to parse
+        and no packet was lost, on the wire or at a gap."""
+        return not self.gaps and not self.overflows()
+
+    def overflows(self) -> int:
+        """:class:`Ovf` markers in the report: one per loss point,
+        whether the tracer wrote it or the decoder synthesized it where
+        the bytes did not parse."""
+        return sum(1 for packet in self.packets if isinstance(packet, Ovf))
 
     def lost_bytes(self) -> int:
         return sum(g.end - g.start for g in self.gaps)

@@ -27,25 +27,25 @@ _DRAIN_EVERY = 4096
 
 
 class CheckerTelemetry:
-    """Per-checker handles: strategy check counts, violation causes,
-    ns-per-round and ns-per-check histograms.
+    """Per-checker handles: strategy check counts, violation causes and
+    the ns-per-round histogram (a mean per check is
+    ``checker.round_ns`` total over the ``checker.checks`` sum).
 
     ``record_round`` consumes the finished :class:`CheckReport` (whose
     per-strategy check counters both backends maintain identically), so
     the enabled-telemetry cost is O(1) per I/O round regardless of how
     many blocks the walk visited.  The common all-clear round comes in
     through ``record_clean`` with just those counters and touches only
-    plain slot ints and two list appends; everything is drained
+    plain slot ints and one list append; everything is drained
     into the recorder's Counter/Histogram objects by ``flush`` — which
     the recorder runs before every snapshot — or every ``_DRAIN_EVERY``
     rounds, whichever comes first.
     """
 
     __slots__ = ("_recorder", "_labels", "rounds", "incomplete", "checks",
-                 "actions", "round_ns", "ns_per_check", "_anomalies",
-                 "_allow_action", "_allow", "n_rounds", "n_param",
-                 "n_indirect", "n_cond", "n_nonallow", "_elapsed",
-                 "_nchecks")
+                 "actions", "round_ns", "_anomalies", "_allow_action",
+                 "_allow", "n_rounds", "n_param", "n_indirect", "n_cond",
+                 "n_nonallow", "_elapsed")
 
     def __init__(self, recorder: Recorder, device: str, backend: str):
         from repro.checker.anomalies import Action, Strategy
@@ -68,8 +68,6 @@ class CheckerTelemetry:
         }
         self.round_ns = recorder.histogram("checker.round_ns",
                                            DEFAULT_NS_BUCKETS, **labels)
-        self.ns_per_check = recorder.histogram(
-            "checker.ns_per_check", DEFAULT_NS_BUCKETS, **labels)
         #: (strategy value, kind) -> Counter, resolved lazily: anomaly
         #: kinds are open-ended and rare.
         self._anomalies: Dict[Tuple[str, str], object] = {}
@@ -82,7 +80,6 @@ class CheckerTelemetry:
         self.n_cond = 0
         self.n_nonallow = 0
         self._elapsed: list = []
-        self._nchecks: list = []
         recorder.add_flush(self.flush)
 
     def record_clean(self, param: int, indirect: int, conditional: int,
@@ -96,7 +93,6 @@ class CheckerTelemetry:
         self.n_cond += conditional
         elapsed = self._elapsed
         elapsed.append(elapsed_ns)
-        self._nchecks.append(param + indirect + conditional)
         if len(elapsed) >= _DRAIN_EVERY:
             self._drain()
 
@@ -129,10 +125,7 @@ class CheckerTelemetry:
         if not elapsed:
             return
         self.round_ns.observe_many(elapsed)
-        per_check = [e // n for e, n in zip(elapsed, self._nchecks) if n]
-        self.ns_per_check.observe_many(per_check)
         elapsed.clear()
-        self._nchecks.clear()
 
     def _record_rare(self, report) -> None:
         if report.action is not self._allow_action:

@@ -13,6 +13,7 @@ from repro.fleet import (
     inject_schedule_faults, requeue_batch,
 )
 from repro.fleet.supervisor import _WorkerHandle
+from repro.policy import PolicySet, TenantPolicy
 
 
 @pytest.fixture(scope="module")
@@ -210,6 +211,11 @@ def always_step_injector(max_fires=None):
         FaultSpec("interp.step", probability=1.0, max_fires=max_fires),)))
 
 
+def breaker(throttle_after, circuit_cooldown=4):
+    return PolicySet(default=TenantPolicy(
+        throttle_after=throttle_after, circuit_cooldown=circuit_cooldown))
+
+
 class TestCircuitBreaker:
     def batch(self, ops=8):
         return RequestBatch("t0", "fdc", "99.0.0", 0,
@@ -219,7 +225,7 @@ class TestCircuitBreaker:
     def test_consecutive_gaps_open_the_circuit_and_shed(self, registry):
         worker = FleetWorker(0, registry,
                              injector=always_step_injector(),
-                             circuit_threshold=2, circuit_cooldown=2)
+                             policies=breaker(2, 2))
         result = worker.run_batch(self.batch())
         # ops 0,1 gap -> open; 2,3 shed; 4 probe gaps; 5,6 shed; 7 probe.
         assert result.circuit_opens == 1
@@ -231,7 +237,7 @@ class TestCircuitBreaker:
     def test_successful_probe_closes_the_circuit(self, registry):
         worker = FleetWorker(0, registry,
                              injector=always_step_injector(max_fires=2),
-                             circuit_threshold=2, circuit_cooldown=2)
+                             policies=breaker(2, 2))
         result = worker.run_batch(self.batch())
         # ops 0,1 gap -> open; 2,3 shed; probe at 4 succeeds (fault
         # budget spent) -> circuit closes and the rest is served.
@@ -245,7 +251,7 @@ class TestCircuitBreaker:
         import dataclasses
         worker = FleetWorker(0, registry,
                              injector=always_step_injector(max_fires=0),
-                             circuit_threshold=2, circuit_cooldown=1)
+                             policies=breaker(2, 1))
         carried = dataclasses.replace(self.batch(ops=3), infra_strikes=2)
         result = worker.run_batch(carried)
         # The fresh worker opens the circuit from the carried strikes
@@ -257,7 +263,7 @@ class TestCircuitBreaker:
     def test_zero_threshold_disables_the_breaker(self, registry):
         worker = FleetWorker(0, registry,
                              injector=always_step_injector(),
-                             circuit_threshold=0)
+                             policies=breaker(0))
         result = worker.run_batch(self.batch(ops=4))
         assert result.circuit_opens == 0
         assert result.shed == 0

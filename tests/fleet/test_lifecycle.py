@@ -439,6 +439,24 @@ class TestHotReload:
         assert stamped[0].spec_epoch == 0
         assert all(b.spec_epoch == 1 for b in stamped[1:])
 
+    def test_instance_stamps_reports_with_spec_epoch(self):
+        """The guarded instance stamps each recorded report with the
+        spec generation it ran under, across a hot reload."""
+        from repro.checker import Mode
+        from repro.exploits.corpus import trained_spec
+        from repro.exploits.pocs import EXPLOITS
+        from repro.fleet.instance import GuardedInstance
+
+        venom = next(e for e in EXPLOITS if e.cve == "CVE-2015-3456")
+        spec = trained_spec("fdc", venom.qemu_version)
+        instance = GuardedInstance("t0", "fdc", venom.qemu_version,
+                                   spec, mode=Mode.PROTECTION)
+        instance.reload_spec(spec, epoch=3, digest="d3")
+        outcome = instance.apply(
+            OpRequest(kind="exploit", cve=venom.cve))
+        assert outcome.status == "detected"
+        assert instance.reports[-1].spec_epoch == 3
+
     def test_inline_and_pool_agree_under_reload_and_faults(
             self, registry):
         """The acceptance differential: a shared fault plan (including a

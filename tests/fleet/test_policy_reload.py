@@ -11,11 +11,14 @@ scheduled — leaving the running fleet untouched.
 
 import pytest
 
+from repro.checker import DEFAULT_DEGRADATION
 from repro.errors import PolicyError
 from repro.fleet import (
-    FleetConfig, FleetSupervisor, ScheduledPolicyReload, build_load,
+    FleetConfig, FleetSupervisor, FleetWorker, ScheduledPolicyReload,
+    SpecRegistry, build_load,
 )
-from repro.policy.model import PolicySet, TenantPolicy
+from repro.gateway import GatewayConfig
+from repro.policy.model import DEFAULT_POLICY, PolicySet, TenantPolicy
 
 GOLD = PolicySet(default=TenantPolicy(policy_id="gold"))
 SILVER = PolicySet(default=TenantPolicy(policy_id="silver",
@@ -34,6 +37,69 @@ def _run(inline, cache_dir, at_seq, tenants=3, batches=4, ops=3):
         workers=2, inline=inline, cache_dir=cache_dir, policies=GOLD))
     supervisor.reload_policy(SILVER, at_seq=at_seq)
     return supervisor.run(schedule, plans), plans
+
+
+class TestDefaultPolicy:
+    """A fleet, a gateway or a worker given no policy set runs every
+    tenant under DEFAULT_POLICY: fail-closed, two retries, one respawn,
+    a breaker that opens after 3 strikes and probes after 4 sheds."""
+
+    TENANTS = ("t0", "tenant-17", "gold")
+
+    def test_fleet_and_gateway_configs(self):
+        for config in (FleetConfig(), GatewayConfig()):
+            assert config.policies == PolicySet()
+            for tenant in self.TENANTS:
+                assert config.policies.resolve(tenant) == DEFAULT_POLICY
+
+    def test_bare_worker(self):
+        worker = FleetWorker(0, SpecRegistry())
+        for tenant in self.TENANTS:
+            policy = worker.policy_for(tenant)
+            assert policy == DEFAULT_POLICY
+            assert policy.degradation_config() == DEFAULT_DEGRADATION
+        assert DEFAULT_POLICY == TenantPolicy(
+            degradation="fail-closed", max_retries=2, respawn_budget=1,
+            throttle_after=3, circuit_cooldown=4)
+
+    def test_inline_and_pool_lanes_get_the_same_settings(
+            self, monkeypatch):
+        # A pool worker is handed the configured set itself, through
+        # the worker_main the supervisor module names at spawn time.
+        from dataclasses import replace
+        from types import SimpleNamespace
+
+        import repro.fleet.supervisor as supervisor_mod
+        from repro.fleet.supervisor import _WorkerHandle
+
+        spawned = []
+
+        class Context:
+            def Queue(self):
+                return None
+
+            def Pipe(self, duplex):
+                return None, SimpleNamespace(close=lambda: None)
+
+            def Process(self, target, args, kwargs, daemon):
+                spawned.append((target, kwargs))
+                return SimpleNamespace(start=lambda: None)
+
+        def entry(*args, **kwargs):
+            pass
+
+        monkeypatch.setattr(supervisor_mod, "worker_main", entry)
+        config = FleetConfig(batch_rounds=2, policies=GOLD)
+        FleetSupervisor(config, registry=SpecRegistry())._spawn(
+            Context(), _WorkerHandle(0))
+        [(target, settings)] = spawned
+        assert target is entry
+        assert settings["policies"] is GOLD
+        inline = _WorkerHandle(0)
+        FleetSupervisor(replace(config, inline=True),
+                        registry=SpecRegistry())._spawn(None, inline)
+        for name, value in settings.items():
+            assert getattr(inline.worker, name) == value
 
 
 class TestHotReload:

@@ -12,7 +12,7 @@ import pytest
 
 from repro.compiler import compile_device
 from repro.ipt import Decoder, IPTTracer
-from repro.ipt.packets import Fup, Ovf, decode_resilient
+from repro.ipt.packets import DecodeResult, Fup, Ovf, decode_resilient
 
 from tests.toydev import ToyLogic
 
@@ -133,3 +133,29 @@ class TestTelemetry:
         Decoder(program, recorder=rec_ref).decode_stream(parsed.packets)
         assert (rec_raw.snapshot().counters
                 == rec_ref.snapshot().counters)
+
+
+class TestLostPackets:
+    def test_ovf_alone_makes_a_result_lossy(self):
+        assert DecodeResult().ok
+        assert not DecodeResult(packets=[Ovf()]).ok
+
+    def test_overflowed_training_session_is_not_ok(self):
+        """An fdc training session under a 64-packet trace buffer: the
+        tracer writes 150 OVF packets and every byte parses.  Neither
+        decoder may call that trace lossless."""
+        import random
+
+        from repro.workloads.profiles import PROFILES
+
+        prof = PROFILES["fdc"]
+        vm, device = prof.make_vm()
+        tracer = device.machine.add_sink(IPTTracer(buffer_limit=64))
+        prof.training(vm, device, random.Random(7))
+        data = tracer.raw()
+        assert tracer.overflows == 150
+        _, raw_result = Decoder(device.program).decode_bytes(data)
+        for result in (raw_result, decode_resilient(data)):
+            assert result.gaps == []
+            assert not result.ok
+            assert result.overflows() == 150

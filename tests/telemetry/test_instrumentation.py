@@ -88,16 +88,6 @@ class TestCheckerStaging:
         # ...while the cheap integer counters stay staged until flush.
         assert rec.counter("checker.rounds", **LABELS).value == 0
 
-    def test_ns_per_check_skips_zero_check_rounds(self):
-        rec = Recorder("r")
-        bundle = CheckerTelemetry(rec, "FDCtrl", "bytecode")
-        bundle.record_round(fake_report(p=0, i=0, c=0), 500)
-        bundle.record_round(fake_report(p=4, i=0, c=0), 400)
-        snap = rec.snapshot()
-        per_check = snap.histogram("checker.ns_per_check", **LABELS)
-        assert per_check.count == 1          # 0-check round contributed 0/0
-        assert per_check.total == 100        # 400ns // 4 checks
-
 
 class TestRecorderToggleCaching:
     def test_checker_reuses_bundle_and_registers_one_flush(self,

@@ -105,6 +105,14 @@ class TestServe:
         assert "ERROR" in capsys.readouterr().out
 
 
+class TestChaos:
+    def test_negative_max_retries_is_a_policy_error(self, capsys):
+        # Validated as a TenantPolicy before anything trains or runs.
+        assert main(["chaos", "--seeds", "101", "--devices", "fdc",
+                     "--max-retries", "-1"]) == 2
+        assert "max_retries" in capsys.readouterr().err
+
+
 class TestStats:
     def test_stats_prints_strategy_and_latency_tables(self, tmp_path,
                                                       capsys):
