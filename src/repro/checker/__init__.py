@@ -5,8 +5,7 @@ from repro.checker.anomalies import (
     decide_action,
 )
 from repro.checker.degrade import (
-    DEFAULT_DEGRADATION, INFRA_EXCEPTIONS, DegradationConfig,
-    DegradationPolicy, gap_report, retrain_reason, run_with_policy,
+    INFRA_EXCEPTIONS, DegradationPolicy, gap_report, retrain_reason,
 )
 from repro.checker.escheck import (
     BACKENDS, CHECK_BLOCK_COST, CHECK_STMT_COST, DEFAULT_BACKEND, ESChecker,
@@ -21,9 +20,8 @@ __all__ = [
     "Strategy", "decide_action",
     "BACKENDS", "CHECK_BLOCK_COST", "CHECK_STMT_COST", "DEFAULT_BACKEND",
     "ESChecker",
-    "DEFAULT_DEGRADATION", "INFRA_EXCEPTIONS", "DegradationConfig",
-    "DegradationPolicy", "gap_report", "retrain_reason",
-    "run_with_policy",
+    "INFRA_EXCEPTIONS", "DegradationPolicy", "gap_report",
+    "retrain_reason",
     "FieldSyncOracle", "MappingSyncOracle", "NullSyncOracle",
     "QueueSyncOracle", "SyncOracle",
 ]

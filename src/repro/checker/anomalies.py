@@ -78,18 +78,19 @@ class CheckReport:
     param_checks: int = 0
     indirect_checks: int = 0
     conditional_checks: int = 0
-    #: degradation policy in force when this report was produced — every
-    #: report records it so an audit can tell fail-open allows apart from
-    #: genuinely vetted ones
+    #: degradation mode of the tenant policy in force when this report
+    #: was produced, so an audit can tell fail-open allows apart from
+    #: genuinely vetted ones; the fleet worker stamps it with
+    #: ``policy_id`` and ``policy_generation`` (empty outside a fleet,
+    #: where no tenant policy is in force)
     policy: str = ""
     #: resolved tenant-policy id and generation (policy hot-reload epoch)
-    #: in force when this report was produced, stamped by the fleet
-    #: worker exactly as ``policy`` stamps the degradation mode
+    #: in force when this report was produced
     policy_id: str = ""
     policy_generation: int = 0
     #: spec generation (hot-reload epoch) the round was vetted under,
-    #: stamped by the guarded instance when it records the report; an
-    #: offline bound audit uses it to pick the right epoch's table
+    #: stamped by the guarded instance when it records the report, so a
+    #: verdict names the spec generation that made it
     spec_epoch: int = 0
     #: the enforcement machinery lost (part of) this round: the report is
     #: an infrastructure outcome, not a security one

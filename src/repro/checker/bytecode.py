@@ -43,9 +43,9 @@ inlining and self-loop wrapping — are the code-generation toolkit of
 :mod:`repro.interp.bytecode`, which specializes the device
 interpreter's fast runner the same way.
 
-Mode, strategy toggles and degradation policy stay runtime-dynamic
-(read on every call), so one artifact serves every configuration — the
-ablation benches rely on that.
+Mode and strategies stay runtime-dynamic (read on every call), so one
+artifact serves every configuration — the ablation benches rely on
+that.
 
 Semantics replicate the reference walker bit-for-bit: every anomaly
 kind, message, counter increment and stop flavour.
@@ -1041,8 +1041,8 @@ def _assemble_spec(bspec: BytecodeSpec) -> Callable:
             blocks[k][:0] = _closed_form(asm, *record[1:])
 
     out = _Asm(asm.consts)
-    out.w("def _walk(w, _rounds, _reports_append, _orc, _mode, _deg,")
-    out.w("          _maxb, _tel, _clk, _full):")
+    out.w("def _walk(w, _rounds, _reports_append, _orc, _mode, _maxb,")
+    out.w("          _tel, _clk, _full):")
     out.indent += 1
     out.w("_pon = w.param_on; _ion = w.ijump_on; _con = w.cond_on")
     out.w("_res = _orc.resolve")
@@ -1063,7 +1063,7 @@ def _assemble_spec(bspec: BytecodeSpec) -> Callable:
     out.w("    _t0 = _clk()")
     out.w("_plan = _plans_get(_iokey)")
     out.w("if _plan is None:")
-    out.w("    _report = w.unknown_key(_iokey, _deg, _mode)")
+    out.w("    _report = w.unknown_key(_iokey, _mode)")
     out.w("else:")
     out.indent += 1
     out.w("if _committed is None:")
@@ -1100,8 +1100,7 @@ def _assemble_spec(bspec: BytecodeSpec) -> Callable:
     out.w("    _committed = _bytes(_sdata)")
     out.w("    _report = _CR(io_key=_iokey, blocks_walked=_blk,")
     out.w("                  dsod_stmts_executed=_dsd, param_checks=_pch,")
-    out.w("                  indirect_checks=_ich, conditional_checks=_cch,")
-    out.w("                  policy=_deg.policy.value)")
+    out.w("                  indirect_checks=_ich, conditional_checks=_cch)")
     out.w("    _report.bind_final_state(_partial(_final, _committed))")
     out.w("    _reports_append(_report)")
     out.w("else:")
@@ -1109,8 +1108,8 @@ def _assemble_spec(bspec: BytecodeSpec) -> Callable:
     out.w("    _reports_append(None)")
     out.w("continue")
     out.indent -= 1
-    out.w("_report = w.report(_iokey, _deg, _mode, _inc, _blk, _dsd,")
-    out.w("                   _pch, _ich, _cch)")
+    out.w("_report = w.report(_iokey, _mode, _inc, _blk, _dsd, _pch, _ich,")
+    out.w("                   _cch)")
     out.w("_cyc += int(_blk * _CBC + _dsd * _CSC)")
     out.w("if _report.action is _ALLOW and not _inc:")
     out.w("    _committed = _bytes(_sdata)")

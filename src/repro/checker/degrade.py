@@ -17,15 +17,16 @@ exception with undefined enforcement semantics:
   (transient faults clear on replay); exhausting the budget falls back
   to fail-closed.
 
-Every :class:`CheckReport` records the policy in force, degraded or not.
+The mode and the retry budget are fields of the tenant's
+:class:`~repro.policy.model.TenantPolicy`; the fleet instance applies
+them (:mod:`repro.fleet.instance`) and the fleet worker stamps every
+report it files with the mode in force.  The checker itself carries no
+degradation setting.
 """
 
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
-from typing import Callable
-
 from typing import Optional
 
 from repro.errors import DecodeError, InfraError, TraceError
@@ -41,30 +42,15 @@ class DegradationPolicy(enum.Enum):
     RETRY = "retry"
 
 
-@dataclass(frozen=True)
-class DegradationConfig:
-    policy: DegradationPolicy = DegradationPolicy.FAIL_CLOSED
-    #: extra attempts granted by the RETRY policy before failing closed
-    max_retries: int = 2
-
-    @property
-    def attempts(self) -> int:
-        if self.policy is DegradationPolicy.RETRY:
-            return 1 + max(0, self.max_retries)
-        return 1
-
-
-DEFAULT_DEGRADATION = DegradationConfig()
-
-
-def gap_report(io_key: str, config: DegradationConfig,
+def gap_report(io_key: str, degradation: str,
                reason: str) -> CheckReport:
-    """The explicit TRACE_GAP outcome for a round the machinery lost."""
+    """The explicit outcome for a round the machinery lost, under the
+    *degradation* mode (a :class:`DegradationPolicy` value): ALLOW under
+    fail-open, TRACE_GAP otherwise, and ``trace_gap`` either way."""
     report = CheckReport(io_key=io_key)
-    report.policy = config.policy.value
     report.trace_gap = True
     report.gap_reason = reason
-    if config.policy is DegradationPolicy.FAIL_OPEN:
+    if degradation == DegradationPolicy.FAIL_OPEN.value:
         report.action = Action.ALLOW
     else:
         report.action = Action.TRACE_GAP
@@ -91,27 +77,3 @@ def retrain_reason(report: CheckReport) -> Optional[str]:
                                 for a in report.anomalies):
         return "near-miss"
     return None
-
-
-def run_with_policy(config: DegradationConfig, io_key: str,
-                    attempt: Callable[[int], CheckReport]) -> CheckReport:
-    """Drive *attempt* under the policy.
-
-    *attempt(n)* performs one check (n = 0-based attempt index) and may
-    raise an infrastructure exception; any other exception propagates
-    untouched (genuine bugs must stay loud).  The returned report always
-    carries ``policy``.
-    """
-    last: str = ""
-    for n in range(config.attempts):
-        try:
-            report = attempt(n)
-        except INFRA_EXCEPTIONS as exc:
-            last = f"{type(exc).__name__}: {exc}"
-            continue
-        report.policy = config.policy.value
-        if n and not report.trace_gap:
-            report.gap_reason = f"recovered after {n} retr" + \
-                ("y" if n == 1 else "ies")
-        return report
-    return gap_report(io_key, config, last or "check failed")

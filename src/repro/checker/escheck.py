@@ -36,7 +36,6 @@ from repro.checker.anomalies import (
     ALL_STRATEGIES, Action, Anomaly, CheckReport, Mode, Strategy,
     decide_action,
 )
-from repro.checker.degrade import DEFAULT_DEGRADATION, DegradationConfig
 from repro.checker.sync import NullSyncOracle, SyncOracle
 from repro.spec.escfg import ESBlock, ESFunction, ExecutionSpec
 
@@ -88,15 +87,12 @@ class _WalkContext:
         self.ijump_on = Strategy.INDIRECT_JUMP in strategies
         self.cond_on = Strategy.CONDITIONAL_JUMP in strategies
 
-    def report(self, io_key: str, degradation: DegradationConfig,
-               mode: Mode, incomplete: bool, blocks: int, dsod: int,
-               param: int, indirect: int,
+    def report(self, io_key: str, mode: Mode, incomplete: bool,
+               blocks: int, dsod: int, param: int, indirect: int,
                conditional: int) -> CheckReport:
         """The full report of a round that did not end clean, built from
         the frame's counters and the anomalies flagged since the last
-        report (mirrors ``ESChecker._check_io`` + ``_finish``).  The
-        policy is read off *degradation* here, where a report is built,
-        never on a clean round's path."""
+        report (mirrors ``ESChecker._check_io`` + ``_finish``)."""
         anomalies = [Anomaly(strategy=strategy, kind=kind, message=message,
                              block_address=address, io_key=io_key)
                      for strategy, kind, message, address in self.flagged]
@@ -106,18 +102,15 @@ class _WalkContext:
             anomalies=anomalies, blocks_walked=blocks,
             dsod_stmts_executed=dsod, incomplete=incomplete,
             param_checks=param, indirect_checks=indirect,
-            conditional_checks=conditional,
-            policy=degradation.policy.value)
+            conditional_checks=conditional)
 
-    def unknown_key(self, io_key: str, degradation: DegradationConfig,
-                    mode: Mode) -> CheckReport:
+    def unknown_key(self, io_key: str, mode: Mode) -> CheckReport:
         """The report of a round on an I/O key training never used:
         nothing walks, the shadow state is untouched and the final
         state stays unbound (mirrors ``ESChecker._check_io``)."""
         _flag(self, Strategy.CONDITIONAL_JUMP, "unknown-io-key",
               f"I/O interface {io_key!r} never used in training", 0)
-        return self.report(io_key, degradation, mode, False, 0, 0, 0, 0,
-                           0)
+        return self.report(io_key, mode, False, 0, 0, 0, 0, 0)
 
     def final_state(self, snapshot: bytes) -> Dict[str, int]:
         """A report's lazy final state: *snapshot*, the shadow buffer
@@ -155,14 +148,12 @@ class ESChecker:
                  strategies: FrozenSet[Strategy] = ALL_STRATEGIES,
                  max_walk_blocks: int = 500_000,
                  backend: str = DEFAULT_BACKEND,
-                 degradation: Optional[DegradationConfig] = None,
                  recorder=None):
         if backend not in BACKENDS:
             raise CheckerError(
                 f"unknown backend {backend!r}; choose from {BACKENDS}")
         self.spec = spec
         self.mode = mode
-        self.degradation = degradation or DEFAULT_DEGRADATION
         self.strategies = frozenset(strategies)
         self.max_walk_blocks = max_walk_blocks
         self.backend = backend
@@ -254,7 +245,6 @@ class ESChecker:
                   oracle: Optional[SyncOracle]) -> CheckReport:
         """One round on the reference walker."""
         report = CheckReport(io_key=io_key)
-        report.policy = self.degradation.policy.value
         oracle = oracle or NullSyncOracle()
 
         handler = self.spec.entry_handlers.get(io_key)
@@ -319,10 +309,9 @@ class ESChecker:
                    report_clean: bool = True
                    ) -> List[Optional[CheckReport]]:
         """Run *rounds* through the spec's generated frame, in place on
-        the committed shadow state.  Mode, strategies, degradation
-        config, watchdog budget and telemetry are read here, per call,
-        so a change between rounds applies to the next one; the
-        config's policy is resolved only for a report that is built."""
+        the committed shadow state.  Mode, strategies, watchdog budget
+        and telemetry are read here, per call, so a change between
+        rounds applies to the next one."""
         w = self._walk_ctx
         strategies = self.strategies
         if strategies is not w.strategies:
@@ -331,7 +320,7 @@ class ESChecker:
         reports: List[Optional[CheckReport]] = []
         self.cycles += self._bytecode.walk(
             w, rounds, reports.append, oracle or _NULL_ORACLE,
-            self.mode, self.degradation, self.max_walk_blocks,
+            self.mode, self.max_walk_blocks,
             self._telemetry, self._clock, report_clean)
         return reports
 

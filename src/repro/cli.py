@@ -696,7 +696,8 @@ _POLICY_FIELDS = ("policy_id", "degradation", "max_retries", "rate_quota",
 
 
 def _load_policies(path: str):
-    """Load + validate a policy file, or exit-worthy None on error."""
+    """Load + validate a policy file, or None on error: every policy
+    command then exits 2."""
     from repro.errors import PolicyError
     from repro.policy.model import load_policy_file
 
@@ -734,7 +735,7 @@ def _cmd_policy_apply(args: argparse.Namespace) -> int:
 
     policies = _load_policies(args.file)
     if policies is None:
-        return 1
+        return 2
     store = PolicyStore(cache_dir=args.cache)
     digest = store.put(policies)
     print(f"validated and stored policy set {digest[:16]} "
@@ -744,14 +745,14 @@ def _cmd_policy_apply(args: argparse.Namespace) -> int:
 
 def _cmd_policy_reload(args: argparse.Namespace) -> int:
     """Mid-schedule fleet-wide policy hot reload (the policy twin of
-    ``spec reload``): malformed input fails before the fleet starts;
-    a well-formed one swaps per tenant at the halfway batch boundary
-    with nothing lost or duplicated."""
+    ``spec reload``): malformed input fails before the fleet starts
+    (exit 2); a well-formed one swaps per tenant at the halfway batch
+    boundary with nothing lost or duplicated (else exit 1)."""
     from repro.fleet import FleetConfig, FleetSupervisor, build_load
 
     policies = _load_policies(args.file)
     if policies is None:
-        return 1
+        return 2
     plans, schedule = build_load(
         args.devices.split(","), args.tenants, args.batches, args.ops,
         seed=args.seed)

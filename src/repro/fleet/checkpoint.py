@@ -21,9 +21,9 @@ truncated envelope is rejected before any state is touched.
 
 from __future__ import annotations
 
-from typing import Dict, Optional
+from typing import Dict
 
-from repro.checker import DegradationConfig, Mode
+from repro.checker import Mode
 from repro.errors import FleetError
 from repro.policy.model import canonical_json, policy_digest
 
@@ -182,9 +182,7 @@ def checkpoint_instance(instance) -> Dict[str, object]:
     return seal(envelope)
 
 
-def restore_instance(envelope, spec, *,
-                     degradation: Optional[DegradationConfig] = None,
-                     injector=None):
+def restore_instance(envelope, spec, *, injector=None):
     """Rebuild a :class:`GuardedInstance` from a sealed checkpoint.
 
     The instance skeleton (VM, device, driver, deployed checkers) is
@@ -203,7 +201,7 @@ def restore_instance(envelope, spec, *,
         envelope["tenant"], envelope["device"],
         envelope["qemu_version"], spec,
         mode=Mode(envelope["mode"]), backend=envelope["backend"],
-        degradation=degradation, injector=injector,
+        injector=injector,
         batch_rounds=envelope.get("batch_rounds", 0))
     vm = instance.vm
     mem = envelope["vm"]["memory"]

@@ -11,26 +11,28 @@ the paper's targeted termination: the offending tenant is fenced off, its
 Quarantine is a **security** outcome.  The instance also recognizes
 **infrastructure** outcomes — the enforcement machinery itself failed
 (trace loss, decode failure, a transient interpreter fault) — and routes
-them through a :class:`~repro.checker.DegradationConfig` instead: the op
-degrades to an explicit ``trace_gap`` status (fail-closed), is allowed
-unvetted with the gap stamped on its report (fail-open), or is retried
-(transient faults clear on a keyed re-attempt).  An infra outcome never
-quarantines the tenant.
+them through the degradation mode of the
+:class:`~repro.policy.model.TenantPolicy` each ``apply`` is given
+instead: the op degrades to an explicit ``trace_gap`` status
+(fail-closed), is allowed unvetted with the gap stamped on its report
+(fail-open), or is retried (transient faults clear on a keyed
+re-attempt).  An infra outcome never quarantines the tenant.
 """
 
 from __future__ import annotations
 
 import dataclasses
 from dataclasses import dataclass
-from typing import List, Optional
+from typing import Callable, List, Optional
 
 from repro.checker import (
-    CheckReport, DEFAULT_BACKEND, DEFAULT_DEGRADATION, DegradationConfig,
-    DegradationPolicy, Mode, gap_report,
+    CheckReport, DEFAULT_BACKEND, INFRA_EXCEPTIONS, DegradationPolicy, Mode,
+    gap_report,
 )
 from repro.core import deploy
 from repro.errors import DecodeError, DeviceFault, InfraError, TraceError
 from repro.fleet.loadgen import OpRequest
+from repro.policy.model import DEFAULT_POLICY, TenantPolicy
 from repro.vm.machine import SEDSpecHalt
 from repro.spec import ExecutionSpec
 
@@ -41,6 +43,24 @@ def portable_report(report: CheckReport) -> CheckReport:
     materialize it once (detections are rare) and drop the binding."""
     return dataclasses.replace(report, _final_state=dict(report.final_state),
                                _final_state_source=None)
+
+
+def run_attempts(arm: Callable[[str], None], attempts: int,
+                 key: str) -> str:
+    """Run the fault arm *arm* up to *attempts* times, keyed
+    ``key:<attempt>``, until one attempt raises no infrastructure
+    exception.  Returns "" once an attempt succeeds, else the last
+    failure's text.  Any other exception propagates: a genuine bug
+    stays loud."""
+    last = ""
+    for attempt in range(attempts):
+        try:
+            arm(f"{key}:{attempt}")
+        except INFRA_EXCEPTIONS as exc:
+            last = f"{type(exc).__name__}: {exc}"
+            continue
+        return ""
+    return last
 
 
 @dataclass
@@ -66,7 +86,6 @@ class GuardedInstance:
     def __init__(self, tenant: str, device_name: str, qemu_version: str,
                  spec, mode: Mode = Mode.PROTECTION,
                  backend: str = DEFAULT_BACKEND,
-                 degradation: Optional[DegradationConfig] = None,
                  injector=None, batch_rounds: int = 0):
         from repro.workloads.profiles import profile
 
@@ -75,7 +94,6 @@ class GuardedInstance:
         self.qemu_version = qemu_version
         self.mode = mode
         self.backend = backend
-        self.degradation = degradation or DEFAULT_DEGRADATION
         self.injector = injector
         self.batch_rounds = batch_rounds
         #: which spec generation is deployed (hot-reload bookkeeping);
@@ -153,12 +171,15 @@ class GuardedInstance:
                 return attachment.warnings[-1]
         return None
 
-    def apply(self, op: OpRequest) -> OpOutcome:
+    def apply(self, op: OpRequest,
+              policy: TenantPolicy = DEFAULT_POLICY) -> OpOutcome:
+        """Serve *op*.  *policy*'s degradation mode and retry budget
+        decide what an infrastructure failure means for it."""
         if self.quarantined:
             return OpOutcome("rejected", detail=self.quarantine_reason)
         self._op_serial += 1
         op_key = f"{self.tenant}:{self._op_serial}:{op.kind}:{op.index}"
-        gap = self._pre_execution_gap(op, op_key)
+        gap = self._pre_execution_gap(op, op_key, policy)
         if gap is not None:
             return gap
         before = self.vm.stats.snapshot()
@@ -182,7 +203,7 @@ class GuardedInstance:
                 return self._detected(halt, before)
             return self._outcome("fault", before,
                                  detail=f"{fault.kind}: {fault}")
-        gap = self._post_execution_gap(op_key, before)
+        gap = self._post_execution_gap(op_key, before, policy)
         if gap is not None:
             return gap
         warning = self._new_warning(warned)
@@ -203,8 +224,8 @@ class GuardedInstance:
 
     # -- fault arms ----------------------------------------------------------
 
-    def _pre_execution_gap(self, op: OpRequest,
-                           op_key: str) -> Optional[OpOutcome]:
+    def _pre_execution_gap(self, op: OpRequest, op_key: str,
+                           policy: TenantPolicy) -> Optional[OpOutcome]:
         """The ``interp.*`` arms: the checker's execution engine fails
         *before* the round runs (so nothing — device or shadow state — has
         advanced, and a retry genuinely replays from scratch)."""
@@ -212,22 +233,18 @@ class GuardedInstance:
         if inj is None or not (inj.armed("interp.step")
                                or inj.armed("interp.stall")):
             return None
-        config = self.degradation
-        last = ""
-        for attempt in range(config.attempts):
-            try:
-                self._draw_interp_fault(f"{op_key}:{attempt}")
-            except InfraError as exc:
-                last = f"{type(exc).__name__}: {exc}"
-                continue
+        failure = run_attempts(self._draw_interp_fault, policy.attempts,
+                               op_key)
+        if not failure:
             return None     # engine healthy (or the transient cleared)
-        if config.policy is DegradationPolicy.FAIL_OPEN:
+        if policy.degradation == DegradationPolicy.FAIL_OPEN.value:
             # Checker machinery is down but policy says serve anyway:
             # run the round unguarded, then re-align the shadow state so
             # the blind spot does not cascade into false positives.
-            return self._run_unguarded(op, op_key, last)
-        report = self._record(gap_report(op_key, config, last))
-        return OpOutcome("trace_gap", report=report, detail=last)
+            return self._run_unguarded(op, op_key, failure)
+        report = self._record(gap_report(op_key, policy.degradation,
+                                         failure))
+        return OpOutcome("trace_gap", report=report, detail=failure)
 
     def _draw_interp_fault(self, key: str) -> None:
         inj = self.injector
@@ -257,31 +274,27 @@ class GuardedInstance:
             for part, attachment in detached.items():
                 self.vm.attachments[part] = attachment
                 attachment.checker.resync(self.vm.devices[part].state)
-        report = self._record(gap_report(op_key, self.degradation,
-                                         reason))
+        report = self._record(gap_report(
+            op_key, DegradationPolicy.FAIL_OPEN.value, reason))
         return self._outcome("ok", before, report=report, detail=reason)
 
-    def _post_execution_gap(self, op_key: str,
-                            before) -> Optional[OpOutcome]:
+    def _post_execution_gap(self, op_key: str, before,
+                            policy: TenantPolicy) -> Optional[OpOutcome]:
         """The ``ipt.*`` arms: the op executed and was vetted, but the
         trace that vouches for it may be damaged.  Verification replays
         (decode attempts) are retryable; capture loss is not."""
         if self._tracer is None:
             return None
-        config = self.degradation
-        last = ""
-        for attempt in range(config.attempts):
-            try:
-                self._verify_trace(f"{op_key}:{attempt}")
-            except (DecodeError, TraceError) as exc:
-                last = f"{type(exc).__name__}: {exc}"
-                continue
+        failure = run_attempts(self._verify_trace, policy.attempts, op_key)
+        if not failure:
             return None
-        report = self._record(gap_report(op_key, config, last))
-        if config.policy is DegradationPolicy.FAIL_OPEN:
-            return self._outcome("ok", before, report=report, detail=last)
+        report = self._record(gap_report(op_key, policy.degradation,
+                                         failure))
+        if policy.degradation == DegradationPolicy.FAIL_OPEN.value:
+            return self._outcome("ok", before, report=report,
+                                 detail=failure)
         return self._outcome("trace_gap", before, report=report,
-                             detail=last)
+                             detail=failure)
 
     def _verify_trace(self, key: str) -> None:
         from repro.faults.plan import corrupt_bytes

@@ -14,7 +14,10 @@ gaps, decode failures) a tenant's circuit opens and its requests are
 shed (counted, never quarantined) until a half-open probe succeeds.
 Every resilience setting — degradation mode, retries, respawn budget,
 breaker and ladder — comes from the worker's
-:class:`~repro.policy.model.PolicySet`.  Breaker inputs are
+:class:`~repro.policy.model.PolicySet`, resolved per tenant once per
+batch: every op of the batch runs under that policy, and every report
+the batch files is stamped with its degradation mode, id and
+generation.  Breaker inputs are
 deterministic: tenants are pinned to workers, batches run sequentially,
 and a batch requeued after a worker death carries its accumulated
 ``infra_strikes`` so the breaker survives the respawn that wiped the
@@ -200,8 +203,6 @@ class FleetWorker:
                                    batch.qemu_version, spec,
                                    mode=self.mode,
                                    backend=self.backend,
-                                   degradation=self.policy_for(
-                                       batch.tenant).degradation_config(),
                                    injector=self.injector,
                                    batch_rounds=self.batch_rounds)
         instance.spec_epoch = batch.spec_epoch
@@ -283,12 +284,12 @@ class FleetWorker:
                     continue
                 self._shed_since_probe[tenant] = 0   # half-open probe
             served += 1
-            outcome = instance.apply(op)
+            outcome = instance.apply(op, pol)
             result.cycles += outcome.cycles
             result.io_rounds += outcome.io_rounds
             if outcome.report is not None:
-                # Stamp the resolved policy on the report, mirroring the
-                # degradation-policy stamp the checker already applies.
+                # Stamp the resolved policy the op ran under.
+                outcome.report.policy = pol.degradation
                 outcome.report.policy_id = pol.policy_id
                 outcome.report.policy_generation = \
                     self._policy_epoch.get(tenant, 0)
@@ -390,11 +391,7 @@ class FleetWorker:
         spec = self._spec_for(snapshot["device"],
                               snapshot["qemu_version"],
                               snapshot["spec_digest"])
-        instance = restore_instance(
-            snapshot, spec,
-            degradation=self.policy_for(
-                batch.tenant).degradation_config(),
-            injector=self.injector)
+        instance = restore_instance(snapshot, spec, injector=self.injector)
         if (batch.spec_epoch > instance.spec_epoch
                 and not instance.quarantined):
             # The snapshot predates a spec hot reload this batch is
@@ -467,10 +464,7 @@ class FleetWorker:
         spec = self._spec_for(envelope["device"],
                               envelope["qemu_version"],
                               envelope["spec_digest"])
-        instance = restore_instance(
-            envelope, spec,
-            degradation=self.policy_for(tenant).degradation_config(),
-            injector=self.injector)
+        instance = restore_instance(envelope, spec, injector=self.injector)
         self.instances[tenant] = instance
         breaker = envelope.get("breaker")
         if breaker is not None:

@@ -94,7 +94,6 @@ class Machine:
         self._depth = 0
         self._telemetry = None
         self._telemetry_cache = None
-        self._fault_hook = None
         if backend == "bytecode":
             from repro.interp.bytecode import bytecode_program_for
             self._bytecode = bytecode_program_for(program)
@@ -152,24 +151,10 @@ class Machine:
         self._telemetry = MachineTelemetry(recorder, self.program.name)
         self._telemetry_cache = (recorder, self._telemetry)
 
-    def set_fault_hook(self, hook) -> None:
-        """Install a per-round fault hook (``None`` removes it).
-
-        The hook is called as ``hook(key)`` at the top of each I/O round
-        — before any sink opens the round — and may raise an
-        infrastructure exception (transient step fault, stall past
-        deadline).  Keeping the hook at round granularity leaves the
-        per-block hot loop untouched.
-        """
-        self._fault_hook = hook
-
     # -- entry points --------------------------------------------------------
 
     def run_entry(self, key: str, args: Tuple[int, ...] = ()) -> Optional[int]:
         """Run the entry handler for I/O interface *key* (one I/O round)."""
-        hook = self._fault_hook
-        if hook is not None:
-            hook(key)
         func = self.program.entry_for(key)
         for sink in self._sinks:
             sink.on_io_enter(key, args)

@@ -32,7 +32,7 @@ import os
 from dataclasses import asdict, dataclass, field, replace
 from typing import Dict, Optional
 
-from repro.checker.degrade import DegradationConfig, DegradationPolicy
+from repro.checker.degrade import DegradationPolicy
 from repro.errors import PolicyError
 
 #: Envelope format for persisted policy-set artifacts.
@@ -104,9 +104,13 @@ class TenantPolicy:
                 "ladder out of order: quarantine_after "
                 f"({self.quarantine_after}) fires before an earlier rung")
 
-    def degradation_config(self) -> DegradationConfig:
-        return DegradationConfig(DegradationPolicy(self.degradation),
-                                 max_retries=self.max_retries)
+    @property
+    def attempts(self) -> int:
+        """Checks a round gets before it degrades: 1, or 1 +
+        ``max_retries`` under ``retry``."""
+        if self.degradation == DegradationPolicy.RETRY.value:
+            return 1 + self.max_retries
+        return 1
 
     def to_obj(self) -> Dict[str, object]:
         return asdict(self)

@@ -16,8 +16,7 @@ import random
 import pytest
 
 from repro.checker import (
-    ALL_STRATEGIES, BACKENDS, Action, DegradationConfig, DegradationPolicy,
-    ESChecker, Mode, Strategy,
+    ALL_STRATEGIES, BACKENDS, Action, ESChecker, Mode, Strategy,
 )
 from repro.core import deploy
 from repro.devices.fdc import FDC
@@ -277,26 +276,3 @@ class TestRoundEnd:
                         if k != ALL_STRATEGIES)
         assert unflagged.anomalies == []
         assert unflagged.action is Action.ALLOW and unflagged.incomplete
-
-    @pytest.mark.parametrize("backend", BACKENDS)
-    def test_policy_change_shows_in_the_next_report(self, backend,
-                                                    spec_cache):
-        """A degradation policy set between two ``check_io`` calls is
-        the one the second call's reports carry: clean, unknown-key and
-        incomplete alike."""
-        checker = ESChecker(_spec(spec_cache, "fdc"), backend=backend)
-        checker.boot_sync(FDC().state)
-        assert checker.check_io("pmio:write:2", (0x0C,)).policy \
-            == "fail-closed"
-        checker.degradation = DegradationConfig(
-            policy=DegradationPolicy.FAIL_OPEN)
-        assert checker.check_io("pmio:write:2", (0x0C,)).policy \
-            == "fail-open"
-        unknown = checker.check_io("pmio:write:15", (1,))
-        assert [a.kind for a in unknown.anomalies] == ["unknown-io-key"]
-        assert unknown.policy == "fail-open"
-        checker.max_walk_blocks = 0
-        checker.degradation = DegradationConfig(
-            policy=DegradationPolicy.RETRY)
-        report = checker.check_io("pmio:write:2", (0x0C,))
-        assert report.anomalies and report.policy == "retry"

@@ -2,29 +2,25 @@
 
 import pytest
 
-from repro.checker import (
-    Action, CheckReport, DEFAULT_DEGRADATION, DegradationConfig,
-    DegradationPolicy, gap_report, run_with_policy,
-)
+from repro.checker import Action, gap_report
 from repro.checker.degrade import INFRA_EXCEPTIONS
 from repro.errors import DecodeError, InfraError, TraceError
-
-
-def ok_report():
-    report = CheckReport(io_key="io")
-    report.action = Action.ALLOW
-    return report
+from repro.fleet.instance import run_attempts
+from repro.policy.model import DEFAULT_POLICY, TenantPolicy
 
 
 class TestConfig:
     def test_default_is_fail_closed_single_attempt(self):
-        assert DEFAULT_DEGRADATION.policy is DegradationPolicy.FAIL_CLOSED
-        assert DEFAULT_DEGRADATION.attempts == 1
+        assert DEFAULT_POLICY.degradation == "fail-closed"
+        assert DEFAULT_POLICY.attempts == 1
 
     def test_retry_grants_extra_attempts(self):
-        config = DegradationConfig(policy=DegradationPolicy.RETRY,
-                                   max_retries=3)
-        assert config.attempts == 4
+        policy = TenantPolicy(degradation="retry", max_retries=3)
+        assert policy.attempts == 4
+        # the retry budget means nothing under the other two modes
+        for mode in ("fail-closed", "fail-open"):
+            assert TenantPolicy(degradation=mode,
+                                max_retries=3).attempts == 1
 
     def test_infra_exceptions_cover_the_machinery_failures(self):
         for exc in (InfraError("x"), DecodeError("y", offset=3),
@@ -34,62 +30,48 @@ class TestConfig:
 
 class TestGapReport:
     def test_fail_closed_gap_is_trace_gap_action(self):
-        report = gap_report("io", DEFAULT_DEGRADATION, "pkt loss")
+        report = gap_report("io", "fail-closed", "pkt loss")
         assert report.action is Action.TRACE_GAP
         assert report.trace_gap
-        assert report.policy == "fail-closed"
         assert report.gap_reason == "pkt loss"
         assert not report.anomalies   # emphatically not a detection
 
     def test_fail_open_gap_allows_but_stays_marked(self):
-        config = DegradationConfig(policy=DegradationPolicy.FAIL_OPEN)
-        report = gap_report("io", config, "pkt loss")
+        report = gap_report("io", "fail-open", "pkt loss")
         assert report.action is Action.ALLOW
         assert report.trace_gap
-        assert report.policy == "fail-open"
 
 
-class TestRunWithPolicy:
-    def test_healthy_attempt_is_stamped_with_the_policy(self):
-        report = run_with_policy(DEFAULT_DEGRADATION, "io",
-                                 lambda n: ok_report())
-        assert report.action is Action.ALLOW
-        assert report.policy == "fail-closed"
-        assert not report.trace_gap
-
-    def test_fail_closed_converts_infra_error_to_gap(self):
-        def attempt(n):
-            raise TraceError("buffer overflowed")
-        report = run_with_policy(DEFAULT_DEGRADATION, "io", attempt)
-        assert report.action is Action.TRACE_GAP
-        assert "TraceError" in report.gap_reason
+class TestRunAttempts:
+    """The one attempt loop a guarded instance runs its fault arms in."""
 
     def test_retry_clears_a_transient_fault(self):
-        calls = []
+        keys = []
 
-        def attempt(n):
-            calls.append(n)
-            if n < 2:
+        def arm(key):
+            keys.append(key)
+            if len(keys) < 3:
                 raise InfraError("transient step fault", kind="step")
-            return ok_report()
-        config = DegradationConfig(policy=DegradationPolicy.RETRY,
-                                   max_retries=2)
-        report = run_with_policy(config, "io", attempt)
-        assert calls == [0, 1, 2]
-        assert report.action is Action.ALLOW
-        assert report.gap_reason == "recovered after 2 retries"
+        policy = TenantPolicy(degradation="retry", max_retries=2)
+        assert run_attempts(arm, policy.attempts, "io") == ""
+        assert keys == ["io:0", "io:1", "io:2"]
 
-    def test_retry_exhaustion_falls_back_to_fail_closed(self):
-        def attempt(n):
-            raise DecodeError("bad magic", offset=12)
-        config = DegradationConfig(policy=DegradationPolicy.RETRY,
-                                   max_retries=2)
-        report = run_with_policy(config, "io", attempt)
+    def test_exhaustion_returns_the_last_failure(self):
+        keys = []
+
+        def arm(key):
+            keys.append(key)
+            raise DecodeError(f"bad magic at {key}", offset=12)
+        policy = TenantPolicy(degradation="retry", max_retries=1)
+        failure = run_attempts(arm, policy.attempts, "io")
+        assert keys == ["io:0", "io:1"]
+        assert failure.startswith("DecodeError: bad magic at io:1")
+        # an exhausted retry budget falls back to fail-closed
+        report = gap_report("io", policy.degradation, failure)
         assert report.action is Action.TRACE_GAP
-        assert "DecodeError" in report.gap_reason
 
     def test_non_infra_exceptions_stay_loud(self):
-        def attempt(n):
+        def arm(key):
             raise ValueError("a genuine bug")
         with pytest.raises(ValueError, match="genuine bug"):
-            run_with_policy(DEFAULT_DEGRADATION, "io", attempt)
+            run_attempts(arm, DEFAULT_POLICY.attempts, "io")

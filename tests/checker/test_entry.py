@@ -3,17 +3,17 @@ behind when it fails, and which configuration it runs under.
 
 The bytecode backend walks the committed shadow state in place, so an
 exception escaping a walk must leave that state byte-identical to what
-it was before the call.  And mode, strategies and degradation policy
-are plain attributes an operator may change between rounds: the next
-round must follow the new values exactly as the reference walker does.
+it was before the call.  And mode and strategies are plain attributes
+an operator may change between rounds: the next round must follow the
+new values exactly as the reference walker does.
 """
 
 import pytest
 
 from repro.analysis import ObservationLogger, select_parameters
 from repro.checker import (
-    ALL_STRATEGIES, BACKENDS, Action, DegradationConfig, DegradationPolicy,
-    ESChecker, Mode, Strategy, SyncOracle,
+    ALL_STRATEGIES, BACKENDS, Action, ESChecker, Mode, Strategy,
+    SyncOracle,
 )
 from repro.compiler import DeviceLogic, compile_device, fld
 from repro.interp import Machine
@@ -139,43 +139,39 @@ def test_bytecode_batch_rolls_back_the_whole_call():
 
 
 class TestLiveReconfiguration:
-    """Mode, strategies and degradation policy changed between rounds
-    on live checkers: every report equals the reference walker's and
-    carries the configuration in force when it ran."""
+    """Mode and strategies changed between rounds on live checkers:
+    every report equals the reference walker's and follows the
+    configuration in force when it ran."""
 
     STEPS = (
-        # (mode, strategies, policy, round, expected action)
-        (Mode.ENHANCEMENT, ALL_STRATEGIES, DegradationPolicy.FAIL_CLOSED,
+        # (mode, strategies, round, expected action)
+        (Mode.ENHANCEMENT, ALL_STRATEGIES,
          ("pmio:write:1", (1,)), Action.ALLOW),
         # the unknown command goes unflagged with its strategy off: the
         # walk stops unresolved instead
         (Mode.PROTECTION, frozenset({Strategy.PARAMETER}),
-         DegradationPolicy.FAIL_OPEN,
          ("pmio:write:0", (CMD["CMD_POP"],)), Action.ALLOW),
-        (Mode.PROTECTION, ALL_STRATEGIES, DegradationPolicy.RETRY,
+        (Mode.PROTECTION, ALL_STRATEGIES,
          ("pmio:write:0", (CMD["CMD_POP"],)), Action.HALT),
-        (Mode.ENHANCEMENT, ALL_STRATEGIES, DegradationPolicy.FAIL_CLOSED,
+        (Mode.ENHANCEMENT, ALL_STRATEGIES,
          ("pmio:write:0", (CMD["CMD_POP"],)), Action.WARN),
         (Mode.ENHANCEMENT, frozenset({Strategy.PARAMETER,
                                       Strategy.INDIRECT_JUMP}),
-         DegradationPolicy.FAIL_OPEN, ("pmio:write:1", (2,)),
-         Action.ALLOW),
+         ("pmio:write:1", (2,)), Action.ALLOW),
     )
 
     def test_next_round_follows_new_configuration(self):
         spec = build_toy_spec()
         checkers = {backend: checked_machine(spec, backend=backend)[1]
                     for backend in BACKENDS}
-        for mode, strategies, policy, (key, args), action in self.STEPS:
+        for mode, strategies, (key, args), action in self.STEPS:
             reports = {}
             for backend, checker in checkers.items():
                 checker.mode = mode
                 checker.strategies = strategies
-                checker.degradation = DegradationConfig(policy=policy)
                 reports[backend] = checker.check_io(key, args)
             reference = reports.pop("reference")
             assert reference.action is action
-            assert reference.policy == policy.value
             for report in reports.values():
                 assert report == reference
                 assert report.final_state == reference.final_state

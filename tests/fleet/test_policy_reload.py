@@ -11,12 +11,14 @@ scheduled — leaving the running fleet untouched.
 
 import pytest
 
-from repro.checker import DEFAULT_DEGRADATION
+from repro.checker import Action
 from repro.errors import PolicyError
+from repro.faults import FaultPlan, FaultSpec
 from repro.fleet import (
     FleetConfig, FleetSupervisor, FleetWorker, ScheduledPolicyReload,
     SpecRegistry, build_load,
 )
+from repro.fleet.loadgen import make_schedule, plan_tenants
 from repro.gateway import GatewayConfig
 from repro.policy.model import DEFAULT_POLICY, PolicySet, TenantPolicy
 
@@ -29,6 +31,17 @@ PARITY_FIELDS = ("requests", "completed", "rejected", "lost",
                  "detections", "shed", "policy_reloads",
                  "policy_throttles", "policy_restores", "policy_fences",
                  "fenced_tenants", "io_rounds", "total_cycles")
+
+
+#: both fleet lanes: in-process workers and a worker-process pool
+LANES = pytest.mark.parametrize("inline", [True, False],
+                                ids=["inline", "pool"])
+
+
+@pytest.fixture(scope="module")
+def registry(tmp_path_factory):
+    cache = tmp_path_factory.mktemp("spec-cache")
+    return SpecRegistry(cache_dir=str(cache))
 
 
 def _run(inline, cache_dir, at_seq, tenants=3, batches=4, ops=3):
@@ -57,7 +70,7 @@ class TestDefaultPolicy:
         for tenant in self.TENANTS:
             policy = worker.policy_for(tenant)
             assert policy == DEFAULT_POLICY
-            assert policy.degradation_config() == DEFAULT_DEGRADATION
+            assert policy.attempts == 1
         assert DEFAULT_POLICY == TenantPolicy(
             degradation="fail-closed", max_retries=2, respawn_budget=1,
             throttle_after=3, circuit_cooldown=4)
@@ -157,6 +170,127 @@ class TestHotReload:
             (t, r.policy_id, r.policy_generation)
             for t, r in pool_result.reports)
         assert inline_stamps == pool_stamps
+
+
+def _serve(registry, inline, boot, schedule, plans, fault_plan,
+           reload=None, at_seq=0):
+    """Serve *schedule* on one worker booted under *boot*, optionally
+    reloading to *reload* from batch *at_seq*; returns the fleet result
+    and the per-batch results in seq order."""
+    supervisor = FleetSupervisor(
+        FleetConfig(workers=1, inline=inline, fault_plan=fault_plan,
+                    policies=boot), registry=registry)
+    if reload is not None:
+        supervisor.reload_policy(reload, at_seq=at_seq)
+    result = supervisor.run(schedule, plans)
+    return result, sorted(supervisor._results, key=lambda r: r.seq)
+
+
+#: what a batch did with its ops, apart from the policy that ran them
+OUTCOME_FIELDS = ("completed", "rejected", "faults", "detections",
+                  "instance_respawns", "quarantined", "trace_gaps",
+                  "infra_failures", "shed", "circuit_opens",
+                  "exploit_escapes", "exploit_refusals", "fenced",
+                  "cycles", "io_rounds")
+
+
+def _outcome(batch):
+    return (tuple(getattr(batch, name) for name in OUTCOME_FIELDS),
+            [(r.io_key, r.action, r.policy, r.gap_reason)
+             for r in batch.reports])
+
+
+def _policy(policy_id, degradation="fail-closed"):
+    # The breaker stays shut so every op reaches its instance.
+    return TenantPolicy(policy_id=policy_id, degradation=degradation,
+                        max_retries=1, throttle_after=0)
+
+
+#: every op's checker engine fails before the round runs
+ENGINE_DOWN = FaultPlan(5, (FaultSpec("interp.step", probability=1.0),))
+OPEN = PolicySet(default=_policy("open", "fail-open"))
+CLOSED = PolicySet(default=_policy("closed"))
+
+
+class TestSingleDegradationPath:
+    """Each op runs under the degradation mode and retry budget of the
+    policy its tenant resolves for the batch, and every report the
+    fleet files is stamped with that policy: a hot reload reaches both
+    at the next batch boundary."""
+
+    BOOT = PolicySet(default=_policy("closed"), tenants={
+        "t01-pcnet": _policy("open", "fail-open"),
+        "t02-pcnet": _policy("retry", "retry")})
+    RELOADED = PolicySet(default=_policy("open-2", "fail-open"), tenants={
+        "t01-pcnet": _policy("retry-2", "retry"),
+        "t02-pcnet": _policy("closed-2")})
+
+    @LANES
+    def test_every_report_carries_its_resolved_policy(self, registry,
+                                                      inline):
+        # One attacked tenant per boot mode, the attack in the last
+        # batch; lost packets give gap reports under every mode.
+        plans = plan_tenants(["fdc", "pcnet", "pcnet"], 3, inject_cves=[
+            "CVE-2015-3456", "CVE-2015-7504", "CVE-2016-7909"], seed=3)
+        schedule = make_schedule(plans, 4, 3, seed=3, attack_batch=3)
+        drops = FaultPlan(3, (FaultSpec("ipt.drop", probability=0.01),))
+        result, _ = _serve(registry, inline, self.BOOT, schedule, plans,
+                           drops, reload=self.RELOADED, at_seq=3)
+        generations = {0: self.BOOT, 1: self.RELOADED}
+        seen = set()
+        for tenant, report in result.reports:
+            policy = generations[report.policy_generation].resolve(tenant)
+            assert (report.policy, report.policy_id) \
+                == (policy.degradation, policy.policy_id), report.io_key
+            seen.add((report.policy_generation, report.policy,
+                      report.action))
+        # Not vacuous: a detection under every mode, and gap reports
+        # under every mode in both generations.
+        assert {(1, mode, Action.HALT) for mode in
+                ("fail-closed", "fail-open", "retry")} <= seen
+        assert {(g, mode) for g, mode, action in seen
+                if action is not Action.HALT} == {
+            (g, mode) for g in (0, 1)
+            for mode in ("fail-closed", "fail-open", "retry")}
+
+    @LANES
+    def test_tightening_reload_refuses_the_exploit(self, registry,
+                                                   inline):
+        # The exploit is op 0 of seq 2; the reload lands at seq 1.
+        plans, schedule = build_load(["fdc"], 1, 4, 3,
+                                     inject_cves=["CVE-2015-3456"], seed=3)
+        assert schedule[2].ops[0].kind == "exploit"
+        result, batches = _serve(registry, inline, OPEN, schedule, plans,
+                                 ENGINE_DOWN, reload=CLOSED, at_seq=1)
+        stats = result.stats
+        assert stats.policy_reloads == 1
+        assert (stats.faults, stats.instance_respawns) == (0, 0)
+        (summary,) = result.tenants.values()
+        assert (summary.exploit_refusals, summary.exploit_escapes) \
+            == (1, 0)
+        # From the reload on, the tenant runs exactly like one booted
+        # under the new policy.
+        _, booted = _serve(registry, inline, CLOSED, schedule, plans,
+                           ENGINE_DOWN)
+        assert [_outcome(b) for b in batches[1:]] \
+            == [_outcome(b) for b in booted[1:]]
+
+    @LANES
+    def test_loosening_reload_serves_with_allow_gaps(self, registry,
+                                                     inline):
+        plans, schedule = build_load(["fdc"], 1, 4, 3, seed=3)
+        result, batches = _serve(registry, inline, CLOSED, schedule,
+                                 plans, ENGINE_DOWN, reload=OPEN,
+                                 at_seq=1)
+        assert batches[0].trace_gaps == 3
+        for batch in batches[1:]:
+            assert (batch.completed, batch.trace_gaps) == (3, 0)
+        after = [r for _, r in result.reports if r.policy_generation]
+        assert len(after) == 9
+        for report in after:
+            assert report.trace_gap and report.action is Action.ALLOW
+            assert (report.policy, report.policy_id) \
+                == ("fail-open", "open")
 
 
 class TestEagerValidation:

@@ -113,6 +113,24 @@ class TestChaos:
         assert "max_retries" in capsys.readouterr().err
 
 
+class TestPolicy:
+    @pytest.mark.parametrize("command", [
+        ["policy", "show"],
+        ["policy", "apply", "--cache", "{cache}"],
+        ["policy", "reload", "--inline", "--devices", "fdc"],
+    ], ids=["show", "apply", "reload"])
+    def test_malformed_document_exits_2(self, command, tmp_path, capsys):
+        # 2 is a rejected document on every policy command; reload
+        # keeps 1 for a run that lost traffic.
+        document = tmp_path / "policy.json"
+        document.write_text(json.dumps(
+            {"default": {"circuit_cooldown": 0}}))
+        argv = [arg.format(cache=tmp_path / "cache") for arg in command]
+        assert main(argv + ["--file", str(document)]) == 2
+        assert "circuit_cooldown" in capsys.readouterr().err
+        assert not (tmp_path / "cache").exists()
+
+
 class TestStats:
     def test_stats_prints_strategy_and_latency_tables(self, tmp_path,
                                                       capsys):

@@ -216,19 +216,23 @@ def _pcnet_guarded():
     return vm, device, attachment, driver
 
 
-def test_fault_hook_infra_error_clears_harvest():
+def test_infra_error_mid_round_clears_harvest():
+    # An exit that is not a DeviceFault: the co-execution discipline
+    # lets it through without a verdict, and still clears the harvest.
     vm, device, attachment, driver = _pcnet_guarded()
     seen = []
+    dma_read = device.machine._externs["dma_read"]
 
-    def hook(key):
-        if attachment.sync_keys.get(key):
-            seen.append(device.machine.harvest)
+    def failing_read(m, addr):
+        if m.harvest is not None:       # only inside co-executed rounds
+            seen.append(addr)
             raise InfraError("injected step fault", kind="interp-step")
+        return dma_read(m, addr)
 
-    device.machine.set_fault_hook(hook)
+    device.machine.bind_extern("dma_read", failing_read, cost=40)
     with pytest.raises(InfraError):
         driver.send_frame(bytes(60))
-    assert seen == [{}]
+    assert len(seen) == 1
     assert device.machine.harvest is None
 
 
