@@ -63,10 +63,10 @@ from repro.checker.escheck import (
     CHECK_BLOCK_COST, CHECK_STMT_COST, _WalkStop, _flag,
 )
 from repro.interp.bytecode import (
-    _BIN_INLINE, _CODECS, _INT_LITERAL, _OPSYMS, _UN_INLINE, _UNSYMS, _Asm,
-    _buffer_offset, _emit_dispatch, _emit_switch_pc, _encode_switch,
-    _exec_frame, _inline_goto_tails, _load_raw, _signed, _state_load_expr,
-    _store_stmt, _wrap_self_loops,
+    _BIN_INLINE, _CODECS, _INT_LITERAL, _OPSYMS, _SIMPLE, _UN_INLINE,
+    _UNSYMS, _Asm, _Values, _buffer_offset, _emit_chain, _emit_dispatch,
+    _emit_switch_pc, _encode_switch, _exec_frame, _load_value, _spans,
+    _state_load_expr, _store_stmt, _superblock, _truth, _wrap_self_loops,
 )
 from repro.interp.ops import _floordiv, _mod, binop_fn
 from repro.ir import (
@@ -645,7 +645,6 @@ def _base_consts(bspec: "BytecodeSpec") -> Dict[str, Any]:
         "_FENT": bspec.entry_pc, "_FNP": bspec.nparams,
         "_FNL": bspec.nlocals,
         "_MISSPAD": (_MISS,) * (max(bspec.nparams, default=0) + 1),
-        "_plans_get": bspec.plans.get,
         "_bisect": bisect_left, "_die": _die,
         "_CR": CheckReport, "_ALLOW": Action.ALLOW, "_bytes": bytes,
         "_partial": partial, "_u8s": _u8s,
@@ -656,6 +655,59 @@ def _base_consts(bspec: "BytecodeSpec") -> Dict[str, Any]:
     }
 
 
+#: operand count per opcode (what :func:`_spans` steps over); the loop
+#: records trail the blocks
+_WIDTHS = {
+    C_CONST: 1, C_PARAM: 2, C_PARAM_MISS: 1, C_LOCAL: 2, C_STATE: 1,
+    C_STATEF: 1, C_BUFLEN: 1, C_BUFLOAD: 1, C_BINOP: 1, C_UNOP: 1,
+    C_SYNC: 1, D_DSD: 0, D_ASSIGN: 1, D_STORE: 1, D_STOREM: 1,
+    D_BUFSTORE: 1, D_SETCMD: 1, D_CMDEND: 0, B_HDR: 1, N_GOTO: 1, N_BR: 3,
+    N_SWITCH: 1, N_CALL: 2, N_ICALL_PRE: 1, N_ICALL: 3, N_RET0: 0,
+    N_RETV: 0, N_STUB: 1, N_UNTRAINED: 1, N_NONBTD: 1, L_LOOP: -1,
+}
+
+
+class _CheckPath:
+    """The frame's pending walk state on one superblock path: the blocks,
+    DSOD statements and parameter and conditional checks walked since
+    they were last added to the frame's counters, and the address
+    ``_addr`` is owed (None: it is current).  They are charged at every
+    exit and in front of — or inside the branch of — anything that
+    raises.  *cmd* says whether a command is in force: none at a key's
+    entry, one after a command decision, none after a command end."""
+
+    __slots__ = ("blk", "dsd", "pch", "cch", "addr", "cmd")
+
+    def __init__(self) -> None:
+        self.blk = self.dsd = self.pch = self.cch = 0
+        self.addr: Optional[int] = None
+        self.cmd = False
+
+    def copy(self) -> "_CheckPath":
+        path = _CheckPath()
+        path.blk, path.dsd, path.pch = self.blk, self.dsd, self.pch
+        path.cch, path.addr, path.cmd = self.cch, self.addr, self.cmd
+        return path
+
+    def lines(self) -> List[str]:
+        parts = [f"{var} += {n}" for var, n in (("_blk", self.blk),
+                                                 ("_dsd", self.dsd)) if n]
+        if self.addr is not None:
+            parts.append(f"_addr = {self.addr}")
+        lines = ["; ".join(parts)] if parts else []
+        if self.pch:
+            lines.append(f"if _pon: _pch += {self.pch}")
+        if self.cch:
+            lines.append(f"if _con: _cch += {self.cch}")
+        return lines
+
+    def flush(self, asm: _Asm) -> None:
+        for line in self.lines():
+            asm.w(line)
+        self.blk = self.dsd = self.pch = self.cch = 0
+        self.addr = None
+
+
 def _assemble_spec(bspec: BytecodeSpec) -> Callable:
     """Assemble the arrays into the spec's one generated walk frame.
 
@@ -664,21 +716,43 @@ def _assemble_spec(bspec: BytecodeSpec) -> Callable:
     accesses index the shadow buffer directly, bound checks on
     in-range constant stores reduce to their counter increment,
     anomaly addresses become literals, and command gates that a
-    ``command_end`` prologue makes unreachable are elided).  The frame
-    is its own round driver: it loops over a queue of rounds — one for
-    ``check_io``, many for ``check_batch`` — and for each builds the
-    report, walks, decides the verdict, and commits or rolls back the
-    shadow buffer, which it walks in place.  The prologue (strategy
+    ``command_end`` prologue makes unreachable are elided).  Each block
+    heads a value-numbered chain in the dispatch tree, and each key's
+    first block also heads a guarded superblock, where its walk starts
+    (see :mod:`repro.interp.bytecode`, "Chains and superblocks").  The
+    frame is its own round driver: it loops over a queue of rounds —
+    one for ``check_io``, many for ``check_batch`` — and for each builds
+    the report, walks, decides the verdict, and commits or rolls back
+    the shadow buffer, which it walks in place.  The prologue (strategy
     toggles, shadow buffer, entry snapshot) runs once per call.
     """
+    from repro.telemetry.instruments import (
+        FRAME_CALL_START, FRAME_ROUND_CLEAN, FRAME_ROUND_START,
+    )
+
     code, pool = bspec.code, bspec.pool
-    cur_addr: Optional[int] = None   # current block address
     asm = _Asm(_base_consts(bspec))
     push, pop, bind = asm.push, asm.pop, asm.bind
     spill_pending, force_temp = asm.spill_pending, asm.force_temp
+    spans, records = _spans(code, _WIDTHS, (B_HDR, N_STUB), CheckerError)
+    loops = [pool[code[pc + 1]] for pc in range(records, len(code), 2)]
+
+    def pending(path: Optional[_CheckPath]) -> None:
+        """A superblock's pending state, inside a branch that raises."""
+        if path is not None:
+            for line in path.lines():
+                asm.w(line)
+
+    def settle(path: Optional[_CheckPath]) -> None:
+        """Charge a superblock's pending state before something that
+        can raise or leave."""
+        if path is not None:
+            path.flush(asm)
 
     def emit_flag_raise(strategy: str, kind: str, msg_expr: str,
-                        addr_expr: str, plain: bool = False) -> None:
+                        addr_expr: str, plain: bool = False,
+                        path: Optional[_CheckPath] = None) -> None:
+        pending(path)
         if plain:
             asm.w(f"_flag(w, {strategy}, {kind!r}, {msg_expr}, "
                   f"{addr_expr})")
@@ -688,357 +762,432 @@ def _assemble_spec(bspec: BytecodeSpec) -> Callable:
                   f"{addr_expr})")
             asm.w("raise _WalkStop(not _r)")
 
-    def emit_checked_index(i: str, length: int, msg: str,
-                           addr_expr: str) -> None:
-        asm.w("if _pon:")
-        asm.indent += 1
-        asm.w("_pch += 1")
-        asm.w(f"if not 0 <= {i} < {length}:")
+    def emit_checked_index(i: str, length: int, msg: str, addr_expr: str,
+                           path: Optional[_CheckPath]) -> None:
+        if path is None:
+            asm.w("if _pon:")
+            asm.indent += 1
+            asm.w("_pch += 1")
+            asm.w(f"if not 0 <= {i} < {length}:")
+        else:
+            path.pch += 1
+            asm.w(f"if not 0 <= {i} < {length} and _pon:")
         asm.indent += 1
         emit_flag_raise("_SP", "buffer-overflow", f"{msg!r} % {i}",
-                        addr_expr, plain=True)
-        asm.indent -= 2
+                        addr_expr, plain=True, path=path)
+        asm.indent -= 1 if path is not None else 2
 
     def emit_element_offset(i: str, base: int, esize: int,
-                            struct_size: int) -> str:
+                            struct_size: int,
+                            path: Optional[_CheckPath]) -> str:
         o = asm.temp()
         asm.w(f"{o} = {base} + {i} * {esize}")
         asm.w(f"if {o} < 0 or {o} + {esize} > {struct_size}:")
         asm.indent += 1
+        pending(path)
         asm.w("raise _WalkStop(True)")
         asm.indent -= 1
         return o
 
-    blocks: List[List[str]] = []
-    loops: List[tuple] = []
-    pc = 0
-    n = len(code)
-    while pc < n:
-        op = code[pc]
-        if op == B_HDR:
-            asm.lines = []
-            blocks.append(asm.lines)
-            address, is_cmd_end, gated, gate, gate_msg = pool[code[pc + 1]]
-            cur_addr = address
-            asm.w(f"_addr = {address}")
-            asm.w("_blk += 1")
-            asm.w("if _blk > _maxb:")
-            asm.indent += 1
-            emit_flag_raise("_SC", "walk-watchdog",
-                            repr("specification walk exceeded block budget"),
-                            str(address))
-            asm.indent -= 1
-            if is_cmd_end:
-                # The prologue clears _cmd, so the gate can never fire.
-                asm.w("_cmd = None")
-            elif gated:
-                gref = bind(gate, "_G")
-                asm.w("if _cmd is not None:")
+    def checked_read(key, fetch: str, sentinel: str, msg: str,
+                     vals: _Values, path: Optional[_CheckPath]) -> None:
+        """Push an ES local or I/O parameter, tested against its
+        sentinel on the chain's first read only."""
+        known = vals.names.get(key)
+        if known is not None:
+            push(known)
+            return
+        spill_pending()
+        t = asm.temp()
+        asm.w(f"{t} = {fetch}")
+        asm.w(f"if {t} is {sentinel}:")
+        asm.indent += 1
+        pending(path)
+        asm.w(f"raise CheckerError({msg!r})")
+        asm.indent -= 1
+        vals.names[key] = t
+        push(t)
+
+    def emit_block(k: int, vals: _Values,
+                   path: Optional[_CheckPath]) -> tuple:
+        cur_addr: Optional[int] = None   # current block address
+        pc, end = spans[k]
+        while pc < end:
+            op = code[pc]
+            if op == B_HDR:
+                address, is_cmd_end, gated, gate, gate_msg = \
+                    pool[code[pc + 1]]
+                cur_addr = address
+                if path is not None:
+                    # The superblock's guard covers the watchdog.  Under
+                    # a command decided on the path, a block whose row
+                    # lacks it is walked on the per-block path, which
+                    # flags it.
+                    if gated and path.cmd and not is_cmd_end:
+                        asm.w(f"if _cmd not in {bind(gate, '_G')}:")
+                        asm.indent += 1
+                        pending(path)
+                        asm.w(f"_pc = {k}")
+                        asm.w("continue")
+                        asm.indent -= 1
+                        path.cch += 1
+                    elif is_cmd_end and path.cmd:
+                        asm.w("_cmd = None")
+                    path.cmd = path.cmd and not is_cmd_end
+                    path.blk += 1
+                    path.addr = address
+                    pc += 2
+                    continue
+                asm.w(f"_addr = {address}")
+                asm.w("_blk += 1")
+                asm.w("if _blk > _maxb:")
                 asm.indent += 1
-                asm.w("if _con: _cch += 1")
-                asm.w(f"if _cmd not in {gref}:")
-                asm.indent += 1
-                emit_flag_raise("_SC", "command-access",
-                                f"{gate_msg!r} % _cmd", str(address))
-                asm.indent -= 2
-            pc += 2
-        elif op == N_STUB:
-            asm.lines = []
-            blocks.append(asm.lines)
-            # A stub flags at the *predecessor's* address (the block the
-            # untrained transition left from), so _addr stays dynamic.
-            cur_addr = None
-            emit_flag_raise("_SC", "unobserved-path",
-                            repr(pool[code[pc + 1]]), "_addr")
-            pc += 2
-        elif op == C_CONST:
-            push(repr(pool[code[pc + 1]]))
-            pc += 2
-        elif op == C_PARAM:
-            pos, mi = code[pc + 1], code[pc + 2]
-            spill_pending()
-            t = asm.temp()
-            asm.w(f"{t} = _par[{pos}]")
-            asm.w(f"if {t} is _MISS:")
-            asm.indent += 1
-            asm.w(f"raise CheckerError({pool[mi]!r})")
-            asm.indent -= 1
-            push(t)
-            pc += 3
-        elif op == C_PARAM_MISS:
-            spill_pending()
-            t = asm.temp()
-            asm.w(f"{t} = _die({pool[code[pc + 1]]!r})")
-            push(t)
-            pc += 2
-        elif op == C_LOCAL:
-            slot, mi = code[pc + 1], code[pc + 2]
-            spill_pending()
-            t = asm.temp()
-            asm.w(f"{t} = _env[{slot}]")
-            asm.w(f"if {t} is _UNDEF:")
-            asm.indent += 1
-            asm.w(f"raise CheckerError({pool[mi]!r})")
-            asm.indent -= 1
-            push(t)
-            pc += 3
-        elif op == C_STATE:
-            push(_state_load_expr(*pool[code[pc + 1]]))
-            pc += 2
-        elif op == C_STATEF:
-            spill_pending()
-            t = asm.temp()
-            asm.w(f"{t} = w.state.read_field({pool[code[pc + 1]]!r})")
-            push(t)
-            pc += 2
-        elif op == C_BUFLEN:
-            push(repr(code[pc + 1]))
-            pc += 2
-        elif op == C_BUFLOAD:
-            (buf, checked, length, base, esize, signed, bits,
-             struct_size, msg) = pool[code[pc + 1]]
-            index = pop()
-            spill_pending()
-            i = force_temp(index)
-            if checked:
-                emit_checked_index(i, length, msg,
-                                   "_addr" if cur_addr is None
-                                   else str(cur_addr))
-            o = emit_element_offset(i, base, esize, struct_size)
-            t = asm.temp()
-            raw = _load_raw(o, esize)
-            asm.w(f"{t} = {_signed(raw, bits) if signed else raw}")
-            push(t)
-            pc += 2
-        elif op == C_BINOP:
-            sym = _OPSYMS[code[pc + 1]]
-            b, a = pop(), pop()
-            if sym in ("//", "%"):
+                emit_flag_raise("_SC", "walk-watchdog",
+                                repr("specification walk exceeded block "
+                                     "budget"), str(address))
+                asm.indent -= 1
+                if is_cmd_end:
+                    # The prologue clears _cmd, so the gate can never
+                    # fire.
+                    asm.w("_cmd = None")
+                elif gated:
+                    gref = bind(gate, "_G")
+                    asm.w("if _cmd is not None:")
+                    asm.indent += 1
+                    asm.w("if _con: _cch += 1")
+                    asm.w(f"if _cmd not in {gref}:")
+                    asm.indent += 1
+                    emit_flag_raise("_SC", "command-access",
+                                    f"{gate_msg!r} % _cmd", str(address))
+                    asm.indent -= 2
+                pc += 2
+            elif op == N_STUB:
+                # A stub flags at the *predecessor's* address (the block
+                # the untrained transition left from), so _addr stays
+                # dynamic.
+                settle(path)
+                emit_flag_raise("_SC", "unobserved-path",
+                                repr(pool[code[pc + 1]]), "_addr")
+                return ("end",)
+            elif op == C_CONST:
+                push(repr(pool[code[pc + 1]]))
+                pc += 2
+            elif op == C_PARAM:
+                pos, mi = code[pc + 1], code[pc + 2]
+                checked_read(("p", pos), f"_par[{pos}]", "_MISS", pool[mi],
+                             vals, path)
+                pc += 3
+            elif op == C_PARAM_MISS:
                 spill_pending()
+                settle(path)
                 t = asm.temp()
-                fn = "_fdiv" if sym == "//" else "_fmod"
-                asm.w(f"{t} = {fn}({a}, {b})")
+                asm.w(f"{t} = _die({pool[code[pc + 1]]!r})")
                 push(t)
-            else:
-                push(_BIN_INLINE[sym].format(a=a, b=b))
-            pc += 2
-        elif op == C_UNOP:
-            push(_UN_INLINE[_UNSYMS[code[pc + 1]]].format(a=pop()))
-            pc += 2
-        elif op == C_SYNC:
-            name = pool[code[pc + 1]]
-            spill_pending()
-            t = asm.temp()
-            if name.startswith("__cannot_evaluate__"):
-                kind = name[len("__cannot_evaluate__"):]
-                asm.w(f"{t} = _die({f'cannot evaluate {kind}'!r})")
-            elif name.startswith("__unexpected_dsod__"):
-                kind = name[len("__unexpected_dsod__"):]
-                asm.w(f"{t} = _die("
-                      f"{f'unexpected DSOD statement {kind}'!r})")
-            else:
-                asm.w(f"{t} = _res({name!r})")
-            push(t)
-            pc += 2
-        elif op == D_DSD:
-            asm.w("_dsd += 1")
-            pc += 1
-        elif op == D_ASSIGN:
-            asm.w(f"_env[{code[pc + 1]}] = {pop()}")
-            pc += 2
-        elif op == D_STORE:
-            (field, lo, hi, off, end, size, mask, msg,
-             address) = pool[code[pc + 1]]
-            raw_v = pop()
-            if _INT_LITERAL.fullmatch(raw_v) and lo <= int(raw_v) <= hi:
-                # Constant store inside its declared bounds: the check
-                # can never fire, only its counter survives.
-                asm.w("if _pon: _pch += 1")
-                asm.w(_store_stmt(str(off), size, str(int(raw_v) & mask)))
-            else:
-                v = force_temp(raw_v)
+                pc += 2
+            elif op == C_LOCAL:
+                slot, mi = code[pc + 1], code[pc + 2]
+                checked_read(("l", slot), f"_env[{slot}]", "_UNDEF",
+                             pool[mi], vals, path)
+                pc += 3
+            elif op == C_STATE:
+                off, end_, signed, _ = pool[code[pc + 1]]
+                push(vals.load(asm, off, end_, signed))
+                pc += 2
+            elif op == C_STATEF:
+                spill_pending()
+                settle(path)
+                t = asm.temp()
+                asm.w(f"{t} = w.state.read_field({pool[code[pc + 1]]!r})")
+                push(t)
+                pc += 2
+            elif op == C_BUFLEN:
+                push(repr(code[pc + 1]))
+                pc += 2
+            elif op == C_BUFLOAD:
+                (buf, checked, length, base, esize, signed, bits,
+                 struct_size, msg) = pool[code[pc + 1]]
+                index = pop()
+                spill_pending()
+                i = force_temp(index)
+                if checked:
+                    emit_checked_index(i, length, msg,
+                                       "_addr" if cur_addr is None
+                                       else str(cur_addr), path)
+                o = emit_element_offset(i, base, esize, struct_size, path)
+                t = asm.temp()
+                asm.w(f"{t} = {_load_value(o, esize, signed)}")
+                push(t)
+                pc += 2
+            elif op == C_BINOP:
+                sym = _OPSYMS[code[pc + 1]]
+                b, a = pop(), pop()
+                if sym in ("//", "%"):
+                    # A division fault leaves the frame: nothing to settle.
+                    spill_pending()
+                    t = asm.temp()
+                    fn = "_fdiv" if sym == "//" else "_fmod"
+                    asm.w(f"{t} = {fn}({a}, {b})")
+                    push(t)
+                else:
+                    push(_BIN_INLINE[sym].format(a=a, b=b))
+                pc += 2
+            elif op == C_UNOP:
+                push(_UN_INLINE[_UNSYMS[code[pc + 1]]].format(a=pop()))
+                pc += 2
+            elif op == C_SYNC:
+                name = pool[code[pc + 1]]
+                spill_pending()
+                settle(path)
+                t = asm.temp()
+                if name.startswith("__cannot_evaluate__"):
+                    kind = name[len("__cannot_evaluate__"):]
+                    asm.w(f"{t} = _die({f'cannot evaluate {kind}'!r})")
+                elif name.startswith("__unexpected_dsod__"):
+                    kind = name[len("__unexpected_dsod__"):]
+                    asm.w(f"{t} = _die("
+                          f"{f'unexpected DSOD statement {kind}'!r})")
+                else:
+                    asm.w(f"{t} = _res({name!r})")
+                    vals.fields.clear()
+                push(t)
+                pc += 2
+            elif op == D_DSD:
+                if path is None:
+                    asm.w("_dsd += 1")
+                else:
+                    path.dsd += 1
+                pc += 1
+            elif op == D_ASSIGN:
+                slot, value = code[pc + 1], pop()
+                if not _SIMPLE.fullmatch(value):
+                    value = force_temp(value)
+                asm.w(f"_env[{slot}] = {value}")
+                vals.names[("l", slot)] = value
+                pc += 2
+            elif op == D_STORE:
+                (field, lo, hi, off, end_, size, mask, msg,
+                 address) = pool[code[pc + 1]]
+                raw_v = pop()
+                if _INT_LITERAL.fullmatch(raw_v) and lo <= int(raw_v) <= hi:
+                    # Constant store inside its declared bounds: the check
+                    # can never fire, only its counter survives.
+                    if path is None:
+                        asm.w("if _pon: _pch += 1")
+                    else:
+                        path.pch += 1
+                    asm.w(_store_stmt(str(off), size, str(int(raw_v) & mask)))
+                    v = raw_v
+                else:
+                    v = force_temp(raw_v)
+                    if path is None:
+                        asm.w("if _pon:")
+                        asm.indent += 1
+                        asm.w("_pch += 1")
+                        asm.w(f"if not {lo} <= {v} <= {hi}:")
+                    else:
+                        path.pch += 1
+                        asm.w(f"if not {lo} <= {v} <= {hi} and _pon:")
+                    asm.indent += 1
+                    emit_flag_raise("_SP", "integer-overflow",
+                                    f"{msg!r} % {v}", str(address),
+                                    plain=True, path=path)
+                    asm.indent -= 1 if path is not None else 2
+                    asm.w(_store_stmt(str(off), size, f"{v} & {mask}"))
+                vals.store(off, end_, lo < 0, v)
+                pc += 2
+            elif op == D_STOREM:
+                field = pool[code[pc + 1]]
+                v = force_temp(pop())
+                settle(path)
                 asm.w("if _pon:")
                 asm.indent += 1
                 asm.w("_pch += 1")
-                asm.w(f"if not {lo} <= {v} <= {hi}:")
+                asm.w(f"if not w.state.in_range({field!r}, {v}):")
                 asm.indent += 1
-                emit_flag_raise("_SP", "integer-overflow",
-                                f"{msg!r} % {v}", str(address),
-                                plain=True)
+                asm.w('raise AssertionError("unreachable")')
                 asm.indent -= 2
-                asm.w(_store_stmt(str(off), size, f"{v} & {mask}"))
-            pc += 2
-        elif op == D_STOREM:
-            field = pool[code[pc + 1]]
-            v = force_temp(pop())
-            asm.w("if _pon:")
-            asm.indent += 1
-            asm.w("_pch += 1")
-            asm.w(f"if not w.state.in_range({field!r}, {v}):")
-            asm.indent += 1
-            asm.w('raise AssertionError("unreachable")')
-            asm.indent -= 2
-            asm.w(f"w.state.write_field({field!r}, {v})")
-            pc += 2
-        elif op == D_BUFSTORE:
-            (buf, checked, length, base, esize, emask, struct_size,
-             msg, address) = pool[code[pc + 1]]
-            value, index = pop(), pop()
-            i = force_temp(index)
-            v = force_temp(value)
-            if checked:
-                emit_checked_index(i, length, msg, str(address))
-            o = emit_element_offset(i, base, esize, struct_size)
-            asm.w(_store_stmt(o, esize, f"{v} & {emask}"))
-            pc += 2
-        elif op == D_SETCMD:
-            known, msg, address = pool[code[pc + 1]]
-            v = force_temp(pop())
-            _emit_setcmd(asm, known, msg, address, v, emit_flag_raise)
-            pc += 2
-        elif op == D_CMDEND:
-            asm.w("_cmd = None")
-            pc += 1
-        elif op == N_GOTO:
-            asm.w(f"_pc = {code[pc + 1]}")
-            asm.w("continue")
-            pc += 2
-        elif op == N_BR:
-            one_sided, msg, address = pool[code[pc + 1]]
-            t_pc, nt_pc = code[pc + 2], code[pc + 3]
-            cond = pop()
-            if one_sided < 0:
-                asm.w(f"_pc = {t_pc} if {cond} else {nt_pc}")
-            else:
-                c = force_temp(cond)
-                asm.w("if _con: _cch += 1")
-                if one_sided:   # trained side: taken
-                    asm.w(f"if not {c}:")
-                    asm.indent += 1
-                    emit_flag_raise("_SC", "unobserved-branch",
-                                    repr(msg), str(address))
-                    asm.indent -= 1
-                    asm.w(f"_pc = {t_pc}")
+                asm.w(f"w.state.write_field({field!r}, {v})")
+                vals.fields.clear()
+                pc += 2
+            elif op == D_BUFSTORE:
+                (buf, checked, length, base, esize, emask, struct_size,
+                 msg, address) = pool[code[pc + 1]]
+                value, index = pop(), pop()
+                i = force_temp(index)
+                v = force_temp(value)
+                if checked:
+                    emit_checked_index(i, length, msg, str(address), path)
+                o = emit_element_offset(i, base, esize, struct_size, path)
+                asm.w(_store_stmt(o, esize, f"{v} & {emask}"))
+                if _INT_LITERAL.fullmatch(index):
+                    at = base + int(index) * esize
+                    vals.clobber(at, at + esize)
                 else:
-                    asm.w(f"if {c}:")
-                    asm.indent += 1
-                    emit_flag_raise("_SC", "unobserved-branch",
-                                    repr(msg), str(address))
-                    asm.indent -= 1
-                    asm.w(f"_pc = {nt_pc}")
-            asm.w("continue")
-            pc += 4
-        elif op == N_SWITCH:
-            (enc, has_legit, no_arm_msg, not_legit_msg, address,
-             setcmd) = pool[code[pc + 1]]
-            v = force_temp(pop())
-            if setcmd >= 0:
-                known, cmsg, caddr = pool[setcmd]
-                _emit_setcmd(asm, known, cmsg, caddr, v, emit_flag_raise)
-            asm.w("if _con: _cch += 1")
-            _emit_switch_pc(asm, enc, v)
-            asm.w("if _pc == -1:")
-            asm.indent += 1
-            emit_flag_raise("_SC", "unobserved-arm",
-                            f"{no_arm_msg!r} % {v}", str(address))
-            asm.indent -= 1
-            if has_legit:
+                    # A dynamic index may land on any field of the struct
+                    # (with the parameter strategy off, or past a buffer
+                    # into its neighbour, the CVE PoCs' corruption).
+                    vals.fields.clear()
+                pc += 2
+            elif op == D_SETCMD:
+                known, msg, address = pool[code[pc + 1]]
+                v = force_temp(pop())
+                _emit_setcmd(asm, known, msg, address, v, emit_flag_raise,
+                             path)
+                pc += 2
+            elif op == D_CMDEND:
+                if path is None or path.cmd:
+                    asm.w("_cmd = None")
+                if path is not None:
+                    path.cmd = False
+                pc += 1
+            elif op == N_GOTO:
+                return ("goto", code[pc + 1])
+            elif op == N_BR:
+                one_sided, msg, address = pool[code[pc + 1]]
+                t_pc, nt_pc = code[pc + 2], code[pc + 3]
+                cond = pop()
+                if one_sided < 0:
+                    return ("br", cond, t_pc, nt_pc)
+                if path is None:
+                    asm.w("if _con: _cch += 1")
+                else:
+                    path.cch += 1
+                # The trained side is static; the other one flags.
+                test = _truth(cond)
+                asm.w(f"if not {test}:" if one_sided else f"if {test}:")
+                asm.indent += 1
+                emit_flag_raise("_SC", "unobserved-branch", repr(msg),
+                                str(address), path=path)
+                asm.indent -= 1
+                return ("goto", t_pc if one_sided else nt_pc)
+            elif op == N_SWITCH:
+                (enc, has_legit, no_arm_msg, not_legit_msg, address,
+                 setcmd) = pool[code[pc + 1]]
+                v = force_temp(pop())
+                settle(path)
+                if setcmd >= 0:
+                    known, cmsg, caddr = pool[setcmd]
+                    _emit_setcmd(asm, known, cmsg, caddr, v, emit_flag_raise)
                 asm.w("if _con: _cch += 1")
-                asm.w("if _pc == -2:")
+                _emit_switch_pc(asm, enc, v)
+                asm.w("if _pc == -1:")
                 asm.indent += 1
                 emit_flag_raise("_SC", "unobserved-arm",
-                                f"{not_legit_msg!r} % {v}", str(address))
+                                f"{no_arm_msg!r} % {v}", str(address))
                 asm.indent -= 1
-            asm.w("continue")
-            pc += 2
-        elif op == N_CALL:
-            entry, np_, nl, cont, dest = pool[code[pc + 1]]
-            nargs = code[pc + 2]
-            args = [pop() for _ in range(nargs)][::-1]
-            spill_pending()
-            padded = (args + ["_MISS"] * np_)[:np_]
-            asm.w(f"_stack.append((_env, _par, {cont}, {dest}))")
-            asm.w(f"_par = ({', '.join(padded)}{',' if padded else ''})")
-            asm.w(f"_env = [_UNDEF] * {nl}")
-            asm.w(f"_pc = {entry}")
-            asm.w("continue")
-            pc += 3
-        elif op == N_ICALL_PRE:
-            (off, end, signed, bits, legit, by_addr, msg,
-             address) = pool[code[pc + 1]]
-            asm.w("if _ion: _ich += 1")
-            t = asm.temp()
-            asm.w(f"{t} = {_state_load_expr(off, end, signed, bits)}")
-            lref = bind(legit, "_L")
-            asm.w(f"if {t} not in {lref}:")
-            asm.indent += 1
-            emit_flag_raise("_SI", "illegal-target", f"{msg!r} % {t}",
-                            str(address))
-            asm.indent -= 1
-            f = asm.temp()
-            aref = bind(dict(by_addr), "_A")
-            asm.w(f"{f} = {aref}.get({t})")
-            asm.w(f"if {f} is None:")
-            asm.indent += 1
-            asm.w("raise _WalkStop(True)")
-            asm.indent -= 1
-            push(f)
-            pc += 2
-        elif op == N_ICALL:
-            nargs, cont, dest = code[pc + 1], code[pc + 2], code[pc + 3]
-            args = [pop() for _ in range(nargs)][::-1]
-            f = pop()
-            spill_pending()
-            t = asm.temp()
-            asm.w(f"{t} = ({', '.join(args)}{',' if args else ''})")
-            asm.w(f"_stack.append((_env, _par, {cont}, {dest}))")
-            np_ = asm.temp()
-            asm.w(f"{np_} = _FNP[{f}]")
-            asm.w(f"_par = ({t} + _MISSPAD)[:{np_}]")
-            asm.w(f"_env = [_UNDEF] * _FNL[{f}]")
-            asm.w(f"_pc = _FENT[{f}]")
-            asm.w("continue")
-            pc += 4
-        elif op == N_UNTRAINED:
-            msg, address = pool[code[pc + 1]]
-            emit_flag_raise("_SC", "unobserved-path", repr(msg),
-                            str(address))
-            pc += 2
-        elif op == N_RET0:
-            asm.w("if not _stack:")
-            asm.w("    break")
-            asm.w("_env, _par, _pc, _d = _stack.pop()")
-            asm.w("if _d >= 0:")
-            asm.w("    _env[_d] = 0")
-            asm.w("continue")
-            pc += 1
-        elif op == N_RETV:
-            asm.w(f"_rv = {pop()}")
-            asm.w("if not _stack:")
-            asm.w("    break")
-            asm.w("_env, _par, _pc, _d = _stack.pop()")
-            asm.w("if _d >= 0:")
-            asm.w("    _env[_d] = _rv")
-            asm.w("continue")
-            pc += 1
-        elif op == N_NONBTD:
-            asm.w(f"raise CheckerError({pool[code[pc + 1]]!r})")
-            pc += 2
-        elif op == L_LOOP:
-            loops.append(pool[code[pc + 1]])
-            pc += 2
-        else:
-            raise CheckerError(f"bad opcode {op} at pc {pc}")
+                if has_legit:
+                    asm.w("if _con: _cch += 1")
+                    asm.w("if _pc == -2:")
+                    asm.indent += 1
+                    emit_flag_raise("_SC", "unobserved-arm",
+                                    f"{not_legit_msg!r} % {v}",
+                                    str(address))
+                    asm.indent -= 1
+                asm.w("continue")
+                return ("exit",)
+            elif op == N_CALL:
+                entry, np_, nl, cont, dest = pool[code[pc + 1]]
+                nargs = code[pc + 2]
+                args = [pop() for _ in range(nargs)][::-1]
+                spill_pending()
+                settle(path)
+                padded = (args + ["_MISS"] * np_)[:np_]
+                asm.w(f"_stack.append((_env, _par, {cont}, {dest}))")
+                asm.w(f"_par = ({', '.join(padded)}"
+                      f"{',' if padded else ''})")
+                asm.w(f"_env = [_UNDEF] * {nl}")
+                asm.w(f"_pc = {entry}")
+                asm.w("continue")
+                return ("exit",)
+            elif op == N_ICALL_PRE:
+                (off, end_, signed, bits, legit, by_addr, msg,
+                 address) = pool[code[pc + 1]]
+                settle(path)
+                asm.w("if _ion: _ich += 1")
+                t = vals.load(asm, off, end_, signed)
+                lref = bind(legit, "_L")
+                asm.w(f"if {t} not in {lref}:")
+                asm.indent += 1
+                emit_flag_raise("_SI", "illegal-target", f"{msg!r} % {t}",
+                                str(address))
+                asm.indent -= 1
+                f = asm.temp()
+                aref = bind(dict(by_addr), "_A")
+                asm.w(f"{f} = {aref}.get({t})")
+                asm.w(f"if {f} is None:")
+                asm.indent += 1
+                asm.w("raise _WalkStop(True)")
+                asm.indent -= 1
+                push(f)
+                pc += 2
+            elif op == N_ICALL:
+                nargs, cont, dest = code[pc + 1], code[pc + 2], code[pc + 3]
+                args = [pop() for _ in range(nargs)][::-1]
+                f = pop()
+                spill_pending()
+                t = asm.temp()
+                asm.w(f"{t} = ({', '.join(args)}{',' if args else ''})")
+                asm.w(f"_stack.append((_env, _par, {cont}, {dest}))")
+                np_ = asm.temp()
+                asm.w(f"{np_} = _FNP[{f}]")
+                asm.w(f"_par = ({t} + _MISSPAD)[:{np_}]")
+                asm.w(f"_env = [_UNDEF] * _FNL[{f}]")
+                asm.w(f"_pc = _FENT[{f}]")
+                asm.w("continue")
+                return ("exit",)
+            elif op == N_UNTRAINED:
+                msg, address = pool[code[pc + 1]]
+                settle(path)
+                emit_flag_raise("_SC", "unobserved-path", repr(msg),
+                                str(address))
+                return ("end",)
+            elif op in (N_RET0, N_RETV):
+                value = pop() if op == N_RETV else "0"
+                if path is not None:
+                    # A superblock walks a key's handler: its return ends
+                    # the round (the value is already evaluated).
+                    settle(path)
+                    asm.w("break")
+                    return ("end",)
+                if op == N_RETV:
+                    asm.w(f"_rv = {value}")
+                asm.w("if not _stack:")
+                asm.w("    break")
+                asm.w("_env, _par, _pc, _d = _stack.pop()")
+                asm.w("if _d >= 0:")
+                asm.w(f"    _env[_d] = {'_rv' if op == N_RETV else 0}")
+                asm.w("continue")
+                return ("exit",)
+            elif op == N_NONBTD:
+                settle(path)
+                asm.w(f"raise CheckerError({pool[code[pc + 1]]!r})")
+                return ("end",)
+            else:
+                raise CheckerError(f"bad opcode {op} at pc {pc}")
+        raise CheckerError(f"block {k} has no NBTD")
 
-    if asm.stack:
-        raise CheckerError("unbalanced expression stack lowering spec")
-
-    _inline_goto_tails(blocks)
+    blocks: List[List[str]] = []
+    for k in range(len(spans)):
+        asm.lines, asm.indent = [], 0
+        _emit_chain(asm, k, emit_block, _Values())
+        if asm.stack:
+            raise CheckerError("unbalanced expression stack lowering spec")
+        blocks.append(asm.lines)
     _wrap_self_loops(blocks)
     for record in loops:
         k = record[0]
         if blocks[k][0] == "while True:":
             blocks[k][:0] = _closed_form(asm, *record[1:])
+
+    # One superblock per handler a key enters, at pcs -n .. -1 (_blk is
+    # 0 at a key's entry).
+    entries = sorted({plan[0] for plan in bspec.plans.values()})
+    supers = [_superblock(asm, entry, emit_block, _CheckPath(),
+                          "{} <= _maxb".format) for entry in entries]
+    first = {entry: j - len(entries) for j, entry in enumerate(entries)}
+    asm.consts["_plans_get"] = {
+        key: (first[pc], np_, nl) for key, (pc, np_, nl)
+        in bspec.plans.items()}.get
 
     out = _Asm(asm.consts)
     out.w("def _walk(w, _rounds, _reports_append, _orc, _mode, _maxb,")
@@ -1055,12 +1204,16 @@ def _assemble_spec(bspec: BytecodeSpec) -> Callable:
     # committed snapshot stale (None); the next round retakes it.
     out.w("_committed = _entry = _bytes(_sdata)")
     out.w("_cyc = 0")
+    for line in FRAME_CALL_START:
+        out.w(line)
     out.w("try:")
     out.indent += 1
     out.w("for _iokey, _args in _rounds:")
     out.indent += 1
-    out.w("if _tel is not None:")
-    out.w("    _t0 = _clk()")
+    # Telemetry stages each round on _tel.stage and times the rounds
+    # staged at multiples of TIME_EVERY (see CheckerTelemetry).
+    for line in FRAME_ROUND_START:
+        out.w(line)
     out.w("_plan = _plans_get(_iokey)")
     out.w("if _plan is None:")
     out.w("    _report = w.unknown_key(_iokey, _mode)")
@@ -1081,7 +1234,17 @@ def _assemble_spec(bspec: BytecodeSpec) -> Callable:
     out.indent += 1
     out.w("while True:")
     out.indent += 1
-    _emit_dispatch(out, blocks, 0, len(blocks))
+    if supers:
+        out.w("if _pc < 0:")
+        out.indent += 1
+        _emit_dispatch(out, supers, 0, len(supers), -len(supers))
+        out.indent -= 1
+        out.w("else:")
+        out.indent += 1
+        _emit_dispatch(out, blocks, 0, len(blocks))
+        out.indent -= 1
+    else:
+        _emit_dispatch(out, blocks, 0, len(blocks))
     out.indent -= 2
     # Handled inside the clauses: an exception kept in a local would
     # tie itself, its traceback and this frame into a garbage cycle.
@@ -1094,8 +1257,8 @@ def _assemble_spec(bspec: BytecodeSpec) -> Callable:
     out.w("else:")
     out.indent += 1
     out.w("_cyc += int(_blk * _CBC + _dsd * _CSC)")
-    out.w("if _tel is not None:")
-    out.w("    _tel.record_clean(_pch, _ich, _cch, _clk() - _t0)")
+    for line in FRAME_ROUND_CLEAN:
+        out.w(line)
     out.w("if _full:")
     out.w("    _committed = _bytes(_sdata)")
     out.w("    _report = _CR(io_key=_iokey, blocks_walked=_blk,")
@@ -1118,7 +1281,8 @@ def _assemble_spec(bspec: BytecodeSpec) -> Callable:
     out.w("_report.bind_final_state(_partial(_final, _committed))")
     out.indent -= 1
     out.w("if _tel is not None:")
-    out.w("    _tel.record_round(_report, _clk() - _t0)")
+    out.w("    _tel.record_round(_report,")
+    out.w("                      None if _t0 is None else _clk() - _t0)")
     out.w("if _full or _report.incomplete or _report.action is not _ALLOW:")
     out.w("    _reports_append(_report)")
     out.w("else:")
@@ -1199,14 +1363,18 @@ def _u8s(values: List[int]) -> bytes:
 
 
 def _emit_setcmd(asm: _Asm, known, msg: str, address: int, value: str,
-                 emit_flag_raise) -> None:
+                 emit_flag_raise, path: Optional[_CheckPath] = None) -> None:
     """Inline command-decision resolution (Algorithm 1's cmd table)."""
-    asm.w("if _con: _cch += 1")
+    if path is None:
+        asm.w("if _con: _cch += 1")
+    else:
+        path.cch += 1
+        path.cmd = True
     kref = asm.bind(known, "_K")
     asm.w(f"if {value} not in {kref}:")
     asm.indent += 1
     emit_flag_raise("_SC", "unknown-command", f"{msg!r} % {value}",
-                    str(address))
+                    str(address), path=path)
     asm.indent -= 1
     asm.w(f"_cmd = {value}")
 

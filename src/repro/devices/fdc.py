@@ -404,11 +404,15 @@ class FDC(Device):
         self.memory = memory if memory is not None else GuestMemory()
         self.irq_line = irq_line if irq_line is not None else IRQLine("fdc")
         super().__init__(qemu_version=qemu_version, **kwargs)
+        layout = self.program.layout
+        # Both u8: read after every round by their fixed offsets.
+        self._dma_active_at = layout.field("dma_active").offset
+        self._dor_at = layout.field("dor").offset
 
     def handle_io(self, key, args=()):
         result = super().handle_io(key, args)
-        if (self.state.read_field("dma_active")
-                and not self.state.read_field("dor") & 0x04):
+        data = self.state.data
+        if data[self._dma_active_at] and not data[self._dor_at] & 0x04:
             # The controller was reset while a transfer was in flight but
             # the transfer was never cancelled (the vulnerable build's
             # missing code): the host block layer fires the stale

@@ -29,10 +29,12 @@ Every function is assembled twice:
   stores index the state buffer directly or go through fixed-width
   ``struct`` codecs; literal stores and constant-index buffer accesses
   inside the struct are decided at assembly; static successors are
-  spliced into their predecessors and trained loops become native
-  ``while`` loops; each extern the function calls is resolved once per
-  frame entry; and a counted byte-copy loop moves its bytes with one
-  call of each extern's block twin when a guard proves that equals
+  generated into their predecessors' chains, each decoding a field
+  once, and trained loops become native ``while`` loops; an entry
+  handler starts at its guarded superblock (see "Chains and
+  superblocks" below); each extern the function calls is resolved once
+  per frame entry; and a counted byte-copy loop moves its bytes with
+  one call of each extern's block twin when a guard proves that equals
   the scalar loop (see "Block transfers" below);
 * the **traced runner** emits the sink event stream inline
   (``on_block``/``on_branch``/``on_tip``/... in the exact order the
@@ -46,8 +48,9 @@ kinds and messages, and return-value coercion.  The differential suite
 
 The toolkit half of the module — operator spellings, the source
 accumulator, state-buffer load/store forms, switch tables, the dispatch
-tree, tail inlining and self-loop wrapping — is what
-:mod:`repro.checker.bytecode` builds its spec frame from.
+tree, chains with their value tables, superblocks and self-loop
+wrapping — is what :mod:`repro.checker.bytecode` builds its spec frame
+from.
 """
 
 from __future__ import annotations
@@ -372,7 +375,8 @@ class BytecodeFunction:
 class BytecodeProgram:
     """All lowered functions of one program plus their assembled runners."""
 
-    __slots__ = ("program_name", "funcs", "runners", "traced_runners")
+    __slots__ = ("program_name", "funcs", "runners", "traced_runners",
+                 "entries")
 
     def __init__(self, program_name: str,
                  funcs: Dict[str, BytecodeFunction]):
@@ -380,12 +384,20 @@ class BytecodeProgram:
         self.funcs = funcs
         self.runners: Dict[str, Callable] = {}
         self.traced_runners: Dict[str, Callable] = {}
+        #: io key -> (its handler's fast runner, the handler's arity)
+        self.entries: Dict[str, Tuple[Callable, int]] = {}
 
     def assemble(self, program: Program) -> "BytecodeProgram":
+        handlers = set(program.entry_handlers.values())
         for name, bfunc in self.funcs.items():
-            self.runners[name] = _assemble_function(bfunc, program)
+            self.runners[name] = _assemble_function(
+                bfunc, program, superblock=name in handlers)
             self.traced_runners[name] = _assemble_function(
                 bfunc, program, traced=True)
+        for key, name in program.entry_handlers.items():
+            if name in self.funcs:
+                self.entries[key] = (self.runners[name],
+                                     len(self.funcs[name].params))
         return self
 
 
@@ -447,6 +459,24 @@ class _Asm:
         self.w(f"{t} = {expr}")
         return t
 
+    def begin(self) -> Tuple[List[str], int]:
+        """Start collecting lines apart, at indentation 0 (a guarded
+        body or a branch arm whose header depends on what it holds);
+        :meth:`end` hands them back."""
+        saved = (self.lines, self.indent)
+        self.lines, self.indent = [], 0
+        return saved
+
+    def end(self, saved: Tuple[List[str], int]) -> List[str]:
+        lines = self.lines
+        self.lines, self.indent = saved
+        return lines
+
+    def splice(self, lines: List[str]) -> None:
+        """Append *lines* collected apart, one level in."""
+        pad = "    " * (self.indent + 1)
+        self.lines.extend(pad + line for line in lines)
+
 
 def _is_temp(expr: str) -> bool:
     return expr.startswith("_t") and expr[2:].isdigit()
@@ -458,6 +488,9 @@ _S4 = struct.Struct("<I")
 _S8 = struct.Struct("<Q")
 _CODECS: Dict[str, Any] = {
     "_u4": _S4.unpack_from, "_u8": _S8.unpack_from,
+    "_i2": struct.Struct("<h").unpack_from,
+    "_i4": struct.Struct("<i").unpack_from,
+    "_i8": struct.Struct("<q").unpack_from,
     "_p2": _S2.pack_into, "_p4": _S4.pack_into, "_p8": _S8.pack_into,
 }
 
@@ -484,15 +517,20 @@ def _store_stmt(off: str, size: int, value: str) -> str:
     return f"_p{size}(_sdata, {off}, {value})"
 
 
-def _signed(raw: str, bits: int) -> str:
-    """Re-interpret an unsigned *bits*-wide load as two's complement."""
-    half, mod = 1 << (bits - 1), 1 << bits
-    return f"((({raw} + {half}) % {mod}) - {half})"
+def _load_value(off: str, size: int, signed: int) -> str:
+    """The value of the *size*-byte integer at *off*: :func:`_load_raw`
+    when unsigned; signed ones through the signed ``struct`` letters,
+    or one byte's ``(b ^ 128) - 128``."""
+    if not signed:
+        return _load_raw(off, size)
+    if size == 1:
+        return f"((_sdata[{off}] ^ 128) - 128)"
+    return f"_i{size}(_sdata, {off})[0]"
 
 
 def _state_load_expr(off: int, end: int, signed: int, bits: int) -> str:
-    raw = _load_raw(str(off), end - off)
-    return _signed(raw, bits) if signed else raw
+    """A scalar field load (*bits* is the width of a signed field)."""
+    return _load_value(str(off), end - off, signed)
 
 
 def _emit_switch_pc(asm: _Asm, enc: Tuple[Any, ...], v: str) -> None:
@@ -514,21 +552,22 @@ def _emit_switch_pc(asm: _Asm, enc: Tuple[Any, ...], v: str) -> None:
               f"and {kref}[{i}] == {v} else {default}")
 
 
-def _emit_dispatch(out: _Asm, blocks: List[List[str]],
-                   lo: int, hi: int) -> None:
-    """Binary jump-target tree over block indices."""
+def _emit_dispatch(out: _Asm, blocks: List[List[str]], lo: int, hi: int,
+                   base: int = 0) -> None:
+    """Binary jump-target tree over block indices: ``blocks[i]`` runs
+    at ``_pc == base + i``."""
     if hi - lo == 1:
         for line in blocks[lo]:
             out.w(line)
         return
     mid = (lo + hi) // 2
-    out.w(f"if _pc < {mid}:")
+    out.w(f"if _pc < {base + mid}:")
     out.indent += 1
-    _emit_dispatch(out, blocks, lo, mid)
+    _emit_dispatch(out, blocks, lo, mid, base)
     out.indent -= 1
     out.w("else:")
     out.indent += 1
-    _emit_dispatch(out, blocks, mid, hi)
+    _emit_dispatch(out, blocks, mid, hi, base)
     out.indent -= 1
 
 
@@ -543,40 +582,259 @@ def _exec_frame(out: _Asm, filename: str, name: str) -> Callable:
     return frame
 
 
-_GOTO_TAIL = re.compile(r"^_pc = (\d+)$")
+def _spans(code: Tuple[int, ...], widths: Dict[int, int], heads,
+           error: type) -> Tuple[List[Tuple[int, int]], int]:
+    """Where each block lies in *code*: a block starts at each opcode in
+    *heads* (a prologue) and runs to the next one, or to the first
+    opcode of width -1 (a trailing record, not a block).  Returns the
+    ``(start, end)`` spans and where the records start."""
+    starts: List[int] = []
+    pc, n = 0, len(code)
+    while pc < n:
+        op = code[pc]
+        width = widths.get(op)
+        if width is None:
+            raise error(f"bad opcode {op} at pc {pc}")
+        if width < 0:
+            break
+        if op in heads:
+            starts.append(pc)
+        pc += 1 + width
+    ends = starts[1:] + [pc]
+    return list(zip(starts, ends)), pc
 
-#: Cap on a block's line count after tail inlining.  Keeps the source
-#: (and CPython compile time) linear in the program while still
-#: collapsing the straight-line Goto / one-sided-branch chains that
-#: dominate execution.
+
+# ---------------------------------------------------------------------------
+# Chains and superblocks (shared with repro.checker.bytecode)
+# ---------------------------------------------------------------------------
+#
+# A *chain* is a block plus, spliced in, each static successor (a Goto,
+# a call's continuation, the trained side of a one-sided checker branch)
+# up to a dynamic transfer, a cycle or the line budget.  Both frames
+# generate a chain in one pass over its blocks' instructions with one
+# value table (:class:`_Values`): a scalar field is decoded once per
+# chain, a store is forwarded to the loads after it, and an ES local or
+# I/O parameter is tested for ``_UNDEF`` / ``_MISS`` once.
+#
+# A *superblock* is the chain at an entry (a key's first block in the
+# checker, an entry handler's first block in the device runner)
+# generated a second time as a guarded fast path: one guard in front
+# covers the whole path's watchdog budget, so no block pays a prologue
+# test; the walk counters are charged at each exit and in front of
+# anything that can raise instead of block by block; and a two-sided
+# branch whose arms both end the round within a line budget becomes an
+# ``if``/``else`` over both arms, so the value table survives it.  When
+# the guard fails, the walk enters the dispatch loop at the entry and
+# runs the per-block path.
+
+#: Cap on a chain's line count.  Keeps the source (and CPython compile
+#: time) linear in the program while still collapsing the straight-line
+#: Goto / one-sided-branch chains that dominate execution.
 _INLINE_BUDGET = 1600
 
+#: Cap on the lines of the two arms a superblock inlines at one
+#: two-sided branch.
+_ARM_BUDGET = 240
 
-def _inline_goto_tails(blocks: List[List[str]]) -> None:
-    """Splice statically-known successors into their predecessors.
+#: a source string a value table can hand out as it is: a frame local or
+#: an integer literal
+_SIMPLE = re.compile(r"-?\d+|[A-Za-z_]\w*")
 
-    A block ending in ``_pc = K`` / ``continue`` (a ``Goto``, a call's
-    continuation, or the trained side of a one-sided branch) pays a
-    full dispatch-tree descent per transfer.  Replacing that tail with
-    a copy of block K's body keeps execution inside one trace until the
-    next *dynamic* transfer — the block's prologue (step count,
-    watchdog, checker address and command gate) rides along in the
-    copy, so observables are untouched.  Every block stays in the
-    dispatch tree for its other predecessors; self-loops and cycles
-    stop the splice.
-    """
-    for i, lines in enumerate(blocks):
-        visited = {i}
-        while (len(lines) >= 2 and lines[-1] == "continue"
-               and len(lines) < _INLINE_BUDGET):
-            match = _GOTO_TAIL.match(lines[-2])
-            if match is None:
-                break
-            target = int(match.group(1))
-            if target in visited:
-                break
-            visited.add(target)
-            lines[-2:] = list(blocks[target])
+
+class _Values:
+    """The value table of a chain being generated.
+
+    ``fields`` maps a scalar field's offset to ``(end, source)``: what a
+    load of bytes ``offset .. end - 1`` returns at this point of the
+    chain, as a frame local, a literal, or an expression over frame
+    locals that the first load materializes.  ``names`` maps a value
+    the frame tests on read — an ES local, an I/O parameter, or a device
+    runner local known to be assigned — to the source holding it.
+
+    A field store records what a reload returns (the stored literal
+    masked and sign-fixed, else the masked and sign-fixed stored value:
+    it equals the stored value when that lies in the field's range).
+    Whatever may write the state behind the table's back clears the
+    fields it may hit: a buffer store (a dynamic index may land on any
+    field), an accessor store, an extern, a sync resolution, a nested
+    call.  A chain starts empty, so a loop head (where a native loop
+    re-enters a chain) starts empty too."""
+
+    __slots__ = ("fields", "names")
+
+    def __init__(self, fields: Optional[Dict[int, Tuple[int, str]]] = None,
+                 names: Optional[Dict[Any, str]] = None) -> None:
+        self.fields = dict(fields) if fields else {}
+        self.names = dict(names) if names else {}
+
+    def copy(self) -> "_Values":
+        return _Values(self.fields, self.names)
+
+    def clobber(self, lo: int, hi: int) -> None:
+        """Forget every field overlapping bytes ``lo .. hi - 1``."""
+        for off in [off for off, (end, _) in self.fields.items()
+                    if off < hi and lo < end]:
+            del self.fields[off]
+
+    def load(self, asm: _Asm, off: int, end: int, signed: int) -> str:
+        """A frame local holding the field's value, decoded (or
+        materialized from a forwarded store) on first use."""
+        known = self.fields.get(off)
+        if known is not None and known[0] == end:
+            if _SIMPLE.fullmatch(known[1]):
+                return known[1]
+            expr = known[1]
+        else:
+            self.clobber(off, end)
+            expr = _load_value(str(off), end - off, signed)
+        t = asm.temp()
+        asm.w(f"{t} = {expr}")
+        self.fields[off] = (end, t)
+        return t
+
+    def store(self, off: int, end: int, signed: bool, value: str) -> None:
+        """Forward a store of *value* (a frame local or a literal) to
+        the loads after it."""
+        self.clobber(off, end)
+        bits = (end - off) * 8
+        mask = (1 << bits) - 1
+        if _INT_LITERAL.fullmatch(value):
+            stored = int(value) & mask
+            if signed and stored >> (bits - 1):
+                stored -= 1 << bits
+            reload = str(stored)
+        elif signed:
+            half = 1 << (bits - 1)
+            reload = f"((({value} + {half}) & {mask}) - {half})"
+        else:
+            reload = f"({value} & {mask})"
+        self.fields[off] = (end, reload)
+
+
+def _truth(cond: str) -> str:
+    """*cond* as a test, without an inline comparison's
+    ``(1 if X else 0)`` wrapper (every operator spelling is
+    parenthesized, so the wrapper is the whole string)."""
+    if cond.startswith("(1 if ") and cond.endswith(" else 0)"):
+        return cond[6:-8]
+    return cond
+
+
+def _emit_chain(asm: _Asm, first: int, emit_block: Callable,
+                vals: Optional[_Values], inline: bool = True) -> None:
+    """Emit the chain from block *first* (one block when not *inline*),
+    ending in its dispatch transfer.
+
+    ``emit_block(k, vals, path)`` emits block *k* with the value table
+    *vals* and returns its tail: ``("goto", j)`` or ``("call", j)`` for
+    a static successor, ``("br", cond, taken, not_taken)`` for a
+    two-sided branch, ``("end",)`` when it ended the round (returned,
+    broke out or raised), ``("exit",)`` when it emitted a dynamic
+    transfer.  *path* is None on the per-block path; a superblock passes
+    the frame's pending counters (see :func:`_emit_superblock`)."""
+    visited = {first}
+    k = first
+    while True:
+        tail = emit_block(k, vals, None)
+        kind = tail[0]
+        if kind == "goto" or kind == "call":
+            target = tail[1]
+            if (inline and target not in visited
+                    and len(asm.lines) < _INLINE_BUDGET):
+                visited.add(target)
+                k = target
+                continue
+            asm.w(f"_pc = {target}")
+            asm.w("continue")
+        elif kind == "br":
+            _, cond, taken, not_taken = tail
+            asm.w(f"_pc = {taken} if {_truth(cond)} else {not_taken}")
+            asm.w("continue")
+        return
+
+
+def _superblock(asm: _Asm, entry: int, emit_block: Callable, path,
+                guard: Callable[[int], str]) -> List[str]:
+    """The lines of the superblock at block *entry*: its fast path
+    behind the guard *guard* formats for its block count, then the
+    fallback into the dispatch loop at *entry*, the per-block path."""
+    asm.lines, asm.indent = [], 0
+    n, _ = _emit_superblock(asm, entry, emit_block, _Values(), path, guard,
+                            {entry})
+    return ([f"if {guard(n)}:"] + ["    " + line for line in asm.lines]
+            + [f"_pc = {entry}", "continue"])
+
+
+def _emit_superblock(asm: _Asm, first: int, emit_block: Callable,
+                     vals: _Values, path, guard: Callable[[int], str],
+                     visited: set) -> Tuple[int, bool]:
+    """Emit the fast path of the superblock from block *first*.
+
+    *path* holds the frame's pending counters: ``path.flush(asm)``
+    charges them, ``path.copy()`` forks them for a branch arm and
+    ``path.fresh()`` starts a segment after a nested call.  Returns the
+    most blocks a path through it walks before it leaves or reaches a
+    segment with a guard of its own — what the guard in front must
+    cover — and whether every path ends the round."""
+    k, blocks = first, 0
+    while True:
+        tail = emit_block(k, vals, path)
+        blocks += 1
+        kind = tail[0]
+        if kind == "goto":
+            target = tail[1]
+            if target not in visited and len(asm.lines) < _INLINE_BUDGET:
+                visited.add(target)
+                k = target
+                continue
+            path.flush(asm)
+            asm.w(f"_pc = {target}")
+            asm.w("continue")
+            return blocks, False
+        if kind == "call":
+            # The call charged the counters and the callee spent part of
+            # the watchdog budget: the continuation is a segment behind
+            # its own guard, falling back to the per-block path.
+            cont = tail[1]
+            if cont in visited:
+                asm.w(f"_pc = {cont}")
+                asm.w("continue")
+                return blocks, False
+            saved = asm.begin()
+            n, ends = _emit_superblock(asm, cont, emit_block, vals,
+                                       path.fresh(), guard, visited | {cont})
+            lines = asm.end(saved)
+            asm.w(f"if {guard(n)}:")
+            asm.splice(lines)
+            asm.w(f"_pc = {cont}")
+            asm.w("continue")
+            return blocks, ends
+        if kind == "br":
+            _, cond, taken, not_taken = tail
+            arms: List[Tuple[int, List[str]]] = []
+            for arm in (taken, not_taken):
+                if arm in visited:
+                    break
+                saved = asm.begin()
+                n, ends = _emit_superblock(asm, arm, emit_block, vals.copy(),
+                                           path.copy(), guard,
+                                           visited | {arm})
+                lines = asm.end(saved)
+                if not ends:
+                    break
+                arms.append((n, lines))
+            if (len(arms) == 2
+                    and len(arms[0][1]) + len(arms[1][1]) <= _ARM_BUDGET):
+                asm.w(f"if {_truth(cond)}:")
+                asm.splice(arms[0][1])
+                asm.w("else:")
+                asm.splice(arms[1][1])
+                return blocks + max(arms[0][0], arms[1][0]), True
+            path.flush(asm)
+            asm.w(f"_pc = {taken} if {_truth(cond)} else {not_taken}")
+            asm.w("continue")
+            return blocks, False
+        return blocks, kind == "end"
 
 
 _TWO_SIDED = re.compile(r"^_pc = (\d+) if (.*) else (\d+)$")
@@ -585,7 +843,7 @@ _TWO_SIDED = re.compile(r"^_pc = (\d+) if (.*) else (\d+)$")
 def _wrap_self_loops(blocks: List[List[str]]) -> None:
     """Turn dispatch-level self-loops into native Python loops.
 
-    After tail inlining, a trained loop collapses into one block whose
+    In chains, a trained loop collapses into one block whose
     tail jumps back to the block itself — and every iteration still
     pays a full dispatch-tree descent to get back to it.  Such a block
     is wrapped in its own ``while True:``: the back-edge becomes a
@@ -598,7 +856,7 @@ def _wrap_self_loops(blocks: List[List[str]]) -> None:
     arm back to the block (a loop latch that inlining pulled the loop
     header into), which is split into ``if c:`` / ``_pc = <itself>`` /
     ``continue`` plus ``_pc = K``.  Only such self-edges are split:
-    splitting every two-sided branch would let tail inlining copy each
+    splitting every two-sided branch would let chains copy each
     fall-through arm, growing the source (and its compile time) for no
     loop gained.
 
@@ -958,8 +1216,56 @@ def _elem_offset(base: int, index: str, esize: int) -> str:
     return f"{base} + ({index}) * {esize}"
 
 
+#: operand count per opcode (what :func:`_spans` steps over)
+_WIDTHS = {
+    OP_CONST: 1, OP_PARAM: 1, OP_PARAM_MISSING: 1, OP_LOCAL: 1,
+    OP_STATE: 1, OP_BUFLEN: 1, OP_BUFLOAD: 1, OP_BINOP: 1, OP_UNOP: 1,
+    OP_SYNCVAR: 1, OP_STATE_REF: 1, OP_TICK: 1, OP_ASSIGN: 1, OP_STORE: 1,
+    OP_BUFSTORE: 1, OP_EXTERN_PRE: 2, OP_EXTERN_CALL: 2, OP_INTRIN: 2,
+    OP_ICALL_PRE: 1, OP_GOTO: 1, OP_BR: 2, OP_SWITCH: 1, OP_CALL: 4,
+    OP_ICALL_CALL: 3, OP_RET: 0, OP_RETV: 0, OP_BLOCK: 0,
+}
+
+
+class _RunPath:
+    """The fast runner's pending counters on one superblock path: the
+    steps and cycles charged since they were last added to ``_st`` /
+    ``_cy``, which happens at every exit, call and extern, and in front
+    of anything that can raise; *zero* says both locals hold 0."""
+
+    __slots__ = ("st", "cy", "zero")
+
+    def __init__(self, st: int = 0, cy: int = 0, zero: bool = True):
+        self.st, self.cy, self.zero = st, cy, zero
+
+    def copy(self) -> "_RunPath":
+        return _RunPath(self.st, self.cy, self.zero)
+
+    def fresh(self) -> "_RunPath":
+        return _RunPath()
+
+    def lines(self) -> List[str]:
+        parts = [f"{var} += {n}" for var, n in (("_st", self.st),
+                                                 ("_cy", self.cy)) if n]
+        return ["; ".join(parts)] if parts else []
+
+    def flush(self, asm: _Asm) -> None:
+        for line in self.lines():
+            asm.w(line)
+        if self.st or self.cy:
+            self.zero = False
+        self.st = self.cy = 0
+
+    def total(self, var: str, n: int) -> str:
+        """``var`` plus *n* pending, as a source expression."""
+        if self.zero:
+            return str(n)
+        return f"{var} + {n}" if n else var
+
+
 def _assemble_function(bfunc: BytecodeFunction, program: Program,
-                       traced: bool = False) -> Callable:
+                       traced: bool = False,
+                       superblock: bool = False) -> Callable:
     """Translate the opcode stream into one Python frame.
 
     The fast frame keeps cycle/step counts as local deltas and
@@ -967,8 +1273,10 @@ def _assemble_function(bfunc: BytecodeFunction, program: Program,
     nested call, extern, and any raise), so fault-time accounting is
     bit-identical to the reference walker's.  It writes state through
     the specialized buffer forms, folds literal stores and in-struct
-    constant-index accesses, and runs over tail-inlined blocks with
-    native self-loops.
+    constant-index accesses, and runs over chains (a block with its
+    static successors, value-numbered) with native self-loops.  With
+    *superblock* (an entry handler's frame) it starts at the guarded
+    superblock of its first block.
 
     The traced frame (``traced=True``) instead updates ``m.cycles`` /
     ``m.steps`` directly — the counters must be current at every sink
@@ -976,7 +1284,8 @@ def _assemble_function(bfunc: BytecodeFunction, program: Program,
     walker event-for-event: ``on_block`` after the watchdog check,
     ``on_tip`` before a wild-jump fault, ``on_return`` after the return
     value is evaluated, store events carrying the re-read stored value
-    (stores go through the ``StateMemory`` accessors), and so on.
+    (stores go through the ``StateMemory`` accessors), and so on.  It
+    keeps one dispatch per block and no value table.
 
     Both frames resolve each extern the function calls once at entry
     (so ``bind_extern`` takes effect at the next function entry) and
@@ -1005,6 +1314,10 @@ def _assemble_function(bfunc: BytecodeFunction, program: Program,
     local_names: set = set()
     externs: Dict[str, int] = {}    # extern name -> slot, first use order
     harvests = False    # any extern result to queue into m.harvest
+    spans, _ = _spans(code, _WIDTHS, (OP_BLOCK,), InterpError)
+    # static cycles each block charges
+    ticks = [sum(code[pc + 1] for pc in _ops(code, start, stop, OP_TICK))
+             for start, stop in spans]
 
     def local(name: str) -> str:
         local_names.add(name)
@@ -1016,311 +1329,382 @@ def _assemble_function(bfunc: BytecodeFunction, program: Program,
             return base + int(index) * esize
         return None
 
-    # Split the stream into per-block line groups.
-    blocks: List[List[str]] = []
-    ticks: List[int] = []    # static cycles each block charges
-    blk = "_BLK0"    # const name of the block currently being assembled
-    last_extern = ""
-    pc = 0
-    n = len(code)
-    while pc < n:
-        op = code[pc]
-        if op == OP_BLOCK:
-            asm.lines = []
-            blk = f"_BLK{len(blocks)}"
-            blocks.append(asm.lines)
-            ticks.append(0)
-            if traced:
-                asm.w("m.steps += 1")
-                asm.w("if m.steps > _maxs: _wd(m)")
-                asm.w(f"for _s in m._sinks: _s.on_block(_FN, {blk})")
-            else:
-                asm.w("_st += 1")
-                asm.w("if _st > _lim: _wd(m)")
-            pc += 1
-        elif op == OP_TICK:
-            asm.w(f"{cy} += {code[pc + 1]}")
-            ticks[-1] += code[pc + 1]
-            pc += 2
-        elif op == OP_CONST:
-            push(repr(pool[code[pc + 1]]))
-            pc += 2
-        elif op == OP_PARAM:
-            push(_mangle_param(bfunc.params[code[pc + 1]]))
-            pc += 2
-        elif op in (OP_PARAM_MISSING, OP_SYNCVAR):
-            asm.spill_pending()
-            t = asm.temp()
-            asm.w(f"{t} = _die({pool[code[pc + 1]]!r})")
-            push(t)
-            pc += 2
-        elif op == OP_LOCAL:
-            push(local(pool[code[pc + 1]]))
-            pc += 2
-        elif op == OP_STATE:
-            push(_state_load_expr(*pool[code[pc + 1]]))
-            pc += 2
-        elif op == OP_STATE_REF:
-            asm.spill_pending()
-            t = asm.temp()
-            asm.w(f"{t} = _state.read_field({pool[code[pc + 1]]!r})")
-            push(t)
-            pc += 2
-        elif op == OP_BUFLEN:
-            push(repr(code[pc + 1]))
-            pc += 2
-        elif op == OP_BUFLOAD:
-            buf, is_buffer, base, esize, signed, bits = pool[code[pc + 1]]
-            index = pop()
-            off = const_offset(index, base, esize) if is_buffer else None
-            if off is not None and 0 <= off <= struct_size - esize:
-                # In-struct constant index: a plain load, nothing to test.
-                raw = _load_raw(str(off), esize)
-                push(_signed(raw, bits) if signed else raw)
-            elif off is not None or not is_buffer:
-                # read_buf raises the fault (oob-segfault, or not a
-                # buffer) with the reference walker's message.
-                asm.spill_pending()
-                t = asm.temp()
-                asm.w(f"{t} = _state.read_buf({buf!r}, {index})")
-                push(t)
-            else:
-                asm.spill_pending()
-                t, o = asm.temp(), asm.temp()
-                raw = _load_raw(o, esize)
-                asm.w(f"{o} = {_elem_offset(base, index, esize)}")
-                asm.w(f"if 0 <= {o} <= {struct_size - esize}:")
-                asm.w(f"    {t} = {_signed(raw, bits) if signed else raw}")
-                asm.w("else:")
-                asm.w(f"    {t} = _state.read_buf({buf!r}, "
-                      f"({o} - {base}) // {esize})")
-                push(t)
-            pc += 2
-        elif op == OP_BINOP:
-            sym = _OPSYMS[code[pc + 1]]
-            b, a = pop(), pop()
-            if sym in ("//", "%"):
-                asm.spill_pending()
-                t = asm.temp()
-                fn = "_fdiv" if sym == "//" else "_fmod"
-                asm.w(f"{t} = {fn}({a}, {b})")
-                push(t)
-            else:
-                push(_BIN_INLINE[sym].format(a=a, b=b))
-            pc += 2
-        elif op == OP_UNOP:
-            push(_UN_INLINE[_UNSYMS[code[pc + 1]]].format(a=pop()))
-            pc += 2
-        elif op == OP_ASSIGN:
-            value = pop()
-            asm.w(f"{local(pool[code[pc + 1]])} = {value}")
-            pc += 2
-        elif op == OP_STORE:
-            field, kind, off, end, size, mask, lo, hi = pool[code[pc + 1]]
-            value = pop()
-            if traced or kind == "malformed":
-                # Through the accessor, like the reference walker's
-                # StateStore; the traced runner re-reads the stored value
-                # for the event.
-                v = asm.force_temp(value)
-                o = asm.temp()
-                asm.w(f"{o} = _state.write_field({field!r}, {v})")
-                asm.w(f"_flags.overflow = {o}")
-                asm.w(f"_flags.last_store_field = {field!r}")
+    def settle(path: Optional[_RunPath]) -> None:
+        """Charge a superblock's pending counters before something that
+        can raise (the handlers reconcile ``_cy``/``_st``)."""
+        if path is not None:
+            path.flush(asm)
+
+    def pending(path: Optional[_RunPath]) -> None:
+        """The pending counters, inside a branch that always raises."""
+        if path is not None:
+            for line in path.lines():
+                asm.w(line)
+
+    def emit_block(k: int, vals: Optional[_Values],
+                   path: Optional[_RunPath]) -> tuple:
+        nonlocal harvests
+        blk = f"_BLK{k}"
+        last_extern = ""
+        pc, end = spans[k]
+        while pc < end:
+            op = code[pc]
+            if op == OP_BLOCK:
                 if traced:
-                    s = asm.temp()
-                    asm.w(f"{s} = _state.read_field({field!r})")
-                    asm.w(f"for _s in m._sinks: "
-                          f"_s.on_state_store({field!r}, {s}, {o})")
-            elif _INT_LITERAL.fullmatch(value):
-                # Literal store: the overflow bit and the stored bytes
-                # are decided here.
-                literal = int(value)
-                overflow = kind == "int" and not lo <= literal <= hi
-                asm.w(f"_flags.overflow = {overflow}")
-                asm.w(f"_flags.last_store_field = {field!r}")
-                asm.w(_store_stmt(str(off), size, str(literal & mask)))
-            else:
-                v = asm.force_temp(value)
-                asm.w("_flags.overflow = False" if kind == "fp" else
-                      f"_flags.overflow = not {lo} <= {v} <= {hi}")
-                asm.w(f"_flags.last_store_field = {field!r}")
-                asm.w(_store_stmt(str(off), size, f"{v} & {mask}"))
-            pc += 2
-        elif op == OP_BUFSTORE:
-            buf, is_buffer, base, esize, emask = pool[code[pc + 1]]
-            value, index = pop(), pop()
-            off = const_offset(index, base, esize) if is_buffer else None
-            if traced:
-                i = asm.force_temp(index)
-                v = asm.force_temp(value)
-                asm.w(f"_state.write_buf({buf!r}, {i}, {v})")
-                asm.w(f"for _s in m._sinks: "
-                      f"_s.on_buf_store({buf!r}, {i}, {v})")
-            elif off is not None and 0 <= off <= struct_size - esize:
-                if _INT_LITERAL.fullmatch(value):
-                    value = str(int(value) & emask)
+                    asm.w("m.steps += 1")
+                    asm.w("if m.steps > _maxs: _wd(m)")
+                    asm.w(f"for _s in m._sinks: _s.on_block(_FN, {blk})")
+                elif path is not None:
+                    path.st += 1
                 else:
-                    value = f"{value} & {emask}"
-                asm.w(_store_stmt(str(off), esize, value))
-            elif off is not None or not is_buffer:
-                asm.w(f"_state.write_buf({buf!r}, {index}, {value})")
-            else:
-                o = asm.temp()
-                asm.w(f"{o} = {_elem_offset(base, index, esize)}")
-                v = asm.force_temp(value)
-                asm.w(f"if 0 <= {o} <= {struct_size - esize}:")
-                asm.w(f"    {_store_stmt(o, esize, f'{v} & {emask}')}")
-                asm.w("else:")
-                asm.w(f"    _state.write_buf({buf!r}, "
-                      f"({o} - {base}) // {esize}, {v})")
-            pc += 2
-        elif op == OP_EXTERN_PRE:
-            name, msg = pool[code[pc + 1]], pool[code[pc + 2]]
-            last_extern = name    # consumed by the matching EXTERN_CALL
-            slot = externs.setdefault(name, len(externs))
-            asm.w(f"if _X{slot} is None: raise InterpError({msg!r})")
-            asm.w(f"{cy} += _XC{slot}")
-            push(f"_X{slot}")    # carried under the args until EXTERN_CALL
-            pc += 3
-        elif op == OP_EXTERN_CALL:
-            nargs, dest = code[pc + 1], code[pc + 2]
-            args = asm.pop_args(nargs)
-            f = pop()
-            asm.spill_pending()
-            if traced:
-                args = [asm.force_temp(a) for a in args]
-            else:
-                asm.w("m.cycles += _cy; _cy = 0")
-                asm.w("m.steps += _st; _lim -= _st; _st = 0")
-            t = asm.temp()
-            asm.w(f"{t} = int({f}({', '.join(['m'] + args)}) or 0)")
-            if traced:
-                tup = f"({', '.join(args)}{',' if args else ''})"
-                dname = pool[dest] if dest >= 0 else None
-                asm.w(f"for _s in m._sinks: _s.on_extern("
-                      f"{bfunc.name!r}, {last_extern!r}, {dname!r}, "
-                      f"{tup}, {t})")
-            if dest >= 0:
-                name = pool[dest]
-                harvests = True
-                key = f"extern:{bfunc.name}:{name}"
-                q = asm.temp()
-                asm.w("if _hv is not None:")
-                asm.w(f"    {q} = _hv.get({key!r})")
-                asm.w(f"    if {q} is None: {q} = _hv[{key!r}] = _deque()")
-                asm.w(f"    {q}.append({t})")
-                asm.w(f"{local(name)} = {t}")
-            pc += 3
-        elif op == OP_INTRIN:
-            nargs, ki = code[pc + 1], code[pc + 2]
-            args = asm.pop_args(nargs)
-            if traced:
-                args = [asm.force_temp(a) for a in args]
-                tup = f"({', '.join(args)}{',' if args else ''})"
-                asm.w(f"for _s in m._sinks: "
-                      f"_s.on_intrinsic({pool[ki]!r}, {tup})")
-            else:
-                for a in args:
-                    if not _is_temp(a):
-                        asm.w(a)    # evaluate for effect (it can fault)
-            pc += 3
-        elif op == OP_ICALL_PRE:
-            field, off, end, signed, bits, msg = pool[code[pc + 1]]
-            a = asm.temp()
-            asm.w(f"{a} = {_state_load_expr(off, end, signed, bits)}")
-            f = asm.temp()
-            asm.w(f"{f} = _A2F.get({a})")
-            if traced:
-                # The TIP event fires even for a wild jump (the tracer
-                # must see the bogus target), so it precedes the fault.
-                asm.w(f'for _s in m._sinks: '
-                      f'_s.on_tip({blk}, {a}, "icall")')
-            asm.w(f"if {f} is None:")
-            asm.w(f"    raise DeviceFault({msg!r} % {a}, "
-                  f"device={device!r}, kind=\"wild-jump\")")
-            push(f)
-            pc += 2
-        elif op in (OP_CALL, OP_ICALL_CALL):
-            if op == OP_CALL:
-                fname = pool[code[pc + 1]]
-                nargs, dest, cont = code[pc + 2:pc + 5]
-                pc += 5
-            else:
-                nargs, dest, cont = code[pc + 1:pc + 4]
-                pc += 4
-            args = asm.pop_args(nargs)
-            if op == OP_CALL:
-                f = asm.bind(program.function(fname), "_F")
-            else:
+                    asm.w("_st += 1")
+                    asm.w("if _st > _lim: _wd(m)")
+                pc += 1
+            elif op == OP_TICK:
+                if path is not None:
+                    path.cy += code[pc + 1]
+                else:
+                    asm.w(f"{cy} += {code[pc + 1]}")
+                pc += 2
+            elif op == OP_CONST:
+                push(repr(pool[code[pc + 1]]))
+                pc += 2
+            elif op == OP_PARAM:
+                push(_mangle_param(bfunc.params[code[pc + 1]]))
+                pc += 2
+            elif op in (OP_PARAM_MISSING, OP_SYNCVAR):
+                asm.spill_pending()
+                settle(path)
+                t = asm.temp()
+                asm.w(f"{t} = _die({pool[code[pc + 1]]!r})")
+                push(t)
+                pc += 2
+            elif op == OP_LOCAL:
+                name = pool[code[pc + 1]]
+                if path is not None and name not in vals.names:
+                    settle(path)    # read before assignment: NameError
+                push(local(name))
+                pc += 2
+            elif op == OP_STATE:
+                off, end_, signed, bits = pool[code[pc + 1]]
+                push(_state_load_expr(off, end_, signed, bits)
+                     if vals is None else vals.load(asm, off, end_, signed))
+                pc += 2
+            elif op == OP_STATE_REF:
+                asm.spill_pending()
+                settle(path)
+                t = asm.temp()
+                asm.w(f"{t} = _state.read_field({pool[code[pc + 1]]!r})")
+                push(t)
+                pc += 2
+            elif op == OP_BUFLEN:
+                push(repr(code[pc + 1]))
+                pc += 2
+            elif op == OP_BUFLOAD:
+                buf, is_buffer, base, esize, signed, bits = pool[code[pc + 1]]
+                index = pop()
+                off = const_offset(index, base, esize) if is_buffer else None
+                if off is not None and 0 <= off <= struct_size - esize:
+                    # In-struct constant index: a plain load, nothing to
+                    # test.
+                    push(_load_value(str(off), esize, signed))
+                elif off is not None or not is_buffer:
+                    # read_buf raises the fault (oob-segfault, or not a
+                    # buffer) with the reference walker's message.
+                    asm.spill_pending()
+                    settle(path)
+                    t = asm.temp()
+                    asm.w(f"{t} = _state.read_buf({buf!r}, {index})")
+                    push(t)
+                else:
+                    asm.spill_pending()
+                    t, o = asm.temp(), asm.temp()
+                    asm.w(f"{o} = {_elem_offset(base, index, esize)}")
+                    asm.w(f"if 0 <= {o} <= {struct_size - esize}:")
+                    asm.w(f"    {t} = {_load_value(o, esize, signed)}")
+                    asm.w("else:")
+                    asm.indent += 1
+                    pending(path)
+                    asm.w(f"{t} = _state.read_buf({buf!r}, "
+                          f"({o} - {base}) // {esize})")
+                    asm.indent -= 1
+                    push(t)
+                pc += 2
+            elif op == OP_BINOP:
+                sym = _OPSYMS[code[pc + 1]]
+                b, a = pop(), pop()
+                if sym in ("//", "%"):
+                    asm.spill_pending()
+                    settle(path)
+                    t = asm.temp()
+                    fn = "_fdiv" if sym == "//" else "_fmod"
+                    asm.w(f"{t} = {fn}({a}, {b})")
+                    push(t)
+                else:
+                    push(_BIN_INLINE[sym].format(a=a, b=b))
+                pc += 2
+            elif op == OP_UNOP:
+                push(_UN_INLINE[_UNSYMS[code[pc + 1]]].format(a=pop()))
+                pc += 2
+            elif op == OP_ASSIGN:
+                value = pop()
+                name = pool[code[pc + 1]]
+                asm.w(f"{local(name)} = {value}")
+                if vals is not None:
+                    vals.names[name] = _mangle_local(name)
+                pc += 2
+            elif op == OP_STORE:
+                field, kind, off, end_, size, mask, lo, hi = \
+                    pool[code[pc + 1]]
+                value = pop()
+                if traced or kind == "malformed":
+                    # Through the accessor, like the reference walker's
+                    # StateStore; the traced runner re-reads the stored
+                    # value for the event.
+                    v = asm.force_temp(value)
+                    settle(path)
+                    o = asm.temp()
+                    asm.w(f"{o} = _state.write_field({field!r}, {v})")
+                    asm.w(f"_flags.overflow = {o}")
+                    asm.w(f"_flags.last_store_field = {field!r}")
+                    if traced:
+                        s = asm.temp()
+                        asm.w(f"{s} = _state.read_field({field!r})")
+                        asm.w(f"for _s in m._sinks: "
+                              f"_s.on_state_store({field!r}, {s}, {o})")
+                    else:
+                        vals.fields.clear()
+                elif _INT_LITERAL.fullmatch(value):
+                    # Literal store: the overflow bit and the stored bytes
+                    # are decided here.
+                    literal = int(value)
+                    overflow = kind == "int" and not lo <= literal <= hi
+                    asm.w(f"_flags.overflow = {overflow}")
+                    asm.w(f"_flags.last_store_field = {field!r}")
+                    asm.w(_store_stmt(str(off), size, str(literal & mask)))
+                    vals.store(off, end_, lo < 0, value)
+                else:
+                    v = asm.force_temp(value)
+                    asm.w("_flags.overflow = False" if kind == "fp" else
+                          f"_flags.overflow = not {lo} <= {v} <= {hi}")
+                    asm.w(f"_flags.last_store_field = {field!r}")
+                    asm.w(_store_stmt(str(off), size, f"{v} & {mask}"))
+                    vals.store(off, end_, lo < 0, v)
+                pc += 2
+            elif op == OP_BUFSTORE:
+                buf, is_buffer, base, esize, emask = pool[code[pc + 1]]
+                value, index = pop(), pop()
+                off = const_offset(index, base, esize) if is_buffer else None
+                if traced:
+                    i = asm.force_temp(index)
+                    v = asm.force_temp(value)
+                    asm.w(f"_state.write_buf({buf!r}, {i}, {v})")
+                    asm.w(f"for _s in m._sinks: "
+                          f"_s.on_buf_store({buf!r}, {i}, {v})")
+                elif off is not None and 0 <= off <= struct_size - esize:
+                    if _INT_LITERAL.fullmatch(value):
+                        value = str(int(value) & emask)
+                    else:
+                        value = f"{value} & {emask}"
+                    asm.w(_store_stmt(str(off), esize, value))
+                    vals.clobber(off, off + esize)
+                elif off is not None or not is_buffer:
+                    settle(path)
+                    asm.w(f"_state.write_buf({buf!r}, {index}, {value})")
+                    vals.fields.clear()
+                else:
+                    o = asm.temp()
+                    asm.w(f"{o} = {_elem_offset(base, index, esize)}")
+                    v = asm.force_temp(value)
+                    asm.w(f"if 0 <= {o} <= {struct_size - esize}:")
+                    asm.w(f"    {_store_stmt(o, esize, f'{v} & {emask}')}")
+                    asm.w("else:")
+                    asm.indent += 1
+                    pending(path)
+                    asm.w(f"_state.write_buf({buf!r}, "
+                          f"({o} - {base}) // {esize}, {v})")
+                    asm.indent -= 1
+                    # The element may land on any field of the struct.
+                    vals.fields.clear()
+                pc += 2
+            elif op == OP_EXTERN_PRE:
+                name, msg = pool[code[pc + 1]], pool[code[pc + 2]]
+                last_extern = name    # consumed by the matching EXTERN_CALL
+                slot = externs.setdefault(name, len(externs))
+                asm.w(f"if _X{slot} is None:")
+                asm.indent += 1
+                pending(path)
+                asm.w(f"raise InterpError({msg!r})")
+                asm.indent -= 1
+                asm.w(f"{cy} += _XC{slot}")
+                if path is not None:
+                    path.zero = False
+                push(f"_X{slot}")    # carried under the args until the call
+                pc += 3
+            elif op == OP_EXTERN_CALL:
+                nargs, dest = code[pc + 1], code[pc + 2]
+                args = asm.pop_args(nargs)
                 f = pop()
-            asm.spill_pending()
-            if traced and op == OP_CALL:
-                # Args are evaluated before on_call, like the walker's
-                # Call terminator.
-                args = [asm.force_temp(a) for a in args]
-                asm.w(f"for _s in m._sinks: _s.on_call(_FN, {f})")
-            elif not traced:
-                asm.w("m.cycles += _cy; _cy = 0")
-                asm.w("m.steps += _st; _st = 0")
-            t = asm.temp()
-            asm.w(f"{t} = m._call({f}, ({', '.join(args)}"
-                  f"{',' if args else ''}))")
-            if not traced:
-                asm.w("_lim = m.max_steps - m.steps")
-            if dest >= 0:
-                asm.w(f"{local(pool[dest])} = int({t} or 0)")
-            asm.w(f"_pc = {cont}")
-            asm.w("continue")
-        elif op == OP_GOTO:
-            asm.w(f"_pc = {code[pc + 1]}")
-            asm.w("continue")
-            pc += 2
-        elif op == OP_BR:
-            bt, bn = code[pc + 1], code[pc + 2]
-            if traced:
+                asm.spill_pending()
+                if traced:
+                    args = [asm.force_temp(a) for a in args]
+                else:
+                    settle(path)
+                    asm.w("m.cycles += _cy; _cy = 0")
+                    asm.w("m.steps += _st; _lim -= _st; _st = 0")
+                    if path is not None:
+                        path.zero = True
+                t = asm.temp()
+                asm.w(f"{t} = int({f}({', '.join(['m'] + args)}) or 0)")
+                if traced:
+                    tup = f"({', '.join(args)}{',' if args else ''})"
+                    dname = pool[dest] if dest >= 0 else None
+                    asm.w(f"for _s in m._sinks: _s.on_extern("
+                          f"{bfunc.name!r}, {last_extern!r}, {dname!r}, "
+                          f"{tup}, {t})")
+                else:
+                    vals.fields.clear()
+                if dest >= 0:
+                    name = pool[dest]
+                    harvests = True
+                    key = f"extern:{bfunc.name}:{name}"
+                    q = asm.temp()
+                    asm.w("if _hv is not None:")
+                    asm.w(f"    {q} = _hv.get({key!r})")
+                    asm.w(f"    if {q} is None: {q} = _hv[{key!r}] = "
+                          f"_deque()")
+                    asm.w(f"    {q}.append({t})")
+                    asm.w(f"{local(name)} = {t}")
+                    if vals is not None:
+                        vals.names[name] = _mangle_local(name)
+                pc += 3
+            elif op == OP_INTRIN:
+                nargs, ki = code[pc + 1], code[pc + 2]
+                args = asm.pop_args(nargs)
+                if traced:
+                    args = [asm.force_temp(a) for a in args]
+                    tup = f"({', '.join(args)}{',' if args else ''})"
+                    asm.w(f"for _s in m._sinks: "
+                          f"_s.on_intrinsic({pool[ki]!r}, {tup})")
+                else:
+                    for a in args:
+                        if not _is_temp(a):
+                            asm.w(a)    # evaluate for effect (it can fault)
+                pc += 3
+            elif op == OP_ICALL_PRE:
+                field, off, end_, signed, bits, msg = pool[code[pc + 1]]
+                if vals is None:
+                    a = asm.temp()
+                    asm.w(f"{a} = {_state_load_expr(off, end_, signed, bits)}")
+                else:
+                    a = vals.load(asm, off, end_, signed)
+                f = asm.temp()
+                asm.w(f"{f} = _A2F.get({a})")
+                if traced:
+                    # The TIP event fires even for a wild jump (the tracer
+                    # must see the bogus target), so it precedes the fault.
+                    asm.w(f'for _s in m._sinks: '
+                          f'_s.on_tip({blk}, {a}, "icall")')
+                asm.w(f"if {f} is None:")
+                asm.indent += 1
+                pending(path)
+                asm.w(f"raise DeviceFault({msg!r} % {a}, "
+                      f"device={device!r}, kind=\"wild-jump\")")
+                asm.indent -= 1
+                push(f)
+                pc += 2
+            elif op in (OP_CALL, OP_ICALL_CALL):
+                if op == OP_CALL:
+                    fname = pool[code[pc + 1]]
+                    nargs, dest, cont = code[pc + 2:pc + 5]
+                    pc += 5
+                else:
+                    nargs, dest, cont = code[pc + 1:pc + 4]
+                    pc += 4
+                args = asm.pop_args(nargs)
+                if op == OP_CALL:
+                    f = asm.bind(program.function(fname), "_F")
+                else:
+                    f = pop()
+                asm.spill_pending()
+                if traced and op == OP_CALL:
+                    # Args are evaluated before on_call, like the walker's
+                    # Call terminator.
+                    args = [asm.force_temp(a) for a in args]
+                    asm.w(f"for _s in m._sinks: _s.on_call(_FN, {f})")
+                elif not traced:
+                    settle(path)
+                    asm.w("m.cycles += _cy; _cy = 0")
+                    asm.w("m.steps += _st; _st = 0")
+                t = asm.temp()
+                asm.w(f"{t} = m._call({f}, ({', '.join(args)}"
+                      f"{',' if args else ''}))")
+                if not traced:
+                    asm.w("_lim = m.max_steps - m.steps")
+                    vals.fields.clear()
+                if dest >= 0:
+                    name = pool[dest]
+                    asm.w(f"{local(name)} = int({t} or 0)")
+                    if vals is not None:
+                        vals.names[name] = _mangle_local(name)
+                return ("call", cont)
+            elif op == OP_GOTO:
+                return ("goto", code[pc + 1])
+            elif op == OP_BR:
+                bt, bn = code[pc + 1], code[pc + 2]
+                if not traced:
+                    return ("br", pop(), bt, bn)
                 o = asm.temp()
                 asm.w(f"{o} = True if {pop()} else False")
                 asm.w(f"for _s in m._sinks: _s.on_branch({blk}, {o})")
                 asm.w(f"_pc = {bt} if {o} else {bn}")
+                asm.w("continue")
+                return ("exit",)
+            elif op == OP_SWITCH:
+                enc, msg = pool[code[pc + 1]]
+                v = asm.force_temp(pop())
+                settle(path)
+                _emit_switch_pc(asm, enc, v)
+                asm.w(f"if _pc < 0: raise InterpError({msg!r} % {v})")
+                if traced:
+                    ta = asm.temp()
+                    asm.w(f"{ta} = _BADDR[_pc]")
+                    # Both events per sink before moving to the next sink,
+                    # matching the walker's single sink loop.
+                    asm.w("for _s in m._sinks:")
+                    asm.w(f'    _s.on_tip({blk}, {ta}, "switch")')
+                    asm.w(f"    _s.on_switch({blk}, {v}, {ta})")
+                asm.w("continue")
+                return ("exit",)
+            elif op in (OP_RET, OP_RETV):
+                if op == OP_RETV:
+                    asm.w(f"_rv = {pop()}")
+                if traced:
+                    asm.w("for _s in m._sinks: _s.on_return(_FN)")
+                elif path is not None:
+                    asm.w(f"m.cycles += {path.total('_cy', path.cy)}; "
+                          f"m.steps += {path.total('_st', path.st)}")
+                else:
+                    asm.w("m.cycles += _cy; m.steps += _st")
+                asm.w("return _rv" if op == OP_RETV else "return None")
+                return ("end",)
             else:
-                asm.w(f"_pc = {bt} if {pop()} else {bn}")
-            asm.w("continue")
-            pc += 3
-        elif op == OP_SWITCH:
-            enc, msg = pool[code[pc + 1]]
-            v = asm.force_temp(pop())
-            _emit_switch_pc(asm, enc, v)
-            asm.w(f"if _pc < 0: raise InterpError({msg!r} % {v})")
-            if traced:
-                ta = asm.temp()
-                asm.w(f"{ta} = _BADDR[_pc]")
-                # Both events per sink before moving to the next sink,
-                # matching the walker's single sink loop.
-                asm.w("for _s in m._sinks:")
-                asm.w(f'    _s.on_tip({blk}, {ta}, "switch")')
-                asm.w(f"    _s.on_switch({blk}, {v}, {ta})")
-            asm.w("continue")
-            pc += 2
-        elif op in (OP_RET, OP_RETV):
-            if op == OP_RETV:
-                asm.w(f"_rv = {pop()}")
-            if traced:
-                asm.w("for _s in m._sinks: _s.on_return(_FN)")
-            else:
-                asm.w("m.cycles += _cy; m.steps += _st")
-            asm.w("return _rv" if op == OP_RETV else "return None")
-            pc += 1
-        else:
-            raise InterpError(f"bad opcode {op} at pc {pc}")
+                raise InterpError(f"bad opcode {op} at pc {pc}")
+        raise InterpError(f"block {k} of {bfunc.name} has no terminator")
 
-    if asm.stack:
-        raise InterpError(
-            f"unbalanced expression stack lowering {bfunc.name}")
+    blocks: List[List[str]] = []
+    for k in range(len(spans)):
+        asm.lines, asm.indent = [], 0
+        _emit_chain(asm, k, emit_block, None if traced else _Values(),
+                    inline=not traced)
+        if asm.stack:
+            raise InterpError(
+                f"unbalanced expression stack lowering {bfunc.name}")
+        blocks.append(asm.lines)
 
+    entry: List[str] = []
     twins: Dict[str, int] = {}    # extern name -> slot, twin resolved
     if not traced:
-        _inline_goto_tails(blocks)
         _wrap_self_loops(blocks)
         index = {label: k for k, label in enumerate(bfunc.labels)}
         for t in _match_transfers(func):
@@ -1331,6 +1715,10 @@ def _assemble_function(bfunc: BytecodeFunction, program: Program,
             if lines is not None and blocks[k][0] == "while True:":
                 blocks[k][:0] = lines
                 twins.update((name, externs[name]) for name in t.externs)
+        if superblock:
+            # _st is 0 at the frame's entry and after each call.
+            entry = _superblock(asm, 0, emit_block, _RunPath(),
+                                "{} <= _lim".format)
 
     # -- frame scaffolding ---------------------------------------------------
     out = _Asm(asm.consts)
@@ -1355,12 +1743,23 @@ def _assemble_function(bfunc: BytecodeFunction, program: Program,
           else "_lim = m.max_steps - m.steps")
     if harvests:
         out.w("_hv = m.harvest")
-    out.w("_pc = 0")
+    out.w("_pc = -1" if entry else "_pc = 0")
     out.w("try:")
     out.indent += 1
     out.w("while True:")
     out.indent += 1
-    _emit_dispatch(out, blocks, 0, len(blocks))
+    if entry:
+        out.w("if _pc < 0:")
+        out.indent += 1
+        for line in entry:
+            out.w(line)
+        out.indent -= 1
+        out.w("else:")
+        out.indent += 1
+        _emit_dispatch(out, blocks, 0, len(blocks))
+        out.indent -= 1
+    else:
+        _emit_dispatch(out, blocks, 0, len(blocks))
     out.indent -= 2
     out.w("except NameError as e:")
     out.indent += 1
@@ -1384,6 +1783,16 @@ def _assemble_function(bfunc: BytecodeFunction, program: Program,
     out.consts["_A2F"] = {addr: program.functions[fname]
                           for addr, fname in program.addr_to_func.items()}
     return _exec_frame(out, f"<bytecode:{device}.{bfunc.name}>", "_run")
+
+
+def _ops(code: Tuple[int, ...], start: int, stop: int, want: int):
+    """Positions of opcode *want* in ``code[start:stop]``."""
+    pc = start
+    while pc < stop:
+        op = code[pc]
+        if op == want:
+            yield pc
+        pc += 1 + _WIDTHS[op]
 
 
 # ---------------------------------------------------------------------------

@@ -97,8 +97,10 @@ class Machine:
         if backend == "bytecode":
             from repro.interp.bytecode import bytecode_program_for
             self._bytecode = bytecode_program_for(program)
+            self._entries = self._bytecode.entries
         else:
             self._bytecode = None
+            self._entries = {}
 
     # -- configuration -----------------------------------------------------
 
@@ -155,6 +157,26 @@ class Machine:
 
     def run_entry(self, key: str, args: Tuple[int, ...] = ()) -> Optional[int]:
         """Run the entry handler for I/O interface *key* (one I/O round)."""
+        entry = self._entries.get(key)
+        if (entry is not None and not self._sinks
+                and len(args) == entry[1] and self._depth < self.max_depth):
+            # The common round: the key's fast runner, resolved once per
+            # program, with what _call would check already checked.
+            self.steps = 0
+            self._depth += 1
+            telemetry = self._telemetry
+            try:
+                result = entry[0](self, args)
+            except DeviceFault as fault:
+                if telemetry is not None:
+                    telemetry.record_fault(fault.kind, self.steps)
+                raise
+            finally:
+                self._depth -= 1
+            if telemetry is not None:
+                telemetry.n_rounds += 1
+                telemetry.n_blocks += self.steps
+            return result
         func = self.program.entry_for(key)
         for sink in self._sinks:
             sink.on_io_enter(key, args)

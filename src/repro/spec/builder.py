@@ -10,7 +10,8 @@ result (command block identification).  Output: an
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, FrozenSet, List, Optional, Set, Tuple
+from types import MappingProxyType
+from typing import Dict, FrozenSet, List, Mapping, Optional, Set, Tuple
 
 from repro.analysis.dataflow import SliceResult, slice_function
 from repro.analysis.obslog import (
@@ -285,6 +286,24 @@ def build_spec(program: Program, log: DeviceStateChangeLog,
     spec.stats["blocks_after_reduction"] = spec.block_count()
     spec.stats["sync_vars_used"] = len(used_sync_vars(spec))
     return spec
+
+
+def sync_keys_for(spec: ExecutionSpec) -> Mapping[str, bool]:
+    """Each entry key's checking discipline: whether
+    :func:`handler_needs_sync` (co-execution) or not (strict checking).
+
+    Computed once per spec object and cached on it, the way
+    ``bytecode_spec_for`` caches the lowering, so attaching a checker
+    (every instance build, every spec reload) walks no call graph.
+    Nothing invalidates it: a spec is not changed once built — merging
+    and promotion build new spec objects — and the table is read-only,
+    shared by every attachment of the spec."""
+    table = getattr(spec, "_sync_keys", None)
+    if table is None:
+        table = spec._sync_keys = MappingProxyType(
+            {key: handler_needs_sync(spec, key)
+             for key in spec.entry_handlers})
+    return table
 
 
 def handler_needs_sync(spec: ExecutionSpec, io_key: str) -> bool:

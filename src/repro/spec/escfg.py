@@ -147,12 +147,14 @@ class ExecutionSpec:
     stats: Dict[str, int] = field(default_factory=dict)
 
     def __getstate__(self) -> Dict[str, object]:
-        """Pickled without the lowered bytecode artifact that
-        ``bytecode_spec_for`` caches on the spec (generated frames do
-        not pickle): a spec sent to another process is lowered again
-        there, on first use."""
+        """Pickled without what is cached on the spec on first use: the
+        lowered bytecode artifact of ``bytecode_spec_for`` (generated
+        frames do not pickle) and the read-only key table of
+        ``sync_keys_for``; a spec sent to another process rebuilds them
+        there."""
         state = self.__dict__.copy()
         state.pop("_bytecode_backend", None)
+        state.pop("_sync_keys", None)
         return state
 
     # -- structure queries ----------------------------------------------------

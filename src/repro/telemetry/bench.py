@@ -11,9 +11,10 @@ Measuring the numerator needs care.  The per-round record-path cost is
 multi-percent wall-clock noise floor — an A-vs-A null experiment with
 this harness's own pass sizes measured +-2.7% — so directly differencing
 off/on pass times cannot resolve a ~1% effect.  Instead the harness
-*amplifies* the instrumentation: an ``_Amplified`` shim invokes the real
-record path (its own clock pair plus ``record_clean`` for a clean round,
-``record_round`` for any other) ``amplify`` times per round, lifting
+*amplifies* the instrumentation: an ``_Amplified`` shim runs the
+frame's own record path (the source lines the frame emits for it: the
+sampling test, the clock pair of a timed round, the staged ints)
+``amplify`` times per round, lifting
 the signal to ~10% where drift-cancelling ABBA quads (off, amplified,
 amplified, off) measure it reliably; dividing the paired median by the
 amplification factor recovers the per-round cost.
@@ -29,6 +30,9 @@ import time
 from typing import Tuple
 
 from repro.interp.machine import DEFAULT_BACKEND
+from repro.telemetry.instruments import (
+    FRAME_CALL_START, FRAME_ROUND_CLEAN, FRAME_ROUND_START,
+)
 
 
 def capture_sequence(device: str = "fdc", qemu_version: str = "99.0.0",
@@ -69,32 +73,56 @@ def capture_sequence(device: str = "fdc", qemu_version: str = "99.0.0",
 
 class _Amplified:
     """Bench-only shim standing in for a CheckerTelemetry bundle: runs
-    the real record path (clock pair + ``record_clean`` or
-    ``record_round``) *factor* times per round so its cost rises above
-    the host's noise floor."""
+    the real record path *factor* times per round so its cost rises
+    above the host's noise floor.  The bytecode frame stages a clean
+    round on :attr:`stage`, an :class:`_AmplifiedStage`; any other
+    round, and every round of the reference backend, comes in through
+    ``record_round``, which runs a clock pair and the bundle's
+    ``record_round`` *factor* times."""
 
-    __slots__ = ("bundle", "clock", "factor")
+    __slots__ = ("bundle", "clock", "factor", "stage")
 
     def __init__(self, bundle, clock, factor: int):
         self.bundle = bundle
         self.clock = clock
         self.factor = factor
+        self.stage = _AmplifiedStage(bundle, clock, factor)
 
-    def record_clean(self, param, indirect, conditional,
-                     elapsed_ns) -> None:
-        bundle = self.bundle
-        clock = self.clock
-        for _ in range(self.factor):
-            start = clock()
-            bundle.record_clean(param, indirect, conditional,
-                                clock() - start + elapsed_ns)
+    def drain(self) -> None:
+        self.bundle.drain()
 
     def record_round(self, report, elapsed_ns) -> None:
         bundle = self.bundle
         clock = self.clock
         for _ in range(self.factor):
             start = clock()
-            bundle.record_round(report, clock() - start + elapsed_ns)
+            bundle.record_round(report, clock() - start + (elapsed_ns or 0))
+
+
+class _AmplifiedStage:
+    """The stage as the frame sees it: its length is the bundle's
+    stage's, and staging one round runs the frame's own record path for
+    a call of one round, as ``check_io`` makes — the lines of
+    ``FRAME_CALL_START``, ``FRAME_ROUND_START`` and
+    ``FRAME_ROUND_CLEAN``, compiled into a loop — *factor* times on the
+    bundle's stage."""
+
+    __slots__ = ("_stage", "extend")
+
+    def __init__(self, bundle, clock, factor: int):
+        self._stage = bundle.stage
+        body = "\n".join(
+            "        " + line for line
+            in FRAME_CALL_START + FRAME_ROUND_START + FRAME_ROUND_CLEAN)
+        source = ("def extend(_round, _tel=_tel, _clk=_clk, _reps=_reps):\n"
+                  "    _pch, _ich, _cch, _ = _round\n"
+                  "    for _ in _reps:\n" + body + "\n")
+        namespace = {"_tel": bundle, "_clk": clock, "_reps": range(factor)}
+        exec(compile(source, "<amplified-record-path>", "exec"), namespace)
+        self.extend = namespace["extend"]
+
+    def __len__(self) -> int:
+        return len(self._stage)
 
 
 def _machine_record_ns(recorder, name: str, rounds: int = 200_000) -> float:

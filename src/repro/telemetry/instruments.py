@@ -13,7 +13,8 @@ time), so anything they own is imported inside the bundle constructors.
 
 from __future__ import annotations
 
-from typing import Dict, Tuple
+from itertools import compress, count
+from typing import Dict, Optional, Tuple
 
 from repro.telemetry.metrics import (
     DEFAULT_CYCLE_BUCKETS, DEFAULT_DEPTH_BUCKETS, DEFAULT_NS_BUCKETS,
@@ -25,27 +26,74 @@ from repro.telemetry.recorder import Recorder
 #: bounded even if nobody snapshots for millions of rounds.
 _DRAIN_EVERY = 4096
 
+#: The bytecode checker frame times one round in this many (a power of
+#: two dividing ``_DRAIN_EVERY``).
+TIME_EVERY = 16
+
+#: ints per staged round
+STAGED = 4
+
+#: The bytecode frame's record path, as the source lines it emits
+#: (``_tel`` is the bundle, ``_clk`` the clock): once per call, the
+#: stage bound to ``_tst``; at round start, whether to time the round
+#: (draining a full stage first); and at a clean round's end, its four
+#: staged ints.  ``repro.telemetry.bench`` amplifies these same lines.
+FRAME_CALL_START = (
+    "if _tel is not None:",
+    "    _tst = _tel.stage",
+)
+FRAME_ROUND_START = (
+    "if _tel is not None:",
+    f"    if len(_tst) & {STAGED * TIME_EVERY - 1}:",
+    "        _t0 = None",
+    "    else:",
+    f"        if len(_tst) >= {STAGED * _DRAIN_EVERY}:",
+    "            _tel.drain()",
+    "        _t0 = _clk()",
+)
+FRAME_ROUND_CLEAN = (
+    "if _tel is not None:",
+    "    _tst.extend((_pch, _ich, _cch,",
+    "                 0 if _t0 is None else _clk() - _t0 + 1))",
+)
+
 
 class CheckerTelemetry:
     """Per-checker handles: strategy check counts, violation causes and
     the ns-per-round histogram (a mean per check is
     ``checker.round_ns`` total over the ``checker.checks`` sum).
 
-    ``record_round`` consumes the finished :class:`CheckReport` (whose
-    per-strategy check counters both backends maintain identically), so
-    the enabled-telemetry cost is O(1) per I/O round regardless of how
-    many blocks the walk visited.  The common all-clear round comes in
-    through ``record_clean`` with just those counters and touches only
-    plain slot ints and one list append; everything is drained
-    into the recorder's Counter/Histogram objects by ``flush`` — which
-    the recorder runs before every snapshot — or every ``_DRAIN_EVERY``
-    rounds, whichever comes first.
+    The per-round record path only stages: a round is the four ints
+    ``param, indirect, conditional, elapsed_ns`` extended onto
+    :attr:`stage`, a flat list (no container per round for the
+    collector to track).  The bytecode frame stages a clean round
+    itself, with no method call; ``record_round`` stages any other
+    round the same way, from its report, and adds the rare-path
+    accounting (non-ALLOW actions, anomalies, incomplete walks).
+    :meth:`drain` sums the stage; it runs from ``flush`` — which the
+    recorder runs before every snapshot — or when the stage holds
+    ``_DRAIN_EVERY`` rounds, whichever comes first.  The counters are
+    exact.
+
+    ``checker.round_ns`` is *sampled* on the bytecode backend: the frame
+    reads the clock for the rounds staged at multiples of
+    :data:`TIME_EVERY`.  A timed round is staged as its time plus one,
+    an untimed one as 0, so the drain finds the samples with one
+    C-level pass.  The drain observes each timed round with the weight
+    of its window (itself and the untimed rounds after it), so the
+    histogram counts every round while its buckets, total, min and max
+    come from the samples.  Where every round is staged with a time
+    (the reference backend times each one), each stands for itself.
+    The histogram's ``sampled`` label is the stride: ``"16"`` on the
+    bytecode backend, ``"1"`` on the reference one.  Its percentiles
+    are those of the samples, so a sampled tail rests on one round in
+    16 and is not comparable with an every-round record.
     """
 
     __slots__ = ("_recorder", "_labels", "rounds", "incomplete", "checks",
                  "actions", "round_ns", "_anomalies", "_allow_action",
                  "_allow", "n_rounds", "n_param", "n_indirect", "n_cond",
-                 "n_nonallow", "_elapsed")
+                 "n_nonallow", "stage")
 
     def __init__(self, recorder: Recorder, device: str, backend: str):
         from repro.checker.anomalies import Action, Strategy
@@ -66,39 +114,36 @@ class CheckerTelemetry:
                                 **labels)
             for a in Action
         }
+        # The bytecode frame times one round in TIME_EVERY (the
+        # reference walker every round); the label tells consumers so.
+        sampled = TIME_EVERY if backend == "bytecode" else 1
         self.round_ns = recorder.histogram("checker.round_ns",
-                                           DEFAULT_NS_BUCKETS, **labels)
+                                           DEFAULT_NS_BUCKETS,
+                                           sampled=str(sampled), **labels)
         #: (strategy value, kind) -> Counter, resolved lazily: anomaly
         #: kinds are open-ended and rare.
         self._anomalies: Dict[Tuple[str, str], object] = {}
         self._allow_action = Action.ALLOW
         self._allow = self.actions[Action.ALLOW]
-        # Staged per-round state, drained by flush().
+        # Sums of the drained rounds, folded by flush().
         self.n_rounds = 0
         self.n_param = 0
         self.n_indirect = 0
         self.n_cond = 0
         self.n_nonallow = 0
-        self._elapsed: list = []
+        #: rounds staged since the last drain, four ints each
+        self.stage: list = []
         recorder.add_flush(self.flush)
 
-    def record_clean(self, param: int, indirect: int, conditional: int,
-                     elapsed_ns: int) -> None:
-        """One clean round — verdict ALLOW, walk complete — from its
-        per-strategy check counts alone: the bytecode frame records a
-        clean round without building a report for it."""
-        self.n_rounds += 1
-        self.n_param += param
-        self.n_indirect += indirect
-        self.n_cond += conditional
-        elapsed = self._elapsed
-        elapsed.append(elapsed_ns)
-        if len(elapsed) >= _DRAIN_EVERY:
-            self._drain()
-
-    def record_round(self, report, elapsed_ns: int) -> None:
-        self.record_clean(report.param_checks, report.indirect_checks,
-                          report.conditional_checks, elapsed_ns)
+    def record_round(self, report, elapsed_ns: Optional[int]) -> None:
+        """One round from its report; *elapsed_ns* is None for a round
+        that was not timed."""
+        stage = self.stage
+        stage.extend((report.param_checks, report.indirect_checks,
+                      report.conditional_checks,
+                      0 if elapsed_ns is None else elapsed_ns + 1))
+        if len(stage) >= STAGED * _DRAIN_EVERY:
+            self.drain()
         if (report.action is not self._allow_action or report.anomalies
                 or report.incomplete):
             self._record_rare(report)
@@ -107,7 +152,7 @@ class CheckerTelemetry:
         """Fold staged state into the recorder-owned metrics."""
         from repro.checker.anomalies import Strategy
 
-        self._drain()
+        self.drain()
         n = self.n_rounds
         if not n:
             return
@@ -120,12 +165,28 @@ class CheckerTelemetry:
         self.n_param = self.n_indirect = self.n_cond = 0
         self.n_nonallow = 0
 
-    def _drain(self) -> None:
-        elapsed = self._elapsed
-        if not elapsed:
+    def drain(self) -> None:
+        """Sum the staged rounds into the staged counts and observe
+        their times (C-level passes; Python code runs per sample)."""
+        stage = self.stage
+        if not stage:
             return
-        self.round_ns.observe_many(elapsed)
-        elapsed.clear()
+        elapsed = stage[3::4]
+        n = len(elapsed)
+        self.n_rounds += n
+        self.n_param += sum(stage[0::4])
+        self.n_indirect += sum(stage[1::4])
+        self.n_cond += sum(stage[2::4])
+        timed = list(compress(count(), elapsed))
+        if timed:
+            # A sample's window runs to the next sample; rounds staged
+            # before the first one join its window.
+            weights = [end - start for start, end
+                       in zip(timed, timed[1:] + [n])]
+            weights[0] += timed[0]
+            self.round_ns.observe_many([elapsed[k] - 1 for k in timed],
+                                       weights)
+        stage.clear()
 
     def _record_rare(self, report) -> None:
         if report.action is not self._allow_action:

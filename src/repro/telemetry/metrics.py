@@ -109,18 +109,22 @@ class Histogram:
         if self.max is None or value > self.max:
             self.max = value
 
-    def observe_many(self, values) -> None:
-        """Batch observe — the drain path for staged sample buffers."""
+    def observe_many(self, values, weights=None) -> None:
+        """Batch observe — the drain path for staged sample buffers.
+        With *weights*, each value counts that many times (a sampled
+        histogram: one timed value stands for its window)."""
         if not values:
             return
         counts = self.counts
         bounds = self.bounds
         index = bisect_left
+        if weights is None:
+            weights = [1] * len(values)
         total = 0
-        for value in values:
-            counts[index(bounds, value)] += 1
-            total += value
-        self.count += len(values)
+        for value, weight in zip(values, weights):
+            counts[index(bounds, value)] += weight
+            total += value * weight
+        self.count += sum(weights)
         self.total += total
         lo = min(values)
         hi = max(values)

@@ -13,7 +13,7 @@ device's interpreted work, then SEDSpec's checking work if attached.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Deque, Dict, List, Optional, Tuple
+from typing import Deque, Dict, List, Mapping, Optional, Tuple
 
 from repro.checker import (
     ALL_STRATEGIES, DEFAULT_BACKEND, Action, CheckReport, ESChecker,
@@ -23,7 +23,7 @@ from repro.devices.backends import GuestMemory, IRQLine
 from repro.devices.base import Device
 from repro.errors import DeviceFault, ReproError, WorkloadError
 from repro.spec import ExecutionSpec
-from repro.spec.builder import handler_needs_sync
+from repro.spec.builder import sync_keys_for
 
 #: Fixed cost of one guest I/O exit (KVM vmexit + QEMU dispatch + re-entry).
 VMEXIT_COST = 300
@@ -54,8 +54,9 @@ class Attachment:
 
     checker: ESChecker
     device: Device
-    #: io_key -> True when co-execution is required
-    sync_keys: Dict[str, bool] = field(default_factory=dict)
+    #: io_key -> True when co-execution is required (the spec's shared,
+    #: read-only table)
+    sync_keys: Mapping[str, bool] = field(default_factory=dict)
     warnings: List[CheckReport] = field(default_factory=list)
     halts: List[CheckReport] = field(default_factory=list)
     checked_rounds: int = 0
@@ -194,10 +195,8 @@ class GuestVM:
         checker = ESChecker(spec, mode=mode, strategies=strategies,
                             backend=backend, recorder=recorder)
         checker.boot_sync(device.state)
-        sync_keys = {key: handler_needs_sync(spec, key)
-                     for key in spec.entry_handlers}
         attachment = Attachment(checker=checker, device=device,
-                                sync_keys=sync_keys,
+                                sync_keys=sync_keys_for(spec),
                                 batch_rounds=batch_rounds)
         self.attachments[device_name] = attachment
         return attachment

@@ -18,6 +18,16 @@ grammar (stores, nested conditionals, masked buffer writes) — then:
   that the fast runner, the traced runner and the reference walker
   must produce identically.
 
+The grammar also draws the shapes the frames' per-key superblocks
+(``repro.interp.bytecode``, "Chains and superblocks") must keep exact:
+a field loaded several times in one chain, a store then a load of the
+same field, out-of-range stores into signed and unsigned fields (the
+checker property runs with the parameter strategy on or off), a
+dynamic-index buffer store that runs past the buffer into the next
+scalar field and then a load of that field, an extern that writes a
+field and a nested call between two loads, and a two-sided branch
+whose arms both end the round.
+
 The fixed-device differential suites pin the five real profiles; this
 one walks the program space around them.
 """
@@ -25,21 +35,28 @@ one walks the program space around them.
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 from repro.analysis import ObservationLogger, select_parameters
-from repro.checker import BACKENDS, ESChecker
+from repro.checker import ALL_STRATEGIES, BACKENDS, ESChecker, Strategy
 from repro.checker.sync import QueueSyncOracle
-from repro.compiler import DeviceLogic, arr, compile_device, fld
+from repro.compiler import DeviceLogic, arr, compile_device, fld, reg
 from repro.interp import Machine, TraceSink
 from repro.spec import build_spec
 
-WIDTHS = ("u8", "u16", "i32")
+WIDTHS = ("u8", "u16", "i32", "i8", "i16")
 BINOPS = ("+", "-", "&", "|", "^")
 CMPS = ("<", "<=", "==", "!=", ">", ">=")
 
 
+def _stamp(m, value):
+    """A host call that writes a field the handler may load around it."""
+    m.state.write_field("f0", value * 3 + 1)
+
+
 def _bind_peek(machine):
-    """The deterministic host read generated devices may call."""
+    """The deterministic host read generated devices may call, and the
+    host write."""
     machine.bind_extern("peek", lambda m, v: (v * 37 + 11) & 0xFF,
                         cost=3)
+    machine.bind_extern("stamp", _stamp, cost=2)
     return machine
 
 
@@ -56,6 +73,9 @@ def device_classes(draw):
     nfields = draw(st.integers(min_value=2, max_value=4))
     names = [f"f{i}" for i in range(nfields)]
     widths = [draw(st.sampled_from(WIDTHS)) for _ in names]
+    # a register is always in the spec's device state, a plain field
+    # only when selection finds it steering control flow
+    kinds = [draw(st.sampled_from(("fld", "reg"))) for _ in names]
     use_extern = draw(st.booleans())
 
     def expr(depth=0):
@@ -78,15 +98,39 @@ def device_classes(draw):
 
     def stmt(indent, depth=0):
         pad = "    " * indent
-        kinds = ["store", "bufstore"]
+        kinds = ["store", "bufstore", "reload", "wide", "past", "stamp",
+                 "call"]
         if depth < 2:
             kinds.append("if")
         kind = draw(st.sampled_from(kinds))
+        target = draw(st.sampled_from(names))
+        field = draw(st.sampled_from(names))
         if kind == "store":
-            target = draw(st.sampled_from(names))
             return [f"{pad}self.{target} = {expr()}"]
         if kind == "bufstore":
             return [f"{pad}self.buf[{expr()} & 3] = {expr()}"]
+        if kind == "reload":
+            # a store, then the same field loaded twice
+            return [f"{pad}self.{field} = {expr()}",
+                    f"{pad}self.{target} = (self.{field} ^ value) "
+                    f"+ self.{field}"]
+        if kind == "wide":
+            # out of range of every narrow width, either sign
+            op = draw(st.sampled_from(("*", "-")))
+            return [f"{pad}self.{target} = value {op} 300",
+                    f"{pad}self.{field} = self.{target} + 1"]
+        if kind == "past":
+            # value & 5 runs past the 4-element buffer into tail's bytes
+            return [f"{pad}self.{field} = self.tail + 1",
+                    f"{pad}self.buf[value & 5] = {expr()}",
+                    f"{pad}self.{target} = self.tail + self.{field}"]
+        if kind in ("stamp", "call"):
+            # a host write, or a nested call, between two loads of f0
+            between = ("stamp(value)" if kind == "stamp"
+                       else f"self.helper({expr()})")
+            return [f"{pad}self.{target} = self.f0 + 1",
+                    f"{pad}{between}",
+                    f"{pad}self.{field} = self.f0 ^ self.{target}"]
         cmp = draw(st.sampled_from(CMPS))
         lines = [f"{pad}if {expr()} {cmp} {expr()}:"]
         lines += stmt(indent + 1, depth + 1)
@@ -99,27 +143,42 @@ def device_classes(draw):
         body.append("        t0 = peek(value)")
     for _ in range(draw(st.integers(min_value=1, max_value=4))):
         body += stmt(2)
+    if draw(st.booleans()):
+        # both arms end the round
+        cmp = draw(st.sampled_from(CMPS))
+        body += [f"        if {expr()} {cmp} {expr()}:",
+                 f"            self.{draw(st.sampled_from(names))} = "
+                 f"{expr()}",
+                 f"            return {expr()}",
+                 f"        return {expr()}"]
+    else:
+        body.append("        return 0")
 
     field_decls = ", ".join(
-        f"fld({name!r}, {width!r})"
-        for name, width in zip(names, widths))
+        f"{kind}({name!r}, {width!r})"
+        for kind, name, width in zip(kinds, names, widths))
     source = "\n".join([
         "class GenLogic(DeviceLogic):",
         "    STRUCT = 'GenCtrl'",
-        f"    FIELDS = ({field_decls}, arr('buf', 'u8', 4),)",
+        f"    FIELDS = ({field_decls}, arr('buf', 'u8', 4),",
+        "              reg('tail', 'i16'),)",
         "    CONSTS = {}",
-        f"    EXTERNS = {('peek',) if use_extern else ()!r}",
+        "    EXTERNS = ('peek', 'stamp')",
         "    ENTRIES = {'pmio:write:0': 'write_a',",
         "               'pmio:read:0': 'read_s'}",
         "",
         "    def write_a(self, value):",
         *body,
+        "",
+        "    def helper(self, value):",
+        f"        self.f0 = value + self.{names[-1]}",
         "        return 0",
         "",
         "    def read_s(self):",
-        f"        return self.{names[0]}",
+        f"        return self.{names[0]} + self.tail",
     ])
-    namespace = {"DeviceLogic": DeviceLogic, "fld": fld, "arr": arr}
+    namespace = {"DeviceLogic": DeviceLogic, "fld": fld, "reg": reg,
+                 "arr": arr}
     exec(source, namespace)
     return namespace["GenLogic"], source
 
@@ -157,9 +216,10 @@ class TestInterpreterParity:
 class TestCheckerParity:
     @settings(max_examples=25, deadline=None,
               suppress_health_check=[HealthCheck.too_slow])
-    @given(device_classes(), script_strategy, fault_strategy)
+    @given(device_classes(), script_strategy, fault_strategy,
+           st.booleans())
     def test_reports_identical_under_faults(self, logic, script,
-                                            faults):
+                                            faults, param_on):
         cls, source = logic
         program = compile_device(cls, source=source)
 
@@ -173,10 +233,12 @@ class TestCheckerParity:
             machine.run_entry("pmio:read:0", ())
         spec = build_spec(program, logger.log, selection)
 
+        strategies = (ALL_STRATEGIES if param_on
+                      else ALL_STRATEGIES - {Strategy.PARAMETER})
         checkers = {}
         for name in BACKENDS:
             seed = Machine(program)
-            checker = ESChecker(spec, backend=name)
+            checker = ESChecker(spec, backend=name, strategies=strategies)
             checker.boot_sync(seed.state)
             checkers[name] = checker
 

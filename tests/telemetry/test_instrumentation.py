@@ -11,8 +11,9 @@ from repro.core import deploy
 from repro.interp import Machine
 from repro.ipt import Decoder, IPTTracer
 from repro.telemetry import Recorder
+from repro.telemetry.bench import _Amplified
 from repro.telemetry.instruments import (
-    _DRAIN_EVERY, CheckerTelemetry, MachineTelemetry,
+    _DRAIN_EVERY, TIME_EVERY, CheckerTelemetry, MachineTelemetry,
 )
 from repro.telemetry.stats import (
     interp_summary, latency_rows, run_stats, strategy_rows,
@@ -22,6 +23,8 @@ from repro.workloads.profiles import PROFILES, train_device_spec
 from tests.toydev import ToyLogic
 
 LABELS = {"device": "FDCtrl", "backend": "bytecode"}
+#: the bytecode backend's round-time histogram is labelled with its stride
+ROUND_NS = dict(LABELS, sampled=str(TIME_EVERY))
 
 
 def fake_report(action=Action.ALLOW, p=2, i=1, c=0, anomalies=(),
@@ -53,7 +56,7 @@ class TestCheckerStaging:
                           "conditional_jump": 0}
         assert snap.label_values("checker.actions", "action") == \
             {"allow": 3, "warn": 0, "halt": 0, "trace_gap": 0}
-        assert snap.histogram("checker.round_ns", **LABELS).count == 3
+        assert snap.histogram("checker.round_ns", **ROUND_NS).count == 3
         # Staged state was consumed: a second snapshot adds nothing.
         again = rec.snapshot()
         assert again.counter("checker.rounds", **LABELS) == 3
@@ -82,11 +85,69 @@ class TestCheckerStaging:
         for _ in range(_DRAIN_EVERY):
             bundle.record_round(fake_report(), 500)
         # The histogram was drained to keep the buffer bounded...
-        assert bundle._elapsed == []
+        assert bundle.stage == []
         assert rec.histogram("checker.round_ns",
-                             **LABELS).count == _DRAIN_EVERY
+                             **ROUND_NS).count == _DRAIN_EVERY
         # ...while the cheap integer counters stay staged until flush.
         assert rec.counter("checker.rounds", **LABELS).value == 0
+
+    def test_a_sample_weighs_its_window(self):
+        rec = Recorder("r")
+        bundle = CheckerTelemetry(rec, "FDCtrl", "bytecode")
+        # Untimed rounds before the first sample join its window.
+        for elapsed in (None, None, 300, None, None, None, 900):
+            bundle.record_round(fake_report(), elapsed)
+        snap = rec.snapshot()
+        assert snap.counter("checker.rounds", **LABELS) == 7
+        hist = snap.histogram("checker.round_ns", **ROUND_NS)
+        assert hist.count == 7
+        assert hist.total == 300 * 6 + 900
+        assert (hist.min, hist.max) == (300, 900)
+
+    @pytest.mark.parametrize("backend,stride",
+                             [("bytecode", TIME_EVERY), ("reference", 1)])
+    def test_the_frame_labels_its_sampling_stride(self, fdc_spec, backend,
+                                                  stride):
+        prof = PROFILES["fdc"]
+        vm, dev = prof.make_vm("99.0.0", backend=backend)
+        deploy(vm, dev, fdc_spec, mode=Mode.ENHANCEMENT, backend=backend)
+        checker = vm.attachments[dev.NAME].checker
+        rec = Recorder("r")
+        checker.set_recorder(rec)
+        rounds = 3 * TIME_EVERY + 5
+        for _ in range(rounds):
+            vm.inb(prof.base_port + 4)   # the status register: clean
+        snap = rec.snapshot()
+        labels = {"device": checker.spec.device, "backend": backend}
+        assert snap.counter("checker.rounds", **labels) == rounds
+        hist = snap.histogram("checker.round_ns", sampled=str(stride),
+                              **labels)
+        assert hist.count == rounds
+
+
+    def test_the_overhead_shim_runs_the_frame_record_path_factor_times(
+            self, fdc_spec):
+        prof = PROFILES["fdc"]
+        counts = []
+        for factor in (None, 3):
+            vm, dev = prof.make_vm("99.0.0")
+            deploy(vm, dev, fdc_spec, mode=Mode.ENHANCEMENT)
+            checker = vm.attachments[dev.NAME].checker
+            rec = Recorder("r")
+            checker.set_recorder(rec)
+            if factor is not None:
+                checker._telemetry = _Amplified(checker._telemetry,
+                                                rec.clock, factor)
+            for _ in range(TIME_EVERY + 3):
+                vm.outb(prof.base_port + 2, 0x0C)   # DOR: out of reset
+                vm.inb(prof.base_port + 4)
+            snap = rec.snapshot()
+            labels = {"device": checker.spec.device, "backend": "bytecode"}
+            counts.append((snap.counter("checker.rounds", **labels),
+                           snap.label_values("checker.checks", "strategy")))
+        (rounds, checks), (amp_rounds, amp_checks) = counts
+        assert amp_rounds == 3 * rounds == 3 * 2 * (TIME_EVERY + 3)
+        assert amp_checks == {k: 3 * v for k, v in checks.items()}
 
 
 class TestRecorderToggleCaching:
