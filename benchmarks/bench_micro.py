@@ -123,28 +123,6 @@ def bench_checker_per_round(benchmark, backend):
     assert benchmark(one_command)
 
 
-@pytest.mark.parametrize("batch", [4, 8, 22])
-def bench_checker_batched(benchmark, batch):
-    """The same command vetted through the batched entry (bytecode
-    backend): one check_batch call per *batch* queued rounds amortizes
-    frame setup and dispatch binding across the batch."""
-    spec = spec_for("fdc")
-    _, command_seq, prepared_state = _fdc_sequences()
-    checker = ESChecker(spec, backend="bytecode")
-    checker.boot_sync(prepared_state)
-    oracle = FieldSyncOracle(prepared_state)
-
-    def one_command():
-        ok = True
-        for i in range(0, len(command_seq), batch):
-            for report in checker.check_batch(command_seq[i:i + batch],
-                                              oracle=oracle):
-                ok &= report.ok
-        return ok
-
-    assert benchmark(one_command)
-
-
 def bench_guarded_round(benchmark):
     """What a guest I/O round pays end to end on the VM: port lookup,
     the checker's strict vet, the device round and the VM's accounting,

@@ -155,17 +155,6 @@ def summarize(raw: dict) -> dict:
                     other["median_s"] / stats["median_s"], 2)
         return out
 
-    # Batched checking vs the per-round bytecode loop on the same
-    # 22-round command: how much the cross-round entry amortizes.
-    per_round = benches.get("bench_checker_per_round[bytecode]")
-    batched_speedups = {}
-    if per_round:
-        for name, stats in benches.items():
-            if name.startswith("bench_checker_batched["):
-                size = name[len("bench_checker_batched["):-1]
-                batched_speedups[size] = round(
-                    per_round["median_s"] / stats["median_s"], 2)
-
     return {
         "generated": datetime.datetime.now(
             datetime.timezone.utc).isoformat(timespec="seconds"),
@@ -177,7 +166,6 @@ def summarize(raw: dict) -> dict:
         "benchmarks": benches,
         "speedups_bytecode_over_reference": ratios("reference",
                                                    "bytecode"),
-        "speedups_batched_over_per_round": batched_speedups,
     }
 
 
@@ -221,11 +209,6 @@ def main() -> None:
     for group, ratio in sorted(
             summary["speedups_bytecode_over_reference"].items()):
         print(f"{group}: bytecode is {ratio}x faster than reference")
-    for size, ratio in sorted(
-            summary["speedups_batched_over_per_round"].items(),
-            key=lambda kv: int(kv[0])):
-        print(f"check_batch[{size}]: {ratio}x faster than per-round "
-              f"bytecode")
     print(f"wrote {args.out}")
     if not args.no_fleet:
         run_fleet(args.fleet_out, quick=args.quick)

@@ -49,13 +49,6 @@ class ITCCFG:
     def executed_nodes(self) -> Set[int]:
         return {a for a, n in self.nodes.items() if n.executed}
 
-    def cond_sites(self) -> List[int]:
-        return sorted(a for a, n in self.nodes.items() if n.kind == "cond")
-
-    def indirect_sites(self) -> List[int]:
-        return sorted(a for a, n in self.nodes.items()
-                      if n.kind in ("switch", "icall"))
-
     def one_sided_branches(self) -> List[Tuple[int, bool]]:
         """Conditional sites where training saw only one outcome.
 

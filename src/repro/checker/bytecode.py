@@ -22,20 +22,20 @@ array-encoded bytecode:
 
 The assembler turns those arrays into **one generated, spec-specialized
 Python frame per spec**, assembled at lowering by
-:func:`bytecode_spec_for`.  The frame is its own round driver: it takes
-a queue of ``(io_key, args)`` rounds — one for ``ESChecker.check_io``,
-many for ``ESChecker.check_batch`` — and for each builds the report,
-walks, decides the verdict, and commits or rolls back the shadow buffer,
-which it walks in place.  The walk is a ``while`` loop dispatching on
-the global block index through a binary jump-target tree, with an
-explicit call stack, so walk counters, the current command and the
-current address stay in locals for the entire round.  A counted copy
-loop the lowering matches (an ``L_LOOP`` record) is walked in closed
-form when a guard proves all its iterations clean, and one iteration at
-a time otherwise (see :func:`_closed_form`).  Assembly is a
-deterministic function of the arrays and needs no spec object.
-Lowering and assembly happen in the process that runs the checker, once
-per spec; nothing generated is ever read back from disk.
+:func:`bytecode_spec_for`.  One call of the frame is one
+``(io_key, args)`` round of ``ESChecker.check_io``: it walks the shadow
+buffer in place, decides the verdict, keeps the bytes when the round
+commits and restores its entry snapshot otherwise, and hands back the
+report and the round's cycles.  The walk is a ``while`` loop
+dispatching on the global block index through a binary jump-target
+tree, with an explicit call stack, so walk counters, the current
+command and the current address stay in locals for the entire round.
+A counted copy loop the lowering matches (an ``L_LOOP`` record) is
+walked in closed form when a guard proves all its iterations clean,
+and one iteration at a time otherwise (see :func:`_closed_form`).
+Assembly is a deterministic function of the arrays and needs no spec
+object.  Lowering and assembly happen in the process that runs the
+checker, once per spec; nothing generated is ever read back from disk.
 
 The generator pieces — operator spellings, the source accumulator, the
 state-buffer load/store forms, switch tables, the dispatch tree, tail
@@ -601,7 +601,9 @@ class _SpecLowerer:
 # ---------------------------------------------------------------------------
 
 class BytecodeSpec:
-    """One spec's flat bytecode arrays plus its assembled walk frame."""
+    """One spec's flat bytecode arrays plus its assembled walk frame,
+    ``walk``, which checks one round per call (see
+    :func:`_assemble_spec`)."""
 
     __slots__ = ("device", "entry_pc", "nparams", "nlocals", "plans",
                  "code", "pool", "walk")
@@ -719,15 +721,21 @@ def _assemble_spec(bspec: BytecodeSpec) -> Callable:
     ``command_end`` prologue makes unreachable are elided).  Each block
     heads a value-numbered chain in the dispatch tree, and each key's
     first block also heads a guarded superblock, where its walk starts
-    (see :mod:`repro.interp.bytecode`, "Chains and superblocks").  The
-    frame is its own round driver: it loops over a queue of rounds —
-    one for ``check_io``, many for ``check_batch`` — and for each builds
-    the report, walks, decides the verdict, and commits or rolls back
-    the shadow buffer, which it walks in place.  The prologue (strategy
-    toggles, shadow buffer, entry snapshot) runs once per call.
+    (see :mod:`repro.interp.bytecode`, "Chains and superblocks").
+
+    The frame walks exactly one round: ``_walk(w, io_key, args, oracle,
+    mode, max_blocks, telemetry, clock, full)`` returns ``(report,
+    cycles)``.  It takes one entry snapshot of the shadow buffer and
+    walks the buffer in place; a round that commits (ALLOW, walk
+    complete) keeps the bytes, and any other verdict, an incomplete walk
+    or an exception escaping the frame restores the snapshot (an
+    escaping exception propagates and charges nothing).  The report is
+    ``None`` for a clean round when *full* is false; otherwise its final
+    state is bound to the bytes the round committed or kept.  An I/O key
+    training never used takes no snapshot and walks nothing.
     """
     from repro.telemetry.instruments import (
-        FRAME_CALL_START, FRAME_ROUND_CLEAN, FRAME_ROUND_START,
+        FRAME_ROUND_CLEAN, FRAME_ROUND_START,
     )
 
     code, pool = bspec.code, bspec.pool
@@ -1190,37 +1198,32 @@ def _assemble_spec(bspec: BytecodeSpec) -> Callable:
         in bspec.plans.items()}.get
 
     out = _Asm(asm.consts)
-    out.w("def _walk(w, _rounds, _reports_append, _orc, _mode, _maxb,")
-    out.w("          _tel, _clk, _full):")
+    out.w("def _walk(w, _iokey, _args, _orc, _mode, _maxb, _tel, _clk,")
+    out.w("          _full):")
     out.indent += 1
-    out.w("_pon = w.param_on; _ion = w.ijump_on; _con = w.cond_on")
-    out.w("_res = _orc.resolve")
-    out.w("_sdata = w.state.memory.data")
-    out.w("_final = w.final_state")
-    # A round that does not commit rolls the buffer back to the last
-    # committed snapshot; anything escaping the frame (an oracle or
-    # device fault, an interrupt) rolls it back to the entry snapshot.
-    # A clean round that reports nothing (_full false) leaves the
-    # committed snapshot stale (None); the next round retakes it.
-    out.w("_committed = _entry = _bytes(_sdata)")
-    out.w("_cyc = 0")
-    for line in FRAME_CALL_START:
-        out.w(line)
-    out.w("try:")
-    out.indent += 1
-    out.w("for _iokey, _args in _rounds:")
-    out.indent += 1
-    # Telemetry stages each round on _tel.stage and times the rounds
-    # staged at multiples of TIME_EVERY (see CheckerTelemetry).
+    # Telemetry stages the round on _tel.stage and times it when it is
+    # staged at a multiple of TIME_EVERY (see CheckerTelemetry).
     for line in FRAME_ROUND_START:
         out.w(line)
     out.w("_plan = _plans_get(_iokey)")
     out.w("if _plan is None:")
-    out.w("    _report = w.unknown_key(_iokey, _mode)")
-    out.w("else:")
     out.indent += 1
-    out.w("if _committed is None:")
-    out.w("    _committed = _bytes(_sdata)")
+    out.w("_report = w.unknown_key(_iokey, _mode)")
+    out.w("if _tel is not None:")
+    out.w("    _tel.record_round(_report,")
+    out.w("                      None if _t0 is None else _clk() - _t0)")
+    out.w("if _full or _report.action is not _ALLOW:")
+    out.w("    return _report, 0")
+    out.w("return None, 0")
+    out.indent -= 1
+    out.w("_pon = w.param_on; _ion = w.ijump_on; _con = w.cond_on")
+    out.w("_res = _orc.resolve")
+    out.w("_sdata = w.state.memory.data")
+    # The round walks the buffer in place and keeps the bytes when it
+    # commits; any other verdict, an incomplete walk or anything
+    # escaping the frame (an oracle or device fault, an interrupt)
+    # restores the entry snapshot.
+    out.w("_entry = _bytes(_sdata)")
     out.w("_pc, _np, _nl = _plan")
     out.w("if len(_args) == _np:")
     out.w("    _par = _args if type(_args) is tuple else tuple(_args)")
@@ -1230,6 +1233,8 @@ def _assemble_spec(bspec: BytecodeSpec) -> Callable:
     out.w("_blk = 0; _dsd = 0; _pch = 0; _ich = 0; _cch = 0")
     out.w("_cmd = None; _addr = 0")
     out.w("_stack = []")
+    out.w("try:")
+    out.indent += 1
     out.w("try:")
     out.indent += 1
     out.w("while True:")
@@ -1256,43 +1261,35 @@ def _assemble_spec(bspec: BytecodeSpec) -> Callable:
     # the walk, so nothing was flagged and the round is complete.
     out.w("else:")
     out.indent += 1
-    out.w("_cyc += int(_blk * _CBC + _dsd * _CSC)")
     for line in FRAME_ROUND_CLEAN:
         out.w(line)
-    out.w("if _full:")
-    out.w("    _committed = _bytes(_sdata)")
-    out.w("    _report = _CR(io_key=_iokey, blocks_walked=_blk,")
-    out.w("                  dsod_stmts_executed=_dsd, param_checks=_pch,")
-    out.w("                  indirect_checks=_ich, conditional_checks=_cch)")
-    out.w("    _report.bind_final_state(_partial(_final, _committed))")
-    out.w("    _reports_append(_report)")
-    out.w("else:")
-    out.w("    _committed = None")
-    out.w("    _reports_append(None)")
-    out.w("continue")
+    out.w("if not _full:")
+    out.w("    return None, int(_blk * _CBC + _dsd * _CSC)")
+    out.w("_report = _CR(io_key=_iokey, blocks_walked=_blk,")
+    out.w("              dsod_stmts_executed=_dsd, param_checks=_pch,")
+    out.w("              indirect_checks=_ich, conditional_checks=_cch)")
+    out.w("_report.bind_final_state(_partial(w.final_state, _bytes(_sdata)))")
+    out.w("return _report, int(_blk * _CBC + _dsd * _CSC)")
     out.indent -= 1
     out.w("_report = w.report(_iokey, _mode, _inc, _blk, _dsd, _pch, _ich,")
     out.w("                   _cch)")
-    out.w("_cyc += int(_blk * _CBC + _dsd * _CSC)")
     out.w("if _report.action is _ALLOW and not _inc:")
-    out.w("    _committed = _bytes(_sdata)")
+    out.w("    _report.bind_final_state(_partial(w.final_state,")
+    out.w("                                      _bytes(_sdata)))")
     out.w("else:")
-    out.w("    _sdata[:] = _committed")
-    out.w("_report.bind_final_state(_partial(_final, _committed))")
-    out.indent -= 1
+    out.w("    _sdata[:] = _entry")
+    out.w("    _report.bind_final_state(_partial(w.final_state, _entry))")
     out.w("if _tel is not None:")
     out.w("    _tel.record_round(_report,")
     out.w("                      None if _t0 is None else _clk() - _t0)")
-    out.w("if _full or _report.incomplete or _report.action is not _ALLOW:")
-    out.w("    _reports_append(_report)")
-    out.w("else:")
-    out.w("    _reports_append(None)")
-    out.indent -= 2
+    out.indent -= 1
     out.w("except BaseException:")
     out.w("    _sdata[:] = _entry")
     out.w("    w.flagged.clear()")
     out.w("    raise")
-    out.w("return _cyc")
+    out.w("if _full or _inc or _report.action is not _ALLOW:")
+    out.w("    return _report, int(_blk * _CBC + _dsd * _CSC)")
+    out.w("return None, int(_blk * _CBC + _dsd * _CSC)")
 
     return _exec_frame(out, f"<es-bytecode:{bspec.device}>", "_walk")
 

@@ -223,11 +223,27 @@ class ESChecker:
         caller that acts only on warnings, halts and incomplete walks
         (``GuestVM``): on the bytecode backend a clean round then builds
         no report, takes no commit snapshot and binds no final state.
+
+        On the bytecode backend one call is one run of the spec's
+        generated frame, in place on the committed shadow state; mode,
+        strategies, watchdog budget and telemetry are read here, per
+        call, so a change between rounds applies to the next one.  A
+        round that raises leaves the shadow state and the cycles as
+        they were before the call, on both backends.
         """
         if self._bytecode is not None:
-            # A batch of one; the frame records the round's telemetry.
-            return self._run_frame(((io_key, args),), oracle,
-                                   report_clean)[0]
+            w = self._walk_ctx
+            strategies = self.strategies
+            if strategies is not w.strategies:
+                w.set_strategies(strategies)
+            w.state = self.device_state
+            # The frame records the round's telemetry.
+            report, cycles = self._bytecode.walk(
+                w, io_key, args, oracle or _NULL_ORACLE, self.mode,
+                self.max_walk_blocks, self._telemetry, self._clock,
+                report_clean)
+            self.cycles += cycles
+            return report
         telemetry = self._telemetry
         if telemetry is None:
             report = self._check_io(io_key, args, oracle)
@@ -280,49 +296,13 @@ class ESChecker:
         report.bind_final_state(self.device_state.clone().dump)
         return report
 
-    # -- the batched entry -------------------------------------------------------
-
     def check_batch(self, rounds, oracle: Optional[SyncOracle] = None
                     ) -> List[CheckReport]:
-        """Check a queue of I/O rounds through a single checker
-        invocation (the cross-round batched entry).
-
-        ``rounds`` is any iterable of ``(io_key, args)`` pairs — a
-        list, or a generator streaming straight out of the trace
-        decoder.  The returned reports are byte-identical to running
-        :meth:`check_io` once per round in the same order: same
-        anomalies, counters, actions, committed shadow state, and
-        per-round final states.
-
-        On the bytecode backend every round of the queue runs in one
-        call of the spec's generated frame — the same frame
-        :meth:`check_io` calls with a queue of one — so the frame's
-        prologue is paid once per batch.  The reference backend falls
-        back to per-round checking, which keeps parity trivially.
-        """
-        if self._bytecode is None:
-            return [self.check_io(key, args, oracle=oracle)
-                    for key, args in rounds]
-        return self._run_frame(rounds, oracle)
-
-    def _run_frame(self, rounds, oracle: Optional[SyncOracle],
-                   report_clean: bool = True
-                   ) -> List[Optional[CheckReport]]:
-        """Run *rounds* through the spec's generated frame, in place on
-        the committed shadow state.  Mode, strategies, watchdog budget
-        and telemetry are read here, per call, so a change between
-        rounds applies to the next one."""
-        w = self._walk_ctx
-        strategies = self.strategies
-        if strategies is not w.strategies:
-            w.set_strategies(strategies)
-        w.state = self.device_state
-        reports: List[Optional[CheckReport]] = []
-        self.cycles += self._bytecode.walk(
-            w, rounds, reports.append, oracle or _NULL_ORACLE,
-            self.mode, self.max_walk_blocks,
-            self._telemetry, self._clock, report_clean)
-        return reports
+        """:meth:`check_io` over each ``(io_key, args)`` pair of
+        *rounds*, in order, with full reports.  When a round raises, the
+        rounds before it stay committed and charged."""
+        return [self.check_io(key, args, oracle=oracle)
+                for key, args in rounds]
 
     # -- internals --------------------------------------------------------------
 

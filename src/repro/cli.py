@@ -241,6 +241,20 @@ def _spec_cache(args: argparse.Namespace, prefix: str):
         yield cache_dir
 
 
+def _tenant_table(tenants) -> str:
+    """The per-tenant table ``repro serve`` prints, one row per tenant
+    stats record, on the fleet and the gateway paths alike."""
+    from repro.eval.report import render_table
+
+    return render_table(
+        ("Tenant", "Device", "Attacked", "Served", "Rejected", "Detections",
+         "Quarantine"),
+        [(s.tenant, s.device, "yes" if s.attacked else "-",
+          f"{s.completed}/{s.submitted}", s.rejected, s.detections,
+          s.quarantine_reason if s.quarantined else "-")
+         for s in tenants])
+
+
 def _serve_gateway(args: argparse.Namespace, resilience: dict) -> int:
     """``repro serve --gateway``: open-loop arrivals through the
     admission gateway into a sharded fleet.  Exit code certifies the
@@ -299,15 +313,10 @@ def _serve_gateway(args: argparse.Namespace, resilience: dict) -> int:
     interesting = [s for s in result.tenants.values()
                    if s.attacked or s.quarantined or s.detections
                    or s.rejected]
-    rows = [(s.tenant, s.device, "yes" if s.attacked else "-",
-             f"{s.completed}/{s.submitted}", s.rejected, s.detections,
-             s.quarantine_reason if s.quarantined else "-")
-            for s in interesting[:args.show_tenants]]
-    if rows:
-        print(render_table(("Tenant", "Device", "Attacked", "Served",
-                            "Rejected", "Detections", "Quarantine"),
-                           rows))
-        hidden = len(interesting) - len(rows)
+    shown = interesting[:args.show_tenants]
+    if shown:
+        print(_tenant_table(shown))
+        hidden = len(interesting) - len(shown)
         if hidden > 0:
             print(f"(+{hidden} more flagged tenants)")
     print(f"({len(result.tenants) - len(interesting)} benign tenants "
@@ -340,7 +349,6 @@ def _serve_gateway(args: argparse.Namespace, resilience: dict) -> int:
 
 def _cmd_serve(args: argparse.Namespace) -> int:
     from repro.checker import Mode
-    from repro.eval.report import render_table
     from repro.fleet import (
         FleetConfig, FleetSupervisor, build_load,
     )
@@ -365,12 +373,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
                              batch_rounds=args.batch_rounds,
                              cache_dir=cache_dir, **resilience)
         result = FleetSupervisor(config).run(schedule, plans)
-    rows = [(s.tenant, s.device, "yes" if s.attacked else "-",
-             f"{s.completed}/{s.submitted}", s.rejected, s.detections,
-             s.quarantine_reason if s.quarantined else "-")
-            for s in result.tenants.values()]
-    print(render_table(("Tenant", "Device", "Attacked", "Served",
-                        "Rejected", "Detections", "Quarantine"), rows))
+    print(_tenant_table(result.tenants.values()))
     print(result.stats.describe())
     if result.stats.lost:
         print(f"ERROR: {result.stats.lost} requests lost")

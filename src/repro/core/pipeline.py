@@ -104,7 +104,9 @@ def deploy(vm: GuestVM, device: Device, spec: ExecutionSpec,
     Pass a :class:`repro.telemetry.Recorder` to observe the deployed
     checker (per-strategy check counts, round latency); telemetry stays
     off otherwise.  ``batch_rounds > 0`` opts into the credit-batch
-    discipline (see :meth:`GuestVM.attach_sedspec`)."""
+    discipline: strict-key rounds run on the device first and are vetted
+    at the next flush, one ``check_io`` per round (see
+    :meth:`GuestVM.attach_sedspec`)."""
     return vm.attach_sedspec(device.NAME, spec, mode=mode,
                              strategies=strategies, backend=backend,
                              recorder=recorder,

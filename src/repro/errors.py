@@ -81,10 +81,6 @@ class InfraError(ReproError):
         super().__init__(message)
 
 
-class AnalysisError(ReproError):
-    """CFG/data-flow analysis failed (e.g. unknown function, no entry)."""
-
-
 class SpecError(ReproError):
     """Execution-specification construction or (de)serialization failed."""
 

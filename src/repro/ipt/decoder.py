@@ -18,7 +18,12 @@ Two entry points share the walk:
   packet list is built; packet *objects* are constructed only for
   anomalies (FUP/OVF and synthesized loss markers) so the
   :class:`DecodeResult` report stays inspectable.  Training decodes the
-  tracer's ``raw()`` bytes this way.
+  tracer's ``raw()`` bytes this way, and each round is walked as the
+  cursor passes its closing boundary.
+
+``decode_resilient`` followed by ``decode_stream`` is the two-phase
+reference the byte-level suites hold ``decode_bytes`` to: the same
+rounds, gaps, anomaly packets and ``TraceError`` messages.
 
 The walk itself reads :func:`walk_table`, one tuple per block address
 built once per program, instead of resolving every block through the
@@ -28,7 +33,7 @@ program's function and label maps.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, Iterator, List, Optional, Tuple
+from typing import Dict, Iterable, List, Optional, Tuple
 
 from repro.errors import TraceError
 from repro.ir import (
@@ -161,42 +166,23 @@ class Decoder:
                      ) -> Tuple[List[DecodedRound], DecodeResult]:
         """Resilient bytes-level entry: one pass over the raw stream.
 
-        Materializing wrapper over :meth:`iter_decode_bytes` — see there
-        for the decode semantics.  Returns the full round list plus the
-        :class:`DecodeResult` report.
-        """
-        result = DecodeResult()
-        rounds = list(self.iter_decode_bytes(data, result))
-        return rounds, result
-
-    def iter_decode_bytes(self, data: bytes,
-                          result: Optional[DecodeResult] = None
-                          ) -> "Iterator[DecodedRound]":
-        """Streaming resilient bytes-level entry: one pass, one round at
-        a time.
-
         A single index cursor moves over a ``memoryview`` of *data*;
         TNT bits are unpacked and TIP/PGE/PGD addresses read in place,
-        and each round is **yielded as soon as the cursor passes its
-        closing boundary packet** — no intermediate list of
-        :class:`DecodedRound` objects is held, so a consumer such as the
-        batched checker can stream round boundaries straight into its
-        walk.  Every parse failure resynchronizes at the next PSB
-        pattern exactly like :func:`decode_resilient` (same
+        and each round is walked as soon as the cursor passes its
+        closing boundary packet.  Every parse failure resynchronizes at
+        the next PSB pattern exactly like :func:`decode_resilient` (same
         :class:`TraceGap` spans and reasons).  Rounds overlapping a loss
         region carry ``trace_gap=True``; nothing raises on corrupt
         input.
 
-        Pass a :class:`DecodeResult` as *result* to collect the gaps
-        plus only the *anomaly* packets (FUP, on-the-wire OVF, and the
+        Returns the rounds plus a :class:`DecodeResult` holding the gaps
+        and only the *anomaly* packets (FUP, on-the-wire OVF, and the
         OVF markers synthesized at loss points) — the common-path
-        packets are consumed in place and never materialized.  The
-        report is filled incrementally as the generator advances and is
-        complete once it is exhausted.
+        packets are consumed in place and never materialized.
         """
         mv = memoryview(data)
-        if result is None:
-            result = DecodeResult()
+        result = DecodeResult()
+        rounds: List[DecodedRound] = []
         telemetry = self._telemetry
 
         # Current-round accumulators (None entry_address = not inside).
@@ -206,7 +192,7 @@ class Decoder:
         faulted = False
         gapped = False
 
-        def finish() -> DecodedRound:
+        def finish() -> None:
             nonlocal cur
             round_ = cur
             cur = None
@@ -217,7 +203,7 @@ class Decoder:
                 telemetry.rounds.inc()
                 if round_.faulted:
                     telemetry.faulted.inc()
-            return round_
+            rounds.append(round_)
 
         pos = 0
         size = len(data)
@@ -287,7 +273,7 @@ class Decoder:
                         if cur is not None:
                             if telemetry is not None:
                                 telemetry.count_kind("TipPgd")
-                            yield finish()
+                            finish()
                     elif magic == magic_tip:
                         if telemetry is not None and cur is not None:
                             telemetry.count_kind("Tip")
@@ -318,7 +304,8 @@ class Decoder:
                 pos = sync
         if cur is not None:
             # Trailing partial round (device faulted mid-I/O).
-            yield finish()
+            finish()
+        return rounds, result
 
     def decode_round(self, packets: List[Packet]) -> DecodedRound:
         pge = next((p for p in packets if isinstance(p, TipPge)), None)

@@ -166,11 +166,6 @@ class Program:
     def block_count(self) -> int:
         return sum(len(f.blocks) for f in self.functions.values())
 
-    def stmt_count(self) -> int:
-        return sum(len(b.stmts) + 1
-                   for f in self.functions.values()
-                   for b in f.blocks.values())
-
     def __str__(self) -> str:
         return f"program {self.name}\n" + "\n\n".join(
             str(f) for f in self.functions.values())

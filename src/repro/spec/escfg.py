@@ -176,9 +176,6 @@ class ExecutionSpec:
             raise SpecError(f"no entry handler for I/O key {io_key!r}")
         return self.function(name)
 
-    def knows_io_key(self, io_key: str) -> bool:
-        return io_key in self.entry_handlers
-
     def block_count(self) -> int:
         return sum(len(f.blocks) for f in self.functions.values())
 

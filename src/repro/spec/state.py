@@ -31,10 +31,6 @@ class FieldInfo:
     signed: bool
     is_funcptr: bool = False
 
-    @property
-    def int_type(self) -> IntType:
-        return IntType(self.bits, self.signed)
-
 
 @dataclass
 class BufferInfo:

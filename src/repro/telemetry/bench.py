@@ -30,9 +30,7 @@ import time
 from typing import Tuple
 
 from repro.interp.machine import DEFAULT_BACKEND
-from repro.telemetry.instruments import (
-    FRAME_CALL_START, FRAME_ROUND_CLEAN, FRAME_ROUND_START,
-)
+from repro.telemetry.instruments import FRAME_ROUND_CLEAN, FRAME_ROUND_START
 
 
 def capture_sequence(device: str = "fdc", qemu_version: str = "99.0.0",
@@ -102,8 +100,7 @@ class _Amplified:
 class _AmplifiedStage:
     """The stage as the frame sees it: its length is the bundle's
     stage's, and staging one round runs the frame's own record path for
-    a call of one round, as ``check_io`` makes — the lines of
-    ``FRAME_CALL_START``, ``FRAME_ROUND_START`` and
+    a clean round — the lines of ``FRAME_ROUND_START`` and
     ``FRAME_ROUND_CLEAN``, compiled into a loop — *factor* times on the
     bundle's stage."""
 
@@ -113,7 +110,7 @@ class _AmplifiedStage:
         self._stage = bundle.stage
         body = "\n".join(
             "        " + line for line
-            in FRAME_CALL_START + FRAME_ROUND_START + FRAME_ROUND_CLEAN)
+            in FRAME_ROUND_START + FRAME_ROUND_CLEAN)
         source = ("def extend(_round, _tel=_tel, _clk=_clk, _reps=_reps):\n"
                   "    _pch, _ich, _cch, _ = _round\n"
                   "    for _ in _reps:\n" + body + "\n")

@@ -34,16 +34,14 @@ TIME_EVERY = 16
 STAGED = 4
 
 #: The bytecode frame's record path, as the source lines it emits
-#: (``_tel`` is the bundle, ``_clk`` the clock): once per call, the
-#: stage bound to ``_tst``; at round start, whether to time the round
-#: (draining a full stage first); and at a clean round's end, its four
-#: staged ints.  ``repro.telemetry.bench`` amplifies these same lines.
-FRAME_CALL_START = (
-    "if _tel is not None:",
-    "    _tst = _tel.stage",
-)
+#: (``_tel`` is the bundle, ``_clk`` the clock): at round start (a call
+#: is one round), the stage bound to ``_tst`` and whether to time the
+#: round (draining a full stage first); and at a clean round's end, its
+#: four staged ints.  ``repro.telemetry.bench`` amplifies these same
+#: lines.
 FRAME_ROUND_START = (
     "if _tel is not None:",
+    "    _tst = _tel.stage",
     f"    if len(_tst) & {STAGED * TIME_EVERY - 1}:",
     "        _t0 = None",
     "    else:",

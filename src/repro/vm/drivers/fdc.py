@@ -35,9 +35,6 @@ class FDCDriver:
     def msr(self) -> int:
         return self._in(PORT_MSR)
 
-    def motor_on(self) -> None:
-        self._out(PORT_DOR, 0x1C)
-
     def controller_reset(self) -> None:
         self._out(PORT_DOR, 0x00)
         self._out(PORT_DOR, 0x0C)

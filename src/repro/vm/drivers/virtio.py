@@ -16,7 +16,7 @@ from typing import List, Optional, Sequence, Tuple
 
 from repro.devices.virtio import (
     BLK_T_IN, BLK_T_OUT, DESC_SIZE, F_INDIRECT, F_NEXT, F_WRITE, QUEUE_SIZE,
-    STATUS_ACK, STATUS_DRIVER, STATUS_DRIVER_OK, queue_avail, queue_used,
+    STATUS_ACK, STATUS_DRIVER, STATUS_DRIVER_OK, queue_avail,
 )
 from repro.errors import GuestError
 from repro.vm.machine import GuestVM
@@ -132,9 +132,6 @@ class VirtioQueueDriver:
         idx = ((lo | (hi << 8)) + 1) & 0xFFFF
         self.vm.memory.write_byte(avail, idx & 0xFF)
         self.vm.memory.write_byte(avail + 1, idx >> 8)
-
-    def used_idx(self, queue_base: int, size: int = QUEUE_SIZE) -> int:
-        return self.vm.memory.read_byte(queue_used(queue_base, size))
 
 
 class VirtioNetDriver(VirtioQueueDriver):

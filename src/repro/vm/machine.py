@@ -50,6 +50,11 @@ class Attachment:
       media bytes): the device executes first, harvesting them, and the
       checker validates immediately after, halting the VM post-hoc if
       violated.  This is the paper's interleaved sync-point scheme.
+
+    With ``batch_rounds > 0`` strict-key rounds run *on credit* instead:
+    the device runs each first, and the checker vets the queued rounds
+    at the next flush, one lean ``check_io`` per round, as a strict
+    round is vetted.
     """
 
     checker: ESChecker
@@ -61,11 +66,11 @@ class Attachment:
     halts: List[CheckReport] = field(default_factory=list)
     checked_rounds: int = 0
     #: credit-batch discipline: defer strict-key rounds and vet up to
-    #: this many in one batched checker invocation (0 = per-round)
+    #: this many at one flush (0 = per-round)
     batch_rounds: int = 0
     #: credited rounds awaiting the next flush
     pending: List[Tuple[str, Tuple[int, ...]]] = field(default_factory=list)
-    #: batched checker invocations performed
+    #: flushes that vetted credited rounds
     batch_flushes: int = 0
     #: resolves ``field:NAME`` sync points from the live device state;
     #: one per attachment, so its resolution cache outlives the round
@@ -188,9 +193,9 @@ class GuestVM:
         checker into telemetry; the default ``None`` keeps the hot path
         observation-free.  ``batch_rounds > 0`` opts the attachment into
         the credit-batch discipline: strict-key rounds execute on credit
-        and are vetted in batches of up to *batch_rounds* through
-        :meth:`ESChecker.check_batch` (flushed before any sync-key
-        round, on a device fault, and at every op boundary)."""
+        and are vetted in batches of up to *batch_rounds*, one
+        :meth:`ESChecker.check_io` per round (flushed before any
+        sync-key round, on a device fault, and at every op boundary)."""
         device = self.devices[device_name]
         checker = ESChecker(spec, mode=mode, strategies=strategies,
                             backend=backend, recorder=recorder)
@@ -276,10 +281,9 @@ class GuestVM:
     def _credit_io(self, attachment: Attachment, device: Device,
                    key: str, args: Tuple[int, ...]) -> Optional[int]:
         """Credit-batch discipline: the strict-key round executes on
-        credit and joins the pending batch; the batched checker vets the
-        whole batch at the next flush point.  Detection moves from
-        before-execution to the flush — the fleet's post-hoc quarantine
-        semantics, traded for one checker invocation per batch."""
+        credit and joins the pending batch, which the checker vets at the
+        next flush point.  Detection moves from before-execution to the
+        flush — the fleet's post-hoc quarantine semantics."""
         attachment.pending.append((key, args))
         try:
             result = self._run_device(device, key, args)
@@ -302,8 +306,13 @@ class GuestVM:
         rounds = list(pending)
         pending.clear()
         checker = attachment.checker
+        oracle = attachment.oracle
         before = checker.cycles
-        reports = checker.check_batch(rounds, oracle=attachment.oracle)
+        # Every queued round is walked, on the lean path of a strict
+        # round; the verdicts are read up to the first HALT.
+        reports = [checker.check_io(key, args, oracle=oracle,
+                                    report_clean=False)
+                   for key, args in rounds]
         self.stats.checker_cycles += checker.cycles - before
         attachment.batch_flushes += 1
         resync = False
@@ -311,6 +320,8 @@ class GuestVM:
         checked = 0
         for report in reports:
             checked += 1
+            if report is None:
+                continue
             if report.action is Action.HALT:
                 halt = report
                 attachment.halts.append(report)

@@ -148,9 +148,6 @@ def _fdc_readid(vm, driver, rng):
 def _fdc_rare_configure(vm, driver, rng):
     driver.configure()
 
-def _fdc_rare_dumpreg(vm, driver, rng):
-    driver.dumpreg()
-
 
 # ---------------------------------------------------------------------------
 # PCNet

@@ -121,21 +121,23 @@ class TestExceptionSafety:
         assert checker.cycles == cycles
 
 
-def test_bytecode_batch_rolls_back_the_whole_call():
-    """On the bytecode backend a batch is one frame call: when a later
-    round dies, the rounds it already committed are rolled back with it
-    (their reports never reach the caller).  The reference backend's
-    ``check_batch`` is a loop of ``check_io`` calls instead, which keeps
-    the earlier rounds."""
-    checker = _sync_checker("bytecode")
-    before, cycles = _shadow(checker), checker.cycles
+@pytest.mark.parametrize("backend", BACKENDS)
+def test_batch_keeps_the_rounds_before_a_raise(backend):
+    """``check_batch`` is a loop of ``check_io`` calls on both backends:
+    when a later round dies, the rounds before it stay committed and
+    charged, exactly as if they had been checked alone, and only the
+    dying round is rolled back."""
+    alone = _sync_checker(backend)
+    alone.check_io("pmio:write:0", (3,), oracle=CrashingOracle(fail_at=0))
+    checker = _sync_checker(backend)
+    before = _shadow(checker)
     oracle = CrashingOracle(fail_at=4)
     with pytest.raises(RuntimeError, match="oracle crashed"):
         checker.check_batch([("pmio:write:0", (3,)),
                              ("pmio:write:0", (4,))], oracle=oracle)
     assert oracle.calls == 4
-    assert _shadow(checker) == before
-    assert checker.cycles == cycles
+    assert _shadow(checker) == _shadow(alone) != before
+    assert checker.cycles == alone.cycles > 0
 
 
 class TestLiveReconfiguration:

@@ -54,30 +54,6 @@ def _assert_equivalent(data):
         assert raw_result.gaps == parsed.gaps
 
 
-def _streaming_matches_materialized(data):
-    """The generator path yields the same rounds the wrapper collects,
-    and its incrementally-filled report converges to the same state."""
-    from repro.ipt.packets import DecodeResult
-
-    try:
-        ref_rounds, ref_result = Decoder(
-            PROGRAM, max_blocks=MAX_BLOCKS).decode_bytes(data)
-    except TraceError:
-        return          # raise symmetry is covered by _assert_equivalent
-    streamed = []
-    result = DecodeResult()
-    gap_counts = []
-    for round_ in Decoder(PROGRAM, max_blocks=MAX_BLOCKS).iter_decode_bytes(
-            data, result):
-        streamed.append(round_)
-        # The report only ever grows while the generator advances.
-        gap_counts.append(len(result.gaps))
-    assert streamed == ref_rounds
-    assert result.gaps == ref_result.gaps
-    assert result.packets == ref_result.packets
-    assert gap_counts == sorted(gap_counts)
-
-
 # -- strategies -----------------------------------------------------------
 
 _corruptions = st.lists(
@@ -144,15 +120,3 @@ def test_mutated_real_traces_decode_identically(data):
 @given(synthetic_streams())
 def test_synthetic_packet_soup_decodes_identically(data):
     _assert_equivalent(data)
-
-
-@settings(max_examples=100, deadline=None)
-@given(mutated_traces())
-def test_streaming_generator_matches_wrapper(data):
-    _streaming_matches_materialized(data)
-
-
-@settings(max_examples=100, deadline=None)
-@given(synthetic_streams())
-def test_streaming_generator_matches_wrapper_synthetic(data):
-    _streaming_matches_materialized(data)
