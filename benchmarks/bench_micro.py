@@ -90,9 +90,9 @@ def _fdc_sequences():
         seq = []
         orig = vm._io
 
-        def spy(dev, key, args):
+        def spy(dev, key, args, *route):
             seq.append((key, args))
-            return orig(dev, key, args)
+            return orig(dev, key, args, *route)
 
         vm._io = spy
         prof.prepare(vm, driver)

@@ -93,8 +93,8 @@ class IOSequenceRecorder:
         self.sequence: List[str] = []
         self._orig = vm._io
 
-        def spy(device, key, args):
+        def spy(device, key, args, *route):
             self.sequence.append(key)
-            return self._orig(device, key, args)
+            return self._orig(device, key, args, *route)
 
         vm._io = spy

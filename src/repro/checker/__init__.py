@@ -11,8 +11,8 @@ from repro.checker.escheck import (
     BACKENDS, CHECK_BLOCK_COST, CHECK_STMT_COST, DEFAULT_BACKEND, ESChecker,
 )
 from repro.checker.sync import (
-    FieldSyncOracle, MappingSyncOracle, NullSyncOracle, QueueSyncOracle,
-    SyncOracle,
+    FieldSyncOracle, MappingSyncOracle, NullSyncOracle, PreRoundSyncOracle,
+    QueueSyncOracle, SyncOracle,
 )
 
 __all__ = [
@@ -23,5 +23,5 @@ __all__ = [
     "INFRA_EXCEPTIONS", "DegradationPolicy", "gap_report",
     "retrain_reason",
     "FieldSyncOracle", "MappingSyncOracle", "NullSyncOracle",
-    "QueueSyncOracle", "SyncOracle",
+    "PreRoundSyncOracle", "QueueSyncOracle", "SyncOracle",
 ]

@@ -21,21 +21,26 @@ array-encoded bytecode:
   with each arm's legitimacy verdict precomputed into the table.
 
 The assembler turns those arrays into **one generated, spec-specialized
-Python frame per spec**, assembled at lowering by
-:func:`bytecode_spec_for`.  One call of the frame is one
-``(io_key, args)`` round of ``ESChecker.check_io``: it walks the shadow
-buffer in place, decides the verdict, keeps the bytes when the round
-commits and restores its entry snapshot otherwise, and hands back the
-report and the round's cycles.  The walk is a ``while`` loop
-dispatching on the global block index through a binary jump-target
-tree, with an explicit call stack, so walk counters, the current
-command and the current address stay in locals for the entire round.
-A counted copy loop the lowering matches (an ``L_LOOP`` record) is
-walked in closed form when a guard proves all its iterations clean,
-and one iteration at a time otherwise (see :func:`_closed_form`).
-Assembly is a deterministic function of the arrays and needs no spec
-object.  Lowering and assembly happen in the process that runs the
-checker, once per spec; nothing generated is ever read back from disk.
+Python source per spec**, assembled at lowering by
+:func:`bytecode_spec_for`: one *entry* per I/O key with a plan, and the
+*per-block path* ``_walk`` the entries share.  One call of a key's
+entry is one ``(io_key, args)`` round of ``ESChecker.check_io``: it
+walks the shadow buffer in place, decides the verdict, keeps the bytes
+when the round commits and restores the entry bytes otherwise, and
+hands back the report and the round's cycles.  An entry holds its
+key's guarded superblock with the key's arity and local count inlined;
+a clean exit returns its cycles as a literal, and a path that leaves
+the superblock hands the walk's state over to ``_walk``.  ``_walk`` is
+a ``while`` loop dispatching on the global block index through a
+binary jump-target tree, with an explicit call stack, so walk
+counters, the current command and the current address stay in locals
+for the rest of the round.  A counted copy loop the lowering matches
+(an ``L_LOOP`` record) is walked there in closed form when a guard
+proves all its iterations clean, and one iteration at a time otherwise
+(see :func:`_closed_form`).  Assembly is a deterministic function of
+the arrays and needs no spec object.  Lowering and assembly happen in
+the process that runs the checker, once per spec; nothing generated is
+ever read back from disk.
 
 The generator pieces — operator spellings, the source accumulator, the
 state-buffer load/store forms, switch tables, the dispatch tree, tail
@@ -55,6 +60,8 @@ across the seven device models and the CVE corpus.
 
 from __future__ import annotations
 
+import re
+from functools import partial
 from typing import Any, Callable, Dict, List, Optional, Tuple
 
 from repro.errors import CheckerError, DeviceFault
@@ -64,9 +71,10 @@ from repro.checker.escheck import (
 )
 from repro.interp.bytecode import (
     _BIN_INLINE, _CODECS, _INT_LITERAL, _OPSYMS, _SIMPLE, _UN_INLINE,
-    _UNSYMS, _Asm, _Values, _buffer_offset, _emit_chain, _emit_dispatch,
-    _emit_switch_pc, _encode_switch, _exec_frame, _load_value, _spans,
-    _state_load_expr, _store_stmt, _superblock, _truth, _wrap_self_loops,
+    _UNSYMS, _ARM_BUDGET, _INLINE_BUDGET, _Asm, _Values, _buffer_offset,
+    _emit_chain, _emit_dispatch, _emit_switch_pc, _encode_switch,
+    _load_value, _spans, _state_load_expr, _store_stmt, _truth,
+    _wrap_self_loops,
 )
 from repro.interp.ops import _floordiv, _mod, binop_fn
 from repro.ir import (
@@ -601,12 +609,14 @@ class _SpecLowerer:
 # ---------------------------------------------------------------------------
 
 class BytecodeSpec:
-    """One spec's flat bytecode arrays plus its assembled walk frame,
-    ``walk``, which checks one round per call (see
-    :func:`_assemble_spec`)."""
+    """One spec's flat bytecode arrays plus its assembled functions
+    (see :func:`_assemble_spec`): ``entries`` maps each I/O key with a
+    plan to its entry, which checks one round per call; ``unknown`` is
+    the round of any other key; ``walk`` is the per-block path the
+    entries hand over to."""
 
     __slots__ = ("device", "entry_pc", "nparams", "nlocals", "plans",
-                 "code", "pool", "walk")
+                 "code", "pool", "walk", "entries", "unknown")
 
     def __init__(self, device: str,
                  entry_pc: Tuple[int, ...], nparams: Tuple[int, ...],
@@ -621,7 +631,7 @@ class BytecodeSpec:
         self.code = code
         self.pool = pool
         # Self-contained: assembly reads only the arrays above.
-        self.walk: Callable = _assemble_spec(self)
+        self.walk, self.entries, self.unknown = _assemble_spec(self)
 
 
 # ---------------------------------------------------------------------------
@@ -632,7 +642,6 @@ def _base_consts(bspec: "BytecodeSpec") -> Dict[str, Any]:
     """What the generated frame's namespace starts from: helpers,
     sentinels, and the tables derived from the bytecode arrays."""
     from bisect import bisect_left
-    from functools import partial
 
     def _die(msg: str) -> int:
         raise CheckerError(msg)
@@ -647,9 +656,9 @@ def _base_consts(bspec: "BytecodeSpec") -> Dict[str, Any]:
         "_FENT": bspec.entry_pc, "_FNP": bspec.nparams,
         "_FNL": bspec.nlocals,
         "_MISSPAD": (_MISS,) * (max(bspec.nparams, default=0) + 1),
-        "_bisect": bisect_left, "_die": _die,
-        "_CR": CheckReport, "_ALLOW": Action.ALLOW, "_bytes": bytes,
-        "_partial": partial, "_u8s": _u8s,
+        "_bisect": bisect_left, "_die": _die, "_pad": _pad,
+        "_ALLOW": Action.ALLOW, "_bytes": bytes, "_u8s": _u8s,
+        "_stop": _stop, "_clean": _clean, "_abort": _abort,
         "_CBC": CHECK_BLOCK_COST, "_CSC": CHECK_STMT_COST,
         # Fixed-width accessors: no slice allocation, no int.to_bytes
         # object per store.
@@ -670,18 +679,23 @@ _WIDTHS = {
 
 
 class _CheckPath:
-    """The frame's pending walk state on one superblock path: the blocks,
-    DSOD statements and parameter and conditional checks walked since
-    they were last added to the frame's counters, and the address
-    ``_addr`` is owed (None: it is current).  They are charged at every
-    exit and in front of — or inside the branch of — anything that
-    raises.  *cmd* says whether a command is in force: none at a key's
-    entry, one after a command decision, none after a command end."""
+    """The walk state of one path through a key's superblock: the
+    blocks, DSOD statements and parameter and conditional checks walked
+    since they were last added to the frame's counters, and the address
+    ``_addr`` is owed (None: it is current).  They are charged in front
+    of — or inside the branch of — anything that raises or hands over
+    to the per-block path.  *walked* and *stmts* count the blocks and
+    statements already charged, so a clean exit knows the round's
+    totals as literals.  *cmd* says whether a command is in force: none
+    at a key's entry, one after a command decision, none after a
+    command end."""
 
-    __slots__ = ("blk", "dsd", "pch", "cch", "addr", "cmd")
+    __slots__ = ("blk", "dsd", "pch", "cch", "addr", "cmd", "walked",
+                 "stmts")
 
     def __init__(self) -> None:
         self.blk = self.dsd = self.pch = self.cch = 0
+        self.walked = self.stmts = 0
         self.addr: Optional[int] = None
         self.cmd = False
 
@@ -689,50 +703,92 @@ class _CheckPath:
         path = _CheckPath()
         path.blk, path.dsd, path.pch = self.blk, self.dsd, self.pch
         path.cch, path.addr, path.cmd = self.cch, self.addr, self.cmd
+        path.walked, path.stmts = self.walked, self.stmts
         return path
 
-    def lines(self) -> List[str]:
-        parts = [f"{var} += {n}" for var, n in (("_blk", self.blk),
-                                                 ("_dsd", self.dsd)) if n]
-        if self.addr is not None:
-            parts.append(f"_addr = {self.addr}")
-        lines = ["; ".join(parts)] if parts else []
+    def check_lines(self) -> List[str]:
+        lines = []
         if self.pch:
             lines.append(f"if _pon: _pch += {self.pch}")
         if self.cch:
             lines.append(f"if _con: _cch += {self.cch}")
         return lines
 
+    def lines(self) -> List[str]:
+        parts = [f"{var} += {n}" for var, n in (("_blk", self.blk),
+                                                 ("_dsd", self.dsd)) if n]
+        if self.addr is not None:
+            parts.append(f"_addr = {self.addr}")
+        return (["; ".join(parts)] if parts else []) + self.check_lines()
+
     def flush(self, asm: _Asm) -> None:
         for line in self.lines():
             asm.w(line)
+        self.walked += self.blk
+        self.stmts += self.dsd
         self.blk = self.dsd = self.pch = self.cch = 0
         self.addr = None
 
 
-def _assemble_spec(bspec: BytecodeSpec) -> Callable:
-    """Assemble the arrays into the spec's one generated walk frame.
+#: what a round's generated functions pass on to the per-block path:
+#: the round's arguments, then (after the walk position) its state
+_ROUND = "w, _iokey, _orc, _mode, _maxb, _tel, _clk, _full, _t0, _tst"
+_STATE = "_blk, _dsd, _pch, _ich, _cch, _cmd, _addr, _entry"
+#: the signature of a key's entry (and of the unknown-key round)
+_ENTRY_ARGS = "w, _iokey, _args, _orc, _mode, _maxb, _tel, _clk, _full"
+
+
+#: an entry reads the strategy gates off the walk context
+_FLAGS = {"_pon": "w.param_on", "_ion": "w.ijump_on", "_con": "w.cond_on"}
+_FLAG = re.compile(r"\b(?:_pon|_ion|_con)\b")
+
+
+def _flag_attr(match) -> str:
+    return _FLAGS[match.group()]
+
+
+class _ArmTooLong(Exception):
+    """Internal: a branch arm outgrew the room its superblock left."""
+
+
+def _assemble_spec(bspec: BytecodeSpec
+                   ) -> Tuple[Callable, Dict[str, Callable], Callable]:
+    """Assemble the arrays into the spec's generated functions: the
+    per-block path ``_walk``, one entry per plan (keys that share a
+    handler share it) and the unknown-key round.  Returns ``(walk,
+    entries, unknown)``, with *entries* keyed by I/O key; all three
+    live in one generated source (their ``_bytecode_source``).
 
     The source is **spec-specialized**: the trained access tables and
     parameter bounds are constant-folded into the emitted code (field
     accesses index the shadow buffer directly, bound checks on
     in-range constant stores reduce to their counter increment,
     anomaly addresses become literals, and command gates that a
-    ``command_end`` prologue makes unreachable are elided).  Each block
-    heads a value-numbered chain in the dispatch tree, and each key's
-    first block also heads a guarded superblock, where its walk starts
-    (see :mod:`repro.interp.bytecode`, "Chains and superblocks").
+    ``command_end`` prologue makes unreachable are elided).  In
+    ``_walk`` each block heads a value-numbered chain in the dispatch
+    tree; each key's entry holds the key's guarded superblock (see
+    :mod:`repro.interp.bytecode`, "Chains and superblocks"), inlines
+    its arity and local count, and returns each clean exit's cycles as
+    a literal.
 
-    The frame walks exactly one round: ``_walk(w, io_key, args, oracle,
-    mode, max_blocks, telemetry, clock, full)`` returns ``(report,
-    cycles)``.  It takes one entry snapshot of the shadow buffer and
-    walks the buffer in place; a round that commits (ALLOW, walk
-    complete) keeps the bytes, and any other verdict, an incomplete walk
-    or an exception escaping the frame restores the snapshot (an
-    escaping exception propagates and charges nothing).  The report is
-    ``None`` for a clean round when *full* is false; otherwise its final
-    state is bound to the bytes the round committed or kept.  An I/O key
-    training never used takes no snapshot and walks nothing.
+    A call of an entry walks exactly one round: ``entry(w, io_key,
+    args, oracle, mode, max_blocks, telemetry, clock, full)`` returns
+    ``(report, cycles)``.  Wherever the guard fails or a path leaves the
+    superblock — a checker call, a switch, a visited block, a command
+    the row lacks, a branch whose arms do not fit — the entry hands the
+    walk's state (pc, parameters, locals, call stack, counters, command,
+    address and entry snapshot) to ``_walk``, which finishes the round.
+    The round walks the shadow buffer in place.  An entry takes the
+    entry snapshot just before the first store that a later flag site,
+    raise or hand-off on the same path can follow (``_walk`` takes it
+    on arrival if the entry did not), so a superblock path that ends
+    clean copies nothing.  A round that commits (ALLOW, walk complete)
+    keeps the bytes, and any other verdict, an incomplete walk or an
+    exception escaping the round restores the entry bytes (an escaping
+    exception propagates and charges nothing).  The report is ``None``
+    for a clean round when *full* is false; otherwise its final state
+    is bound to the bytes the round committed or kept.  The unknown-key
+    round takes no snapshot and walks nothing.
     """
     from repro.telemetry.instruments import (
         FRAME_ROUND_CLEAN, FRAME_ROUND_START,
@@ -744,6 +800,50 @@ def _assemble_spec(bspec: BytecodeSpec) -> Callable:
     spill_pending, force_temp = asm.spill_pending, asm.force_temp
     spans, records = _spans(code, _WIDTHS, (B_HDR, N_STUB), CheckerError)
     loops = [pool[code[pc + 1]] for pc in range(records, len(code), 2)]
+    #: a closed-form loop's body: a superblock hands over there, so the
+    #: per-block path walks the loop in closed form
+    loop_bodies = {record[0] for record in loops}
+    #: the entry being generated: its parameter tuple and local count
+    key = {"par": "()", "nl": 0}
+    #: the pcs a round reaches through a computed jump: every function
+    #: entry (a direct or indirect call), every call's continuation (a
+    #: return), every switch arm, and where an entry hands over
+    roots = set(bspec.entry_pc)
+
+    def key_env(vals: _Values) -> str:
+        """The entry's ES locals as a list: an entry keeps each in the
+        value table, and every one not assigned on the path is
+        ``_UNDEF``."""
+        return "[" + ", ".join(vals.names.get(("l", slot), "_UNDEF")
+                               for slot in range(key["nl"])) + "]"
+
+    def handoff(pc, vals: _Values, par: Optional[str] = None,
+                env: Optional[str] = None, stack: str = "[]") -> None:
+        """Hand the round over to the per-block path at *pc* (the
+        counters are already charged)."""
+        if isinstance(pc, int):
+            roots.add(pc)
+        asm.w(f"return _walk({_ROUND}, {pc}, {par or key['par']}, "
+              f"{env or key_env(vals)}, {stack}, {_STATE})")
+
+    def caller(vals: _Values, cont: int, dest: int) -> str:
+        """The call stack a call hands over: the entry's frame."""
+        return f"[({key_env(vals)}, {key['par']}, {cont}, {dest})]"
+
+    def clean_exit(path: _CheckPath) -> None:
+        """A superblock path's clean end: the counters a lean round
+        needs are literals; telemetry and full reports charge the
+        check counts first."""
+        blocks, stmts = path.walked + path.blk, path.stmts + path.dsd
+        cycles = int(blocks * CHECK_BLOCK_COST + stmts * CHECK_STMT_COST)
+        asm.w("if _tel is None and not _full:")
+        asm.w(f"    return None, {cycles}")
+        for line in path.check_lines() + list(FRAME_ROUND_CLEAN):
+            asm.w(line)
+        asm.w("if not _full:")
+        asm.w(f"    return None, {cycles}")
+        asm.w(f"return _clean(w, _iokey, {blocks}, {stmts}, _pch, _ich, "
+              f"_cch, _sdata), {cycles}")
 
     def pending(path: Optional[_CheckPath]) -> None:
         """A superblock's pending state, inside a branch that raises."""
@@ -835,8 +935,7 @@ def _assemble_spec(bspec: BytecodeSpec) -> Callable:
                         asm.w(f"if _cmd not in {bind(gate, '_G')}:")
                         asm.indent += 1
                         pending(path)
-                        asm.w(f"_pc = {k}")
-                        asm.w("continue")
+                        handoff(k, vals)
                         asm.indent -= 1
                         path.cch += 1
                     elif is_cmd_end and path.cmd:
@@ -894,8 +993,16 @@ def _assemble_spec(bspec: BytecodeSpec) -> Callable:
                 pc += 2
             elif op == C_LOCAL:
                 slot, mi = code[pc + 1], code[pc + 2]
-                checked_read(("l", slot), f"_env[{slot}]", "_UNDEF",
-                             pool[mi], vals, path)
+                if path is None or ("l", slot) in vals.names:
+                    checked_read(("l", slot), f"_env[{slot}]", "_UNDEF",
+                                 pool[mi], vals, path)
+                else:
+                    # An entry's locals live in its value table: one the
+                    # path never assigned is still undefined.
+                    spill_pending()
+                    pending(path)
+                    asm.w(f"raise CheckerError({pool[mi]!r})")
+                    push("_UNDEF")
                 pc += 3
             elif op == C_STATE:
                 off, end_, signed, _ = pool[code[pc + 1]]
@@ -969,7 +1076,8 @@ def _assemble_spec(bspec: BytecodeSpec) -> Callable:
                 slot, value = code[pc + 1], pop()
                 if not _SIMPLE.fullmatch(value):
                     value = force_temp(value)
-                asm.w(f"_env[{slot}] = {value}")
+                if path is None:
+                    asm.w(f"_env[{slot}] = {value}")
                 vals.names[("l", slot)] = value
                 pc += 2
             elif op == D_STORE:
@@ -1071,6 +1179,7 @@ def _assemble_spec(bspec: BytecodeSpec) -> Callable:
             elif op == N_SWITCH:
                 (enc, has_legit, no_arm_msg, not_legit_msg, address,
                  setcmd) = pool[code[pc + 1]]
+                roots.update(t for t in enc[2] + (enc[3],) if t >= 0)
                 v = force_temp(pop())
                 settle(path)
                 if setcmd >= 0:
@@ -1091,18 +1200,26 @@ def _assemble_spec(bspec: BytecodeSpec) -> Callable:
                                     f"{not_legit_msg!r} % {v}",
                                     str(address))
                     asm.indent -= 1
-                asm.w("continue")
+                if path is None:
+                    asm.w("continue")
+                else:
+                    handoff("_pc", vals)
                 return ("exit",)
             elif op == N_CALL:
                 entry, np_, nl, cont, dest = pool[code[pc + 1]]
+                roots.add(cont)
                 nargs = code[pc + 2]
                 args = [pop() for _ in range(nargs)][::-1]
                 spill_pending()
                 settle(path)
                 padded = (args + ["_MISS"] * np_)[:np_]
+                callee_par = f"({', '.join(padded)}{',' if padded else ''})"
+                if path is not None:
+                    handoff(entry, vals, callee_par, f"[_UNDEF] * {nl}",
+                            caller(vals, cont, dest))
+                    return ("exit",)
                 asm.w(f"_stack.append((_env, _par, {cont}, {dest}))")
-                asm.w(f"_par = ({', '.join(padded)}"
-                      f"{',' if padded else ''})")
+                asm.w(f"_par = {callee_par}")
                 asm.w(f"_env = [_UNDEF] * {nl}")
                 asm.w(f"_pc = {entry}")
                 asm.w("continue")
@@ -1130,11 +1247,17 @@ def _assemble_spec(bspec: BytecodeSpec) -> Callable:
                 pc += 2
             elif op == N_ICALL:
                 nargs, cont, dest = code[pc + 1], code[pc + 2], code[pc + 3]
+                roots.add(cont)
                 args = [pop() for _ in range(nargs)][::-1]
                 f = pop()
                 spill_pending()
                 t = asm.temp()
                 asm.w(f"{t} = ({', '.join(args)}{',' if args else ''})")
+                if path is not None:
+                    handoff(f"_FENT[{f}]", vals,
+                            f"({t} + _MISSPAD)[:_FNP[{f}]]",
+                            f"[_UNDEF] * _FNL[{f}]", caller(vals, cont, dest))
+                    return ("exit",)
                 asm.w(f"_stack.append((_env, _par, {cont}, {dest}))")
                 np_ = asm.temp()
                 asm.w(f"{np_} = _FNP[{f}]")
@@ -1154,8 +1277,7 @@ def _assemble_spec(bspec: BytecodeSpec) -> Callable:
                 if path is not None:
                     # A superblock walks a key's handler: its return ends
                     # the round (the value is already evaluated).
-                    settle(path)
-                    asm.w("break")
+                    clean_exit(path)
                     return ("end",)
                 if op == N_RETV:
                     asm.w(f"_rv = {value}")
@@ -1174,40 +1296,172 @@ def _assemble_spec(bspec: BytecodeSpec) -> Callable:
                 raise CheckerError(f"bad opcode {op} at pc {pc}")
         raise CheckerError(f"block {k} has no NBTD")
 
-    blocks: List[List[str]] = []
-    for k in range(len(spans)):
+    def key_path(first: int, vals: _Values, path: _CheckPath,
+                 visited: set, limit: Optional[int]) -> int:
+        """Emit the superblock path from block *first*; every path ends
+        (a clean exit, a raise or a hand-off).  Returns the most blocks
+        a path walks before it ends — what the guard must cover.  An arm
+        being collected (*limit* set) raises :class:`_ArmTooLong` as
+        soon as it holds more than *limit* lines."""
+        k, walked = first, 0
+        while True:
+            tail = emit_block(k, vals, path)
+            walked += 1
+            if limit is not None and len(asm.lines) > limit:
+                raise _ArmTooLong()
+            kind = tail[0]
+            if kind == "goto":
+                target = tail[1]
+                if (target not in visited and target not in loop_bodies
+                        and len(asm.lines) < _INLINE_BUDGET):
+                    visited.add(target)
+                    k = target
+                    continue
+                settle(path)
+                handoff(target, vals)
+            elif kind == "br":
+                walked += key_arms(tail, vals, path, visited, limit)
+            return walked
+
+    def key_arms(tail: tuple, vals: _Values, path: _CheckPath,
+                 visited: set, limit: Optional[int]) -> int:
+        """A two-sided branch on a superblock path: an ``if``/``else``
+        over both arms when they fit ``_ARM_BUDGET`` (and the room
+        *limit* leaves); an arm that starts at a visited block or a
+        closed-form loop body is a hand-off there.  Otherwise the
+        branch hands over to the per-block path."""
+        _, cond, taken, not_taken = tail
+        room = _ARM_BUDGET
+        if limit is not None:
+            room = min(room, limit - len(asm.lines) - 2)
+        arms: List[Tuple[int, List[str]]] = []
+        try:
+            for arm in (taken, not_taken):
+                saved = asm.begin()
+                try:
+                    if arm in visited or arm in loop_bodies:
+                        arm_path = path.copy()
+                        settle(arm_path)
+                        handoff(arm, vals)
+                        walked = 0
+                    else:
+                        walked = key_path(arm, vals.copy(), path.copy(),
+                                          visited | {arm}, room)
+                finally:
+                    lines = asm.end(saved)
+                room -= len(lines)
+                if room < 0:
+                    raise _ArmTooLong()
+                arms.append((walked, lines))
+        except _ArmTooLong:
+            settle(path)
+            roots.update((taken, not_taken))
+            handoff(f"{taken} if {_truth(cond)} else {not_taken}", vals)
+            return 0
+        asm.w(f"if {_truth(cond)}:")
+        asm.splice(arms[0][1])
+        asm.w("else:")
+        asm.splice(arms[1][1])
+        return max(arms[0][0], arms[1][0])
+
+    # One entry per plan: keys that share a handler share it.
+    entry_names: Dict[Tuple[int, int, int], str] = {}
+    entry_sources: List[List[str]] = []
+    for plan in sorted(set(bspec.plans.values())):
+        entry, np_, nl = plan
+        name = entry_names[plan] = f"_key{len(entry_sources)}"
+        key["par"] = "_par" if np_ else "()"
+        key["nl"] = nl
+        asm.lines, asm.indent = [], 0
+        walked = key_path(entry, _Values(), _CheckPath(), {entry}, None)
+        if asm.stack:
+            raise CheckerError("unbalanced expression stack lowering spec")
+        # The strategy gates are read where a check fires or a report
+        # needs them: a clean lean round reads none.
+        body = [_FLAG.sub(_flag_attr, line)
+                if "on" in line else line
+                for line in _snapshot_stores(asm.lines)]
+        out = _Asm(asm.consts)
+        out.w(f"def {name}({_ENTRY_ARGS}):")
+        out.indent += 1
+        out.w("_t0 = _tst = None")
+        for line in FRAME_ROUND_START:
+            out.w(line)
+        if any("_res(" in line for line in body):
+            out.w("_res = _orc.resolve")
+        out.w("_sdata = w.state.memory.data")
+        if np_:
+            out.w(f"_par = (_args if len(_args) == {np_} and type(_args) "
+                  f"is tuple else _pad(_args, {np_}))")
+        out.w("_blk = _dsd = _pch = _ich = _cch = _addr = 0; "
+              "_cmd = _entry = None")
+        out.w("try:")
+        out.w(f"    if {walked} <= _maxb:")
+        out.lines.extend("            " + line for line in body)
+        out.w(f"    _pc = {entry}")
+        out.w(f"    return _walk({_ROUND}, _pc, {key['par']}, "
+              f"{'[_UNDEF] * %d' % nl if nl else '[]'}, [], {_STATE})")
+        _emit_round_end(out)
+        entry_sources.append(out.lines)
+
+    # The per-block path holds the chains of the pcs a round can be
+    # dispatched to: the roots, and, closing over them, every pc a held
+    # chain jumps to (its emission adds the calls' continuations and
+    # the switches' arms it meets to the roots).  A block reached only
+    # inside other chains needs no chain of its own.
+    blocks: List[List[str]] = [[] for _ in spans]
+    held: set = set()
+    todo = list(roots)
+    while todo:
+        k = todo.pop()
+        if k in held:
+            continue
+        held.add(k)
         asm.lines, asm.indent = [], 0
         _emit_chain(asm, k, emit_block, _Values())
         if asm.stack:
             raise CheckerError("unbalanced expression stack lowering spec")
-        blocks.append(asm.lines)
+        blocks[k] = asm.lines
+        todo.extend(_jumps(asm.lines) | roots - held)
     _wrap_self_loops(blocks)
     for record in loops:
         k = record[0]
-        if blocks[k][0] == "while True:":
+        if blocks[k] and blocks[k][0] == "while True:":
             blocks[k][:0] = _closed_form(asm, *record[1:])
-
-    # One superblock per handler a key enters, at pcs -n .. -1 (_blk is
-    # 0 at a key's entry).
-    entries = sorted({plan[0] for plan in bspec.plans.values()})
-    supers = [_superblock(asm, entry, emit_block, _CheckPath(),
-                          "{} <= _maxb".format) for entry in entries]
-    first = {entry: j - len(entries) for j, entry in enumerate(entries)}
-    asm.consts["_plans_get"] = {
-        key: (first[pc], np_, nl) for key, (pc, np_, nl)
-        in bspec.plans.items()}.get
+    pcs = sorted(held)
 
     out = _Asm(asm.consts)
-    out.w("def _walk(w, _iokey, _args, _orc, _mode, _maxb, _tel, _clk,")
-    out.w("          _full):")
+    out.w(f"def _walk({_ROUND}, _pc, _par, _env, _stack, {_STATE}):")
     out.indent += 1
+    out.w("_pon = w.param_on; _ion = w.ijump_on; _con = w.cond_on")
+    out.w("_res = _orc.resolve")
+    out.w("_sdata = w.state.memory.data")
+    out.w("if _entry is None:")
+    out.w("    _entry = _bytes(_sdata)")
+    out.w("try:")
+    out.w("    while True:")
+    out.indent += 2
+    _emit_dispatch(out, [blocks[k] for k in pcs], 0, len(pcs), keys=pcs)
+    out.indent -= 2
+    _emit_round_end(out)
+    # The walk left the dispatch loop normally: every flag site stops
+    # the walk, so nothing was flagged and the round is complete.
+    for line in FRAME_ROUND_CLEAN:
+        out.w(line)
+    out.w("_cy = int(_blk * _CBC + _dsd * _CSC)")
+    out.w("if not _full:")
+    out.w("    return None, _cy")
+    out.w("return _clean(w, _iokey, _blk, _dsd, _pch, _ich, _cch, "
+          "_sdata), _cy")
+    out.indent -= 1
+    for lines in entry_sources:
+        out.lines.extend(lines)
     # Telemetry stages the round on _tel.stage and times it when it is
     # staged at a multiple of TIME_EVERY (see CheckerTelemetry).
+    out.w(f"def _unknown({_ENTRY_ARGS}):")
+    out.indent += 1
     for line in FRAME_ROUND_START:
         out.w(line)
-    out.w("_plan = _plans_get(_iokey)")
-    out.w("if _plan is None:")
-    out.indent += 1
     out.w("_report = w.unknown_key(_iokey, _mode)")
     out.w("if _tel is not None:")
     out.w("    _tel.record_round(_report,")
@@ -1215,83 +1469,95 @@ def _assemble_spec(bspec: BytecodeSpec) -> Callable:
     out.w("if _full or _report.action is not _ALLOW:")
     out.w("    return _report, 0")
     out.w("return None, 0")
-    out.indent -= 1
-    out.w("_pon = w.param_on; _ion = w.ijump_on; _con = w.cond_on")
-    out.w("_res = _orc.resolve")
-    out.w("_sdata = w.state.memory.data")
-    # The round walks the buffer in place and keeps the bytes when it
-    # commits; any other verdict, an incomplete walk or anything
-    # escaping the frame (an oracle or device fault, an interrupt)
-    # restores the entry snapshot.
-    out.w("_entry = _bytes(_sdata)")
-    out.w("_pc, _np, _nl = _plan")
-    out.w("if len(_args) == _np:")
-    out.w("    _par = _args if type(_args) is tuple else tuple(_args)")
-    out.w("else:")
-    out.w("    _par = (tuple(_args) + _MISSPAD)[:_np]")
-    out.w("_env = [_UNDEF] * _nl")
-    out.w("_blk = 0; _dsd = 0; _pch = 0; _ich = 0; _cch = 0")
-    out.w("_cmd = None; _addr = 0")
-    out.w("_stack = []")
-    out.w("try:")
-    out.indent += 1
-    out.w("try:")
-    out.indent += 1
-    out.w("while True:")
-    out.indent += 1
-    if supers:
-        out.w("if _pc < 0:")
-        out.indent += 1
-        _emit_dispatch(out, supers, 0, len(supers), -len(supers))
-        out.indent -= 1
-        out.w("else:")
-        out.indent += 1
-        _emit_dispatch(out, blocks, 0, len(blocks))
-        out.indent -= 1
-    else:
-        _emit_dispatch(out, blocks, 0, len(blocks))
-    out.indent -= 2
-    # Handled inside the clauses: an exception kept in a local would
-    # tie itself, its traceback and this frame into a garbage cycle.
-    out.w("except _WalkStop as _e:")
-    out.w("    _inc = _e.incomplete")
-    out.w("except CheckerError as _e:")
-    out.w('    _inc = not _flag(w, _SC, "sync-failure", str(_e), _addr)')
-    # The walk left the dispatch loop normally: every flag site stops
-    # the walk, so nothing was flagged and the round is complete.
-    out.w("else:")
-    out.indent += 1
-    for line in FRAME_ROUND_CLEAN:
-        out.w(line)
-    out.w("if not _full:")
-    out.w("    return None, int(_blk * _CBC + _dsd * _CSC)")
-    out.w("_report = _CR(io_key=_iokey, blocks_walked=_blk,")
-    out.w("              dsod_stmts_executed=_dsd, param_checks=_pch,")
-    out.w("              indirect_checks=_ich, conditional_checks=_cch)")
-    out.w("_report.bind_final_state(_partial(w.final_state, _bytes(_sdata)))")
-    out.w("return _report, int(_blk * _CBC + _dsd * _CSC)")
-    out.indent -= 1
-    out.w("_report = w.report(_iokey, _mode, _inc, _blk, _dsd, _pch, _ich,")
-    out.w("                   _cch)")
-    out.w("if _report.action is _ALLOW and not _inc:")
-    out.w("    _report.bind_final_state(_partial(w.final_state,")
-    out.w("                                      _bytes(_sdata)))")
-    out.w("else:")
-    out.w("    _sdata[:] = _entry")
-    out.w("    _report.bind_final_state(_partial(w.final_state, _entry))")
-    out.w("if _tel is not None:")
-    out.w("    _tel.record_round(_report,")
-    out.w("                      None if _t0 is None else _clk() - _t0)")
-    out.indent -= 1
-    out.w("except BaseException:")
-    out.w("    _sdata[:] = _entry")
-    out.w("    w.flagged.clear()")
-    out.w("    raise")
-    out.w("if _full or _inc or _report.action is not _ALLOW:")
-    out.w("    return _report, int(_blk * _CBC + _dsd * _CSC)")
-    out.w("return None, int(_blk * _CBC + _dsd * _CSC)")
 
-    return _exec_frame(out, f"<es-bytecode:{bspec.device}>", "_walk")
+    namespace = _exec_source(out, f"<es-bytecode:{bspec.device}>",
+                             ["_walk", "_unknown", *entry_names.values()])
+    entries = {io_key: namespace[entry_names[plan]]
+               for io_key, plan in bspec.plans.items()}
+    return namespace["_walk"], entries, namespace["_unknown"]
+
+
+#: a chain line that sets the next pc to literals: a goto, a two-sided
+#: branch, a call's entry, a closed-form loop's exit
+_JUMP = re.compile(r"(?:^ *|; )_pc = (\d+)(?: if .* else (\d+))?$")
+
+
+def _jumps(lines: List[str]) -> set:
+    """The literal pcs the chain *lines* jump to."""
+    targets = set()
+    for line in lines:
+        if "_pc = " in line:
+            match = _JUMP.search(line)
+            if match is not None:
+                targets.update(int(pc) for pc in match.groups() if pc)
+    return targets
+
+
+def _emit_round_end(out: _Asm) -> None:
+    """The except clauses closing a round's ``try:``: a stopped walk or
+    an unresolvable sync value ends the round through :func:`_stop`;
+    anything else restores the entry bytes and propagates.  Handled
+    inside the clauses: an exception kept in a local would tie itself,
+    its traceback and the frame into a garbage cycle."""
+    out.w("except (_WalkStop, CheckerError) as _e:")
+    out.w("    return _stop(w, _iokey, _mode, _e, _addr, _blk, _dsd, _pch, "
+          "_ich, _cch, _sdata, _entry, _tel, _t0, _clk, _full)")
+    out.w("except BaseException:")
+    out.w("    _abort(w, _sdata, _entry)")
+    out.w("    raise")
+
+
+def _exec_source(out: _Asm, filename: str,
+                 names: List[str]) -> Dict[str, Any]:
+    """Compile the generated source with the frame constants as its
+    globals; each function in *names* carries the whole source."""
+    source = "\n".join(out.lines) + "\n"
+    namespace: Dict[str, Any] = dict(out.consts)
+    exec(compile(source, filename, "exec"), namespace)
+    for name in names:
+        namespace[name]._bytecode_source = source
+    return namespace
+
+
+#: a superblock line that stores into the shadow buffer, and one that can
+#: leave the entry other than by a clean exit
+_STORE_LINE = re.compile(
+    r"( *)(?:_sdata\[.+\] = |_p[248]\(_sdata, |w\.state\.write_field\()")
+_RISK_LINE = re.compile(
+    r" *(?:raise |return _walk\()|.*\b(?:_res|_fdiv|_fmod|_die)\("
+    r"|.*\bw\.state\.")
+
+
+def _snapshot_stores(lines: List[str]) -> List[str]:
+    """Put ``_entry = _bytes(_sdata)`` in front of the first store of
+    each superblock path that a raise or a hand-off can follow.
+
+    Every block of a superblock's source ends its path (a clean exit, a
+    raise or a hand-off), so the lines a store can reach are the rest of
+    its block: those after it at its indentation or deeper.  A store
+    whose path already took the snapshot needs none; a store no risk
+    follows needs none either, and then no later store on its path
+    does."""
+    depths = [len(line) - len(line.lstrip(" ")) for line in lines]
+    risky = [_RISK_LINE.match(line) is not None for line in lines]
+    out: List[str] = []
+    taken: List[int] = []       # indentations under a taken snapshot
+    for i, line in enumerate(lines):
+        depth = depths[i]
+        while taken and depth < taken[-1]:
+            taken.pop()
+        store = (_STORE_LINE.match(line) if not taken and (
+            "_sdata" in line or "write_field" in line) else None)
+        if store is not None:
+            for j in range(i + 1, len(lines)):
+                if depths[j] < depth:
+                    break
+                if risky[j]:
+                    out.append(store.group(1) + "_entry = _bytes(_sdata)")
+                    taken.append(depth)
+                    break
+        out.append(line)
+    return out
 
 
 def _closed_form(asm: _Asm, exit_pc: int, head: int, nblocks: int,
@@ -1357,6 +1623,65 @@ def _u8s(values: List[int]) -> bytes:
         return bytes(values)
     except ValueError:
         return bytes([value & 0xFF for value in values])
+
+
+def _pad(args, n: int) -> tuple:
+    """A key's I/O arguments at its arity: missing ones read as
+    ``_MISS``, extra ones are dropped."""
+    return (tuple(args) + (_MISS,) * n)[:n]
+
+
+def _clean(w, io_key: str, blocks: int, dsod: int, param: int,
+           indirect: int, conditional: int, sdata) -> CheckReport:
+    """The full report of a clean round, bound to the bytes it
+    committed."""
+    report = CheckReport(io_key=io_key, blocks_walked=blocks,
+                         dsod_stmts_executed=dsod, param_checks=param,
+                         indirect_checks=indirect,
+                         conditional_checks=conditional)
+    report.bind_final_state(partial(w.final_state, bytes(sdata)))
+    return report
+
+
+def _stop(w, io_key: str, mode, exc: Exception, address: int, blocks: int,
+          dsod: int, param: int, indirect: int, conditional: int, sdata,
+          entry: Optional[bytes], telemetry, t0, clock, full: bool):
+    """The end of a round whose walk stopped (*exc* a ``_WalkStop``) or
+    met an unresolvable sync value (*exc* a ``CheckerError``, flagged at
+    *address*): the round's report and cycles, as ``check_io`` hands
+    them back.  A round that does not commit restores *entry*, the
+    entry snapshot; ``None`` means nothing was stored, so the buffer
+    still holds the entry bytes."""
+    if isinstance(exc, _WalkStop):
+        incomplete = exc.incomplete
+    else:
+        incomplete = not _flag(w, Strategy.CONDITIONAL_JUMP,
+                               "sync-failure", str(exc), address)
+    report = w.report(io_key, mode, incomplete, blocks, dsod, param,
+                      indirect, conditional)
+    if report.action is Action.ALLOW and not incomplete:
+        report.bind_final_state(partial(w.final_state, bytes(sdata)))
+    else:
+        if entry is None:
+            entry = bytes(sdata)
+        else:
+            sdata[:] = entry
+        report.bind_final_state(partial(w.final_state, entry))
+    if telemetry is not None:
+        telemetry.record_round(report,
+                               None if t0 is None else clock() - t0)
+    cycles = int(blocks * CHECK_BLOCK_COST + dsod * CHECK_STMT_COST)
+    if full or incomplete or report.action is not Action.ALLOW:
+        return report, cycles
+    return None, cycles
+
+
+def _abort(w, sdata, entry: Optional[bytes]) -> None:
+    """An exception escapes the round: restore the entry bytes (if
+    anything was stored) and drop what the round flagged."""
+    if entry is not None:
+        sdata[:] = entry
+    w.flagged.clear()
 
 
 def _emit_setcmd(asm: _Asm, known, msg: str, address: int, value: str,

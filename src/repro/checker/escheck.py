@@ -224,8 +224,10 @@ class ESChecker:
         (``GuestVM``): on the bytecode backend a clean round then builds
         no report, takes no commit snapshot and binds no final state.
 
-        On the bytecode backend one call is one run of the spec's
-        generated frame, in place on the committed shadow state; mode,
+        On the bytecode backend one call runs the key's generated entry
+        (the unknown-key round for a key without one), in place on the
+        committed shadow state; the entry hands over to the spec's
+        per-block path where the key's superblock ends.  Mode,
         strategies, watchdog budget and telemetry are read here, per
         call, so a change between rounds applies to the next one.  A
         round that raises leaves the shadow state and the cycles as
@@ -237,8 +239,9 @@ class ESChecker:
             if strategies is not w.strategies:
                 w.set_strategies(strategies)
             w.state = self.device_state
-            # The frame records the round's telemetry.
-            report, cycles = self._bytecode.walk(
+            bspec = self._bytecode
+            # The generated round records its telemetry.
+            report, cycles = bspec.entries.get(io_key, bspec.unknown)(
                 w, io_key, args, oracle or _NULL_ORACLE, self.mode,
                 self.max_walk_blocks, self._telemetry, self._clock,
                 report_clean)

@@ -88,6 +88,22 @@ class FieldSyncOracle(SyncOracle):
         return super().resolve(name)
 
 
+class PreRoundSyncOracle(SyncOracle):
+    """``field:`` values read when a co-executed round started (as its
+    live :class:`FieldSyncOracle` resolved them then); every other name
+    goes to *fallback*, which fails on it as it would have."""
+
+    def __init__(self, values: Dict[str, int], fallback: SyncOracle):
+        self._values = values
+        self._fallback = fallback
+
+    def resolve(self, name: str) -> int:
+        value = self._values.get(name)
+        if value is None:
+            return self._fallback.resolve(name)
+        return value
+
+
 class QueueSyncOracle(SyncOracle):
     """Pops harvested extern results in order; falls back for fields."""
 

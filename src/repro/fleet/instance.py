@@ -126,6 +126,10 @@ class GuardedInstance:
             from repro.ipt.tracer import IPTTracer
             self._tracer = IPTTracer(injector=injector)
             self.device.machine.add_sink(self._tracer)
+        # Construction is an op boundary: the prepare step's credited
+        # rounds are vetted now, so no instance carries them into a
+        # checkpoint or out of a restore.
+        self.vm.flush_batches()
 
     def quarantine(self, reason: str) -> None:
         self.quarantined = True
@@ -263,17 +267,17 @@ class GuardedInstance:
         """Fail-open service: detach the checker for this op, execute,
         re-attach, resync the shadow device state."""
         before = self.vm.stats.snapshot()
-        detached = {part: self.vm.attachments.pop(part)
-                    for part in self.attachments}
+        detached = [self.vm.detach_sedspec(part)
+                    for part in self.attachments]
         try:
             self._run(op)
         except DeviceFault as fault:
             return self._outcome("fault", before,
                                  detail=f"{fault.kind}: {fault}")
         finally:
-            for part, attachment in detached.items():
-                self.vm.attachments[part] = attachment
-                attachment.checker.resync(self.vm.devices[part].state)
+            for attachment in detached:
+                self.vm.reattach_sedspec(attachment)
+                attachment.checker.resync(attachment.device.state)
         report = self._record(gap_report(
             op_key, DegradationPolicy.FAIL_OPEN.value, reason))
         return self._outcome("ok", before, report=report, detail=reason)

@@ -553,21 +553,21 @@ def _emit_switch_pc(asm: _Asm, enc: Tuple[Any, ...], v: str) -> None:
 
 
 def _emit_dispatch(out: _Asm, blocks: List[List[str]], lo: int, hi: int,
-                   base: int = 0) -> None:
+                   keys: Optional[List[int]] = None) -> None:
     """Binary jump-target tree over block indices: ``blocks[i]`` runs
-    at ``_pc == base + i``."""
+    at ``_pc == keys[i]`` (sorted; by default ``i``)."""
     if hi - lo == 1:
         for line in blocks[lo]:
             out.w(line)
         return
     mid = (lo + hi) // 2
-    out.w(f"if _pc < {base + mid}:")
+    out.w(f"if _pc < {mid if keys is None else keys[mid]}:")
     out.indent += 1
-    _emit_dispatch(out, blocks, lo, mid, base)
+    _emit_dispatch(out, blocks, lo, mid, keys)
     out.indent -= 1
     out.w("else:")
     out.indent += 1
-    _emit_dispatch(out, blocks, mid, hi, base)
+    _emit_dispatch(out, blocks, mid, hi, keys)
     out.indent -= 1
 
 
@@ -625,7 +625,11 @@ def _spans(code: Tuple[int, ...], widths: Dict[int, int], heads,
 # branch whose arms both end the round within a line budget becomes an
 # ``if``/``else`` over both arms, so the value table survives it.  When
 # the guard fails, the walk enters the dispatch loop at the entry and
-# runs the per-block path.
+# runs the per-block path.  The device runner builds its superblocks
+# with :func:`_superblock`; the checker generates each key's superblock
+# as a function of its own, whose every path ends in a return, so it
+# also inlines arms that hand over to the per-block path (see
+# ``repro.checker.bytecode``, :func:`_assemble_spec`).
 
 #: Cap on a chain's line count.  Keeps the source (and CPython compile
 #: time) linear in the program while still collapsing the straight-line

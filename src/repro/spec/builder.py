@@ -306,6 +306,24 @@ def sync_keys_for(spec: ExecutionSpec) -> Mapping[str, bool]:
     return table
 
 
+def sync_fields_for(spec: ExecutionSpec) -> Tuple[str, ...]:
+    """The ``field:NAME`` sync variables the spec names whose field is
+    a scalar of its layout: what a co-executed round reads before the
+    device runs, so its walk resolves them to their pre-round values.
+    (A name for a buffer or an unknown field fails to resolve however
+    it is read.)  Cached on the spec object like :func:`sync_keys_for`,
+    and as static: pcnet's and ehci's trained specs name none."""
+    names = getattr(spec, "_sync_fields", None)
+    if names is None:
+        layout = spec.layout
+        names = spec._sync_fields = tuple(sorted(
+            name for name in used_sync_vars(spec)
+            if name.startswith("field:")
+            and layout.has_field(name[len("field:"):])
+            and not layout.field(name[len("field:"):]).is_buffer))
+    return names
+
+
 def handler_needs_sync(spec: ExecutionSpec, io_key: str) -> bool:
     """Whether checking *io_key* may demand ``extern:`` sync values.
 

@@ -149,12 +149,13 @@ class ExecutionSpec:
     def __getstate__(self) -> Dict[str, object]:
         """Pickled without what is cached on the spec on first use: the
         lowered bytecode artifact of ``bytecode_spec_for`` (generated
-        frames do not pickle) and the read-only key table of
-        ``sync_keys_for``; a spec sent to another process rebuilds them
-        there."""
+        frames do not pickle), the read-only key table of
+        ``sync_keys_for`` and the names of ``sync_fields_for``; a spec
+        sent to another process rebuilds them there."""
         state = self.__dict__.copy()
         state.pop("_bytecode_backend", None)
         state.pop("_sync_keys", None)
+        state.pop("_sync_fields", None)
         return state
 
     # -- structure queries ----------------------------------------------------

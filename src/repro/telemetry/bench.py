@@ -48,9 +48,9 @@ def capture_sequence(device: str = "fdc", qemu_version: str = "99.0.0",
     seq = []
     orig = vm._io
 
-    def spy(target, key, args):
+    def spy(target, key, args, *route):
         seq.append((key, args))
-        return orig(target, key, args)
+        return orig(target, key, args, *route)
 
     vm._io = spy
     prof.prepare(vm, driver)
@@ -157,16 +157,24 @@ def measure_overhead(device: str = "fdc", backend: str = DEFAULT_BACKEND,
     prof = PROFILES[device]
     vm, dev = prof.make_vm(qemu_version, backend=backend)
     deploy(vm, dev, spec, mode=Mode.ENHANCEMENT, backend=backend)
-    checker = vm.attachments[dev.NAME].checker
+    attachment = vm.attachments[dev.NAME]
+    checker = attachment.checker
     io = vm._io
-    for key, args in prepare_seq:
-        io(dev, key, args)
+
+    def routed(rounds):
+        """Each round as the port table routes it."""
+        return [(key, args, attachment.sync_keys.get(key, False))
+                for key, args in rounds]
+
+    prepare_seq, command_seq = routed(prepare_seq), routed(command_seq)
+    for key, args, coexec in prepare_seq:
+        io(dev, key, args, attachment, coexec)
 
     def replay(times: int = 1) -> int:
         start = time.perf_counter_ns()
         for _ in range(times):
-            for key, args in command_seq:
-                io(dev, key, args)
+            for key, args, coexec in command_seq:
+                io(dev, key, args, attachment, coexec)
         return time.perf_counter_ns() - start
 
     # Pass 1: a clean instrumented replay for the workload's own stats

@@ -17,13 +17,13 @@ from typing import Deque, Dict, List, Mapping, Optional, Tuple
 
 from repro.checker import (
     ALL_STRATEGIES, DEFAULT_BACKEND, Action, CheckReport, ESChecker,
-    FieldSyncOracle, Mode, QueueSyncOracle, Strategy,
+    FieldSyncOracle, Mode, PreRoundSyncOracle, QueueSyncOracle, Strategy,
 )
 from repro.devices.backends import GuestMemory, IRQLine
 from repro.devices.base import Device
 from repro.errors import DeviceFault, ReproError, WorkloadError
 from repro.spec import ExecutionSpec
-from repro.spec.builder import sync_keys_for
+from repro.spec.builder import sync_fields_for, sync_keys_for
 
 #: Fixed cost of one guest I/O exit (KVM vmexit + QEMU dispatch + re-entry).
 VMEXIT_COST = 300
@@ -75,9 +75,14 @@ class Attachment:
     #: resolves ``field:NAME`` sync points from the live device state;
     #: one per attachment, so its resolution cache outlives the round
     oracle: FieldSyncOracle = field(init=False, repr=False, compare=False)
+    #: the spec's ``field:`` sync names a co-executed round reads before
+    #: the device runs (the spec's shared, static tuple)
+    sync_fields: Tuple[str, ...] = field(init=False, repr=False,
+                                         compare=False)
 
     def __post_init__(self) -> None:
         self.oracle = FieldSyncOracle(self.device.state)
+        self.sync_fields = sync_fields_for(self.checker.spec)
 
 
 @dataclass
@@ -104,6 +109,11 @@ class IOStats:
                        self.checker_cycles - earlier.checker_cycles)
 
 
+#: a port-table entry: (device, attachment or None, read key, read key
+#: co-executes, write key, write key co-executes)
+_Route = Tuple[Device, Optional[Attachment], str, bool, str, bool]
+
+
 class GuestVM:
     """A guest machine with PMIO-attached emulated devices."""
 
@@ -112,10 +122,10 @@ class GuestVM:
         self.devices: Dict[str, Device] = {}
         self._port_ranges: List[Tuple[int, int, str]] = []
         self._mmio_ranges: List[Tuple[int, int, str]] = []
-        # port / MMIO address -> (device, read key, write key), filled
-        # on first use and cleared whenever the topology changes
-        self._pmio: Dict[int, Tuple[Device, str, str]] = {}
-        self._mmio: Dict[int, Tuple[Device, str, str]] = {}
+        # port / MMIO address -> a _Route, filled on first use and
+        # cleared whenever the topology or an attachment changes
+        self._pmio: Dict[int, _Route] = {}
+        self._mmio: Dict[int, _Route] = {}
         self.attachments: Dict[str, Attachment] = {}
         self.stats = IOStats()
 
@@ -131,8 +141,7 @@ class GuestVM:
         self.devices[device.NAME] = device
         self._port_ranges.append((base_port, base_port + span,
                                   device.NAME))
-        self._pmio.clear()
-        self._mmio.clear()
+        self._routes_changed()
         if hasattr(device, "memory"):
             # DMA-capable devices address *this* guest's physical memory.
             device.memory = self.memory
@@ -148,8 +157,7 @@ class GuestVM:
         self.devices[device.NAME] = device
         self._mmio_ranges.append((base_addr, base_addr + span,
                                   device.NAME))
-        self._pmio.clear()
-        self._mmio.clear()
+        self._routes_changed()
         if hasattr(device, "memory"):
             device.memory = self.memory
         return device
@@ -166,20 +174,35 @@ class GuestVM:
                 return self.devices[name], port - lo
         raise WorkloadError(f"no device at port {port:#x}")
 
-    def _map_port(self, port: int) -> Tuple[Device, str, str]:
+    def _map_port(self, port: int) -> _Route:
         """Resolve *port* once into the port table (an unmapped port
-        raises every time: nothing is cached for it)."""
+        raises every time: nothing is cached for it).  The entry is the
+        device, its attachment (None when unguarded), and per direction
+        the I/O key and whether the key co-executes, so a round reads
+        everything it dispatches on from one entry."""
         device, offset = self.device_at(port)
-        entry = self._pmio[port] = (device, f"pmio:read:{offset}",
-                                    f"pmio:write:{offset}")
+        entry = self._pmio[port] = self._route(
+            device, f"pmio:read:{offset}", f"pmio:write:{offset}")
         return entry
 
-    def _map_mmio(self, addr: int) -> Tuple[Device, str, str]:
+    def _map_mmio(self, addr: int) -> _Route:
         """:meth:`_map_port` for a memory-mapped register address."""
         device, offset = self.mmio_device_at(addr)
-        entry = self._mmio[addr] = (device, f"mmio:read:{offset}",
-                                    f"mmio:write:{offset}")
+        entry = self._mmio[addr] = self._route(
+            device, f"mmio:read:{offset}", f"mmio:write:{offset}")
         return entry
+
+    def _route(self, device: Device, read_key: str,
+               write_key: str) -> _Route:
+        attachment = self.attachments.get(device.NAME)
+        sync = attachment.sync_keys if attachment is not None else {}
+        return (device, attachment, read_key, sync.get(read_key, False),
+                write_key, sync.get(write_key, False))
+
+    def _routes_changed(self) -> None:
+        """Forget every resolved port and MMIO address."""
+        self._pmio.clear()
+        self._mmio.clear()
 
     def attach_sedspec(self, device_name: str, spec: ExecutionSpec,
                        mode: Mode = Mode.ENHANCEMENT,
@@ -195,7 +218,9 @@ class GuestVM:
         the credit-batch discipline: strict-key rounds execute on credit
         and are vetted in batches of up to *batch_rounds*, one
         :meth:`ESChecker.check_io` per round (flushed before any
-        sync-key round, on a device fault, and at every op boundary)."""
+        sync-key round, on a device fault, and at every op boundary).
+        The attachment replaces any earlier one of the device from the
+        next round on: the port table is cleared."""
         device = self.devices[device_name]
         checker = ESChecker(spec, mode=mode, strategies=strategies,
                             backend=backend, recorder=recorder)
@@ -204,53 +229,69 @@ class GuestVM:
                                 sync_keys=sync_keys_for(spec),
                                 batch_rounds=batch_rounds)
         self.attachments[device_name] = attachment
+        self._routes_changed()
         return attachment
 
-    def detach_sedspec(self, device_name: str) -> None:
-        self.attachments.pop(device_name, None)
+    def detach_sedspec(self, device_name: str) -> Optional[Attachment]:
+        """Stop checking *device_name*'s rounds; returns the attachment
+        removed (None if there was none)."""
+        attachment = self.attachments.pop(device_name, None)
+        self._routes_changed()
+        return attachment
+
+    def reattach_sedspec(self, attachment: Attachment) -> None:
+        """Put back an attachment :meth:`detach_sedspec` removed."""
+        self.attachments[attachment.device.NAME] = attachment
+        self._routes_changed()
 
     # -- the I/O path --------------------------------------------------------------
 
     def outb(self, port: int, value: int) -> None:
-        device, _, key = self._pmio.get(port) or self._map_port(port)
-        self._io(device, key, (value & 0xFF,))
+        device, att, _, _, key, coexec = \
+            self._pmio.get(port) or self._map_port(port)
+        self._io(device, key, (value & 0xFF,), att, coexec)
 
     def inb(self, port: int) -> int:
-        device, key, _ = self._pmio.get(port) or self._map_port(port)
-        result = self._io(device, key, ())
-        return (result or 0) & 0xFF
+        device, att, key, coexec, _, _ = \
+            self._pmio.get(port) or self._map_port(port)
+        return (self._io(device, key, (), att, coexec) or 0) & 0xFF
 
     def outl(self, port: int, value: int) -> None:
         """32-bit port write (DMA address setup and the like)."""
-        device, _, key = self._pmio.get(port) or self._map_port(port)
-        self._io(device, key, (value & 0xFFFFFFFF,))
+        device, att, _, _, key, coexec = \
+            self._pmio.get(port) or self._map_port(port)
+        self._io(device, key, (value & 0xFFFFFFFF,), att, coexec)
 
     def inl(self, port: int) -> int:
         """32-bit port read (wide status/CSR values)."""
-        device, key, _ = self._pmio.get(port) or self._map_port(port)
-        result = self._io(device, key, ())
-        return (result or 0) & 0xFFFFFFFF
+        device, att, key, coexec, _, _ = \
+            self._pmio.get(port) or self._map_port(port)
+        return (self._io(device, key, (), att, coexec) or 0) & 0xFFFFFFFF
 
     def mmio_write(self, addr: int, value: int) -> None:
         """Write to a memory-mapped device register."""
-        device, _, key = self._mmio.get(addr) or self._map_mmio(addr)
-        self._io(device, key, (value & 0xFFFFFFFF,))
+        device, att, _, _, key, coexec = \
+            self._mmio.get(addr) or self._map_mmio(addr)
+        self._io(device, key, (value & 0xFFFFFFFF,), att, coexec)
 
     def mmio_read(self, addr: int) -> int:
         """Read a memory-mapped device register."""
-        device, key, _ = self._mmio.get(addr) or self._map_mmio(addr)
-        result = self._io(device, key, ())
-        return (result or 0) & 0xFFFFFFFF
+        device, att, key, coexec, _, _ = \
+            self._mmio.get(addr) or self._map_mmio(addr)
+        return (self._io(device, key, (), att, coexec) or 0) & 0xFFFFFFFF
 
-    def _io(self, device: Device, key: str,
-            args: Tuple[int, ...]) -> Optional[int]:
+    def _io(self, device: Device, key: str, args: Tuple[int, ...],
+            attachment: Optional[Attachment],
+            coexec: bool) -> Optional[int]:
+        """One guest I/O round on *device* under *attachment* (None:
+        unguarded); *coexec* is the key's discipline, read off the
+        port table with the attachment."""
         stats = self.stats
         stats.io_rounds += 1
         stats.vmexit_cycles += VMEXIT_COST
-        attachment = self.attachments.get(device.NAME)
         if attachment is None:
             return self._run_device(device, key, args)
-        if attachment.sync_keys.get(key, False):
+        if coexec:
             # Co-execution validates against the state the round starts
             # from, so any credited rounds must land first.
             self._flush_batch(attachment, device)
@@ -259,7 +300,9 @@ class GuestVM:
             return self._credit_io(attachment, device, key, args)
         # Strict discipline: simulate and vet before the device runs.
         # _vet, _run_device and _maybe_resync inlined: most rounds come
-        # this way, and a clean one brings no report back.
+        # this way, and a clean one brings no report back.  check_io
+        # and handle_io are looked up per round: tracers and test spies
+        # replace them.
         checker = attachment.checker
         before = checker.cycles
         report = checker.check_io(key, args, oracle=attachment.oracle,
@@ -351,11 +394,19 @@ class GuestVM:
         checker validates immediately after on the harvested values
         (Section V-D's interleaving).  A device fault mid-round is fed to
         the checker, which classifies it on the harvested prefix — this is
-        how the CVE-2016-7909 infinite loop is flagged."""
+        how the CVE-2016-7909 infinite loop is flagged.
+
+        Field sync values must reflect the state *the round started
+        from*, exactly as the strict discipline sees them: the spec's
+        ``field:`` names (``Attachment.sync_fields``, none for most
+        specs) are resolved before the device runs, and nothing else of
+        the device is copied."""
         harvest: Dict[str, Deque[int]] = {}
-        # Field sync values must reflect the state *the round started
-        # from*, exactly as the strict discipline sees them.
-        pre_state = device.snapshot()
+        live = attachment.oracle
+        fields = attachment.sync_fields
+        pre_round = (PreRoundSyncOracle(
+            {name: live.resolve(name) for name in fields}, live)
+            if fields else live)
         fault: Optional[DeviceFault] = None
         result: Optional[int] = None
         device.machine.harvest = harvest
@@ -365,8 +416,7 @@ class GuestVM:
             fault = exc
         finally:
             device.machine.harvest = None
-        oracle = QueueSyncOracle(
-            harvest, fallback=FieldSyncOracle(pre_state))
+        oracle = QueueSyncOracle(harvest, fallback=pre_round)
         report = self._vet(attachment, key, args, oracle)
         if report is not None:
             self._maybe_resync(attachment, device, report)

@@ -40,9 +40,9 @@ def _capture(device_name, qemu_version="99.0.0", drive=None):
     rounds = {name: [] for name in vm.devices}
     orig = vm._io
 
-    def spy(dev, key, args):
+    def spy(dev, key, args, *route):
         rounds[dev.NAME].append((key, tuple(args)))
-        return orig(dev, key, args)
+        return orig(dev, key, args, *route)
 
     vm._io = spy
     if drive is None:

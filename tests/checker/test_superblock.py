@@ -178,8 +178,10 @@ def superblock_lines(frame, guard: str, fallback: str) -> Tuple[int, int]:
 
 @contextmanager
 def counting(frame, *line_numbers):
-    """Count how often each of *line_numbers* of *frame* runs."""
-    code = frame.__code__
+    """Count how often each of *line_numbers* of *frame*'s source runs,
+    in any function the source defines (a checker's per-key entries and
+    its per-block path share one source)."""
+    filename = frame.__code__.co_filename
     counts: Dict[int, int] = {no: 0 for no in line_numbers}
 
     def local(f, event, arg):
@@ -188,7 +190,7 @@ def counting(frame, *line_numbers):
         return local
 
     def start(f, event, arg):
-        return local if f.f_code is code else None
+        return local if f.f_code.co_filename == filename else None
 
     previous = sys.gettrace()
     sys.settrace(start)

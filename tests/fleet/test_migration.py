@@ -14,13 +14,15 @@ import random
 
 import pytest
 
+from repro.checker import Mode
 from repro.errors import FleetError
 from repro.faults import FaultInjector, FaultPlan, FaultSpec
 from repro.fleet import (
     FleetConfig, FleetSupervisor, FleetWorker, SpecRegistry,
-    certify, run_migration_certification,
+    certify, checkpoint_instance, run_migration_certification,
 )
 from repro.fleet.checkpoint import seal
+from repro.fleet.instance import GuardedInstance
 from repro.fleet.loadgen import RequestBatch, sample_benign_op
 from repro.policy.model import PolicySet, TenantPolicy
 
@@ -74,6 +76,44 @@ class TestSessionMigration:
             assert session.checkpoint_tenant("never-seen") is None
         finally:
             session.close()
+
+
+class TestCreditedMigration:
+    """An instance that runs strict rounds on credit (``batch_rounds``)
+    vets its prepare step when it is built, so no checkpoint carries
+    credited rounds and no restored skeleton vets stale ones against
+    the overlaid state."""
+
+    @pytest.fixture(scope="class")
+    def registry(self, tmp_path_factory):
+        # Pool lanes load their specs from the registry's disk cache.
+        return SpecRegistry(cache_dir=str(tmp_path_factory.mktemp("specs")))
+
+    @pytest.mark.parametrize("inline", [True, False],
+                             ids=["inline", "pool"])
+    @pytest.mark.parametrize("ops", [0, 1, 3])
+    def test_restored_tenant_serves_benign_ops(self, registry, ops,
+                                               inline):
+        source = GuardedInstance("t0", "fdc", "99.0.0",
+                                 registry.get("fdc", "99.0.0"),
+                                 mode=Mode.PROTECTION, batch_rounds=8)
+        assert not source.attachment.pending
+        rng = random.Random(5)
+        for _ in range(ops):
+            assert source.apply(sample_benign_op("fdc", rng)).status \
+                == "ok"
+        envelope = checkpoint_instance(source)
+        supervisor = FleetSupervisor(
+            FleetConfig(workers=2, inline=inline, batch_rounds=8),
+            registry=registry)
+        session = supervisor.session()
+        try:
+            session.install_checkpoint(envelope, worker_id=1)
+            result = session.submit(_batch("t0", "fdc", 1, rng, ops=4))
+        finally:
+            session.close()
+        assert (result.completed, result.detections) == (4, 0)
+        assert not result.quarantined, result.quarantine_reason
 
 
 class TestBreakerCarry:

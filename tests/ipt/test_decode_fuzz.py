@@ -52,6 +52,9 @@ def _assert_equivalent(data):
     if ref_err is None:
         assert raw_rounds == ref_rounds
         assert raw_result.gaps == parsed.gaps
+        # The byte path keeps only the anomaly packets.
+        assert raw_result.packets == [p for p in parsed.packets
+                                      if isinstance(p, (Fup, Ovf))]
 
 
 # -- strategies -----------------------------------------------------------

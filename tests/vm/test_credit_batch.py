@@ -92,7 +92,8 @@ def _flush_point() -> str:
         return ("device-fault" if isinstance(fault, DeviceFault)
                 else "full-batch")
     assert caller == "flush_batches", caller
-    assert sys._getframe(3).f_code.co_name == "apply"
+    # GuardedInstance construction is an op boundary too.
+    assert sys._getframe(3).f_code.co_name in ("apply", "__init__")
     return "op-boundary"
 
 
@@ -138,8 +139,9 @@ def _instance(name, qemu_version, mode, strategies) -> GuardedInstance:
     instance = GuardedInstance("t0", name, qemu_version,
                                specs if len(specs) > 1 else specs[name],
                                mode=mode, batch_rounds=BATCH_ROUNDS)
-    # The prepare step ran under every strategy; its credited rounds
-    # are vetted at the first flush, under these.
+    # The prepare step ran, and its credited rounds were vetted when
+    # the instance was built, under every strategy; the ops run under
+    # these.
     for attachment in instance.attachments.values():
         attachment.checker.strategies = strategies
     return instance

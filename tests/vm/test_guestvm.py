@@ -1,5 +1,7 @@
 """Unit tests for the guest VM substrate and the SEDSpec attachment."""
 
+import random
+
 import pytest
 
 from repro.checker import FieldSyncOracle, Mode, Strategy
@@ -14,6 +16,7 @@ from repro.vm import GuestVM, SEDSpecHalt, VMEXIT_COST
 from repro.vm.drivers.fdc import FDCDriver
 from repro.vm.drivers.sdhci import SDHCIDriver
 from repro.workloads import train_device_spec
+from repro.workloads.profiles import PROFILES
 
 
 class TestTopology:
@@ -46,7 +49,7 @@ def _routed(vm):
     went; no device runs."""
     seen = []
 
-    def spy(device, key, args):
+    def spy(device, key, args, attachment, coexec):
         seen.append((device, key, args))
         return 0
 
@@ -56,7 +59,8 @@ def _routed(vm):
 
 class TestPortTable:
     """Ports and MMIO addresses resolve once, into a per-VM table of
-    (device, read key, write key) that every topology change clears."""
+    (device, attachment, read key, co-executes, write key,
+    co-executes) that every topology or attachment change clears."""
 
     @pytest.mark.parametrize("access", [
         lambda vm: vm.inb(0x999), lambda vm: vm.outb(0x999, 1),
@@ -118,6 +122,121 @@ class TestPortTable:
         assert [(d, k) for d, k, _ in seen] == [
             (sd, "mmio:read:4"), (fdc, "mmio:read:4"),
             (sd, "mmio:read:4")]
+
+    def test_entry_carries_the_attachment_and_disciplines(self,
+                                                         sdhci_spec):
+        vm = GuestVM()
+        device = vm.attach_device(SDHCI(), 0x500)
+        vm.inb(0x504)
+        assert vm._pmio[0x504] == (device, None, "pmio:read:4", False,
+                                   "pmio:write:4", False)
+        attachment = deploy(vm, device, sdhci_spec)
+        vm.inb(0x504)
+        assert vm._pmio[0x504] == (device, attachment, "pmio:read:4", True,
+                                   "pmio:write:4", False)
+
+    def test_attach_after_traffic_takes_the_next_round(self, sdhci_spec):
+        vm = GuestVM()
+        device = vm.attach_device(SDHCI(), 0x500)
+        driver = SDHCIDriver(vm)
+        driver.reset_card()
+        assert vm.stats.checker_cycles == 0
+        first = deploy(vm, device, sdhci_spec)
+        driver.reset_card()
+        checked = first.checked_rounds
+        assert checked > 0
+        # A redeploy (GuardedInstance.reload_spec) replaces the
+        # attachment: the next rounds are vetted by the new checker.
+        second = deploy(vm, device, sdhci_spec)
+        driver.reset_card()
+        assert first.checked_rounds == checked
+        assert second.checked_rounds == checked
+
+    def test_detach_takes_the_next_round(self, sdhci_spec):
+        vm = GuestVM()
+        device = vm.attach_device(SDHCI(), 0x500)
+        attachment = deploy(vm, device, sdhci_spec)
+        driver = SDHCIDriver(vm)
+        driver.reset_card()
+        checked, cycles = attachment.checked_rounds, vm.stats.checker_cycles
+        assert vm.detach_sedspec("sdhci") is attachment
+        driver.reset_card()
+        assert attachment.checked_rounds == checked
+        assert vm.stats.checker_cycles == cycles
+        vm.reattach_sedspec(attachment)
+        driver.reset_card()
+        assert attachment.checked_rounds == 2 * checked
+        assert vm.detach_sedspec("sdhci") is attachment
+        assert vm.detach_sedspec("sdhci") is None
+
+
+class TestCoexecSyncFields:
+    """A co-executed round reads the spec's ``field:`` sync names
+    before the device runs, and copies nothing else of the device."""
+
+    def test_pcnet_round_takes_no_device_snapshot(self):
+        prof = PROFILES["pcnet"]
+        vm, device = prof.make_vm()
+        attachment = deploy(vm, device, trained_spec("pcnet"))
+        driver = prof.make_driver(vm)
+        prof.prepare(vm, driver)
+        assert attachment.sync_fields == ()
+
+        def refuse():
+            raise AssertionError("a co-executed round copied the device")
+
+        device.snapshot = refuse
+        coexec = []
+        co_execute = vm._co_execute
+
+        def counted(attachment, dev, key, args):
+            coexec.append(key)
+            return co_execute(attachment, dev, key, args)
+
+        vm._co_execute = counted
+        driver.send_frame(bytes(range(120)))
+        assert coexec
+        assert not attachment.warnings and not attachment.halts
+
+    def test_field_changed_mid_round_reads_its_pre_round_value(self):
+        prof = PROFILES["virtio-net"]
+        vm, device = prof.make_vm()
+        attachment = deploy(vm, device, trained_spec("virtio-net"),
+                            mode=Mode.PROTECTION)
+        driver = prof.make_driver(vm)
+        prof.prepare(vm, driver)
+        assert attachment.sync_fields == ("field:q1_base", "field:q1_size")
+        state = device.state
+        handle_io, check_io = device.handle_io, attachment.checker.check_io
+        pre_round, resolved = [], []
+
+        def changing(key, args=()):
+            before = state.read_field("q1_size")
+            try:
+                return handle_io(key, args)
+            finally:
+                if device.machine.harvest is not None:
+                    # The device changes the sync field mid-round.
+                    pre_round.append(before)
+                    state.write_field("q1_size", before + 7)
+
+        def checked(key, args=(), oracle=None, report_clean=True):
+            if attachment.sync_keys.get(key):
+                resolved.append(oracle.resolve("field:q1_size"))
+            try:
+                return check_io(key, args, oracle=oracle,
+                                report_clean=report_clean)
+            finally:
+                if attachment.sync_keys.get(key):
+                    state.write_field("q1_size", pre_round[-1])
+
+        device.handle_io = changing
+        attachment.checker.check_io = checked
+        rng = random.Random(3)
+        for op in prof.common_ops:
+            op(vm, driver, rng)
+        assert resolved and resolved == pre_round
+        assert not attachment.warnings and not attachment.halts
 
 
 class TestAccounting:
