@@ -33,8 +33,9 @@ from typing import Dict, Optional, Tuple
 
 from repro.checker import CheckReport, DEFAULT_BACKEND, Mode, \
     retrain_reason
-from repro.fleet.checkpoint import checkpoint_instance, restore_instance, \
-    seal, verify
+from repro.errors import FleetError, PolicyError, SpecError
+from repro.fleet.checkpoint import _envelope, _header, _restore, \
+    checkpoint_instance, need, restore_instance, seal, verify
 from repro.fleet.instance import GuardedInstance
 from repro.fleet.loadgen import FAULT_OP_KINDS, OpRequest, RequestBatch
 from repro.fleet.registry import SpecRegistry
@@ -43,6 +44,11 @@ from repro.spec.lifecycle import RetrainRecord
 
 #: Graduated-ladder rungs, in firing order (strike-count keyed).
 RUNG_THROTTLE, RUNG_RESTORE, RUNG_FENCE = 1, 2, 3
+
+#: The breaker keys a migration envelope carries, with their kinds.
+_BREAKER_KEYS = (("strikes", int), ("circuit_open", bool),
+                 ("shed_since_probe", int), ("rung", int),
+                 ("fenced", bool), ("respawns", int))
 
 
 def batch_wants_crash(batch: RequestBatch) -> bool:
@@ -429,12 +435,13 @@ class FleetWorker:
     def checkpoint_tenant(self, tenant: str) -> Optional[dict]:
         """Sealed migration envelope for *tenant*: the instance
         checkpoint plus the worker-side breaker/ladder/respawn counters,
-        so a half-open probe does not reset across a shard move.  None
-        when the tenant never built an instance here."""
+        so a half-open probe does not reset across a shard move.  One
+        seal covers every key.  None when the tenant never built an
+        instance here."""
         instance = self.instances.get(tenant)
         if instance is None:
             return None
-        envelope = checkpoint_instance(instance)
+        envelope = _envelope(instance)
         envelope["breaker"] = {
             "strikes": self._strikes.get(tenant, 0),
             "circuit_open": self._circuit_open.get(tenant, False),
@@ -451,32 +458,59 @@ class FleetWorker:
         return seal(envelope)
 
     def restore_tenant(self, envelope: dict) -> GuardedInstance:
-        """Install a migrated tenant from its sealed envelope: rebuild
-        the instance at the envelope's spec generation, overlay the
-        serialized state, and seed the breaker/ladder counters."""
+        """Install a migrated tenant from its sealed envelope: verify it
+        once, rebuild the instance at the envelope's spec generation,
+        overlay the serialized state, and seed the breaker/ladder
+        counters.  Everything is resolved and validated before anything
+        is installed, so a refused envelope (:class:`FleetError`)
+        leaves this worker as it was."""
         verify(envelope)
-        tenant = envelope["tenant"]
-        policy = envelope.get("policy", {})
-        if policy.get("digest"):
-            self._policy_sets[tenant] = \
-                self.registry.policies.get(policy["digest"])
-            self._policy_epoch[tenant] = policy.get("epoch", 0)
-        spec = self._spec_for(envelope["device"],
-                              envelope["qemu_version"],
-                              envelope["spec_digest"])
-        instance = restore_instance(envelope, spec, injector=self.injector)
+        header = _header(envelope)
+        tenant = header["tenant"]
+        breaker = epoch = policy_set = None
+        if "breaker" in envelope:
+            section = need(envelope, "breaker", "", dict)
+            breaker = {key: need(section, key, "breaker.", kind)
+                       for key, kind in _BREAKER_KEYS}
+            if breaker["rung"] > RUNG_FENCE:
+                raise FleetError(f"checkpoint breaker.rung is past the "
+                                 f"ladder: {breaker['rung']!r}")
+        if "policy" in envelope:
+            section = need(envelope, "policy", "", dict)
+            epoch = need(section, "epoch", "policy.")
+            digest = need(section, "digest", "policy.", str)
+            if digest:
+                try:
+                    policy_set = self.registry.policies.get(digest)
+                except PolicyError as exc:
+                    raise FleetError(
+                        f"checkpoint policy.digest: {exc}") from None
+        try:
+            spec = self._spec_for(header["device"], header["qemu_version"],
+                                  header["spec_digest"])
+        except SpecError as exc:
+            raise FleetError(f"checkpoint spec_digest: {exc}") from None
+        instance = _restore(envelope, header, spec, self.injector)
+        # Install: the tenant's worker-side state becomes the envelope's,
+        # whatever an earlier stint of the tenant here left behind.
         self.instances[tenant] = instance
-        breaker = envelope.get("breaker")
+        if epoch is not None:
+            self._policy_epoch[tenant] = epoch
+            if policy_set is None:
+                self._policy_sets.pop(tenant, None)
+            else:
+                self._policy_sets[tenant] = policy_set
         if breaker is not None:
             self._strikes[tenant] = breaker["strikes"]
-            if breaker["circuit_open"]:
-                self._circuit_open[tenant] = True
             self._shed_since_probe[tenant] = breaker["shed_since_probe"]
-            if breaker["rung"]:
-                self._rung[tenant] = breaker["rung"]
-            if breaker["fenced"]:
-                self._fenced[tenant] = True
             self._respawns[tenant] = breaker["respawns"]
+            for latch, key in ((self._circuit_open, "circuit_open"),
+                               (self._rung, "rung"),
+                               (self._fenced, "fenced")):
+                if breaker[key]:
+                    latch[tenant] = breaker[key]
+                else:
+                    latch.pop(tenant, None)
         return instance
 
 

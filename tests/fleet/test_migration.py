@@ -179,6 +179,30 @@ class TestBreakerCarry:
         assert target.policy_for(tenant).policy_id == "silver"
         assert target._policy_epoch[tenant] == 1
 
+    def test_returning_tenant_replaces_stale_breaker(self):
+        # The tenant leaves lane A with its circuit open, its probe on
+        # lane B closes the circuit, and it moves back: A's leftover
+        # open circuit and rung must not outlive the envelope.
+        policy = PolicySet(default=TenantPolicy(
+            policy_id="carry", throttle_after=2, circuit_cooldown=1,
+            restore_after=0, quarantine_after=0))
+        registry = SpecRegistry()
+        registry.policies.put(policy)
+        lane_a = FleetWorker(0, registry, policies=policy)
+        lane_b = FleetWorker(1, registry, policies=policy)
+        tenant, device = "t0-fdc", "fdc"
+        rng = random.Random(47)
+        lane_a.run_batch(_batch(tenant, device, 0, rng))
+        self._strike(lane_a, tenant, device, rng, 1)
+        assert lane_a._circuit_open.get(tenant)
+        lane_b.restore_tenant(lane_a.checkpoint_tenant(tenant))
+        lane_b.run_batch(_batch(tenant, device, 2, rng))
+        assert not lane_b._circuit_open.get(tenant)
+        lane_a.restore_tenant(lane_b.checkpoint_tenant(tenant))
+        assert tenant not in lane_a._circuit_open
+        assert tenant not in lane_a._rung
+        assert lane_a.run_batch(_batch(tenant, device, 3, rng)).shed == 0
+
     def test_tampered_breaker_rejected(self):
         registry = SpecRegistry()
         worker = FleetWorker(0, registry)
