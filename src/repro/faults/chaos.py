@@ -359,21 +359,20 @@ def run_ladder_scenario(device: str = "fdc", backend: str = DEFAULT_BACKEND,
     results = []
     for _ in range(healthy_batches):
         results.append(worker.run_batch(next_batch()))
-    outcome.snapshot_taken = tenant in worker._snapshots
+    record = worker.tenants[tenant]
+    outcome.snapshot_taken = record.snapshot is not None
 
     plan = FaultPlan(seed, (FaultSpec("interp.step", probability=1.0),))
     injector = FaultInjector(plan.for_sites("interp."))
     worker.injector = injector
-    worker.instances[tenant].injector = injector
+    record.instance.injector = injector
     for _ in range(faulty_batches):
         results.append(worker.run_batch(next_batch()))
 
     # The fence is permanent: follow-up traffic (even with the fault
     # disarmed) must be shed, not served — and still not quarantined.
     worker.injector = None
-    instance = worker.instances.get(tenant)
-    if instance is not None:
-        instance.injector = None
+    record.instance.injector = None
     post_fence = worker.run_batch(next_batch())
     outcome.served_after_fence = (post_fence.completed
                                   + post_fence.rejected)

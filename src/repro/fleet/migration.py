@@ -157,10 +157,10 @@ def run_migration_certification(devices: Sequence[str] = ("fdc",),
     Two sessions serve the identical stamped schedule: the baseline
     never migrates; the other live-migrates **every tenant** to the
     next worker lane after its ``migrate_after_batch``-th batch —
-    checkpoint on the source lane, re-pin, restore on the target — and
-    keeps serving.  The CVE-carrying tenants (``inject_fraction``) fire
-    their PoCs *after* the migration point, so detection verdicts are
-    produced by restored instances.
+    checkpoint on the source lane, restore on the target and re-pin,
+    release the source — and keeps serving.  The CVE-carrying tenants
+    (``inject_fraction``) fire their PoCs *after* the migration point,
+    so detection verdicts are produced by restored instances.
     """
     from repro.fleet.loadgen import build_load
     from repro.fleet.supervisor import FleetConfig, FleetSupervisor

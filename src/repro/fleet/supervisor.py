@@ -475,11 +475,17 @@ class FleetSupervisor:
             for spec in specs:
                 bytecode_spec_for(spec)
 
+    def _placement(self, tenant: str) -> int:
+        """The lane *tenant* is pinned to, or would be if it were pinned
+        now: round-robin in order of first appearance (instances are
+        stateful)."""
+        pins = self._tenant_worker
+        return pins.get(tenant, len(pins) % self.config.workers)
+
     def _pin(self, tenant: str) -> int:
-        """The lane *tenant* is pinned to: round-robin in order of first
-        appearance (instances are stateful)."""
-        return self._tenant_worker.setdefault(
-            tenant, len(self._tenant_worker) % self.config.workers)
+        """*tenant*'s :meth:`_placement`, registered as its pin."""
+        return self._tenant_worker.setdefault(tenant,
+                                              self._placement(tenant))
 
     def _admit(self, batch: RequestBatch) -> Tuple[int, RequestBatch]:
         """Stamp *batch* with the spec and policy epochs it runs under
@@ -956,14 +962,11 @@ class FleetSession:
         construction — there is never an in-flight batch at the capture
         instant (the migration protocol's drain step).  Returns ``None``
         when the tenant has no live instance to capture (never served,
-        or its worker's respawn budget is spent).
+        released by a migration, or its worker's respawn budget is
+        spent).
         """
-        if self._closed:
-            raise FleetError("session is closed")
-        supervisor = self.supervisor
-        handle = supervisor._lanes.get(
-            supervisor._tenant_worker.get(tenant))
-        if handle is None or handle.dead:
+        handle = self._pinned_lane(tenant)
+        if handle is None:
             return None
         if self.config.inline:
             return handle.worker.checkpoint_tenant(tenant)
@@ -973,21 +976,20 @@ class FleetSession:
     def install_checkpoint(self, envelope: dict,
                            worker_id: Optional[int] = None) -> str:
         """Restore a checkpoint envelope onto a worker lane and pin the
-        tenant there; counts one completed migration.  With no explicit
-        *worker_id* the tenant keeps (or round-robin acquires) its pin —
-        the cross-shard path, where the receiving session has never seen
-        the tenant."""
+        tenant there, releasing the lane it was pinned to before; counts
+        one completed migration.  With no explicit *worker_id* the
+        tenant keeps (or round-robin acquires) its pin — the cross-shard
+        path, where the receiving session has never seen the tenant.  A
+        refused envelope raises :class:`FleetError` and changes nothing:
+        not the lanes, not the pin."""
         if self._closed:
             raise FleetError("session is closed")
         supervisor = self.supervisor
         tenant = envelope["tenant"]
         if worker_id is None:
-            worker_id = supervisor._pin(tenant)
-        else:
-            if not 0 <= worker_id < self.config.workers:
-                raise FleetError(
-                    f"no such worker lane: {worker_id}")
-            supervisor._tenant_worker[tenant] = worker_id
+            worker_id = supervisor._placement(tenant)
+        elif not 0 <= worker_id < self.config.workers:
+            raise FleetError(f"no such worker lane: {worker_id}")
         handle = supervisor._lane(worker_id)
         if handle.dead:
             raise FleetError(
@@ -998,14 +1000,30 @@ class FleetSession:
         else:
             handle.inbox.put(("restore", envelope))
             self._await_reply("restored", handle)
+        if supervisor._tenant_worker.get(tenant, worker_id) != worker_id:
+            self.release_tenant(tenant)     # the lane it moves off
+        supervisor._tenant_worker[tenant] = worker_id
         supervisor._migrations += 1
         return tenant
+
+    def release_tenant(self, tenant: str) -> None:
+        """Drop *tenant*'s record from its pinned lane: the last step of
+        a move off that lane, taken once the tenant is installed on its
+        new one.  The pin stays."""
+        handle = self._pinned_lane(tenant)
+        if handle is None:
+            return
+        if self.config.inline:
+            handle.worker.release_tenant(tenant)
+        else:
+            handle.inbox.put(("release", tenant))
 
     def migrate_tenant(self, tenant: str,
                        target_worker: int) -> Optional[dict]:
         """Live-migrate *tenant* to *target_worker*: drain (implicit —
         submission is synchronous), checkpoint on the source lane,
-        re-pin, restore on the target.  Returns the transferred sealed
+        restore on the target and re-pin, which releases the source
+        lane unless it is the target.  Returns the transferred sealed
         envelope, or ``None`` when the tenant had no live instance to
         move (in which case the pin is left untouched)."""
         envelope = self.checkpoint_tenant(tenant)
@@ -1014,16 +1032,28 @@ class FleetSession:
         self.install_checkpoint(envelope, worker_id=target_worker)
         return envelope
 
+    def _pinned_lane(self, tenant: str) -> Optional[_WorkerHandle]:
+        """*tenant*'s pinned lane, or ``None`` when it has none or the
+        lane's worker is gone for good."""
+        if self._closed:
+            raise FleetError("session is closed")
+        supervisor = self.supervisor
+        handle = supervisor._lanes.get(
+            supervisor._tenant_worker.get(tenant))
+        return None if handle is None or handle.dead else handle
+
     def _await_reply(self, kind: str, handle: _WorkerHandle):
-        """Wait for a control-RPC reply on *handle*'s result channel.
-        Stray ``result`` messages are dropped and counted as
-        duplicates."""
+        """Wait for a control-RPC reply on *handle*'s result channel; a
+        ``refused`` reply raises its :class:`FleetError`.  Stray
+        ``result`` messages are dropped and counted as duplicates."""
         deadline = time.monotonic() + self.config.stall_timeout
         while True:
             message = _poll(handle, 0.05)
             if message is not None:
                 if message[0] == kind:
                     return message[2]
+                if message[0] == "refused":
+                    raise FleetError(message[2])
                 if message[0] == "result":
                     self.supervisor._duplicates += 1
                     continue

@@ -22,6 +22,11 @@ deterministic: tenants are pinned to workers, batches run sequentially,
 and a batch requeued after a worker death carries its accumulated
 ``infra_strikes`` so the breaker survives the respawn that wiped the
 worker's memory.
+
+A worker keeps one record per tenant (``FleetWorker.tenants``).  A
+live migration is checkpoint → restore → release: the target lane
+installs a record built from the envelope alone, and only then does
+the source lane drop its own, so a tenant is resident on one lane.
 """
 
 from __future__ import annotations
@@ -150,6 +155,32 @@ class BatchResult:
 
 
 @dataclass
+class _Tenant:
+    """Everything a worker holds for one tenant.  A restore installs a
+    record whole and a migration's release drops it, so nothing from an
+    earlier stint of the tenant on this lane outlives a move."""
+
+    instance: GuardedInstance
+    #: breaker and ladder state, under the ``_BREAKER_KEYS`` names a
+    #: migration envelope carries
+    strikes: int = 0
+    circuit_open: bool = False
+    shed_since_probe: int = 0
+    #: highest ladder rung fired during the current strike run
+    rung: int = 0
+    #: infrastructure-fenced (ladder rung 3; never security)
+    fenced: bool = False
+    respawns: int = 0
+    #: policy hot-reload epoch (batch-stamped, like specs) and the set
+    #: it installed; ``None`` resolves from the worker's own set
+    policy_epoch: int = 0
+    policy_set: Optional[PolicySet] = None
+    #: last healthy checkpoint (taken only when the tenant's policy
+    #: arms the snapshot-restore rung)
+    snapshot: Optional[dict] = None
+
+
+@dataclass
 class FleetWorker:
     """Hosts the guarded instances of the tenants assigned to it."""
 
@@ -162,40 +193,28 @@ class FleetWorker:
     injector: Optional[object] = None
     #: declarative per-tenant resilience policies
     policies: PolicySet = field(default_factory=PolicySet)
-    instances: Dict[str, GuardedInstance] = field(default_factory=dict)
-    _respawns: Dict[str, int] = field(default_factory=dict)
-    _strikes: Dict[str, int] = field(default_factory=dict)
-    _circuit_open: Dict[str, bool] = field(default_factory=dict)
-    _shed_since_probe: Dict[str, int] = field(default_factory=dict)
-    #: per-tenant policy hot-reload epoch (batch-stamped, like specs)
-    _policy_epoch: Dict[str, int] = field(default_factory=dict)
-    _policy_sets: Dict[str, PolicySet] = field(default_factory=dict)
-    #: highest ladder rung fired during the current strike run
-    _rung: Dict[str, int] = field(default_factory=dict)
-    #: infrastructure-fenced tenants (ladder rung 3; never security)
-    _fenced: Dict[str, bool] = field(default_factory=dict)
-    #: last healthy checkpoint per tenant (taken only when the tenant's
-    #: policy arms the snapshot-restore rung)
-    _snapshots: Dict[str, dict] = field(default_factory=dict)
+    #: one record per hosted tenant
+    tenants: Dict[str, _Tenant] = field(default_factory=dict)
 
     # -- policy resolution --------------------------------------------------
 
     def policy_for(self, tenant: str) -> TenantPolicy:
         """The tenant's resolved policy under its current epoch."""
-        return self._policy_sets.get(tenant, self.policies).resolve(tenant)
+        record = self.tenants.get(tenant)
+        if record is None or record.policy_set is None:
+            return self.policies.resolve(tenant)
+        return record.policy_set.resolve(tenant)
 
-    def _maybe_reload_policy(self, batch: RequestBatch,
+    def _maybe_reload_policy(self, record: _Tenant, batch: RequestBatch,
                              result: BatchResult) -> None:
         """Epoch-based policy hot reload, mirroring the spec mechanism:
         the supervisor stamped this batch with a newer policy
         generation; the swap lands here, before the first op, so the
         previous batch finished wholly under the old policy."""
-        tenant = batch.tenant
-        if (batch.policy_epoch > self._policy_epoch.get(tenant, 0)
-                and batch.policy_digest):
-            self._policy_sets[tenant] = \
+        if batch.policy_epoch > record.policy_epoch and batch.policy_digest:
+            record.policy_set = \
                 self.registry.policies.get(batch.policy_digest)
-            self._policy_epoch[tenant] = batch.policy_epoch
+            record.policy_epoch = batch.policy_epoch
             result.policy_reloads += 1
 
     def _build(self, batch: RequestBatch) -> GuardedInstance:
@@ -227,29 +246,24 @@ class FleetWorker:
                     for part in parts}
         return self.registry.get(device, qemu_version)
 
-    def instance_for(self, batch: RequestBatch) -> GuardedInstance:
-        instance = self.instances.get(batch.tenant)
-        if instance is None:
-            instance = self._build(batch)
-            self.instances[batch.tenant] = instance
-        return instance
-
     def run_batch(self, batch: RequestBatch) -> BatchResult:
         start = time.perf_counter()
         tenant = batch.tenant
         result = BatchResult(tenant, batch.device, batch.seq,
                              self.worker_id, submitted=len(batch.ops))
-        self._maybe_reload_policy(batch, result)
+        record = self.tenants.get(tenant)
+        if record is None:
+            record = self.tenants[tenant] = _Tenant(self._build(batch))
+        self._maybe_reload_policy(record, batch, result)
         pol = self.policy_for(tenant)
         result.policy_id = pol.policy_id
-        result.policy_generation = self._policy_epoch.get(tenant, 0)
-        instance = self.instance_for(batch)
+        result.policy_generation = record.policy_epoch
         # Seed the breaker from the batch: strikes accrued before the
         # previous worker died must survive the respawn.  Seeded strikes
         # climb the same ladder in-batch failures do.
-        if batch.infra_strikes > self._strikes.get(tenant, 0):
-            self._strikes[tenant] = batch.infra_strikes
-        instance = self._climb_ladder(batch, pol, result)
+        if batch.infra_strikes > record.strikes:
+            record.strikes = batch.infra_strikes
+        instance = self._climb_ladder(record, batch, pol, result)
         if (batch.spec_epoch > instance.spec_epoch
                 and not instance.quarantined):
             # Epoch-based hot reload: the supervisor stamped this batch
@@ -265,7 +279,7 @@ class FleetWorker:
         retrain = []
         served = 0
         for op in batch.ops:
-            if self._fenced.get(tenant, False):
+            if record.fenced:
                 # Ladder rung 3: infrastructure fence.  Everything is
                 # shed; deliberately *not* a security quarantine.
                 result.shed += 1
@@ -280,15 +294,14 @@ class FleetWorker:
                 if op.kind == "exploit":
                     result.exploit_refusals += 1
                 continue
-            if self._circuit_open.get(tenant, False):
-                since = self._shed_since_probe.get(tenant, 0)
-                if since < pol.circuit_cooldown:
-                    self._shed_since_probe[tenant] = since + 1
+            if record.circuit_open:
+                if record.shed_since_probe < pol.circuit_cooldown:
+                    record.shed_since_probe += 1
                     result.shed += 1
                     if op.kind == "exploit":
                         result.exploit_refusals += 1
                     continue
-                self._shed_since_probe[tenant] = 0   # half-open probe
+                record.shed_since_probe = 0   # half-open probe
             served += 1
             outcome = instance.apply(op, pol)
             result.cycles += outcome.cycles
@@ -297,8 +310,7 @@ class FleetWorker:
                 # Stamp the resolved policy the op ran under.
                 outcome.report.policy = pol.degradation
                 outcome.report.policy_id = pol.policy_id
-                outcome.report.policy_generation = \
-                    self._policy_epoch.get(tenant, 0)
+                outcome.report.policy_generation = record.policy_epoch
                 reports.append(outcome.report)
                 reason = retrain_reason(outcome.report)
                 if reason and op.kind in ("common", "rare"):
@@ -312,8 +324,8 @@ class FleetWorker:
                      and outcome.report.trace_gap)
             if infra:
                 result.infra_failures += 1
-                self._strikes[tenant] = self._strikes.get(tenant, 0) + 1
-                instance = self._climb_ladder(batch, pol, result)
+                record.strikes += 1
+                instance = self._climb_ladder(record, batch, pol, result)
             if outcome.status == "trace_gap":
                 result.trace_gaps += 1
                 if op.kind == "exploit":
@@ -326,16 +338,16 @@ class FleetWorker:
                 continue
             if outcome.status == "fault":
                 result.faults += 1
-                instance = self._respawn_or_fence(batch, pol,
+                instance = self._respawn_or_fence(record, batch, pol,
                                                   outcome.detail, result)
                 continue
             if not infra:
                 # A vouched-for round: the tenant's machinery is healthy
                 # again, so the strike run ends, an open circuit's
                 # successful probe closes it, and the ladder resets.
-                self._strikes[tenant] = 0
-                self._circuit_open.pop(tenant, None)
-                self._rung.pop(tenant, None)
+                record.strikes = 0
+                record.circuit_open = False
+                record.rung = 0
             result.completed += 1
             op_cycles.append(outcome.cycles)
             if outcome.status == "detected":
@@ -346,54 +358,54 @@ class FleetWorker:
                 result.exploit_escapes += 1
         result.quarantined = instance.quarantined
         result.quarantine_reason = instance.quarantine_reason
-        result.fenced = self._fenced.get(tenant, False)
+        result.fenced = record.fenced
         result.op_cycles = tuple(op_cycles)
         result.reports = tuple(reports)
         result.retrain = tuple(retrain)
         result.wall_seconds = time.perf_counter() - start
         if (pol.restore_after > 0 and not result.fenced
-                and not instance.quarantined
-                and self._strikes.get(tenant, 0) == 0):
+                and not instance.quarantined and record.strikes == 0):
             # The batch ended healthy and this tenant's policy arms the
             # snapshot-restore rung: capture the rollback point.
-            self._snapshots[tenant] = checkpoint_instance(instance)
+            record.snapshot = checkpoint_instance(instance)
         return result
 
-    def _climb_ladder(self, batch: RequestBatch, pol: TenantPolicy,
+    def _climb_ladder(self, record: _Tenant, batch: RequestBatch,
+                      pol: TenantPolicy,
                       result: BatchResult) -> GuardedInstance:
         """Fire every graduated-ladder rung the tenant's consecutive
         strike count has reached, in order, at most once per strike run
         (a vouched-for round resets the run)."""
-        tenant = batch.tenant
-        strikes = self._strikes.get(tenant, 0)
-        rung = self._rung.get(tenant, 0)
+        strikes, rung = record.strikes, record.rung
         if (pol.throttle_after > 0 and strikes >= pol.throttle_after
-                and not self._circuit_open.get(tenant, False)):
-            self._open_circuit(tenant, result)
+                and not record.circuit_open):
+            record.circuit_open = True
+            record.shed_since_probe = 0
+            result.circuit_opens += 1
             result.policy_throttles += 1
             rung = max(rung, RUNG_THROTTLE)
         if (pol.restore_after > 0 and strikes >= pol.restore_after
                 and rung < RUNG_RESTORE):
             rung = RUNG_RESTORE
-            snapshot = self._snapshots.get(tenant)
-            if snapshot is not None:
-                self._restore_snapshot(batch, snapshot)
+            if record.snapshot is not None:
+                self._restore_snapshot(record, batch)
                 result.policy_restores += 1
         if (pol.quarantine_after > 0 and strikes >= pol.quarantine_after
                 and rung < RUNG_FENCE):
             rung = RUNG_FENCE
-            self._fenced[tenant] = True
+            record.fenced = True
             result.policy_fences += 1
             result.fenced = True
-        self._rung[tenant] = rung
-        return self.instances.get(tenant) or self.instance_for(batch)
+        record.rung = rung
+        return record.instance
 
-    def _restore_snapshot(self, batch: RequestBatch,
-                          snapshot: dict) -> None:
+    def _restore_snapshot(self, record: _Tenant,
+                          batch: RequestBatch) -> None:
         """Ladder rung 2: roll the instance back to its last healthy
         checkpoint.  Breaker state is deliberately *not* rolled back —
         the strike run continues toward the fence rung if the
         infrastructure stays unhealthy."""
+        snapshot = record.snapshot
         spec = self._spec_for(snapshot["device"],
                               snapshot["qemu_version"],
                               snapshot["spec_digest"])
@@ -406,82 +418,72 @@ class FleetWorker:
             instance.reload_spec(
                 self.registry.spec_by_digest(batch.spec_digest),
                 batch.spec_epoch, batch.spec_digest)
-        self.instances[batch.tenant] = instance
+        record.instance = instance
 
-    def _open_circuit(self, tenant: str, result: BatchResult) -> None:
-        self._circuit_open[tenant] = True
-        self._shed_since_probe[tenant] = 0
-        result.circuit_opens += 1
-
-    def _respawn_or_fence(self, batch: RequestBatch, pol: TenantPolicy,
-                          detail: str,
+    def _respawn_or_fence(self, record: _Tenant, batch: RequestBatch,
+                          pol: TenantPolicy, detail: str,
                           result: BatchResult) -> GuardedInstance:
         """An unhandled device fault killed the instance: rebuild it from
         the shared spec (bounded by the tenant's declarative respawn
         budget), else quarantine the tenant."""
-        spent = self._respawns.get(batch.tenant, 0)
-        if spent < pol.respawn_budget:
-            self._respawns[batch.tenant] = spent + 1
+        if record.respawns < pol.respawn_budget:
+            record.respawns += 1
             result.instance_respawns += 1
-            instance = self._build(batch)
+            record.instance = self._build(batch)
         else:
-            instance = self.instances[batch.tenant]
-            instance.quarantine(f"fault budget exhausted: {detail}")
-        self.instances[batch.tenant] = instance
-        return instance
+            record.instance.quarantine(f"fault budget exhausted: {detail}")
+        return record.instance
 
-    # -- checkpoint / restore (live migration) -------------------------------
+    # -- checkpoint / restore / release (live migration) ---------------------
 
     def checkpoint_tenant(self, tenant: str) -> Optional[dict]:
         """Sealed migration envelope for *tenant*: the instance
-        checkpoint plus the worker-side breaker/ladder/respawn counters,
-        so a half-open probe does not reset across a shard move.  One
-        seal covers every key.  None when the tenant never built an
-        instance here."""
-        instance = self.instances.get(tenant)
-        if instance is None:
+        checkpoint plus the record's breaker/ladder/respawn counters and
+        policy generation, so a half-open probe does not reset across a
+        shard move.  One seal covers every key.  None when *tenant* has
+        no record here: it never built an instance on this lane, or a
+        migration released it."""
+        record = self.tenants.get(tenant)
+        if record is None:
             return None
-        envelope = _envelope(instance)
-        envelope["breaker"] = {
-            "strikes": self._strikes.get(tenant, 0),
-            "circuit_open": self._circuit_open.get(tenant, False),
-            "shed_since_probe": self._shed_since_probe.get(tenant, 0),
-            "rung": self._rung.get(tenant, 0),
-            "fenced": self._fenced.get(tenant, False),
-            "respawns": self._respawns.get(tenant, 0),
-        }
+        envelope = _envelope(record.instance)
+        envelope["breaker"] = {key: getattr(record, key)
+                               for key, _ in _BREAKER_KEYS}
         envelope["policy"] = {
-            "epoch": self._policy_epoch.get(tenant, 0),
-            "digest": (self._policy_sets[tenant].digest
-                       if tenant in self._policy_sets else ""),
+            "epoch": record.policy_epoch,
+            "digest": ("" if record.policy_set is None
+                       else record.policy_set.digest),
         }
         return seal(envelope)
 
     def restore_tenant(self, envelope: dict) -> GuardedInstance:
         """Install a migrated tenant from its sealed envelope: verify it
         once, rebuild the instance at the envelope's spec generation,
-        overlay the serialized state, and seed the breaker/ladder
-        counters.  Everything is resolved and validated before anything
-        is installed, so a refused envelope (:class:`FleetError`)
-        leaves this worker as it was."""
+        overlay the serialized state, and install one record built from
+        the envelope alone.  A section the envelope lacks starts at a
+        fresh tenant's values and the snapshot starts empty, so nothing
+        an earlier stint of the tenant here left behind survives.
+        Everything is resolved and validated before the record is
+        installed, so a refused envelope (:class:`FleetError`) leaves
+        this worker as it was."""
         verify(envelope)
         header = _header(envelope)
-        tenant = header["tenant"]
-        breaker = epoch = policy_set = None
+        fields = {}
         if "breaker" in envelope:
             section = need(envelope, "breaker", "", dict)
-            breaker = {key: need(section, key, "breaker.", kind)
-                       for key, kind in _BREAKER_KEYS}
-            if breaker["rung"] > RUNG_FENCE:
+            for key, kind in _BREAKER_KEYS:
+                fields[key] = need(section, key, "breaker.", kind)
+            if fields["rung"] > RUNG_FENCE:
                 raise FleetError(f"checkpoint breaker.rung is past the "
-                                 f"ladder: {breaker['rung']!r}")
+                                 f"ladder: {fields['rung']!r}")
         if "policy" in envelope:
             section = need(envelope, "policy", "", dict)
-            epoch = need(section, "epoch", "policy.")
+            fields["policy_epoch"] = need(section, "epoch", "policy.")
             digest = need(section, "digest", "policy.", str)
             if digest:
                 try:
-                    policy_set = self.registry.policies.get(digest)
+                    fields["policy_set"] = \
+                        self.registry.policies.get(digest)
                 except PolicyError as exc:
                     raise FleetError(
                         f"checkpoint policy.digest: {exc}") from None
@@ -491,27 +493,13 @@ class FleetWorker:
         except SpecError as exc:
             raise FleetError(f"checkpoint spec_digest: {exc}") from None
         instance = _restore(envelope, header, spec, self.injector)
-        # Install: the tenant's worker-side state becomes the envelope's,
-        # whatever an earlier stint of the tenant here left behind.
-        self.instances[tenant] = instance
-        if epoch is not None:
-            self._policy_epoch[tenant] = epoch
-            if policy_set is None:
-                self._policy_sets.pop(tenant, None)
-            else:
-                self._policy_sets[tenant] = policy_set
-        if breaker is not None:
-            self._strikes[tenant] = breaker["strikes"]
-            self._shed_since_probe[tenant] = breaker["shed_since_probe"]
-            self._respawns[tenant] = breaker["respawns"]
-            for latch, key in ((self._circuit_open, "circuit_open"),
-                               (self._rung, "rung"),
-                               (self._fenced, "fenced")):
-                if breaker[key]:
-                    latch[tenant] = breaker[key]
-                else:
-                    latch.pop(tenant, None)
+        self.tenants[header["tenant"]] = _Tenant(instance, **fields)
         return instance
+
+    def release_tenant(self, tenant: str) -> None:
+        """Drop *tenant*'s record: the last step of a migration, taken
+        once its envelope is installed on another lane."""
+        self.tenants.pop(tenant, None)
 
 
 def worker_main(worker_id: int, registry: SpecRegistry, inbox, outbox,
@@ -528,7 +516,10 @@ def worker_main(worker_id: int, registry: SpecRegistry, inbox, outbox,
     The keyword arguments are the :class:`FleetWorker` settings, the
     same ones an inline lane gets.  ("checkpoint", tenant) answers
     with the tenant's sealed migration envelope; ("restore", envelope)
-    installs a migrated tenant."""
+    installs a migrated tenant and answers ("restored", ...), or
+    ("refused", ..., why) when the envelope is refused, leaving this
+    worker as it was; ("release", tenant) drops a migrated-away
+    tenant's record and answers nothing."""
     if slow_start > 0:
         # worker.slow_start arm: the respawned process takes its time
         # coming up; dispatched batches just wait in the inbox.
@@ -547,8 +538,15 @@ def worker_main(worker_id: int, registry: SpecRegistry, inbox, outbox,
                          worker.checkpoint_tenant(message[1])))
             continue
         if message[0] == "restore":
-            worker.restore_tenant(message[1])
-            outbox.send(("restored", worker_id, message[1]["tenant"]))
+            try:
+                worker.restore_tenant(message[1])
+            except FleetError as exc:
+                outbox.send(("refused", worker_id, str(exc)))
+            else:
+                outbox.send(("restored", worker_id, message[1]["tenant"]))
+            continue
+        if message[0] == "release":
+            worker.release_tenant(message[1])
             continue
         batch: RequestBatch = message[1]
         if batch_wants_crash(batch):

@@ -609,12 +609,14 @@ class Gateway:
                     # instead of being rebuilt from scratch.  Sessions
                     # are synchronous, so the source lane is drained at
                     # this instant; a tenant never served yet simply
-                    # has no envelope to move.
-                    envelope = \
-                        all_shards[src].session.checkpoint_tenant(tenant)
+                    # has no envelope to move.  The source lane lets go
+                    # of the tenant only once the destination holds it.
+                    src_session = all_shards[src].session
+                    envelope = src_session.checkpoint_tenant(tenant)
                     if envelope is not None:
                         dst_shard = all_shards[dst]
                         dst_shard.session.install_checkpoint(envelope)
+                        src_session.release_tenant(tenant)
                         migration_count += 1
                         migrations_ctr.inc()
                     if tenant in queued:

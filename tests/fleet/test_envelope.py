@@ -235,12 +235,7 @@ def _assert_skeleton_sized(instance):
 
 
 def _assert_untouched(worker):
-    assert not worker.instances
-    for latch in (worker._policy_sets, worker._policy_epoch,
-                  worker._strikes, worker._circuit_open,
-                  worker._shed_since_probe, worker._rung, worker._fenced,
-                  worker._respawns):
-        assert not latch
+    assert not worker.tenants
 
 
 class TestMutatedEnvelopes:
@@ -271,7 +266,7 @@ class TestMutatedEnvelopes:
             _assert_untouched(worker)
             return
         _assert_skeleton_sized(instance)
-        assert worker.instances[instance.tenant] is instance
+        assert worker.tenants[instance.tenant].instance is instance
 
     @pytest.mark.parametrize("path,new", [
         (("vm",), _DROP),

@@ -11,6 +11,7 @@ envelope, so a tenant cannot launder its strike history by moving.
 """
 
 import random
+from dataclasses import replace
 
 import pytest
 
@@ -25,6 +26,12 @@ from repro.fleet.checkpoint import seal
 from repro.fleet.instance import GuardedInstance
 from repro.fleet.loadgen import RequestBatch, sample_benign_op
 from repro.policy.model import PolicySet, TenantPolicy
+
+
+@pytest.fixture(scope="module")
+def registry(tmp_path_factory):
+    # Pool lanes load their specs from the registry's disk cache.
+    return SpecRegistry(cache_dir=str(tmp_path_factory.mktemp("specs")))
 
 
 def _batch(tenant, device, seq, rng, ops=3):
@@ -53,6 +60,16 @@ class TestSessionMigration:
             migrate_after_batch=0, seed=13)
         assert cert.ok, cert.describe()
 
+    def test_single_lane_migration_certifies(self, capsys):
+        # With one lane every move lands on the tenant's own lane, which
+        # keeps the tenant rather than releasing it.
+        from repro.cli import main
+
+        assert main(["migrate", "--workers", "1", "--backends",
+                     "bytecode", "--tenants", "2", "--batches", "3",
+                     "--ops", "3"]) == 0
+        assert "all_certified=True" in capsys.readouterr().out
+
     def test_certify_flags_verdict_divergence(self):
         # Same load, different inject schedule: signatures diverge and
         # the certificate must FAIL loudly, not average it away.
@@ -78,16 +95,48 @@ class TestSessionMigration:
             session.close()
 
 
+class TestReturningTenant:
+    @pytest.mark.parametrize("inline", [True, False],
+                             ids=["inline", "pool"])
+    def test_returning_tenant_skips_stale_snapshot(self, registry, inline):
+        # The restore rung rolls a tenant back to the last healthy
+        # snapshot its lane took.  A tenant that leaves lane 0 after one
+        # batch and comes back five batches later must not be rolled
+        # back to the snapshot lane 0 took before it left.
+        policy = PolicySet(default=TenantPolicy(
+            policy_id="rollback", throttle_after=0, restore_after=1,
+            quarantine_after=0))
+        # A certain-fire interp fault on op 19 alone: the first op
+        # served after the tenant returns.
+        plan = FaultPlan(3, (FaultSpec("interp.step", probability=1.0,
+                                       trigger_round=19),))
+        supervisor = FleetSupervisor(
+            FleetConfig(workers=2, inline=inline, policies=policy,
+                        fault_plan=plan, cache_dir=registry.cache_dir),
+            registry=registry)
+        session = supervisor.session()
+        tenant, device = "t0-fdc", "fdc"
+        rng = random.Random(53)
+        try:
+            session.submit(_batch(tenant, device, 0, rng))
+            assert session.worker_for(tenant) == 0
+            session.migrate_tenant(tenant, 1)
+            for seq in range(1, 6):
+                session.submit(_batch(tenant, device, seq, rng))
+            session.migrate_tenant(tenant, 0)
+            assert session.checkpoint_tenant(tenant)["op_serial"] == 18
+            result = session.submit(_batch(tenant, device, 6, rng))
+            assert session.checkpoint_tenant(tenant)["op_serial"] == 21
+            assert (result.trace_gaps, result.policy_restores) == (1, 0)
+        finally:
+            session.close()
+
+
 class TestCreditedMigration:
     """An instance that runs strict rounds on credit (``batch_rounds``)
     vets its prepare step when it is built, so no checkpoint carries
     credited rounds and no restored skeleton vets stale ones against
     the overlaid state."""
-
-    @pytest.fixture(scope="class")
-    def registry(self, tmp_path_factory):
-        # Pool lanes load their specs from the registry's disk cache.
-        return SpecRegistry(cache_dir=str(tmp_path_factory.mktemp("specs")))
 
     @pytest.mark.parametrize("inline", [True, False],
                              ids=["inline", "pool"])
@@ -123,10 +172,10 @@ class TestBreakerCarry:
         plan = FaultPlan(3, (FaultSpec("interp.step", probability=1.0),))
         injector = FaultInjector(plan.for_sites("interp."))
         worker.injector = injector
-        worker.instances[tenant].injector = injector
+        worker.tenants[tenant].instance.injector = injector
         result = worker.run_batch(_batch(tenant, device, seq, rng))
         worker.injector = None
-        worker.instances[tenant].injector = None
+        worker.tenants[tenant].instance.injector = None
         return result
 
     def test_strikes_and_rung_survive_migration(self):
@@ -140,29 +189,27 @@ class TestBreakerCarry:
         rng = random.Random(41)
         source.run_batch(_batch(tenant, device, 0, rng))
         self._strike(source, tenant, device, rng, 1)
-        assert source._strikes[tenant] >= 2
-        assert source._circuit_open.get(tenant)
+        left = source.tenants[tenant]
+        assert left.strikes >= 2
+        assert left.circuit_open
 
         envelope = source.checkpoint_tenant(tenant)
-        assert envelope["breaker"]["strikes"] == \
-            source._strikes[tenant]
+        assert envelope["breaker"]["strikes"] == left.strikes
         assert envelope["breaker"]["circuit_open"] is True
         assert envelope["policy"] == {"epoch": 0, "digest": ""}
 
         target = FleetWorker(1, registry, policies=policy)
         target.restore_tenant(envelope)
-        assert target._strikes[tenant] == source._strikes[tenant]
-        assert target._circuit_open.get(tenant) is True
-        assert target._shed_since_probe[tenant] == \
-            source._shed_since_probe.get(tenant, 0)
+        arrived = target.tenants[tenant]
+        assert arrived.strikes == left.strikes
+        assert arrived.circuit_open is True
+        assert arrived.shed_since_probe == left.shed_since_probe
         # The open circuit keeps shedding on the target lane: the move
         # did not hand the tenant a fresh breaker.
         result = target.run_batch(_batch(tenant, device, 2, rng))
         assert result.shed > 0
 
     def test_reloaded_policy_generation_survives_migration(self):
-        from dataclasses import replace
-
         boot = PolicySet(default=TenantPolicy(policy_id="gold"))
         silver = PolicySet(default=TenantPolicy(policy_id="silver"))
         registry = SpecRegistry()
@@ -177,30 +224,56 @@ class TestBreakerCarry:
         target = FleetWorker(1, registry, policies=boot)
         target.restore_tenant(source.checkpoint_tenant(tenant))
         assert target.policy_for(tenant).policy_id == "silver"
-        assert target._policy_epoch[tenant] == 1
+        assert target.tenants[tenant].policy_epoch == 1
 
     def test_returning_tenant_replaces_stale_breaker(self):
-        # The tenant leaves lane A with its circuit open, its probe on
-        # lane B closes the circuit, and it moves back: A's leftover
-        # open circuit and rung must not outlive the envelope.
+        self._return_to_lane_a(sections=True)
+
+    def test_bare_instance_envelope_installs_a_fresh_tenant(self):
+        # A bare instance checkpoint carries no breaker or policy
+        # section: lane A installs a fresh tenant's values instead.
+        self._return_to_lane_a(sections=False)
+
+    def _return_to_lane_a(self, sections):
+        """The tenant leaves lane A with its circuit open, a reloaded
+        policy and a snapshot; its probe on lane B closes the circuit,
+        and it moves back: the record lane A installs is the
+        envelope's, whole."""
         policy = PolicySet(default=TenantPolicy(
             policy_id="carry", throttle_after=2, circuit_cooldown=1,
-            restore_after=0, quarantine_after=0))
+            restore_after=2, quarantine_after=0))
         registry = SpecRegistry()
-        registry.policies.put(policy)
-        lane_a = FleetWorker(0, registry, policies=policy)
-        lane_b = FleetWorker(1, registry, policies=policy)
+        digest = registry.policies.put(policy)
+        lane_a = FleetWorker(0, registry)
+        lane_b = FleetWorker(1, registry)
         tenant, device = "t0-fdc", "fdc"
         rng = random.Random(47)
-        lane_a.run_batch(_batch(tenant, device, 0, rng))
+        lane_a.run_batch(replace(_batch(tenant, device, 0, rng),
+                                 policy_epoch=1, policy_digest=digest))
         self._strike(lane_a, tenant, device, rng, 1)
-        assert lane_a._circuit_open.get(tenant)
+        stale = lane_a.tenants[tenant]
+        assert stale.circuit_open and stale.rung == 2
+        assert stale.policy_epoch == 1 and stale.snapshot is not None
         lane_b.restore_tenant(lane_a.checkpoint_tenant(tenant))
         lane_b.run_batch(_batch(tenant, device, 2, rng))
-        assert not lane_b._circuit_open.get(tenant)
-        lane_a.restore_tenant(lane_b.checkpoint_tenant(tenant))
-        assert tenant not in lane_a._circuit_open
-        assert tenant not in lane_a._rung
+        assert not lane_b.tenants[tenant].circuit_open
+        envelope = (lane_b.checkpoint_tenant(tenant) if sections
+                    else checkpoint_instance(lane_b.tenants[tenant].instance))
+        lane_a.restore_tenant(envelope)
+        installed = lane_a.tenants[tenant]
+        assert installed is not stale
+        fresh = {"strikes": 0, "circuit_open": False,
+                 "shed_since_probe": 0, "rung": 0, "fenced": False,
+                 "respawns": 0}
+        assert {key: getattr(installed, key) for key in fresh} \
+            == envelope.get("breaker", fresh)
+        policy_section = envelope.get("policy", {"epoch": 0, "digest": ""})
+        assert installed.policy_epoch == policy_section["epoch"]
+        assert (installed.policy_set.digest if installed.policy_set
+                else "") == policy_section["digest"]
+        assert installed.snapshot is None
+        assert lane_a.policy_for(tenant).policy_id \
+            == ("carry" if sections else "default")
         assert lane_a.run_batch(_batch(tenant, device, 3, rng)).shed == 0
 
     def test_tampered_breaker_rejected(self):

@@ -1,6 +1,7 @@
 """FleetSession: the streaming facade must be result-identical to
 ``run()`` over the same executed batches, inline and pooled."""
 
+import time
 from dataclasses import replace
 
 import pytest
@@ -10,6 +11,7 @@ from repro.faults import FaultPlan, FaultSpec
 from repro.fleet import (
     FleetConfig, FleetSupervisor, OpRequest, SpecRegistry, build_load,
 )
+from repro.fleet.checkpoint import seal
 
 STAT_FIELDS = (
     "workers", "requests", "completed", "rejected", "faults", "lost",
@@ -126,6 +128,86 @@ class TestDeadLane:
             result = session.close()
         assert result.stats.lost == len(schedule[1].ops)
         assert result.stats.worker_respawns == 0
+
+
+def lane_checkpoint(session, worker_id, tenant):
+    """*tenant*'s checkpoint as lane *worker_id* answers it, wherever
+    the tenant is pinned."""
+    handle = session.supervisor._lanes[worker_id]
+    if session.config.inline:
+        return handle.worker.checkpoint_tenant(tenant)
+    handle.inbox.put(("checkpoint", tenant))
+    return session._await_reply("checkpoint", handle)
+
+
+@pytest.mark.parametrize("inline", [True, False], ids=["inline", "pool"])
+class TestMigrationResidency:
+    """A migration is checkpoint, restore, release: the tenant ends
+    resident on exactly one lane, and a refused restore moves
+    nothing."""
+
+    def test_migrated_tenant_leaves_its_source_lane(self, registry,
+                                                    inline):
+        _, schedule = build_load(["fdc"], 2, 1, 2, seed=5)
+        session = supervisor(registry, inline).session()
+        try:
+            for batch in schedule:
+                session.submit(batch)
+            tenant = schedule[0].tenant
+            assert session.worker_for(tenant) == 0
+            session.migrate_tenant(tenant, 1)
+            assert session.worker_for(tenant) == 1
+            assert lane_checkpoint(session, 0, tenant) is None
+            assert lane_checkpoint(session, 1, tenant) is not None
+        finally:
+            session.close()
+
+    def test_migrating_to_its_own_lane_keeps_the_tenant(self, registry,
+                                                        inline):
+        _, schedule = build_load(["fdc"], 1, 2, 2, seed=5)
+        session = supervisor(registry, inline).session()
+        try:
+            session.submit(schedule[0])
+            tenant = schedule[0].tenant
+            session.migrate_tenant(tenant, session.worker_for(tenant))
+            assert session.checkpoint_tenant(tenant) is not None
+            assert session.submit(schedule[1]).completed == 2
+        finally:
+            result = session.close()
+        assert result.stats.migrations == 1
+
+    def test_refused_restore_fails_fast_and_changes_nothing(self, registry,
+                                                            inline):
+        # A re-sealed envelope naming an unknown part is refused by the
+        # target lane: the refusal comes back as a FleetError at once,
+        # the worker and its other tenant live on, and the pin stays.
+        config = FleetConfig(workers=2, inline=inline, stall_timeout=10,
+                             cache_dir=registry.cache_dir)
+        _, schedule = build_load(["fdc"], 2, 2, 2, seed=7)
+        session = FleetSupervisor(config, registry).session()
+        try:
+            session.submit(schedule[0])
+            session.submit(schedule[1])
+            mover, neighbour = schedule[0].tenant, schedule[1].tenant
+            assert session.worker_for(neighbour) == 1
+            envelope = session.checkpoint_tenant(mover)
+            envelope["devices"]["ghost"] = envelope["devices"]["fdc"]
+            seal(envelope)
+            start = time.monotonic()
+            with pytest.raises(FleetError, match="devices"):
+                session.install_checkpoint(envelope, worker_id=1)
+            assert time.monotonic() - start < config.stall_timeout / 4
+            assert session.worker_for(mover) == 0
+            assert lane_checkpoint(session, 1, mover) is None
+            for batch in schedule[2:]:
+                session.submit(batch)
+            # The neighbour's instance was kept, not rebuilt: its op
+            # serial counts both of its batches.
+            assert session.checkpoint_tenant(neighbour)["op_serial"] == 4
+        finally:
+            result = session.close()
+        assert result.stats.worker_respawns == 0
+        assert result.stats.migrations == 0
 
 
 class TestSessionDifferential:

@@ -76,6 +76,29 @@ class TestRebalanceMigration:
         assert moved.quarantined_tenants() \
             == baseline.quarantined_tenants()
 
+    def test_every_tenant_resident_on_one_lane(self, registry,
+                                               monkeypatch):
+        # A move releases the source lane once the destination holds
+        # the tenant, so when the shards close every served tenant has
+        # exactly one record across all their lanes.
+        from repro.fleet.supervisor import FleetSession
+
+        lanes = []
+        close = FleetSession.close
+
+        def keeping_close(session, *args, **kwargs):
+            lanes.extend(handle.worker
+                         for handle in session.supervisor._lanes.values())
+            return close(session, *args, **kwargs)
+
+        monkeypatch.setattr(FleetSession, "close", keeping_close)
+        result = _run(registry, rebalances=[MID_REBALANCE])
+        assert result.stats.migrations > 0
+        for tenant, summary in result.tenants.items():
+            holders = [lane for lane in lanes
+                       if lane.checkpoint_tenant(tenant) is not None]
+            assert len(holders) == (1 if summary.submitted else 0), tenant
+
     def test_strikeless_tenants_still_move_safely(self, registry):
         # Tenants the source shard never built an instance for yield no
         # envelope (checkpoint is None); the move must still be clean.
