@@ -14,7 +14,8 @@ The supervisor owns the enforcement service's control plane:
   is spent the worker's remaining requests are counted ``lost`` rather
   than hidden;
 * **quarantine bookkeeping** — SEDSpec detections recorded per tenant
-  with their :class:`CheckReport`s while other tenants keep being served.
+  with their :class:`CheckReport`s while other tenants keep being served;
+  a respawned worker starts with its lane's quarantines.
 
 There is one execution path.  A run's lanes (in-process workers or
 worker processes) live on the supervisor; ``run()`` serves a whole
@@ -33,7 +34,6 @@ from __future__ import annotations
 
 import math
 import multiprocessing
-import os
 import time
 from collections import deque
 from dataclasses import dataclass, field, replace
@@ -44,7 +44,7 @@ from repro.checker import CheckReport, DEFAULT_BACKEND, Mode
 from repro.errors import FleetError
 from repro.policy.model import PolicySet
 from repro.fleet.loadgen import FAULT_OP_KINDS, RequestBatch, TenantPlan
-from repro.spec.lifecycle import RetrainQueue, RetrainRecord
+from repro.spec.lifecycle import RetrainRecord
 from repro.fleet.registry import SpecRegistry
 from repro.fleet.worker import (
     BatchResult, FleetWorker, batch_wants_crash, batch_wants_hang,
@@ -66,8 +66,6 @@ class FleetConfig:
     batch_rounds: int = 0
     cache_dir: Optional[str] = None
     max_worker_respawns: int = 2
-    train_seed: int = 7
-    train_repeats: int = 2
     #: no result and no worker death for this long -> supervisor error
     stall_timeout: float = 120.0
     #: a dispatched batch outstanding longer than this gets its worker
@@ -320,9 +318,7 @@ class FleetSupervisor:
         if self.config.workers < 1:
             raise FleetError("a fleet needs at least one worker")
         self.registry = registry or SpecRegistry(
-            cache_dir=self.config.cache_dir,
-            seed=self.config.train_seed,
-            repeats=self.config.train_repeats)
+            cache_dir=self.config.cache_dir)
         # The drivers' counters; ``_begin`` resets them, with the rest
         # of the per-run state, at the start of every run.
         self._duplicates = 0
@@ -331,6 +327,9 @@ class FleetSupervisor:
         #: its original entry, so respawn delay shows up as queue latency
         self._enqueue_ts: Dict[int, float] = {}
         self._queue_waits: List[float] = []
+        #: tenant -> reason, per its latest result: what a respawn of
+        #: the tenant's lane carries into the new worker
+        self._quarantined: Dict[str, str] = {}
         #: swappable monotonic clock (tests substitute a fake)
         self._clock = time.monotonic
         self._recorder = recorder
@@ -340,14 +339,6 @@ class FleetSupervisor:
             self._telemetry = FleetTelemetry(recorder)
         self._reloads: List[ScheduledReload] = []
         self._policy_reloads: List[ScheduledPolicyReload] = []
-        queue_path = None
-        if self.config.cache_dir is not None:
-            os.makedirs(self.config.cache_dir, exist_ok=True)
-            queue_path = os.path.join(self.config.cache_dir,
-                                      "retrain-queue.jsonl")
-        #: anomaly-driven retraining queue; persistent when the fleet
-        #: has a cache_dir, so the loop survives supervisor restarts
-        self.retrain_queue = RetrainQueue(path=queue_path)
 
     # -- public entry -------------------------------------------------------
 
@@ -462,6 +453,7 @@ class FleetSupervisor:
         self._migrations = 0
         self._enqueue_ts = {}
         self._queue_waits = []
+        self._quarantined = {}
 
     def _prime(self, pairs: Sequence[Tuple[str, str]]) -> None:
         """Train or load the specs of *pairs* and, on the bytecode
@@ -549,12 +541,17 @@ class FleetSupervisor:
         settings = dict(mode=config.mode, backend=config.backend,
                         batch_rounds=config.batch_rounds,
                         policies=config.policies)
+        quarantines = {tenant: reason
+                       for tenant, reason in self._quarantined.items()
+                       if self._tenant_worker.get(tenant)
+                       == handle.worker_id}
         if config.inline:
             handle.worker = FleetWorker(
                 handle.worker_id, self.registry,
                 injector=instance_injector(config.fault_plan,
                                            recorder=self._recorder),
                 **settings)
+            handle.worker.quarantines.update(quarantines)
             return
         handle.inbox = ctx.Queue()
         handle.outbox, results = ctx.Pipe(duplex=False)
@@ -567,6 +564,8 @@ class FleetSupervisor:
         # Only the worker keeps the sending end, so its exit reads as
         # end-of-file once everything it sent has been received.
         results.close()
+        if quarantines:
+            handle.inbox.put(("quarantine", quarantines))
 
     def _shutdown(self) -> None:
         """Stop every lane's worker."""
@@ -613,7 +612,9 @@ class FleetSupervisor:
                     batches[0] = requeue_batch(batch)
                     continue
                 batches.popleft()
-                self._results.append(handle.worker.run_batch(batch))
+                result = handle.worker.run_batch(batch)
+                self._results.append(result)
+                self._note(result)
                 start = self._enqueue_ts.pop(batch.seq, None)
                 if start is not None:
                     self._queue_waits.append(self._clock() - start)
@@ -693,6 +694,14 @@ class FleetSupervisor:
             revived += 1
         return revived
 
+    def _note(self, result: BatchResult) -> None:
+        """Keep *result*'s quarantine verdict for its tenant: a respawn
+        of the tenant's lane carries it into the new worker."""
+        if result.quarantined:
+            self._quarantined[result.tenant] = result.quarantine_reason
+        else:
+            self._quarantined.pop(result.tenant, None)
+
     def _collect(self, handles: Dict[int, _WorkerHandle],
                  results: List[BatchResult], done: set,
                  timeout: float) -> bool:
@@ -726,6 +735,7 @@ class FleetSupervisor:
                     continue
                 done.add(result.seq)
                 results.append(result)
+                self._note(result)
                 start = self._enqueue_ts.pop(result.seq, None)
                 if start is not None:
                     self._queue_waits.append(self._clock() - start)
@@ -860,12 +870,9 @@ class FleetSupervisor:
             1 for s in tenants.values() if s.fenced)
         stats.migrations = self._migrations
         # Deterministic order regardless of result arrival (pool results
-        # interleave); the count is *produced* records, not queue
-        # admissions — the persistent queue dedups against its backlog,
-        # which differs between otherwise-identical runs.
+        # interleave).
         retrain.sort(key=lambda r: (r.seq, r.tenant, r.io_key))
         stats.retrain_candidates = len(retrain)
-        self.retrain_queue.extend(retrain)
         stats.makespan_cycles = max(busy.values(), default=0)
         stats.latency_samples = len(request_cycles)
         stats.p50_request_cycles = percentile(request_cycles, 0.50)

@@ -21,7 +21,9 @@ generation.  Breaker inputs are
 deterministic: tenants are pinned to workers, batches run sequentially,
 and a batch requeued after a worker death carries its accumulated
 ``infra_strikes`` so the breaker survives the respawn that wiped the
-worker's memory.
+worker's memory.  A security quarantine crosses a respawn too: the
+supervisor hands the new worker the quarantines of its lane's tenants,
+so a quarantined tenant's rebuilt instance starts quarantined.
 
 A worker keeps one record per tenant (``FleetWorker.tenants``).  A
 live migration is checkpoint → restore → release: the target lane
@@ -195,6 +197,9 @@ class FleetWorker:
     policies: PolicySet = field(default_factory=PolicySet)
     #: one record per hosted tenant
     tenants: Dict[str, _Tenant] = field(default_factory=dict)
+    #: tenant -> reason: security quarantines a respawn of this lane
+    #: carries over, applied to the tenant's first instance here
+    quarantines: Dict[str, str] = field(default_factory=dict, init=False)
 
     # -- policy resolution --------------------------------------------------
 
@@ -254,6 +259,9 @@ class FleetWorker:
         record = self.tenants.get(tenant)
         if record is None:
             record = self.tenants[tenant] = _Tenant(self._build(batch))
+            reason = self.quarantines.pop(tenant, None)
+            if reason is not None:
+                record.instance.quarantine(reason)
         self._maybe_reload_policy(record, batch, result)
         pol = self.policy_for(tenant)
         result.policy_id = pol.policy_id
@@ -519,7 +527,8 @@ def worker_main(worker_id: int, registry: SpecRegistry, inbox, outbox,
     installs a migrated tenant and answers ("restored", ...), or
     ("refused", ..., why) when the envelope is refused, leaving this
     worker as it was; ("release", tenant) drops a migrated-away
-    tenant's record and answers nothing."""
+    tenant's record and ("quarantine", {tenant: reason}) hands a
+    respawned worker the quarantines of its lane; neither answers."""
     if slow_start > 0:
         # worker.slow_start arm: the respawned process takes its time
         # coming up; dispatched batches just wait in the inbox.
@@ -547,6 +556,9 @@ def worker_main(worker_id: int, registry: SpecRegistry, inbox, outbox,
             continue
         if message[0] == "release":
             worker.release_tenant(message[1])
+            continue
+        if message[0] == "quarantine":
+            worker.quarantines.update(message[1])
             continue
         batch: RequestBatch = message[1]
         if batch_wants_crash(batch):

@@ -22,24 +22,25 @@ calls).  The assembled frame is a deterministic function of the int
 stream, lowered and assembled in the process that runs the device;
 nothing generated is ever read back from disk.
 
-Every function is assembled twice:
+The frame is specialized like the checker frame: counters live in
+locals and are reconciled on every exit path; field loads and stores
+index the state buffer directly or go through fixed-width ``struct``
+codecs; literal stores and constant-index buffer accesses inside the
+struct are decided at assembly; static successors are generated into
+their predecessors' chains, each decoding a field once, and trained
+loops become native ``while`` loops; an entry handler starts at its
+guarded superblock (see "Chains and superblocks" below); each extern
+the function calls is resolved once per frame entry; and a counted
+byte-copy loop moves its bytes with one call of each extern's block
+twin when a guard proves that equals the scalar loop (see "Block
+transfers" below).
 
-* the **fast runner** is specialized like the checker frame: counters
-  live in locals and are reconciled on every exit path; field loads and
-  stores index the state buffer directly or go through fixed-width
-  ``struct`` codecs; literal stores and constant-index buffer accesses
-  inside the struct are decided at assembly; static successors are
-  generated into their predecessors' chains, each decoding a field
-  once, and trained loops become native ``while`` loops; an entry
-  handler starts at its guarded superblock (see "Chains and
-  superblocks" below); each extern the function calls is resolved once
-  per frame entry; and a counted byte-copy loop moves its bytes with
-  one call of each extern's block twin when a guard proves that equals
-  the scalar loop (see "Block transfers" below);
-* the **traced runner** emits the sink event stream inline
-  (``on_block``/``on_branch``/``on_tip``/... in the exact order the
-  reference walker produces them) and keeps one dispatch per block, so
-  traced rounds stay in the dispatch-loop frame too.
+One generator assembles every function twice, as the **fast runner**
+and as the **traced runner** a machine with trace sinks runs (what
+training runs).  The traced runner is the fast runner plus the sink
+events, emitted inline where the reference walker emits them
+(``on_block``/``on_branch``/``on_tip``/... in the same order), with
+block transfers kept off so a copy loop reports every byte.
 
 Semantics replicate the reference walker bit-for-bit: cycle/step
 accounting (costs charged *before* evaluation), flag updates, fault
@@ -390,10 +391,11 @@ class BytecodeProgram:
     def assemble(self, program: Program) -> "BytecodeProgram":
         handlers = set(program.entry_handlers.values())
         for name, bfunc in self.funcs.items():
+            superblock = name in handlers
             self.runners[name] = _assemble_function(
-                bfunc, program, superblock=name in handlers)
+                bfunc, program, superblock=superblock)
             self.traced_runners[name] = _assemble_function(
-                bfunc, program, traced=True)
+                bfunc, program, traced=True, superblock=superblock)
         for key, name in program.entry_handlers.items():
             if name in self.funcs:
                 self.entries[key] = (self.runners[name],
@@ -725,9 +727,9 @@ def _truth(cond: str) -> str:
 
 
 def _emit_chain(asm: _Asm, first: int, emit_block: Callable,
-                vals: Optional[_Values], inline: bool = True) -> None:
-    """Emit the chain from block *first* (one block when not *inline*),
-    ending in its dispatch transfer.
+                vals: _Values) -> None:
+    """Emit the chain from block *first*, ending in its dispatch
+    transfer.
 
     ``emit_block(k, vals, path)`` emits block *k* with the value table
     *vals* and returns its tail: ``("goto", j)`` or ``("call", j)`` for
@@ -743,8 +745,7 @@ def _emit_chain(asm: _Asm, first: int, emit_block: Callable,
         kind = tail[0]
         if kind == "goto" or kind == "call":
             target = tail[1]
-            if (inline and target not in visited
-                    and len(asm.lines) < _INLINE_BUDGET):
+            if target not in visited and len(asm.lines) < _INLINE_BUDGET:
                 visited.add(target)
                 k = target
                 continue
@@ -1272,31 +1273,31 @@ def _assemble_function(bfunc: BytecodeFunction, program: Program,
                        superblock: bool = False) -> Callable:
     """Translate the opcode stream into one Python frame.
 
-    The fast frame keeps cycle/step counts as local deltas and
-    reconciles them with the machine on *every* exit path (return,
-    nested call, extern, and any raise), so fault-time accounting is
-    bit-identical to the reference walker's.  It writes state through
-    the specialized buffer forms, folds literal stores and in-struct
-    constant-index accesses, and runs over chains (a block with its
-    static successors, value-numbered) with native self-loops.  With
-    *superblock* (an entry handler's frame) it starts at the guarded
-    superblock of its first block.
+    The frame keeps cycle/step counts as local deltas and reconciles
+    them with the machine on *every* exit path (return, nested call,
+    extern, and any raise), so fault-time accounting is bit-identical
+    to the reference walker's.  It writes state through the specialized
+    buffer forms, folds literal stores and in-struct constant-index
+    accesses, and runs over chains (a block with its static successors,
+    value-numbered) with native self-loops.  With *superblock* (an entry
+    handler's frame) it starts at the guarded superblock of its first
+    block.  It resolves each extern the function calls once at entry
+    (so ``bind_extern`` takes effect at the next function entry),
+    appends destination-bearing extern results to ``m.harvest`` (read
+    once per frame) when co-execution has set it, resolves the block
+    twins of its transfer loops there, and puts each loop's guarded
+    block path in front of its native self-loop.
 
-    The traced frame (``traced=True``) instead updates ``m.cycles`` /
-    ``m.steps`` directly — the counters must be current at every sink
-    call — and emits the sink events inline, replicating the reference
-    walker event-for-event: ``on_block`` after the watchdog check,
-    ``on_tip`` before a wild-jump fault, ``on_return`` after the return
-    value is evaluated, store events carrying the re-read stored value
-    (stores go through the ``StateMemory`` accessors), and so on.  It
-    keeps one dispatch per block and no value table.
-
-    Both frames resolve each extern the function calls once at entry
-    (so ``bind_extern`` takes effect at the next function entry) and
-    append destination-bearing extern results to ``m.harvest`` (read
-    once per frame) when co-execution has set it.  The fast frame also
-    resolves the block twins of its transfer loops there, and puts
-    each loop's guarded block path in front of its native self-loop.
+    *traced* (the runner of a machine with trace sinks) adds the sink
+    events where the reference walker emits them, and keeps block
+    transfers off so a copy loop reports every byte: ``on_block`` after
+    the watchdog step, ``on_branch`` on the evaluated condition,
+    ``on_tip`` before a wild-jump fault, ``on_call`` after the call's
+    arguments, ``on_return`` after the return value, ``on_state_store``
+    carrying the value table's read-back of the store, and so on.  An
+    operand an event repeats is evaluated once, into a temp.  No sink
+    reads the counters mid-round or writes state, so the traced frame
+    is the fast frame in every other respect.
     """
     code, pool = bfunc.code, bfunc.pool
     device = program.name
@@ -1314,7 +1315,6 @@ def _assemble_function(bfunc: BytecodeFunction, program: Program,
         asm.consts["_BADDR"] = tuple(func.blocks[l].address
                                      for l in bfunc.labels)
     push, pop = asm.push, asm.pop
-    cy = "m.cycles" if traced else "_cy"
     local_names: set = set()
     externs: Dict[str, int] = {}    # extern name -> slot, first use order
     harvests = False    # any extern result to queue into m.harvest
@@ -1345,7 +1345,18 @@ def _assemble_function(bfunc: BytecodeFunction, program: Program,
             for line in path.lines():
                 asm.w(line)
 
-    def emit_block(k: int, vals: Optional[_Values],
+    def event(call: str) -> None:
+        """Hand the event *call* to every trace sink (traced only)."""
+        if traced:
+            asm.w(f"for _s in m._sinks: _s.{call}")
+
+    def pin(expr: str) -> str:
+        """*expr* evaluated once when an event repeats it (traced)."""
+        if traced and not _SIMPLE.fullmatch(expr):
+            return asm.force_temp(expr)
+        return expr
+
+    def emit_block(k: int, vals: _Values,
                    path: Optional[_RunPath]) -> tuple:
         nonlocal harvests
         blk = f"_BLK{k}"
@@ -1354,21 +1365,18 @@ def _assemble_function(bfunc: BytecodeFunction, program: Program,
         while pc < end:
             op = code[pc]
             if op == OP_BLOCK:
-                if traced:
-                    asm.w("m.steps += 1")
-                    asm.w("if m.steps > _maxs: _wd(m)")
-                    asm.w(f"for _s in m._sinks: _s.on_block(_FN, {blk})")
-                elif path is not None:
+                if path is not None:
                     path.st += 1
                 else:
                     asm.w("_st += 1")
                     asm.w("if _st > _lim: _wd(m)")
+                event(f"on_block(_FN, {blk})")
                 pc += 1
             elif op == OP_TICK:
                 if path is not None:
                     path.cy += code[pc + 1]
                 else:
-                    asm.w(f"{cy} += {code[pc + 1]}")
+                    asm.w(f"_cy += {code[pc + 1]}")
                 pc += 2
             elif op == OP_CONST:
                 push(repr(pool[code[pc + 1]]))
@@ -1391,8 +1399,7 @@ def _assemble_function(bfunc: BytecodeFunction, program: Program,
                 pc += 2
             elif op == OP_STATE:
                 off, end_, signed, bits = pool[code[pc + 1]]
-                push(_state_load_expr(off, end_, signed, bits)
-                     if vals is None else vals.load(asm, off, end_, signed))
+                push(vals.load(asm, off, end_, signed))
                 pc += 2
             elif op == OP_STATE_REF:
                 asm.spill_pending()
@@ -1454,17 +1461,15 @@ def _assemble_function(bfunc: BytecodeFunction, program: Program,
                 value = pop()
                 name = pool[code[pc + 1]]
                 asm.w(f"{local(name)} = {value}")
-                if vals is not None:
-                    vals.names[name] = _mangle_local(name)
+                vals.names[name] = _mangle_local(name)
                 pc += 2
             elif op == OP_STORE:
                 field, kind, off, end_, size, mask, lo, hi = \
                     pool[code[pc + 1]]
                 value = pop()
-                if traced or kind == "malformed":
+                if kind == "malformed":
                     # Through the accessor, like the reference walker's
-                    # StateStore; the traced runner re-reads the stored
-                    # value for the event.
+                    # StateStore; the event re-reads the stored value.
                     v = asm.force_temp(value)
                     settle(path)
                     o = asm.temp()
@@ -1474,10 +1479,8 @@ def _assemble_function(bfunc: BytecodeFunction, program: Program,
                     if traced:
                         s = asm.temp()
                         asm.w(f"{s} = _state.read_field({field!r})")
-                        asm.w(f"for _s in m._sinks: "
-                              f"_s.on_state_store({field!r}, {s}, {o})")
-                    else:
-                        vals.fields.clear()
+                        event(f"on_state_store({field!r}, {s}, {o})")
+                    vals.fields.clear()
                 elif _INT_LITERAL.fullmatch(value):
                     # Literal store: the overflow bit and the stored bytes
                     # are decided here.
@@ -1494,23 +1497,22 @@ def _assemble_function(bfunc: BytecodeFunction, program: Program,
                     asm.w(f"_flags.last_store_field = {field!r}")
                     asm.w(_store_stmt(str(off), size, f"{v} & {mask}"))
                     vals.store(off, end_, lo < 0, v)
+                if traced and kind != "malformed":
+                    s = vals.load(asm, off, end_, lo < 0)
+                    event(f"on_state_store({field!r}, {s}, "
+                          f"_flags.overflow)")
                 pc += 2
             elif op == OP_BUFSTORE:
                 buf, is_buffer, base, esize, emask = pool[code[pc + 1]]
                 value, index = pop(), pop()
+                index, value = pin(index), pin(value)
                 off = const_offset(index, base, esize) if is_buffer else None
-                if traced:
-                    i = asm.force_temp(index)
-                    v = asm.force_temp(value)
-                    asm.w(f"_state.write_buf({buf!r}, {i}, {v})")
-                    asm.w(f"for _s in m._sinks: "
-                          f"_s.on_buf_store({buf!r}, {i}, {v})")
-                elif off is not None and 0 <= off <= struct_size - esize:
+                if off is not None and 0 <= off <= struct_size - esize:
                     if _INT_LITERAL.fullmatch(value):
-                        value = str(int(value) & emask)
+                        masked = str(int(value) & emask)
                     else:
-                        value = f"{value} & {emask}"
-                    asm.w(_store_stmt(str(off), esize, value))
+                        masked = f"{value} & {emask}"
+                    asm.w(_store_stmt(str(off), esize, masked))
                     vals.clobber(off, off + esize)
                 elif off is not None or not is_buffer:
                     settle(path)
@@ -1530,6 +1532,7 @@ def _assemble_function(bfunc: BytecodeFunction, program: Program,
                     asm.indent -= 1
                     # The element may land on any field of the struct.
                     vals.fields.clear()
+                event(f"on_buf_store({buf!r}, {index}, {value})")
                 pc += 2
             elif op == OP_EXTERN_PRE:
                 name, msg = pool[code[pc + 1]], pool[code[pc + 2]]
@@ -1540,7 +1543,7 @@ def _assemble_function(bfunc: BytecodeFunction, program: Program,
                 pending(path)
                 asm.w(f"raise InterpError({msg!r})")
                 asm.indent -= 1
-                asm.w(f"{cy} += _XC{slot}")
+                asm.w(f"_cy += _XC{slot}")
                 if path is not None:
                     path.zero = False
                 push(f"_X{slot}")    # carried under the args until the call
@@ -1550,65 +1553,48 @@ def _assemble_function(bfunc: BytecodeFunction, program: Program,
                 args = asm.pop_args(nargs)
                 f = pop()
                 asm.spill_pending()
-                if traced:
-                    args = [asm.force_temp(a) for a in args]
-                else:
-                    settle(path)
-                    asm.w("m.cycles += _cy; _cy = 0")
-                    asm.w("m.steps += _st; _lim -= _st; _st = 0")
-                    if path is not None:
-                        path.zero = True
+                settle(path)
+                asm.w("m.cycles += _cy; _cy = 0")
+                asm.w("m.steps += _st; _lim -= _st; _st = 0")
+                if path is not None:
+                    path.zero = True
+                args = [pin(a) for a in args]
                 t = asm.temp()
                 asm.w(f"{t} = int({f}({', '.join(['m'] + args)}) or 0)")
-                if traced:
-                    tup = f"({', '.join(args)}{',' if args else ''})"
-                    dname = pool[dest] if dest >= 0 else None
-                    asm.w(f"for _s in m._sinks: _s.on_extern("
-                          f"{bfunc.name!r}, {last_extern!r}, {dname!r}, "
-                          f"{tup}, {t})")
-                else:
-                    vals.fields.clear()
+                dname = pool[dest] if dest >= 0 else None
+                event(f"on_extern({bfunc.name!r}, {last_extern!r}, "
+                      f"{dname!r}, ({', '.join(args)}"
+                      f"{',' if args else ''}), {t})")
+                vals.fields.clear()
                 if dest >= 0:
-                    name = pool[dest]
                     harvests = True
-                    key = f"extern:{bfunc.name}:{name}"
+                    key = f"extern:{bfunc.name}:{dname}"
                     q = asm.temp()
                     asm.w("if _hv is not None:")
                     asm.w(f"    {q} = _hv.get({key!r})")
                     asm.w(f"    if {q} is None: {q} = _hv[{key!r}] = "
                           f"_deque()")
                     asm.w(f"    {q}.append({t})")
-                    asm.w(f"{local(name)} = {t}")
-                    if vals is not None:
-                        vals.names[name] = _mangle_local(name)
+                    asm.w(f"{local(dname)} = {t}")
+                    vals.names[dname] = _mangle_local(dname)
                 pc += 3
             elif op == OP_INTRIN:
                 nargs, ki = code[pc + 1], code[pc + 2]
-                args = asm.pop_args(nargs)
-                if traced:
-                    args = [asm.force_temp(a) for a in args]
-                    tup = f"({', '.join(args)}{',' if args else ''})"
-                    asm.w(f"for _s in m._sinks: "
-                          f"_s.on_intrinsic({pool[ki]!r}, {tup})")
-                else:
-                    for a in args:
-                        if not _is_temp(a):
-                            asm.w(a)    # evaluate for effect (it can fault)
+                args = [pin(a) for a in asm.pop_args(nargs)]
+                for a in args:
+                    if not _is_temp(a):
+                        asm.w(a)    # evaluate for effect (it can fault)
+                event(f"on_intrinsic({pool[ki]!r}, ({', '.join(args)}"
+                      f"{',' if args else ''}))")
                 pc += 3
             elif op == OP_ICALL_PRE:
                 field, off, end_, signed, bits, msg = pool[code[pc + 1]]
-                if vals is None:
-                    a = asm.temp()
-                    asm.w(f"{a} = {_state_load_expr(off, end_, signed, bits)}")
-                else:
-                    a = vals.load(asm, off, end_, signed)
+                a = vals.load(asm, off, end_, signed)
                 f = asm.temp()
                 asm.w(f"{f} = _A2F.get({a})")
-                if traced:
-                    # The TIP event fires even for a wild jump (the tracer
-                    # must see the bogus target), so it precedes the fault.
-                    asm.w(f'for _s in m._sinks: '
-                          f'_s.on_tip({blk}, {a}, "icall")')
+                # The TIP event fires even for a wild jump (the tracer
+                # must see the bogus target), so it precedes the fault.
+                event(f'on_tip({blk}, {a}, "icall")')
                 asm.w(f"if {f} is None:")
                 asm.indent += 1
                 pending(path)
@@ -1631,39 +1617,34 @@ def _assemble_function(bfunc: BytecodeFunction, program: Program,
                 else:
                     f = pop()
                 asm.spill_pending()
-                if traced and op == OP_CALL:
+                settle(path)
+                asm.w("m.cycles += _cy; _cy = 0")
+                asm.w("m.steps += _st; _st = 0")
+                if op == OP_CALL:
                     # Args are evaluated before on_call, like the walker's
                     # Call terminator.
-                    args = [asm.force_temp(a) for a in args]
-                    asm.w(f"for _s in m._sinks: _s.on_call(_FN, {f})")
-                elif not traced:
-                    settle(path)
-                    asm.w("m.cycles += _cy; _cy = 0")
-                    asm.w("m.steps += _st; _st = 0")
+                    args = [pin(a) for a in args]
+                    event(f"on_call(_FN, {f})")
                 t = asm.temp()
                 asm.w(f"{t} = m._call({f}, ({', '.join(args)}"
                       f"{',' if args else ''}))")
-                if not traced:
-                    asm.w("_lim = m.max_steps - m.steps")
-                    vals.fields.clear()
+                asm.w("_lim = m.max_steps - m.steps")
+                vals.fields.clear()
                 if dest >= 0:
                     name = pool[dest]
                     asm.w(f"{local(name)} = int({t} or 0)")
-                    if vals is not None:
-                        vals.names[name] = _mangle_local(name)
+                    vals.names[name] = _mangle_local(name)
                 return ("call", cont)
             elif op == OP_GOTO:
                 return ("goto", code[pc + 1])
             elif op == OP_BR:
-                bt, bn = code[pc + 1], code[pc + 2]
-                if not traced:
-                    return ("br", pop(), bt, bn)
-                o = asm.temp()
-                asm.w(f"{o} = True if {pop()} else False")
-                asm.w(f"for _s in m._sinks: _s.on_branch({blk}, {o})")
-                asm.w(f"_pc = {bt} if {o} else {bn}")
-                asm.w("continue")
-                return ("exit",)
+                cond = pop()
+                if traced:
+                    o = asm.temp()
+                    asm.w(f"{o} = True if {_truth(cond)} else False")
+                    event(f"on_branch({blk}, {o})")
+                    cond = o
+                return ("br", cond, code[pc + 1], code[pc + 2])
             elif op == OP_SWITCH:
                 enc, msg = pool[code[pc + 1]]
                 v = asm.force_temp(pop())
@@ -1683,9 +1664,8 @@ def _assemble_function(bfunc: BytecodeFunction, program: Program,
             elif op in (OP_RET, OP_RETV):
                 if op == OP_RETV:
                     asm.w(f"_rv = {pop()}")
-                if traced:
-                    asm.w("for _s in m._sinks: _s.on_return(_FN)")
-                elif path is not None:
+                event("on_return(_FN)")
+                if path is not None:
                     asm.w(f"m.cycles += {path.total('_cy', path.cy)}; "
                           f"m.steps += {path.total('_st', path.st)}")
                 else:
@@ -1699,30 +1679,30 @@ def _assemble_function(bfunc: BytecodeFunction, program: Program,
     blocks: List[List[str]] = []
     for k in range(len(spans)):
         asm.lines, asm.indent = [], 0
-        _emit_chain(asm, k, emit_block, None if traced else _Values(),
-                    inline=not traced)
+        _emit_chain(asm, k, emit_block, _Values())
         if asm.stack:
             raise InterpError(
                 f"unbalanced expression stack lowering {bfunc.name}")
         blocks.append(asm.lines)
 
-    entry: List[str] = []
+    _wrap_self_loops(blocks)
     twins: Dict[str, int] = {}    # extern name -> slot, twin resolved
-    if not traced:
-        _wrap_self_loops(blocks)
-        index = {label: k for k, label in enumerate(bfunc.labels)}
-        for t in _match_transfers(func):
-            k = index[t.body]
-            cycles = ticks[index[t.head]] + ticks[k] + ticks[index[t.step]]
-            lines = _transfer_lines(t, func, program, externs, cycles,
-                                    index[t.exit])
-            if lines is not None and blocks[k][0] == "while True:":
-                blocks[k][:0] = lines
-                twins.update((name, externs[name]) for name in t.externs)
-        if superblock:
-            # _st is 0 at the frame's entry and after each call.
-            entry = _superblock(asm, 0, emit_block, _RunPath(),
-                                "{} <= _lim".format)
+    index = {label: k for k, label in enumerate(bfunc.labels)}
+    # Traced, each byte of a copy loop is a block, extern and store
+    # event, so its loop stays scalar.
+    for t in () if traced else _match_transfers(func):
+        k = index[t.body]
+        cycles = ticks[index[t.head]] + ticks[k] + ticks[index[t.step]]
+        lines = _transfer_lines(t, func, program, externs, cycles,
+                                index[t.exit])
+        if lines is not None and blocks[k][0] == "while True:":
+            blocks[k][:0] = lines
+            twins.update((name, externs[name]) for name in t.externs)
+    entry: List[str] = []
+    if superblock:
+        # _st is 0 at the frame's entry and after each call.
+        entry = _superblock(asm, 0, emit_block, _RunPath(),
+                            "{} <= _lim".format)
 
     # -- frame scaffolding ---------------------------------------------------
     out = _Asm(asm.consts)
@@ -1731,8 +1711,7 @@ def _assemble_function(bfunc: BytecodeFunction, program: Program,
     if bfunc.params:
         unpack = ", ".join(_mangle_param(p) for p in bfunc.params)
         out.w(f"{unpack}{',' if len(bfunc.params) == 1 else ''} = args")
-    if not traced:
-        out.w("_st = 0; _cy = 0")
+    out.w("_st = 0; _cy = 0")
     out.w("_state = m.state; _sdata = _state.data; _flags = m.flags")
     if externs:
         out.w("_ext = m._externs; _ecost = m._extern_cost")
@@ -1743,8 +1722,7 @@ def _assemble_function(bfunc: BytecodeFunction, program: Program,
         out.w("_xb = m._extern_block")
         for name, slot in twins.items():
             out.w(f"_XB{slot} = _xb.get({name!r})")
-    out.w("_maxs = m.max_steps" if traced
-          else "_lim = m.max_steps - m.steps")
+    out.w("_lim = m.max_steps - m.steps")
     if harvests:
         out.w("_hv = m.harvest")
     out.w("_pc = -1" if entry else "_pc = 0")
@@ -1767,17 +1745,15 @@ def _assemble_function(bfunc: BytecodeFunction, program: Program,
     out.indent -= 2
     out.w("except NameError as e:")
     out.indent += 1
-    if not traced:
-        out.w("m.cycles += _cy; m.steps += _st")
+    out.w("m.cycles += _cy; m.steps += _st")
     out.w("_msg = _LMSG.get(getattr(e, 'name', None))")
     out.w("if _msg is not None:")
     out.w("    raise InterpError(_msg) from None")
     out.w("raise")
     out.indent -= 1
-    if not traced:
-        out.w("except BaseException:")
-        out.w("    m.cycles += _cy; m.steps += _st")
-        out.w("    raise")
+    out.w("except BaseException:")
+    out.w("    m.cycles += _cy; m.steps += _st")
+    out.w("    raise")
 
     out.consts["_LMSG"] = {
         _mangle_local(name): (f"{bfunc.name}: local {name!r} read "

@@ -9,9 +9,10 @@ Two execution backends share this front door (:data:`BACKENDS`):
 
 * ``backend="bytecode"`` (default) — functions lowered to a flat
   array-encoded bytecode and assembled into single dispatch-loop frames
-  (:mod:`repro.interp.bytecode`).  Every function gets a fast runner and
-  a traced runner that emits the sink event stream inline, so rounds
-  with trace sinks attached stay in the dispatch-loop frame too;
+  (:mod:`repro.interp.bytecode`).  A machine with trace sinks attached
+  runs each function's traced runner: the same generated frame plus
+  the sink events, inline, so training runs the serving frame's chains,
+  value tables, native loops and superblocks;
 * ``backend="reference"`` — the original tree walker, kept as the oracle
   the differential test suites compare the bytecode backend against.
 

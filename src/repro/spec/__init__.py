@@ -9,7 +9,7 @@ from repro.spec.serialize import spec_from_json, spec_to_json
 from repro.spec.merge import coverage_gain, merge_all, merge_specs
 from repro.spec.dot import spec_to_dot
 from repro.spec.lifecycle import (
-    PromotionConfig, PromotionReport, RetrainQueue, RetrainRecord,
+    PromotionConfig, PromotionReport, RetrainRecord,
     candidate_from_records, promote,
 )
 
@@ -19,6 +19,6 @@ __all__ = [
     "build_spec", "reduce_spec", "substitute_expr",
     "spec_from_json", "spec_to_json",
     "coverage_gain", "merge_all", "merge_specs", "spec_to_dot",
-    "PromotionConfig", "PromotionReport", "RetrainQueue",
-    "RetrainRecord", "candidate_from_records", "promote",
+    "PromotionConfig", "PromotionReport", "RetrainRecord",
+    "candidate_from_records", "promote",
 ]

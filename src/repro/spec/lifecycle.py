@@ -1,4 +1,4 @@
-"""Spec lifecycle: candidate merging, gated promotion, retraining queue.
+"""Spec lifecycle: candidate merging, gated promotion, retraining records.
 
 The paper's §VIII remedy for false positives is *distribution*: device
 developers and testers each train SEDSpec against their own corpora, and
@@ -11,11 +11,12 @@ module is the control loop around that fold:
   only publishes/activates the result when the gain clears a threshold
   *and* a differential replay shows the merged spec neither lets a
   seeded CVE escape nor flags benign traffic the active spec allowed;
-* **retraining queue** — rounds the enforcement fleet could not vouch
-  for (trace gaps) or that look like unseen-legitimate behaviour
-  (near-miss control-flow anomalies, incomplete walks) are queued as
-  :class:`RetrainRecord`\\ s, and :func:`candidate_from_records` replays
-  them as a training workload to mint the next candidate.
+* **retraining records** — rounds the enforcement fleet could not
+  vouch for (trace gaps) or that look like unseen-legitimate behaviour
+  (near-miss control-flow anomalies, incomplete walks) come back in
+  each fleet result as :class:`RetrainRecord`\\ s, and
+  :func:`candidate_from_records` replays them as a training workload to
+  mint the next candidate.
 
 Promotion refusals are first-class results (:class:`PromotionReport`),
 not exceptions: a refused candidate is a normal, expected outcome of the
@@ -24,8 +25,6 @@ loop.
 
 from __future__ import annotations
 
-import json
-import os
 import random
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
@@ -36,7 +35,7 @@ from repro.spec.escfg import ExecutionSpec
 from repro.spec.merge import coverage_gain, merge_all
 
 
-# -- retraining queue --------------------------------------------------------
+# -- retraining records ------------------------------------------------------
 
 @dataclass(frozen=True)
 class RetrainRecord:
@@ -59,94 +58,16 @@ class RetrainRecord:
     index: int = 0
     seed: int = 0
 
-    def to_obj(self) -> Dict[str, object]:
-        return {"tenant": self.tenant, "device": self.device,
-                "qemu_version": self.qemu_version, "reason": self.reason,
-                "io_key": self.io_key, "seq": self.seq, "kind": self.kind,
-                "index": self.index, "seed": self.seed}
-
-    @classmethod
-    def from_obj(cls, obj: Dict[str, object]) -> "RetrainRecord":
-        return cls(tenant=str(obj["tenant"]), device=str(obj["device"]),
-                   qemu_version=str(obj["qemu_version"]),
-                   reason=str(obj["reason"]), io_key=str(obj["io_key"]),
-                   seq=int(obj["seq"]), kind=str(obj["kind"]),
-                   index=int(obj.get("index", 0)),
-                   seed=int(obj.get("seed", 0)))
-
-
-class RetrainQueue:
-    """Candidate training traces, optionally persisted as JSON lines.
-
-    With a *path* the queue appends each record durably (one JSON object
-    per line) and reloads the backlog on construction, so the feedback
-    loop survives supervisor restarts.  Deduplicates on (device,
-    qemu_version, kind, index, seed) — the replay identity — so a noisy
-    tenant cannot flood the queue with the same round.
-    """
-
-    def __init__(self, path: Optional[str] = None,
-                 max_records: int = 10_000):
-        self.path = path
-        self.max_records = max_records
-        self.dropped = 0
-        self._records: List[RetrainRecord] = []
-        self._seen: set = set()
-        if path is not None and os.path.exists(path):
-            with open(path) as handle:
-                for line in handle:
-                    line = line.strip()
-                    if not line:
-                        continue
-                    try:
-                        self._admit(RetrainRecord.from_obj(
-                            json.loads(line)))
-                    except (ValueError, KeyError, TypeError):
-                        continue    # torn tail line: skip, keep the rest
-
-    def _key(self, record: RetrainRecord) -> Tuple:
-        return (record.device, record.qemu_version, record.kind,
-                record.index, record.seed)
-
-    def _admit(self, record: RetrainRecord) -> bool:
-        key = self._key(record)
-        if key in self._seen or len(self._records) >= self.max_records:
-            self.dropped += 1
-            return False
-        self._seen.add(key)
-        self._records.append(record)
-        return True
-
-    def add(self, record: RetrainRecord) -> bool:
-        admitted = self._admit(record)
-        if admitted and self.path is not None:
-            with open(self.path, "a") as handle:
-                handle.write(json.dumps(record.to_obj()) + "\n")
-        return admitted
-
-    def extend(self, records: Sequence[RetrainRecord]) -> int:
-        return sum(1 for r in records if self.add(r))
-
-    def records(self, device: Optional[str] = None,
-                qemu_version: Optional[str] = None
-                ) -> List[RetrainRecord]:
-        return [r for r in self._records
-                if (device is None or r.device == device)
-                and (qemu_version is None
-                     or r.qemu_version == qemu_version)]
-
-    def __len__(self) -> int:
-        return len(self._records)
-
 
 def candidate_from_records(device: str, qemu_version: str,
                            records: Sequence[RetrainRecord],
                            backend: str = DEFAULT_BACKEND) -> ExecutionSpec:
-    """Replay queued rounds as a training workload; returns the spec.
+    """Replay retraining records as a training workload; returns the
+    spec.
 
     Only benign-shaped rounds are replayed: exploit records are refused
     outright — a flagged CVE round must never become training data, no
-    matter how it got queued.
+    matter where the record came from.
     """
     from repro.core import build_execution_spec
     from repro.errors import DeviceFault

@@ -18,7 +18,7 @@ from repro.fleet import (
 )
 from repro.fleet.loadgen import OpRequest, RequestBatch
 from repro.spec import (
-    PromotionConfig, RetrainQueue, RetrainRecord, candidate_from_records,
+    PromotionConfig, RetrainRecord, candidate_from_records,
     promote, spec_from_json, spec_to_json,
 )
 from repro.spec import lifecycle as lifecycle_mod
@@ -168,54 +168,7 @@ class TestRetrainReason:
         assert retrain_reason(self.report()) is None
 
 
-class TestRetrainQueue:
-    def test_dedup_on_replay_identity(self):
-        queue = RetrainQueue()
-        records = rare_records("fdc", FDC_QV, count=2)
-        assert queue.add(records[0])
-        assert queue.add(records[1])
-        # Same (device, qv, kind, index, seed), different tenant/io_key:
-        # still the same replay, still deduplicated.
-        twin = RetrainRecord(tenant="other", device="fdc",
-                             qemu_version=FDC_QV, reason="trace-gap",
-                             io_key="elsewhere", seq=99, kind="rare",
-                             index=records[0].index,
-                             seed=records[0].seed)
-        assert not queue.add(twin)
-        assert len(queue) == 2 and queue.dropped == 1
-
-    def test_max_records_bounds_the_queue(self):
-        queue = RetrainQueue(max_records=2)
-        assert queue.extend(rare_records("fdc", FDC_QV, count=5)) == 2
-        assert len(queue) == 2 and queue.dropped == 3
-
-    def test_persistence_survives_restart(self, tmp_path):
-        path = str(tmp_path / "queue.jsonl")
-        queue = RetrainQueue(path=path)
-        queue.extend(rare_records("fdc", FDC_QV, count=3))
-        reloaded = RetrainQueue(path=path)
-        assert reloaded.records() == queue.records()
-        # The backlog also participates in dedup after the restart.
-        assert not reloaded.add(queue.records()[0])
-
-    def test_torn_tail_line_is_skipped(self, tmp_path):
-        path = str(tmp_path / "queue.jsonl")
-        queue = RetrainQueue(path=path)
-        queue.extend(rare_records("fdc", FDC_QV, count=2))
-        with open(path, "a") as handle:
-            handle.write('{"tenant": "t", "device": "fd')   # torn write
-        reloaded = RetrainQueue(path=path)
-        assert len(reloaded) == 2
-
-    def test_records_filters_by_device_and_version(self):
-        queue = RetrainQueue()
-        queue.extend(rare_records("fdc", FDC_QV, count=2))
-        queue.extend(rare_records("scsi", "2.4.0", count=1,
-                                  base_seed=7000))
-        assert len(queue.records("fdc", FDC_QV)) == 2
-        assert len(queue.records("scsi")) == 1
-        assert len(queue.records()) == 3
-
+class TestCandidateFromRecords:
     def test_candidate_refuses_exploit_records(self):
         poisoned = [RetrainRecord(tenant="t", device="fdc",
                                   qemu_version=FDC_QV, reason="near-miss",
@@ -519,10 +472,6 @@ class TestHotReload:
             assert record.reason == "trace-gap"
             assert record.kind == "common"
             assert record.device == "fdc"
-        # ... and they landed on the supervisor's persistent queue.
-        assert len(supervisor.retrain_queue) > 0
-        queued = supervisor.retrain_queue.records("fdc", FDC_QV)
-        assert queued, "queue should hold fdc records"
-        # The queued rounds mint the next candidate.
-        candidate = candidate_from_records("fdc", FDC_QV, queued)
+        # The records mint the next candidate.
+        candidate = candidate_from_records("fdc", FDC_QV, result.retrain)
         assert candidate.device == registry.get("fdc", FDC_QV).device

@@ -245,3 +245,41 @@ class TestSessionDifferential:
                 getattr(pool.stats, name), name
         assert inline.stats.lost > 0
         assert inline.tenants == pool.tenants
+
+
+class TestQuarantineSurvivesRespawn:
+    @pytest.mark.parametrize("inline", [True, False],
+                             ids=["inline", "pool"])
+    def test_respawned_lane_keeps_a_security_quarantine(self, registry,
+                                                        inline):
+        """A tenant quarantined for a detected exploit stays quarantined
+        after another tenant's crash op respawns their shared lane:
+        its next batch is rejected whole, so the exploit never reaches
+        the checker again."""
+        plans, schedule = build_load(["fdc"], 2, 3, 2,
+                                     inject_cves=("CVE-2015-3456",),
+                                     seed=11)
+        attacked = next(p.tenant for p in plans if p.attacked)
+        sup = FleetSupervisor(
+            FleetConfig(workers=1, inline=inline,
+                        cache_dir=registry.cache_dir), registry)
+        session = sup.session()
+        try:
+            pending = list(schedule)
+            while pending:
+                batch = pending.pop(0)
+                result = session.submit(batch)
+                if batch.tenant == attacked and result.quarantined:
+                    break
+            else:
+                pytest.fail("the exploit was never detected")
+            crash = next(b for b in pending if b.tenant != attacked)
+            assert session.submit(crash_first(crash)) is not None
+            replay = next(b for b in pending if b.tenant == attacked)
+            result = session.submit(replay)
+        finally:
+            closed = session.close(plans)
+        assert closed.stats.worker_respawns == 1
+        assert result.quarantined
+        assert (result.rejected, result.completed, result.detections) \
+            == (len(replay.ops), 0, 0)
